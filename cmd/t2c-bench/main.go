@@ -7,70 +7,31 @@
 //	t2c-bench -exp table3            # sparse + low-precision ResNet-50
 //	t2c-bench -exp table4            # SSL transfer vs supervised
 //	t2c-bench -exp fig3|fig4|fig5    # workflow figures
-//	t2c-bench -exp engine            # fused+prepacked engine vs PR-1 engine vs interpreter
-//	t2c-bench -exp serve             # HTTP serving subsystem under load
 //	t2c-bench -exp profile           # measured vs modeled per-op cost calibration
 //	t2c-bench -exp all -scale quick  # everything at test scale
 //
-// The engine experiment also writes a machine-readable report
-// (ns/op, allocs/op, arena bytes, instruction counts before/after
-// fusion, parallel-wave counts and the modeled work fraction inside
-// waves) to the -json path, BENCH_engine.json by default, so the perf
-// trajectory is comparable across PRs. The serve experiment likewise
-// writes QPS, latency percentiles, mean batch size, and reject counts
-// to the -serve-json path, BENCH_serve.json by default. The profile
-// experiment runs the zoo under instruction-level tracing, joins
-// measured span times against the bind-time cost model, and writes the
-// per-op calibration ratios to the -profile-json path,
-// BENCH_profile.json by default.
+// The profile experiment runs the zoo under instruction-level tracing,
+// joins measured span times against the bind-time cost model, and
+// writes the per-op calibration ratios to the -profile-json path,
+// BENCH_profile.json by default. End-to-end and per-layer serving
+// performance is measured by the repository benchmark, benchmark/run.sh.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 	"time"
 
 	"torch2chip/internal/bench"
 )
 
-// parseProcs parses the -gomaxprocs comma list ("1,4,8") into a sweep.
-func parseProcs(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		n, err := strconv.Atoi(part)
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad core budget %q", part)
-		}
-		out = append(out, n)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("empty core-budget list")
-	}
-	return out, nil
-}
-
 func main() {
-	exp := flag.String("exp", "all", "experiment: table1..table4, fig3..fig5, ablation, engine, serve, profile, all")
+	exp := flag.String("exp", "all", "experiment: table1..table4, fig3..fig5, ablation, profile, all")
 	scale := flag.String("scale", "quick", "compute scale: quick or full")
 	outDir := flag.String("out", "bench-out", "output directory for export artifacts (fig5)")
-	jsonPath := flag.String("json", "BENCH_engine.json", "path for the engine experiment's JSON report (empty = skip)")
-	serveJSON := flag.String("serve-json", "BENCH_serve.json", "path for the serve experiment's JSON report (empty = skip)")
 	profileJSON := flag.String("profile-json", "BENCH_profile.json", "path for the profile experiment's JSON report (empty = skip)")
-	gomaxprocs := flag.String("gomaxprocs", "1,4,8", "comma-separated GOMAXPROCS sweep for the engine experiment")
 	flag.Parse()
-
-	procs, err := parseProcs(*gomaxprocs)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "-gomaxprocs: %v\n", err)
-		os.Exit(2)
-	}
 
 	var sc bench.Scale
 	switch *scale {
@@ -142,35 +103,6 @@ func main() {
 	if want("fig5") {
 		any = true
 		run("fig5", func() { fmt.Print(bench.FormatFig5(bench.Fig5(sc, *outDir))) })
-	}
-	if want("engine") {
-		any = true
-		run("engine", func() {
-			rep := bench.EngineComparison(sc, procs)
-			rep.Serve = bench.ServeComparison(sc)
-			fmt.Print(bench.FormatEngine(rep))
-			if *jsonPath != "" {
-				if err := bench.WriteBenchJSON(*jsonPath, rep); err != nil {
-					fmt.Fprintf(os.Stderr, "engine: write %s: %v\n", *jsonPath, err)
-					os.Exit(1)
-				}
-				fmt.Printf("wrote %s\n", *jsonPath)
-			}
-		})
-	}
-	if want("serve") {
-		any = true
-		run("serve", func() {
-			rep := bench.ServeBench(sc)
-			fmt.Print(bench.FormatServeBench(rep))
-			if *serveJSON != "" {
-				if err := bench.WriteServeJSON(*serveJSON, rep); err != nil {
-					fmt.Fprintf(os.Stderr, "serve: write %s: %v\n", *serveJSON, err)
-					os.Exit(1)
-				}
-				fmt.Printf("wrote %s\n", *serveJSON)
-			}
-		})
 	}
 	if want("profile") {
 		any = true

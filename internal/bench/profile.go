@@ -6,10 +6,64 @@ import (
 	"os"
 	"strings"
 
+	"torch2chip/internal/core"
+	"torch2chip/internal/data"
 	"torch2chip/internal/engine"
+	"torch2chip/internal/models"
+	"torch2chip/internal/nn"
+	"torch2chip/internal/prune"
 	"torch2chip/internal/tensor"
 	"torch2chip/internal/trace"
 )
+
+// buildZooModel constructs the named zoo model for the profile run.
+func buildZooModel(g *tensor.RNG, name string, numClasses int) nn.Layer {
+	switch name {
+	case "resnet20":
+		return models.NewResNet(g, models.ResNet20(numClasses))
+	case "mobilenet":
+		return models.NewMobileNetV1(g, models.MobileNetConfig{WidthMult: 1, NumClasses: numClasses, Blocks: 4})
+	case "vit":
+		cfg := models.ViT7(32, numClasses)
+		cfg.Depth = 2
+		return models.NewViT(g, cfg)
+	default:
+		panic(fmt.Sprintf("bench: unknown zoo model %q", name))
+	}
+}
+
+// zooProgram builds, optionally one-shot prunes (global magnitude to
+// sparsity; 0 leaves the weights dense), calibrates and compiles one zoo
+// model, returning its fused program.
+func zooProgram(sc Scale, name string, sparsity float64) *engine.Program {
+	trainDS, _ := data.Generate(data.SynthCIFAR10, sc.TrainN/2, 8)
+	g := tensor.NewRNG(9300)
+	model := buildZooModel(g, name, trainDS.NumClasses)
+	x, _ := trainDS.Batch([]int{0, 1, 2, 3})
+	model.Forward(x) // realistic BN statistics
+	if sparsity > 0 {
+		prune.NewMagnitude(prune.PrunableParams(model), sparsity).Step(1)
+	}
+	t2c := core.New(model, core.DefaultConfig())
+	t2c.Prepare()
+	if err := t2c.Calibrate(trainDS.Subset(5), 16); err != nil {
+		panic(err)
+	}
+	nn.SetTraining(model, false)
+	cm, err := t2c.Compile()
+	if err != nil {
+		panic(err)
+	}
+	return cm.Prog
+}
+
+// scaleName labels the scale for the report.
+func scaleName(sc Scale) string {
+	if sc.TrainN >= Full().TrainN {
+		return "full"
+	}
+	return "quick"
+}
 
 // ProfileOp is one op kind's measured-vs-modeled record for one model:
 // the mean measured nanoseconds per run (summed over the kind's
@@ -78,15 +132,8 @@ func ProfileComparison(sc Scale) *ProfileReport {
 		sparse float64
 	}{{"mobilenet", 0}, {"resnet20", 0}, {"vit", 0}, {"resnet20/mag70", 0.7}}
 	for _, mc := range models {
-		var fused *engine.Program
-		if mc.sparse > 0 {
-			name := mc.label[:strings.IndexByte(mc.label, '/')]
-			fused = engineModelPruned(sc, name, mc.sparse, false).Prog
-		} else {
-			cm, _, _ := engineModel(sc, mc.label)
-			fused = cm.Prog
-		}
-		name := mc.label
+		zoo, _, _ := strings.Cut(mc.label, "/")
+		fused := zooProgram(sc, zoo, mc.sparse)
 		x := g.Uniform(0, 1, batch, 3, 32, 32)
 
 		tracer := trace.New(trace.Config{RingSpans: 4096})
@@ -115,7 +162,7 @@ func ProfileComparison(sc Scale) *ProfileReport {
 			modelNs[string(modeled[i].Kind)] = &modeled[i]
 		}
 
-		pm := ProfileModel{Model: name, Batch: batch, Iters: iters}
+		pm := ProfileModel{Model: mc.label, Batch: batch, Iters: iters}
 		for _, op := range tracer.OpProfile() {
 			po := ProfileOp{
 				Op:         op.Name,

@@ -3,13 +3,15 @@ package engine
 // Bind-time work model: per-instruction cost estimates from op kind ×
 // shapes, used by the planner to decide which candidate waves are worth
 // a parallel dispatch and which to demote first when disjoint placement
-// would exceed the arena-growth budget. The constants are calibrated
-// against the committed BENCH_engine.json ns/op record (single-core
-// fused+prepacked+swar rows: resnet20 batch-8 ≈ 98 ms over ~330 M MACs
-// ≈ 0.30 ns/MAC, vit ≈ 0.25 ns/MAC), so modeled work is within ~2x of
-// measured time on the machine that produced the record — more than
-// enough to separate µs-scale GEMMs from ns-scale dispatch overhead.
-// The model only gates scheduling; it never affects values.
+// would exceed the arena-growth budget. The constants were fitted from
+// single-core batch-8 executes of the fused zoo programs on the default
+// kernels when the work model was written (resnet20 ≈ 98 ms over
+// ~330 M MACs ≈ 0.30 ns/MAC, vit ≈ 0.25 ns/MAC), so modeled work was
+// within ~2x of measured time on that machine — more than enough to
+// separate µs-scale GEMMs from ns-scale dispatch overhead.
+// BENCH_profile.json (t2c-bench -exp profile) is the live per-op check
+// of measured against modeled time. The model only gates scheduling; it
+// never affects values.
 
 import "torch2chip/internal/tensor"
 

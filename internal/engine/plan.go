@@ -59,7 +59,7 @@ type PlanWave struct {
 func (pl *Plan) PlannedBytes() int64 { return pl.ArenaBytes }
 
 // BytesByDType reports each non-empty dtype arena's footprint in bytes,
-// the per-dtype breakdown the bench harness records.
+// the per-dtype breakdown of PlannedBytes.
 func (pl *Plan) BytesByDType() map[string]int64 {
 	out := map[string]int64{}
 	for d := tensor.DType(0); d < tensor.NumDTypes; d++ {

@@ -111,7 +111,8 @@ type sharedPack struct {
 // sharedKey identifies a shared pack: the instruction plus which variant
 // — typed (int8-panel), swar (lane-packed), or legacy (int64-panel) —
 // one program can serve executors of all kinds concurrently (e.g. the
-// bench harness comparing FastKernels against FastKernelsI64). The key
+// zoo-parity tests binding FastKernels and FastKernelsI64 against one
+// program). The key
 // also carries a weight-content fingerprint: a program whose weights
 // were swapped in place (e.g. a hot reload routed to the same Program
 // value, or a differently-pruned checkpoint under one model name) can

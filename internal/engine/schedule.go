@@ -118,8 +118,8 @@ func (ex *Executor) buildWaves() {
 }
 
 // WaveSummary reports the member count of every scheduling wave in
-// program order — introspection for tests and the bench harness (a
-// count > 1 means those instructions may run concurrently).
+// program order — introspection for tests (a count > 1 means those
+// instructions may run concurrently).
 func (ex *Executor) WaveSummary() []int {
 	out := make([]int, len(ex.waves))
 	for i := range ex.waves {
@@ -130,8 +130,8 @@ func (ex *Executor) WaveSummary() []int {
 
 // WaveParallelRuns counts how many waves have executed their members
 // concurrently since bind — the run-time gate can decline a wave (pool
-// width 1), so tests and the bench harness use this to tell whether
-// cross-instruction parallelism actually engaged.
+// width 1), so tests use this to tell whether cross-instruction
+// parallelism actually engaged.
 func (ex *Executor) WaveParallelRuns() int { return ex.waveRuns }
 
 // kernelWorkers is the parallelism actually available to this

@@ -57,7 +57,7 @@ func compileZooPruned(t testing.TB, name string, calib *data.Dataset, target flo
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The compile callers (cmd/t2c, the bench harness) stamp the
+	// The compile callers (cmd/t2c, the repository benchmark) stamp the
 	// single-sample input shape; SparsityStats needs it for the modeled
 	// skip fraction.
 	cm.Prog.InShape = []int{3, 32, 32}
@@ -219,6 +219,18 @@ func TestNMSelectionOnPrunedZoo(t *testing.T) {
 	// than the zero-padded pack, and the plan correctly keeps CSR there.
 	if nmReported < nmBound {
 		t.Fatalf("SparsityReport detects N:M on %d instructions, executor bound %d", nmReported, nmBound)
+	}
+	// The 2:4 structure must also show in the program-level model: a
+	// positive skip fraction and effective MACs below dense.
+	dense, eff, err := prog.ModeledMacs([]int{4, 3, 32, 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if eff <= 0 || eff >= dense {
+		t.Fatalf("2:4 modeled MACs dense=%d effective=%d: effective not below dense", dense, eff)
+	}
+	if _, sf := prog.SparsityStats(); sf <= 0 {
+		t.Fatalf("2:4 SparsityStats skip fraction %.3f, want > 0", sf)
 	}
 }
 

@@ -571,8 +571,7 @@ func (st *linPackS) jobs(ex *Executor, idx int, it *Instr, in []*tensor.IntTenso
 }
 
 // KernelChoice describes the compute path one instruction is bound to —
-// introspection for the bench harness's fusion summary and the fallback
-// tests.
+// introspection for the kernel-selection and fallback tests.
 type KernelChoice struct {
 	Index int    // instruction index
 	Name  string // instruction name

@@ -60,6 +60,21 @@ func TestPredictCacheHitBitIdentical(t *testing.T) {
 	if cs.Hits != 1 || cs.Misses != 1 || cs.Entries != 1 {
 		t.Fatalf("cache stats = %+v, want 1 hit, 1 miss, 1 entry", cs)
 	}
+
+	// With the cache disabled the same repeat is recomputed every time.
+	off := serve.NewRegistry(serve.Options{CacheCapacity: -1})
+	defer off.Close()
+	if _, err := off.Load("cnn", ck, nil); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if r := predictOnce(t, off, "cnn", x); r.Cached {
+			t.Fatal("cache-disabled registry served a repeated input from the cache")
+		}
+	}
+	if cs := cacheInfo(t, off).Cache; cs.Hits != 0 {
+		t.Fatalf("cache-disabled stats = %+v, want 0 hits", cs)
+	}
 }
 
 // TestPredictCacheReloadChangedWeights: a hot reload with different

@@ -100,6 +100,9 @@ func TestRegistryLoadAndInfer(t *testing.T) {
 	if len(ms) != 1 || ms[0].Name != "cnn" || ms[0].Stats.Requests != 1 {
 		t.Fatalf("listing = %+v, want one cnn entry with 1 request", ms)
 	}
+	if ms[0].Cost.ModeledBatchNs <= 0 {
+		t.Fatalf("modeled full-batch cost = %d ns, want > 0", ms[0].Cost.ModeledBatchNs)
+	}
 	if err := reg.Remove("cnn"); err != nil {
 		t.Fatal(err)
 	}
