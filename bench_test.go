@@ -180,10 +180,9 @@ func BenchmarkQuantizerFakeQuant(b *testing.B) {
 }
 
 // BenchmarkEngineVsIntModel compares the fused+prepacked engine against
-// the unfused PR-1 engine (full im2col + blocked GEMM) and the IntLayer
-// interpreter on the serving hot path at batch 1, 8, and 32. allocs/op
-// is one headline (both engines stay flat while the interpreter
-// allocates per op); ns/op fused-vs-unfused is the other.
+// the IntLayer interpreter on the serving hot path at batch 1, 8, and
+// 32. allocs/op is the headline: the engine stays flat while the
+// interpreter allocates per op.
 func BenchmarkEngineVsIntModel(b *testing.B) {
 	trainDS, _ := data.Generate(data.SynthCIFAR10, 64, 8)
 	g := tensor.NewRNG(8)
@@ -196,9 +195,16 @@ func BenchmarkEngineVsIntModel(b *testing.B) {
 		b.Fatal(err)
 	}
 	fused := engine.Optimize(unfused, engine.OptFuse)
-	benchExec := func(prog *engine.Program, reg *engine.Registry, x *tensor.Tensor) func(b *testing.B) {
-		return func(b *testing.B) {
-			ex, err := engine.NewExecutor(prog, x.Shape, engine.WithKernels(reg))
+	for _, batch := range []int{1, 8, 32} {
+		x := g.Uniform(0, 1, batch, 3, 32, 32)
+		b.Run(fmt.Sprintf("interpreter/batch%d", batch), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				im.Forward(x)
+			}
+		})
+		b.Run(fmt.Sprintf("engine-fused/batch%d", batch), func(b *testing.B) {
+			ex, err := engine.NewExecutor(fused, x.Shape, engine.WithKernels(engine.FastKernels()))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -212,19 +218,7 @@ func BenchmarkEngineVsIntModel(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-		}
-	}
-	for _, batch := range []int{1, 8, 32} {
-		x := g.Uniform(0, 1, batch, 3, 32, 32)
-		b.Run(fmt.Sprintf("interpreter/batch%d", batch), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				im.Forward(x)
-			}
 		})
-		b.Run(fmt.Sprintf("engine-pr1/batch%d", batch), benchExec(unfused, engine.Im2ColKernels(), x))
-		b.Run(fmt.Sprintf("engine-fused-i64/batch%d", batch), benchExec(fused, engine.FastKernelsI64(), x))
-		b.Run(fmt.Sprintf("engine-fused/batch%d", batch), benchExec(fused, engine.FastKernels(), x))
 	}
 }
 
@@ -313,25 +307,20 @@ func BenchmarkEngineViT(b *testing.B) {
 				im.Forward(x)
 			}
 		})
-		for name, reg := range map[string]*engine.Registry{
-			"engine-fused":     engine.FastKernels(),
-			"engine-fused-i64": engine.FastKernelsI64(),
-		} {
-			ex, err := engine.NewExecutor(fused, x.Shape, engine.WithKernels(reg))
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := ex.Execute(x); err != nil {
-				b.Fatal(err)
-			}
-			b.Run(fmt.Sprintf("%s/batch%d", name, batch), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := ex.Execute(x); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
+		ex, err := engine.NewExecutor(fused, x.Shape, engine.WithKernels(engine.FastKernels()))
+		if err != nil {
+			b.Fatal(err)
 		}
+		if _, err := ex.Execute(x); err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("engine-fused/batch%d", batch), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := ex.Execute(x); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -367,11 +367,23 @@ func TestServerRejectsAfterClose(t *testing.T) {
 	srv.Close() // double close must be safe
 }
 
+// statelessPrepKernels is FastKernels with conv and linear prep hooks
+// that bind no state, which sends the packed conv and linear kernels
+// down their fallback to the reference bodies (over I64 arenas, since
+// replacing a prep hook clears the registry's capability bits).
+func statelessPrepKernels() *engine.Registry {
+	r := engine.FastKernels()
+	noState := func(*engine.Executor, int, *engine.Instr) (any, error) { return nil, nil }
+	r.RegisterPrep(engine.OpConv, noState)
+	r.RegisterPrep(engine.OpLinear, noState)
+	return r
+}
+
 func TestKernelRegistryPluggable(t *testing.T) {
 	g := tensor.NewRNG(33)
 	calib, _ := data.Generate(data.SynthCIFAR10, 32, 8)
 	model := smallCNN(g)
-	_, prog := compile(t, model, calib)
+	im, prog := compile(t, model, calib)
 	// A registry missing a required kind must be rejected up front.
 	reg := engine.NewRegistry()
 	if _, err := engine.NewExecutor(prog, []int{1, 3, 8, 8}, engine.WithKernels(reg)); err == nil {
@@ -394,5 +406,17 @@ func TestKernelRegistryPluggable(t *testing.T) {
 	}
 	if calls != 2 {
 		t.Fatalf("custom conv kernel called %d times, want 2", calls)
+	}
+	// The stateless-prep fallback must be bit-identical to the reference
+	// registry on both the lowered and the fused program.
+	stateless := statelessPrepKernels()
+	unfused, err := engine.Lower(im)
+	if err != nil {
+		t.Fatal(err)
+	}
+	codes := im.InQuant.Quantize(g.Uniform(0, 1, 3, 3, 8, 8))
+	for name, p := range map[string]*engine.Program{"unfused": unfused, "fused": prog} {
+		assertSameCodes(t, execCodes(t, p, codes, stateless),
+			execCodes(t, p, codes, engine.ReferenceKernels()), "stateless-prep/"+name)
 	}
 }

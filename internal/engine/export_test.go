@@ -1,0 +1,30 @@
+package engine
+
+// Capability bits FastKernelsWithout clears (see Registry).
+const (
+	CapTyped  = 1 << iota // narrow typed arenas; clearing it clears all three
+	CapSwar               // SWAR lane-packed dense conv/linear
+	CapSparse             // zero-skipping and N:M kernels on pruned weights
+)
+
+// FastKernelsWithout returns FastKernels with the given capability bits
+// cleared, forcing onto every instruction a path production picks only
+// per instruction: without CapTyped the int64-panel kernels over I64
+// arenas (the odd-width fallback), without CapSwar the int32 panel (the
+// failed-lane-bound fallback), without CapSparse the dense kernels (the
+// below-minSkipSparsity choice). The parity suites bind these variants
+// against the reference registry.
+func FastKernelsWithout(caps int) *Registry {
+	r := FastKernels()
+	if caps&CapTyped != 0 {
+		caps |= CapSwar | CapSparse
+		r.typed = false
+	}
+	if caps&CapSwar != 0 {
+		r.swar = false
+	}
+	if caps&CapSparse != 0 {
+		r.sparse = false
+	}
+	return r
+}

@@ -26,11 +26,14 @@ type PrepFunc func(ex *Executor, idx int, it *Instr) (any, error)
 
 // Registry maps op kinds to kernels (and optional bind-time prep hooks).
 // An Executor copies the table it is given, so concurrent servers never
-// observe later mutation. A registry additionally declares whether its
-// kernel set understands narrow typed buffers (typed); installing any
-// custom kernel clears the flag, so third-party kernels — which read
-// buffers through the legacy `.Data` int64 view — always execute
-// against I64-planned arenas.
+// observe later mutation. A registry additionally carries three
+// capability bits: typed (its kernels understand narrow typed buffers,
+// so executors plan per-dtype arenas), swar (dense conv/linear may take
+// the lane-packed microkernel where the storage pass proves the lane
+// bound) and sparse (pruned weights may bind the zero-skipping kernels).
+// FastKernels sets all three; installing any custom kernel or prep hook
+// clears them, so third-party kernels — which read buffers through the
+// legacy `.Data` int64 view — always execute against I64-planned arenas.
 type Registry struct {
 	kernels map[OpKind]KernelFunc
 	preps   map[OpKind]PrepFunc
@@ -63,10 +66,6 @@ func (r *Registry) RegisterPrep(kind OpKind, p PrepFunc) {
 	r.swar = false
 	r.sparse = false
 }
-
-// TypedStorage reports whether executors built from this registry plan
-// narrow per-dtype arenas.
-func (r *Registry) TypedStorage() bool { return r.typed }
 
 // Lookup returns the kernel for kind.
 func (r *Registry) Lookup(kind OpKind) (KernelFunc, bool) {
@@ -126,7 +125,7 @@ func addHalfOf(shift int) int64 {
 // fusedConsts unpacks an instruction's folded epilogue — the optional
 // FusedRescale stage and the optional FusedAdd/shift/clamp — into plain
 // scalars. It is the single implementation of the fused value pipeline:
-// every kernel path (reference, im2col, prepacked) finishes elements
+// every kernel path (reference, prepacked) finishes elements
 // through finish(), so a semantic change cannot drift between them.
 type fusedConsts struct {
 	hasRe                bool
@@ -205,33 +204,42 @@ func fusedAddOperand(it *Instr, in []*tensor.IntTensor) []int64 {
 // programs can run under the reference registry for parity checks.
 func ReferenceKernels() *Registry {
 	r := NewRegistry()
-	r.Register(OpConv, func(ex *Executor, idx int, it *Instr, in []*tensor.IntTensor, out *tensor.IntTensor) {
-		acc := intmath.Conv2dInt(in[0], it.W, it.InZero, it.P)
-		it.Scaler.ApplyTo(acc, acc, 1) // in place: acc is scratch, out may alias the fused branch
-		applyFusedEpilogue(it, out.Data, acc.Data, fusedAddOperand(it, in))
-	})
-	r.Register(OpLinear, func(ex *Executor, idx int, it *Instr, in []*tensor.IntTensor, out *tensor.IntTensor) {
-		xs := in[0]
-		if it.InZero != 0 {
-			xs = in[0].Clone()
-			for i := range xs.Data {
-				xs.Data[i] -= it.InZero
-			}
-		}
-		if len(xs.Shape) != 2 {
-			k := xs.Shape[len(xs.Shape)-1]
-			xs = xs.Reshape(xs.Numel()/k, k)
-		}
-		acc := intmath.MatMulIntT(xs, it.W)
-		it.Scaler.ApplyTo(acc, acc, 1)
-		applyFusedEpilogue(it, out.Data, acc.Data, fusedAddOperand(it, in))
-	})
+	r.Register(OpConv, kernelConvRef)
+	r.Register(OpLinear, kernelLinearRef)
 	r.Register(OpAvgPool, kernelAvgPool)
 	r.Register(OpFlatten, kernelFlattenNop)
 	r.Register(OpRescale, kernelRescale)
 	r.Register(OpAdd, kernelResAdd)
 	registerViTKernels(r)
 	return r
+}
+
+// kernelConvRef is the reference convolution: the interpreter's direct
+// integer conv, then the scaler and the fused epilogue.
+func kernelConvRef(ex *Executor, idx int, it *Instr, in []*tensor.IntTensor, out *tensor.IntTensor) {
+	acc := intmath.Conv2dInt(in[0], it.W, it.InZero, it.P)
+	it.Scaler.ApplyTo(acc, acc, 1) // in place: acc is scratch, out may alias the fused branch
+	applyFusedEpilogue(it, out.Data, acc.Data, fusedAddOperand(it, in))
+}
+
+// kernelLinearRef is the reference linear layer: zero-point shift, the
+// interpreter's integer GEMM over [rows, K], then the scaler and the
+// fused epilogue.
+func kernelLinearRef(ex *Executor, idx int, it *Instr, in []*tensor.IntTensor, out *tensor.IntTensor) {
+	xs := in[0]
+	if it.InZero != 0 {
+		xs = in[0].Clone()
+		for i := range xs.Data {
+			xs.Data[i] -= it.InZero
+		}
+	}
+	if len(xs.Shape) != 2 {
+		k := xs.Shape[len(xs.Shape)-1]
+		xs = xs.Reshape(xs.Numel()/k, k)
+	}
+	acc := intmath.MatMulIntT(xs, it.W)
+	it.Scaler.ApplyTo(acc, acc, 1)
+	applyFusedEpilogue(it, out.Data, acc.Data, fusedAddOperand(it, in))
 }
 
 // FastKernels returns the default kernel set: conv and linear bind
@@ -259,270 +267,10 @@ func FastKernels() *Registry {
 	return r
 }
 
-// FastKernelsNoSwar is FastKernels with the SWAR microkernel disabled:
-// the PR-5 typed int32-panel configuration, kept as the measured baseline
-// the lane-packed path is compared against (`fused+prepacked` bench
-// rows).
-func FastKernelsNoSwar() *Registry {
-	r := FastKernels()
-	r.swar = false
-	return r
-}
-
-// FastKernelsI64 is FastKernels pinned to I64 storage: the same fused
-// prepacked kernels over plain int64 arenas — the PR-2 configuration,
-// kept as the measured baseline typed storage is compared against.
-func FastKernelsI64() *Registry {
-	r := FastKernels()
-	r.typed = false
-	r.swar = false
-	r.sparse = false
-	return r
-}
-
-// FastKernelsNoSparse is FastKernels with sparsity-aware binding
-// disabled: pruned weights run the dense typed/SWAR kernels over the
-// full K range — the measured baseline the zero-panel skipping and
-// N:M-packed paths are compared against (`fused+prepacked+dense` bench
-// rows).
-func FastKernelsNoSparse() *Registry {
-	r := FastKernels()
-	r.sparse = false
-	return r
-}
-
-// Im2ColKernels returns the PR-1 fast path — full im2col materialization
-// plus blocked GEMM, lazy first-call state — kept as the measured
-// baseline the prepacked kernels are compared against in the bench
-// harness.
-func Im2ColKernels() *Registry {
-	r := ReferenceKernels().Clone()
-	r.Register(OpConv, kernelConvFast)
-	r.Register(OpLinear, kernelLinearFast)
-	return r
-}
-
-// defaultRegistry backs DefaultKernels; Register mutates it before any
-// executor is built (init-time plugging).
 var defaultRegistry = FastKernels()
 
 // DefaultKernels returns the process-wide default kernel set.
 func DefaultKernels() *Registry { return defaultRegistry }
-
-// Register installs a kernel into the process-wide default set, keyed by
-// op kind. Call before constructing executors or servers. Like
-// Registry.Register, this pins the default set to I64 storage — custom
-// kernels read buffers through the legacy `.Data` view.
-func Register(kind OpKind, k KernelFunc) { defaultRegistry.Register(kind, k) }
-
-// kernelConvFast lowers dense convolution onto im2col + blocked parallel
-// GEMM; grouped convolution (MobileNet depthwise) takes a direct parallel
-// per-(sample,channel) loop, where im2col would shred locality.
-func kernelConvFast(ex *Executor, idx int, it *Instr, in []*tensor.IntTensor, out *tensor.IntTensor) {
-	pp := it.P
-	if pp.Stride <= 0 {
-		pp.Stride = 1
-	}
-	if pp.Groups <= 0 {
-		pp.Groups = 1
-	}
-	if pp.Groups == 1 {
-		kernelConvGEMM(ex, idx, it, in, out, pp)
-		return
-	}
-	kernelConvGrouped(ex, it, in, out, pp)
-}
-
-// convState caches the im2col/GEMM tensor headers for one conv
-// instruction; the backing scratch is rebound every call (it is shared
-// across instructions and grow-only).
-type convState struct {
-	cols, wmat, prod tensor.IntTensor
-}
-
-func kernelConvGEMM(ex *Executor, idx int, it *Instr, in []*tensor.IntTensor, out *tensor.IntTensor, pp tensor.ConvParams) {
-	x := in[0]
-	n, _, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	o, cg, kH, kW := it.W.Shape[0], it.W.Shape[1], it.W.Shape[2], it.W.Shape[3]
-	oh, ow := pp.ConvOutSize(h, kH), pp.ConvOutSize(w, kW)
-	spatial := oh * ow
-	colW := cg * kH * kW
-	sp := ex.KernelState(idx)
-	st, ok := (*sp).(*convState)
-	if !ok {
-		st = &convState{
-			cols: tensor.IntTensor{Shape: []int{n * spatial, colW}},
-			wmat: tensor.IntTensor{Shape: []int{o, colW}, Data: it.W.Data},
-			prod: tensor.IntTensor{Shape: []int{n * spatial, o}},
-		}
-		*sp = st
-	}
-	st.cols.Data = ex.scratch(0, n*spatial*colW)
-	st.prod.Data = ex.scratch(1, n*spatial*o)
-	tensor.Im2ColIntTo(&st.cols, x, kH, kW, pp, it.InZero)
-	tensor.MatMulIntTTo(&st.prod, &st.cols, &st.wmat)
-	// Requantize straight out of the [n*spatial, o] GEMM layout into NCHW
-	// planes: per output channel the scaler is constant, so each
-	// (sample, channel) plane is one strided gather.
-	prod := st.prod.Data
-	scaler := it.Scaler
-	fused := it.FusedRescale != nil || it.FusedAdd
-	add := fusedAddOperand(it, in)
-	tensor.ParallelForIntN(n*o, ex.maxPar, n*o*spatial >= 1<<15, func(job int) {
-		ni, oc := job/o, job%o
-		base := (ni*o + oc) * spatial
-		dst := out.Data[base : base+spatial]
-		if !fused {
-			scaler.ApplyGather(dst, prod[ni*spatial*o+oc:], o, oc)
-			return
-		}
-		var addSeg []int64
-		if add != nil {
-			addSeg = add[base : base+spatial]
-		}
-		epilogueGather(it, dst, prod[ni*spatial*o+oc:], o, oc, addSeg)
-	})
-}
-
-// scalerConsts mirrors MulQuant.scaleAt using the exported fields
-// (unified scaling collapses to entry 0).
-func scalerConsts(m *intmath.MulQuant, ch int) (int64, int64) {
-	if len(m.ScaleFx) == 1 {
-		return int64(m.ScaleFx[0]), int64(m.BiasFx[0])
-	}
-	return int64(m.ScaleFx[ch]), int64(m.BiasFx[ch])
-}
-
-// epilogueGather requantizes one output plane straight out of a strided
-// accumulator layout through the instruction's own scaler at channel oc,
-// then the fused epilogue, writing dst densely. add is indexed like dst;
-// every element reads src and add before writing dst, so dst may alias
-// add (the planner's in-place fused-add placement).
-func epilogueGather(it *Instr, dst, src []int64, stride, oc int, add []int64) {
-	half, frac, zero, lo, hi := it.Scaler.Consts()
-	sfx, bfx := scalerConsts(it.Scaler, oc)
-	fc := fusedConstsOf(it)
-	for i := range dst {
-		q := intmath.Requantize(src[i*stride], sfx, bfx, half, frac, zero, lo, hi)
-		dst[i] = fc.finish(q, add, i)
-	}
-}
-
-func kernelConvGrouped(ex *Executor, it *Instr, in []*tensor.IntTensor, out *tensor.IntTensor, pp tensor.ConvParams) {
-	x := in[0]
-	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	o, cg, kH, kW := it.W.Shape[0], it.W.Shape[1], it.W.Shape[2], it.W.Shape[3]
-	oh, ow := pp.ConvOutSize(h, kH), pp.ConvOutSize(w, kW)
-	og := o / pp.Groups
-	zx := it.InZero
-	scaler := it.Scaler
-	fused := it.FusedRescale != nil || it.FusedAdd
-	add := fusedAddOperand(it, in)
-	tensor.ParallelForIntN(n*o, ex.maxPar, n*o*oh*ow*cg*kH*kW >= 1<<15, func(job int) {
-		ni, oc := job/o, job%o
-		g := oc / og
-		wBase := oc * cg * kH * kW
-		base := (ni*o + oc) * oh * ow
-		seg := out.Data[base : base+oh*ow]
-		// A fused epilogue must finish each element in one read-then-write
-		// step (the planner may alias out onto the fused branch); hoist
-		// all epilogue constants out of the site loop.
-		var fc fusedConsts
-		var half, zero, lo, hi, sfx, bfx int64
-		var frac uint
-		var addSeg []int64
-		if fused {
-			half, frac, zero, lo, hi = scaler.Consts()
-			sfx, bfx = scalerConsts(scaler, oc)
-			fc = fusedConstsOf(it)
-			if add != nil {
-				addSeg = add[base : base+oh*ow]
-			}
-		}
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				var s int64
-				for ch := 0; ch < cg; ch++ {
-					xBase := (ni*c + g*cg + ch) * h * w
-					for ky := 0; ky < kH; ky++ {
-						iy := oy*pp.Stride - pp.Padding + ky
-						for kx := 0; kx < kW; kx++ {
-							ix := ox*pp.Stride - pp.Padding + kx
-							var xv int64
-							if iy >= 0 && iy < h && ix >= 0 && ix < w {
-								xv = x.Data[xBase+iy*w+ix]
-							}
-							s += (xv - zx) * it.W.Data[wBase+(ch*kH+ky)*kW+kx]
-						}
-					}
-				}
-				if fused {
-					si := oy*ow + ox
-					q := intmath.Requantize(s, sfx, bfx, half, frac, zero, lo, hi)
-					seg[si] = fc.finish(q, addSeg, si)
-				} else {
-					seg[oy*ow+ox] = s
-				}
-			}
-		}
-		if !fused {
-			// In-place requantize of the finished plane.
-			scaler.ApplySeg(seg, seg, oc)
-		}
-	})
-}
-
-// linState caches the 2-D view, shifted-input, and accumulator headers
-// for one linear instruction (inputs of rank > 2 run as row-major
-// [rows, K] views).
-type linState struct {
-	view, shifted, acc tensor.IntTensor
-}
-
-func kernelLinearFast(ex *Executor, idx int, it *Instr, in []*tensor.IntTensor, out *tensor.IntTensor) {
-	x := in[0]
-	k := x.Shape[len(x.Shape)-1]
-	rows := x.Numel() / k
-	sp := ex.KernelState(idx)
-	st, ok := (*sp).(*linState)
-	if !ok {
-		st = &linState{
-			view:    tensor.IntTensor{Shape: []int{rows, k}},
-			shifted: tensor.IntTensor{Shape: []int{rows, k}},
-			acc:     tensor.IntTensor{Shape: []int{rows, it.W.Shape[0]}},
-		}
-		*sp = st
-	}
-	st.view.Data = x.Data
-	x2 := &st.view
-	if it.InZero != 0 {
-		st.shifted.Data = ex.scratch(0, len(x.Data))
-		for i, v := range x.Data {
-			st.shifted.Data[i] = v - it.InZero
-		}
-		x2 = &st.shifted
-	}
-	st.acc.Data = ex.scratch(1, rows*it.W.Shape[0])
-	tensor.MatMulIntTTo(&st.acc, x2, it.W)
-	if it.FusedRescale == nil && !it.FusedAdd {
-		it.Scaler.ApplyTo(out, &st.acc, 1)
-		return
-	}
-	epilogueRowMajor(it, out.Data, st.acc.Data, it.W.Shape[0], fusedAddOperand(it, in))
-}
-
-// epilogueRowMajor finishes a [rows, o] accumulator through the own
-// scaler (per output channel) and the fused epilogue, element-aligned
-// with dst and add, reading before writing (dst may alias add).
-func epilogueRowMajor(it *Instr, dst, src []int64, o int, add []int64) {
-	half, frac, zero, lo, hi := it.Scaler.Consts()
-	fc := fusedConstsOf(it)
-	for i, v := range src {
-		sfx, bfx := scalerConsts(it.Scaler, i%o)
-		q := intmath.Requantize(v, sfx, bfx, half, frac, zero, lo, hi)
-		dst[i] = fc.finish(q, add, i)
-	}
-}
 
 // elemChunk is the staging size of the chunked typed elementwise paths:
 // narrow operands are widened into an int64 scratch chunk, the epilogue

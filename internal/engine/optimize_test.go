@@ -102,7 +102,7 @@ func TestFoldRescaleIntoConv(t *testing.T) {
 	codes := randomCodes(g, 120, 2, 3, 8, 8)
 	want := execCodes(t, p, codes, engine.ReferenceKernels())
 	for name, reg := range map[string]*engine.Registry{
-		"fast": engine.FastKernels(), "reference": engine.ReferenceKernels(), "im2col": engine.Im2ColKernels(),
+		"fast": engine.FastKernels(), "reference": engine.ReferenceKernels(),
 	} {
 		assertSameCodes(t, execCodes(t, q, codes, reg), want, "fused/"+name)
 	}
@@ -229,7 +229,7 @@ func TestGroupedConvParityStridePadding(t *testing.T) {
 			codes := randomCodes(g, 120, 2, tc.c, 11, 11)
 			want := execCodes(t, p, codes, engine.ReferenceKernels())
 			assertSameCodes(t, execCodes(t, p, codes, engine.FastKernels()), want, "fast")
-			assertSameCodes(t, execCodes(t, p, codes, engine.Im2ColKernels()), want, "im2col")
+			assertSameCodes(t, execCodes(t, p, codes, engine.FastKernelsWithout(engine.CapTyped)), want, "fast-i64")
 		})
 	}
 }

@@ -58,18 +58,6 @@ type PlanWave struct {
 // PlannedBytes returns the byte-accurate arena footprint.
 func (pl *Plan) PlannedBytes() int64 { return pl.ArenaBytes }
 
-// BytesByDType reports each non-empty dtype arena's footprint in bytes,
-// the per-dtype breakdown of PlannedBytes.
-func (pl *Plan) BytesByDType() map[string]int64 {
-	out := map[string]int64{}
-	for d := tensor.DType(0); d < tensor.NumDTypes; d++ {
-		if n := pl.ArenaElems[d]; n > 0 {
-			out[d.String()] = int64(n) * int64(d.Size())
-		}
-	}
-	return out
-}
-
 // String summarizes the plan for logs and the bench CLI.
 func (pl *Plan) String() string {
 	saved := 1 - float64(pl.ArenaBytes)/float64(pl.NaiveBytes)

@@ -111,12 +111,12 @@ type sharedPack struct {
 // sharedKey identifies a shared pack: the instruction plus which variant
 // — typed (int8-panel), swar (lane-packed), or legacy (int64-panel) —
 // one program can serve executors of all kinds concurrently (e.g. the
-// zoo-parity tests binding FastKernels and FastKernelsI64 against one
-// program). The key
-// also carries a weight-content fingerprint: a program whose weights
-// were swapped in place (e.g. a hot reload routed to the same Program
-// value, or a differently-pruned checkpoint under one model name) can
-// never be served a stale panel plan built from the old content.
+// zoo-parity tests binding the typed and the forced-I64 registries
+// against one program). The key also carries a weight-content
+// fingerprint: a program whose weights were swapped in place (e.g. a
+// hot reload routed to the same Program value, or a differently-pruned
+// checkpoint under one model name) can never be served a stale panel
+// plan built from the old content.
 type sharedKey struct {
 	idx   int
 	typed bool
@@ -179,7 +179,7 @@ func (pc *packCache) indexMap(key convKey) []int32 {
 }
 
 // buildIndexMap enumerates, for every output site and every im2col
-// column (ch, ky, kx in Im2ColIntTo's order), the source offset within
+// column (ch, ky, kx order), the source offset within
 // one sample's data, or -1 for a padded tap.
 func buildIndexMap(key convKey) []int32 {
 	pp := tensor.ConvParams{Stride: key.stride, Padding: key.pad}
@@ -432,9 +432,9 @@ func kernelConvPacked(ex *Executor, idx int, it *Instr, in []*tensor.IntTensor, 
 	case *gconvPackT:
 		runConvGroupedTyped(ex, st, it, in, out)
 	default:
-		// No prepacked state (custom registry without the prep hook):
-		// fall back to the im2col path.
-		kernelConvFast(ex, idx, it, in, out)
+		// No prepacked state (a registry that replaced the prep hook):
+		// fall back to the reference body.
+		kernelConvRef(ex, idx, it, in, out)
 	}
 }
 
@@ -630,7 +630,7 @@ func kernelLinearPacked(ex *Executor, idx int, it *Instr, in []*tensor.IntTensor
 	}
 	st, ok := (*ex.KernelState(idx)).(*linPack)
 	if !ok {
-		kernelLinearFast(ex, idx, it, in, out)
+		kernelLinearRef(ex, idx, it, in, out)
 		return
 	}
 	x := in[0]

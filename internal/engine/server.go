@@ -13,7 +13,7 @@ import (
 	"torch2chip/internal/trace"
 )
 
-// ErrQueueFull is returned by TryInfer when the request queue is at
+// ErrQueueFull is returned by TryInferCodes when the request queue is at
 // capacity and the request lost victim selection: the server is
 // overloaded and the caller should shed load (the HTTP layer maps it to
 // 429) instead of buffering unboundedly. Under EDF scheduling a more
@@ -610,31 +610,12 @@ func (s *Server) checkShape(shape []int) error {
 // and blocks until its logits are ready, waiting for queue space if the
 // server is saturated.
 func (s *Server) Infer(x *tensor.Tensor) (*tensor.Tensor, error) {
-	return s.infer(x, time.Time{}, true, 0)
-}
-
-// TryInfer is Infer with admission control: it fast-fails with
-// ErrQueueFull instead of blocking when the queue is at capacity, and a
-// non-zero deadline makes workers drop the request unexecuted
-// (ErrDeadlineExceeded) once it expires.
-func (s *Server) TryInfer(x *tensor.Tensor, deadline time.Time) (*tensor.Tensor, error) {
-	return s.infer(x, deadline, false, 0)
-}
-
-// TryInferTraced is TryInfer carrying a request trace id: the worker's
-// queue-wait span for this request records tid, stitching the engine
-// timeline to the HTTP request span that owns the id.
-func (s *Server) TryInferTraced(x *tensor.Tensor, deadline time.Time, tid uint64) (*tensor.Tensor, error) {
-	return s.infer(x, deadline, false, tid)
-}
-
-func (s *Server) infer(x *tensor.Tensor, deadline time.Time, block bool, tid uint64) (*tensor.Tensor, error) {
 	if err := s.checkShape(x.Shape); err != nil {
 		return nil, err
 	}
 	codes := tensor.NewInt(x.Shape...)
 	s.prog.InQuant.QuantizeTo(codes, x)
-	out, err := s.inferCodes(codes, deadline, PriNormal, block, tid)
+	out, err := s.inferCodes(codes, time.Time{}, PriNormal, true, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -646,8 +627,12 @@ func (s *Server) infer(x *tensor.Tensor, deadline time.Time, block bool, tid uin
 // output codes. This is the serving cache's entry point: the caller
 // quantized once to compute the cache key, and on a miss the exact same
 // codes execute here — so a later hit is bit-identical by construction.
-// class orders the request against other queued work and picks shed
-// victims under overload.
+// It fast-fails with ErrQueueFull instead of blocking when the queue is
+// at capacity, and a non-zero deadline makes workers drop the request
+// unexecuted (ErrDeadlineExceeded) once it expires. class orders the
+// request against other queued work and picks shed victims under
+// overload. A non-zero tid is recorded on the request's queue-wait span,
+// stitching the engine timeline to the HTTP request span that owns it.
 func (s *Server) TryInferCodes(codes *tensor.IntTensor, deadline time.Time, class PriorityClass, tid uint64) (*tensor.IntTensor, error) {
 	if err := s.checkShape(codes.Shape); err != nil {
 		return nil, err

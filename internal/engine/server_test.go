@@ -89,6 +89,7 @@ func TestServerTryInferQueueFull(t *testing.T) {
 	// slots) so the queue stays full until the kernel is released. One
 	// prebuilt input is shared read-only: the RNG is not thread-safe.
 	x := g.Uniform(0, 1, 3, 8, 8)
+	codes := quantize(prog, x)
 	infer := func() {
 		defer wg.Done()
 		if _, err := srv.Infer(x); err != nil {
@@ -104,7 +105,7 @@ func TestServerTryInferQueueFull(t *testing.T) {
 		go infer()
 	}
 
-	// TryInfer must fast-fail once the queue is full. Polls that sneak
+	// TryInferCodes must fast-fail once the queue is full. Polls that sneak
 	// in while the pipeline is still filling are admitted and park on
 	// their reply, so each poll runs in its own goroutine; admitted
 	// polls complete after release and count as served requests.
@@ -112,16 +113,16 @@ func TestServerTryInferQueueFull(t *testing.T) {
 	sawFull := false
 	for !sawFull {
 		if time.Now().After(deadline) {
-			t.Error("TryInfer never reported a full queue on a saturated server")
+			t.Error("TryInferCodes never reported a full queue on a saturated server")
 			return
 		}
 		res := make(chan error, 1)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, err := srv.TryInfer(x, time.Time{})
+			_, err := srv.TryInferCodes(codes, time.Time{}, engine.PriNormal, 0)
 			if err != nil && !errors.Is(err, engine.ErrQueueFull) {
-				t.Errorf("TryInfer returned unexpected error: %v", err)
+				t.Errorf("TryInferCodes returned unexpected error: %v", err)
 			}
 			res <- err
 		}()
@@ -177,7 +178,7 @@ func TestServerDeadlineDropsUnexecuted(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, err := srv.TryInfer(x2, time.Now().Add(20*time.Millisecond))
+		_, err := srv.TryInferCodes(quantize(prog, x2), time.Now().Add(20*time.Millisecond), engine.PriNormal, 0)
 		errc <- err
 	}()
 	time.Sleep(50 * time.Millisecond)

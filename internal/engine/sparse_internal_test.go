@@ -282,8 +282,8 @@ func sparseLinearProgram(t *testing.T, w []int64, o, k int) *Program {
 // overflows 32 bits (K·aSpan·wSpan > 2³²−1) must be rejected by the
 // dense SWAR bound but admitted — and bound to the pair-skipping SWAR
 // kernel — under the live-K bound, bit-identically to the reference
-// registry. The dense-baseline registry (FastKernelsNoSparse) must fall
-// back to the int32 panel instead.
+// registry. The forced-dense registry (FastKernelsWithout(CapSparse))
+// must fall back to the int32 panel instead.
 func TestSwarSparseLegality(t *testing.T) {
 	// K chosen past the dense boundary (66311 at spans 255·254) and NOT
 	// divisible by 4 so no N:M structure hides the skip path; 100 live
@@ -333,7 +333,7 @@ func TestSwarSparseLegality(t *testing.T) {
 	}{
 		{"reference", ReferenceKernels(), ""},
 		{"fast-sparse", FastKernels(), "swar-sparse"},
-		{"fast-dense", FastKernelsNoSparse(), "i32-panel"},
+		{"fast-dense", FastKernelsWithout(CapSparse), "i32-panel"},
 	} {
 		ex, err := NewExecutor(p, []int{2, k}, WithKernels(tc.reg))
 		if err != nil {

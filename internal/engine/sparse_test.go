@@ -66,8 +66,9 @@ func compileZooPruned(t testing.TB, name string, calib *data.Dataset, target flo
 
 // TestSparseZooParityAcrossRegistriesAndOptLevels: magnitude-pruned and
 // N:M-pruned zoo models must be bit-identical to the interpreter on
-// every registry (sparse-aware fast, dense-baseline fast, I64, im2col,
-// reference) at both opt levels and multiple batch sizes.
+// every registry (sparse-aware fast, forced no-SWAR, forced dense,
+// forced I64, stateless-prep fallback, reference) at both opt levels
+// and multiple batch sizes.
 func TestSparseZooParityAcrossRegistriesAndOptLevels(t *testing.T) {
 	calib, _ := data.Generate(data.SynthCIFAR10, 48, 8)
 	variants := []struct {
@@ -78,12 +79,13 @@ func TestSparseZooParityAcrossRegistriesAndOptLevels(t *testing.T) {
 		{"mag70", 0.7, false},
 		{"nm24", 0, true},
 	}
-	regs := map[string]func() *engine.Registry{
-		"fast-sparse": engine.FastKernels,
-		"fast-dense":  engine.FastKernelsNoSparse,
-		"fast-i64":    engine.FastKernelsI64,
-		"im2col":      engine.Im2ColKernels,
-		"reference":   engine.ReferenceKernels,
+	regs := map[string]*engine.Registry{
+		"fast-sparse": engine.FastKernels(),
+		"fast-noswar": engine.FastKernelsWithout(engine.CapSwar),
+		"fast-dense":  engine.FastKernelsWithout(engine.CapSparse),
+		"fast-i64":    engine.FastKernelsWithout(engine.CapTyped),
+		"fast-noprep": statelessPrepKernels(),
+		"reference":   engine.ReferenceKernels(),
 	}
 	for _, model := range []string{"resnet20", "mobilenet"} {
 		for _, v := range variants {
@@ -98,11 +100,11 @@ func TestSparseZooParityAcrossRegistriesAndOptLevels(t *testing.T) {
 				}
 				g := tensor.NewRNG(17)
 				for _, prog := range []*engine.Program{unfused, fused} {
-					for rname, mk := range regs {
+					for rname, reg := range regs {
 						for _, batch := range []int{1, 3} {
 							xb := g.Uniform(0, 1, batch, 3, 32, 32)
 							t.Run(rname, func(t *testing.T) {
-								assertBitIdentical(t, cm.Int, prog, xb, mk())
+								assertBitIdentical(t, cm.Int, prog, xb, reg)
 							})
 						}
 					}
@@ -164,7 +166,7 @@ func TestSparseKernelSelectionAndSkipFraction(t *testing.T) {
 		t.Fatalf("SparsityStats = (%.3f, %.3f), want weight sparsity ≥ 0.6 and positive skip", ws, sf)
 	}
 
-	exDense, err := engine.NewExecutor(prog, []int{8, 3, 32, 32}, engine.WithKernels(engine.FastKernelsNoSparse()))
+	exDense, err := engine.NewExecutor(prog, []int{8, 3, 32, 32}, engine.WithKernels(engine.FastKernelsWithout(engine.CapSparse)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +188,7 @@ func TestSparseKernelSelectionAndSkipFraction(t *testing.T) {
 func TestNMSelectionOnPrunedZoo(t *testing.T) {
 	calib, _ := data.Generate(data.SynthCIFAR10, 48, 8)
 	_, prog := compileZooPruned(t, "resnet20", calib, 0, true)
-	ex, err := engine.NewExecutor(prog, []int{4, 3, 32, 32}, engine.WithKernels(engine.FastKernelsNoSwar()))
+	ex, err := engine.NewExecutor(prog, []int{4, 3, 32, 32}, engine.WithKernels(engine.FastKernelsWithout(engine.CapSwar)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,11 +302,11 @@ func BenchmarkResNet20Mag70Sparse(b *testing.B) {
 	benchEngine(b, benchPruned(b, 0.7), engine.FastKernels())
 }
 func BenchmarkResNet20Mag70Dense(b *testing.B) {
-	benchEngine(b, benchPruned(b, 0.7), engine.FastKernelsNoSparse())
+	benchEngine(b, benchPruned(b, 0.7), engine.FastKernelsWithout(engine.CapSparse))
 }
 func BenchmarkResNet20Mag85Sparse(b *testing.B) {
 	benchEngine(b, benchPruned(b, 0.85), engine.FastKernels())
 }
 func BenchmarkResNet20Mag85Dense(b *testing.B) {
-	benchEngine(b, benchPruned(b, 0.85), engine.FastKernelsNoSparse())
+	benchEngine(b, benchPruned(b, 0.85), engine.FastKernelsWithout(engine.CapSparse))
 }

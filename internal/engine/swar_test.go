@@ -50,7 +50,7 @@ func TestSwarKernelSelectionOnZoo(t *testing.T) {
 		if name == "mobilenet" && direct == 0 {
 			t.Fatal("mobilenet depthwise convs must stay on the direct int32 fallback")
 		}
-		exNo, err := engine.NewExecutor(prog, []int{8, 3, 32, 32}, engine.WithKernels(engine.FastKernelsNoSwar()))
+		exNo, err := engine.NewExecutor(prog, []int{8, 3, 32, 32}, engine.WithKernels(engine.FastKernelsWithout(engine.CapSwar)))
 		if err != nil {
 			t.Fatal(err)
 		}

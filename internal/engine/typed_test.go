@@ -72,19 +72,19 @@ func TestTypedZooParityAcrossRegistriesAndOptLevels(t *testing.T) {
 				t.Fatal(err)
 			}
 			g := tensor.NewRNG(17)
-			regs := map[string]func() *engine.Registry{
-				"fast-typed":  engine.FastKernels,
-				"fast-noswar": engine.FastKernelsNoSwar,
-				"fast-i64":    engine.FastKernelsI64,
-				"im2col":      engine.Im2ColKernels,
-				"reference":   engine.ReferenceKernels,
+			regs := map[string]*engine.Registry{
+				"fast-typed":  engine.FastKernels(),
+				"fast-noswar": engine.FastKernelsWithout(engine.CapSwar),
+				"fast-i64":    engine.FastKernelsWithout(engine.CapTyped),
+				"fast-noprep": statelessPrepKernels(),
+				"reference":   engine.ReferenceKernels(),
 			}
 			for _, prog := range []*engine.Program{unfused, fused} {
-				for rname, mk := range regs {
+				for rname, reg := range regs {
 					for _, batch := range []int{1, 3} {
 						xb := g.Uniform(0, 1, batch, 3, 32, 32)
 						t.Run(rname, func(t *testing.T) {
-							assertBitIdentical(t, cm.Int, prog, xb, mk())
+							assertBitIdentical(t, cm.Int, prog, xb, reg)
 						})
 					}
 				}

@@ -157,6 +157,15 @@ func matMulJob(ex *Executor, it *Instr, in []*tensor.IntTensor, out *tensor.IntT
 	}, batches
 }
 
+// scalerConsts mirrors MulQuant.scaleAt using the exported fields
+// (unified scaling collapses to entry 0).
+func scalerConsts(m *intmath.MulQuant, ch int) (int64, int64) {
+	if len(m.ScaleFx) == 1 {
+		return int64(m.ScaleFx[0]), int64(m.BiasFx[0])
+	}
+	return int64(m.ScaleFx[ch]), int64(m.BiasFx[ch])
+}
+
 // kernelLayerNorm mirrors fuse.IntLayerNorm.Forward row by row: exact
 // integer row statistics, Newton square root with the code-domain
 // epsilon, fixed-point x̂, per-channel γ/β requantize.

@@ -105,13 +105,12 @@ func TestViTQKVWaveExecutes(t *testing.T) {
 	g := tensor.NewRNG(19)
 	x := g.Uniform(0, 1, 8, 3, 32, 32)
 	want := cm.Int.Forward(x)
-	for _, rname := range []string{"fast-typed", "fast-noswar"} {
-		mk := engine.FastKernels
-		if rname == "fast-noswar" {
-			mk = engine.FastKernelsNoSwar
-		}
+	for rname, reg := range map[string]*engine.Registry{
+		"fast-typed":  engine.FastKernels(),
+		"fast-noswar": engine.FastKernelsWithout(engine.CapSwar),
+	} {
 		t.Run(rname, func(t *testing.T) {
-			ex, err := engine.NewExecutor(prog, x.Shape, engine.WithKernels(mk()))
+			ex, err := engine.NewExecutor(prog, x.Shape, engine.WithKernels(reg))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -171,31 +171,6 @@ func (m *MulQuant) Expand(n int) (sfx, bfx []int64) {
 	return sfx, bfx
 }
 
-// ApplySeg rescales a contiguous accumulator segment that belongs
-// entirely to channel ch, writing dst[i] for each acc[i]. dst may alias
-// acc. Parallel kernels use it to requantize one output plane per job.
-func (m *MulQuant) ApplySeg(dst, acc []int64, ch int) {
-	lo, hi := m.qRange()
-	half := int64(1) << (m.FracBits - 1)
-	sfx, bfx := m.scaleAt(ch)
-	for i, v := range acc {
-		dst[i] = m.requantize(v, sfx, bfx, half, lo, hi)
-	}
-}
-
-// ApplyGather rescales channel ch reading src strided (src[i*stride] for
-// i in [0,len(dst))), writing dst densely. This lets a GEMM output laid
-// out [rows, channels] be requantized straight into NCHW planes without
-// an intermediate scatter pass.
-func (m *MulQuant) ApplyGather(dst, src []int64, stride, ch int) {
-	lo, hi := m.qRange()
-	half := int64(1) << (m.FracBits - 1)
-	sfx, bfx := m.scaleAt(ch)
-	for i := range dst {
-		dst[i] = m.requantize(src[i*stride], sfx, bfx, half, lo, hi)
-	}
-}
-
 // FloatReference computes the float-precision reference of Apply, used by
 // tests to bound the fixed-point error.
 func (m *MulQuant) FloatReference(acc *tensor.IntTensor, chDim int, scale, bias []float32) *tensor.IntTensor {

@@ -125,7 +125,8 @@ func (c *modelCache) get(key uint64, in []int64) (out []int64, shape []int, ok b
 }
 
 // put inserts output codes for (key, in), copying all slices. Inserts
-// are dropped while admission has caching suppressed.
+// are dropped while admission has caching suppressed. A published entry
+// is never mutated — get callers read its slices outside the lock.
 func (c *modelCache) put(key uint64, in, out []int64, shape []int) {
 	if c == nil {
 		return
@@ -136,14 +137,20 @@ func (c *modelCache) put(key uint64, in, out []int64, shape []int) {
 		c.suppr++
 		return
 	}
+	e := &cacheEntry{
+		key:   key,
+		in:    append([]int64(nil), in...),
+		out:   append([]int64(nil), out...),
+		shape: append([]int(nil), shape...),
+	}
 	if el, found := c.byKey[key]; found {
-		// Same key already cached (racing misses, or a collision): keep
-		// the entry fresh and overwrite — both computed bit-exact outputs.
-		e := el.Value.(*cacheEntry)
-		e.in = append(e.in[:0], in...)
-		e.out = append(e.out[:0], out...)
-		e.shape = append(e.shape[:0], shape...)
+		// Same key already cached. Racing misses on equal input codes
+		// computed bit-identical outputs, so only refresh recency; a hash
+		// collision swaps in the fresh entry.
 		c.lru.MoveToFront(el)
+		if !codesEqual(el.Value.(*cacheEntry).in, in) {
+			el.Value = e
+		}
 		return
 	}
 	for c.lru.Len() >= c.capacity {
@@ -151,12 +158,6 @@ func (c *modelCache) put(key uint64, in, out []int64, shape []int) {
 		delete(c.byKey, back.Value.(*cacheEntry).key)
 		c.lru.Remove(back)
 		c.evicted++
-	}
-	e := &cacheEntry{
-		key:   key,
-		in:    append([]int64(nil), in...),
-		out:   append([]int64(nil), out...),
-		shape: append([]int(nil), shape...),
 	}
 	c.byKey[key] = c.lru.PushFront(e)
 }

@@ -2,18 +2,15 @@ package serve_test
 
 import (
 	"testing"
-	"time"
 
-	"torch2chip/internal/engine"
 	"torch2chip/internal/serve"
 	"torch2chip/internal/tensor"
 )
 
-// predictOnce drives the cache-aware Predict path with no deadline and
-// normal priority.
+// predictOnce is predict that fails the test on error.
 func predictOnce(t *testing.T, reg *serve.Registry, name string, x *tensor.Tensor) serve.PredictResult {
 	t.Helper()
-	res, err := reg.Predict(name, x, time.Time{}, engine.PriNormal, 0)
+	res, err := predict(reg, name, x)
 	if err != nil {
 		t.Fatalf("predict: %v", err)
 	}

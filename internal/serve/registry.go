@@ -47,7 +47,8 @@ type Options struct {
 	// MaxInFlight bounds admitted-but-unfinished requests per model
 	// (default 4 × the per-replica queue capacity × Replicas).
 	MaxInFlight int
-	// DefaultDeadline is applied to requests that carry none (0 = none).
+	// DefaultDeadline is the deadline the HTTP predict handler applies
+	// to requests that carry no ?deadline_ms= (0 = none).
 	DefaultDeadline time.Duration
 	// OptLevel is applied to loaded programs compiled below it, so old
 	// unfused checkpoints serve at current speed (default OptFuse).
@@ -443,34 +444,6 @@ func (r *Registry) lookup(name string) *entry {
 	return e
 }
 
-// Infer serves one sample through name's current version with the
-// registry's default deadline. It returns the version that served the
-// request, so callers can attribute the response to a checkpoint even
-// across a concurrent hot reload.
-func (r *Registry) Infer(name string, x *tensor.Tensor) (*tensor.Tensor, int, error) {
-	var deadline time.Time
-	if r.opts.DefaultDeadline > 0 {
-		deadline = time.Now().Add(r.opts.DefaultDeadline)
-	}
-	return r.InferDeadline(name, x, deadline)
-}
-
-// InferDeadline is Infer with an explicit deadline (zero = none beyond
-// the admission queue bound).
-func (r *Registry) InferDeadline(name string, x *tensor.Tensor, deadline time.Time) (*tensor.Tensor, int, error) {
-	return r.InferTraced(name, x, deadline, 0)
-}
-
-// InferTraced is InferDeadline carrying a request trace id: the id is
-// stitched into the replica's queue-wait span so the HTTP request span
-// and the engine-side spans join on it in the trace. An admission
-// rejection records a zero-duration admission span against the same id.
-// tid 0 means "not a traced request".
-func (r *Registry) InferTraced(name string, x *tensor.Tensor, deadline time.Time, tid uint64) (*tensor.Tensor, int, error) {
-	res, err := r.Predict(name, x, deadline, engine.PriNormal, tid)
-	return res.Y, res.Version, err
-}
-
 // PredictResult is one served sample: logits, the checkpoint version
 // that computed them, and whether they came from the inference cache
 // (bit-identical to recompute either way).
@@ -485,7 +458,9 @@ type PredictResult struct {
 // bypassing admission and the batcher), then admit under the request's
 // priority class and run the codes through a replica. The request
 // travels as quantized codes end to end, so a cache hit and a
-// recompute are bit-identical by construction.
+// recompute are bit-identical by construction. A non-zero trace id tid
+// is stitched into the replica's queue-wait span, and an admission
+// rejection records a zero-duration admission span against it.
 func (r *Registry) Predict(name string, x *tensor.Tensor, deadline time.Time, class engine.PriorityClass, tid uint64) (PredictResult, error) {
 	e := r.lookup(name)
 	if e == nil {

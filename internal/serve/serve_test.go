@@ -55,6 +55,11 @@ func buildCheckpoint(t testing.TB, seed int64) (*export.Checkpoint, *fuse.IntMod
 	return ck, cm.Int
 }
 
+// predict serves x through name with no deadline at normal priority.
+func predict(reg *serve.Registry, name string, x *tensor.Tensor) (serve.PredictResult, error) {
+	return reg.Predict(name, x, time.Time{}, engine.PriNormal, 0)
+}
+
 func assertSame(t *testing.T, got, want *tensor.Tensor, ctx string) {
 	t.Helper()
 	if len(got.Data) != len(want.Data) {
@@ -84,16 +89,16 @@ func TestRegistryLoadAndInfer(t *testing.T) {
 
 	g := tensor.NewRNG(100)
 	x := g.Uniform(0, 1, 1, 3, 8, 8)
-	y, version, err := reg.Infer("cnn", x)
+	res, err := predict(reg, "cnn", x)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if version != 1 {
-		t.Fatalf("served version = %d, want 1", version)
+	if res.Version != 1 {
+		t.Fatalf("served version = %d, want 1", res.Version)
 	}
-	assertSame(t, y, im.Forward(x), "registry infer")
+	assertSame(t, res.Y, im.Forward(x), "registry infer")
 
-	if _, _, err := reg.Infer("missing", x); err != serve.ErrNotFound {
+	if _, err := predict(reg, "missing", x); err != serve.ErrNotFound {
 		t.Fatalf("unknown model returned %v, want ErrNotFound", err)
 	}
 	ms := reg.Models()
@@ -106,7 +111,7 @@ func TestRegistryLoadAndInfer(t *testing.T) {
 	if err := reg.Remove("cnn"); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := reg.Infer("cnn", x); err != serve.ErrNotFound {
+	if _, err := predict(reg, "cnn", x); err != serve.ErrNotFound {
 		t.Fatalf("removed model returned %v, want ErrNotFound", err)
 	}
 }
@@ -124,11 +129,11 @@ func TestRegistryRequiresShapeForLegacyCheckpoints(t *testing.T) {
 	}
 	g := tensor.NewRNG(101)
 	x := g.Uniform(0, 1, 1, 3, 8, 8)
-	y, _, err := reg.Infer("legacy", x)
+	res, err := predict(reg, "legacy", x)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSame(t, y, im.Forward(x), "legacy checkpoint infer")
+	assertSame(t, res.Y, im.Forward(x), "legacy checkpoint infer")
 }
 
 // TestRegistryHotReloadUnderTraffic swaps checkpoints while concurrent
@@ -171,11 +176,12 @@ func TestRegistryHotReloadUnderTraffic(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < perClient; r++ {
 				k := (c + r) % K
-				y, version, err := reg.Infer("cnn", inputs[k])
+				res, err := predict(reg, "cnn", inputs[k])
 				if err != nil {
 					t.Errorf("client %d req %d: %v (no request may be dropped)", c, r, err)
 					return
 				}
+				y, version := res.Y, res.Version
 				oracle := want[version]
 				if oracle == nil {
 					t.Errorf("client %d req %d: served by unknown version %d", c, r, version)
@@ -221,14 +227,14 @@ func TestRegistryHotReloadUnderTraffic(t *testing.T) {
 			sawV1.Load(), sawV2.Load())
 	}
 	// Post-swap requests must be served by v2 only.
-	y, version, err := reg.Infer("cnn", inputs[0])
+	res, err := predict(reg, "cnn", inputs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if version != 2 {
-		t.Fatalf("post-reload version = %d, want 2", version)
+	if res.Version != 2 {
+		t.Fatalf("post-reload version = %d, want 2", res.Version)
 	}
-	assertSame(t, y, want[2][0], "post-reload infer")
+	assertSame(t, res.Y, want[2][0], "post-reload infer")
 }
 
 // blockingKernels parks the conv kernel on release (signalling gate on
@@ -266,13 +272,13 @@ func TestRegistryAdmissionSheds(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		if _, _, err := reg.Infer("cnn", x1); err != nil {
+		if _, err := predict(reg, "cnn", x1); err != nil {
 			t.Errorf("admitted request failed: %v", err)
 		}
 	}()
 	<-gate // the only in-flight token is now held
 
-	if _, _, err := reg.Infer("cnn", x2); err != serve.ErrOverloaded {
+	if _, err := predict(reg, "cnn", x2); err != serve.ErrOverloaded {
 		t.Fatalf("second request returned %v, want ErrOverloaded", err)
 	}
 	close(release)
@@ -328,24 +334,24 @@ func TestRegistryServesViTWithHotReload(t *testing.T) {
 
 	g := tensor.NewRNG(100)
 	x := g.Uniform(0, 1, 1, 3, 32, 32)
-	y, version, err := reg.Infer("vit", x)
+	res, err := predict(reg, "vit", x)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if version != 1 {
-		t.Fatalf("served version = %d, want 1", version)
+	if res.Version != 1 {
+		t.Fatalf("served version = %d, want 1", res.Version)
 	}
-	assertSame(t, y, im1.Forward(x), "vit v1 infer")
+	assertSame(t, res.Y, im1.Forward(x), "vit v1 infer")
 
 	if _, err := reg.Load("vit", ck2, nil); err != nil {
 		t.Fatal(err)
 	}
-	y2, version2, err := reg.Infer("vit", x)
+	res2, err := predict(reg, "vit", x)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if version2 != 2 {
-		t.Fatalf("served version after reload = %d, want 2", version2)
+	if res2.Version != 2 {
+		t.Fatalf("served version after reload = %d, want 2", res2.Version)
 	}
-	assertSame(t, y2, im2.Forward(x), "vit v2 infer")
+	assertSame(t, res2.Y, im2.Forward(x), "vit v2 infer")
 }

@@ -1,90 +1,7 @@
 package tensor
 
-import "fmt"
-
-// Integer kernels for the deploy hot path. These mirror the float GEMM /
-// im2col routines above but accumulate in int64, write into caller-owned
-// destinations (so a planned arena can be reused across calls), and
-// parallelize over rows for large problems.
-
-// Im2ColIntTo unrolls x [N,C,H,W] into dst, a pre-shaped
-// [N*outH*outW, C*kH*kW] matrix, with zero point zx subtracted from every
-// entry: in-bounds taps contribute x−zx, padded taps contribute −zx, so a
-// GEMM over the columns reproduces the direct zero-point-corrected
-// convolution exactly.
-func Im2ColIntTo(dst, x *IntTensor, kH, kW int, p ConvParams, zx int64) {
-	p = p.check()
-	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	oh, ow := p.ConvOutSize(h, kH), p.ConvOutSize(w, kW)
-	colW := c * kH * kW
-	if len(dst.Data) != n*oh*ow*colW {
-		panic(fmt.Sprintf("tensor: Im2ColIntTo dst %d, want %d", len(dst.Data), n*oh*ow*colW))
-	}
-	cols := dst.Data
-	parallelFor(n, n*c*oh*ow*kH*kW >= 1<<17, func(ni int) {
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				row := cols[((ni*oh+oy)*ow+ox)*colW : ((ni*oh+oy)*ow+ox+1)*colW]
-				ci := 0
-				for ch := 0; ch < c; ch++ {
-					base := (ni*c + ch) * h * w
-					for ky := 0; ky < kH; ky++ {
-						iy := oy*p.Stride - p.Padding + ky
-						for kx := 0; kx < kW; kx++ {
-							ix := ox*p.Stride - p.Padding + kx
-							if iy >= 0 && iy < h && ix >= 0 && ix < w {
-								row[ci] = x.Data[base+iy*w+ix] - zx
-							} else {
-								row[ci] = -zx
-							}
-							ci++
-						}
-					}
-				}
-			}
-		}
-	})
-}
-
-// intGemmTBlock is the k-blocking width of MatMulIntTTo: B rows are
-// walked in panels that stay resident in cache across the row loop.
-const intGemmTBlock = 256
-
-// MatMulIntTTo computes dst[m,n] = A[m,k] × Bᵀ (B is [n,k]) into the
-// pre-shaped caller-owned dst, accumulating in int64. Rows are
-// parallelized and the reduction dimension is blocked; int64 addition is
-// exact, so the result is bit-identical to the naive triple loop.
-func MatMulIntTTo(dst, a, b *IntTensor) {
-	if len(a.Shape) != 2 || len(b.Shape) != 2 || a.Shape[1] != b.Shape[1] {
-		panic(fmt.Sprintf("tensor: MatMulIntTTo shapes %v × %vᵀ", a.Shape, b.Shape))
-	}
-	m, k, n := a.Shape[0], a.Shape[1], b.Shape[0]
-	if len(dst.Data) != m*n {
-		panic(fmt.Sprintf("tensor: MatMulIntTTo dst %d, want %d", len(dst.Data), m*n))
-	}
-	c := dst.Data
-	parallelFor(m, m*k*n >= 1<<16, func(i int) {
-		ai := a.Data[i*k : (i+1)*k]
-		ci := c[i*n : (i+1)*n]
-		for j := range ci {
-			ci[j] = 0
-		}
-		for p0 := 0; p0 < k; p0 += intGemmTBlock {
-			p1 := p0 + intGemmTBlock
-			if p1 > k {
-				p1 = k
-			}
-			for j := 0; j < n; j++ {
-				bj := b.Data[j*k+p0 : j*k+p1]
-				var s int64
-				for p, av := range ai[p0:p1] {
-					s += av * bj[p]
-				}
-				ci[j] += s
-			}
-		}
-	})
-}
+// Parallel-loop entry points for the integer kernels outside this
+// package (the engine's conv, linear and transformer kernels).
 
 // ParallelForInt exposes the package's chunked parallel loop to integer
 // kernel implementations outside this package. fn must not itself invoke
