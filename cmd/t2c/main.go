@@ -67,7 +67,6 @@ func runServe(args []string) {
 	inDir := fs.String("in", "", "directory of input tensor JSON files ({\"shape\":[C,H,W],\"data\":[...]})")
 	workers := fs.Int("workers", 0, "serving workers per replica (0 = auto)")
 	maxBatch := fs.Int("max-batch", 8, "micro-batch size")
-	wait := fs.Duration("batch-wait", 500*time.Microsecond, "max wait to fill a micro-batch")
 	queue := fs.Int("queue", 0, "per-replica request queue capacity (0 = auto)")
 	opt := fs.Int("opt", 1, "optimization level for unfused checkpoints (0 = run as stored)")
 	sched := fs.String("sched", "edf", "request scheduling policy: edf (deadline-driven) or fifo")
@@ -86,7 +85,7 @@ func runServe(args []string) {
 		log.Fatal(err)
 	}
 	engOpts := engine.ServerOptions{
-		Workers: *workers, MaxBatch: *maxBatch, BatchWait: *wait, QueueSize: *queue,
+		Workers: *workers, MaxBatch: *maxBatch, QueueSize: *queue,
 		Sched: schedPolicy,
 	}
 	if *costProfile != "" {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"sync"
 	"testing"
-	"time"
 
 	"torch2chip/internal/core"
 	"torch2chip/internal/data"
@@ -263,22 +262,32 @@ func TestServerMatchesDirectExecution(t *testing.T) {
 	model := smallCNN(g)
 	im, prog := compile(t, model, calib)
 
-	srv, err := engine.NewServer(prog, []int{3, 8, 8}, engine.ServerOptions{Workers: 2, MaxBatch: 4})
+	// Hold the only worker on the first request, so the rest coalesce
+	// behind it: one batch in the batcher's hand, the others queued.
+	const n, maxBatch = 24, 4
+	gate := make(chan struct{}, 1)
+	release := make(chan struct{})
+	srv, err := engine.NewServer(prog, []int{3, 8, 8}, engine.ServerOptions{
+		Workers: 1, MaxBatch: maxBatch, QueueSize: n, Kernels: blockingKernels(gate, release),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	var wg sync.WaitGroup
+	var once sync.Once
+	unblock := func() { once.Do(func() { close(release) }) }
+	defer wg.Wait()
+	defer unblock()
 
-	const n = 24
 	inputs := make([]*tensor.Tensor, n)
 	for i := range inputs {
 		inputs[i] = g.Uniform(0, 1, 1, 3, 8, 8)
 	}
 	results := make([]*tensor.Tensor, n)
-	var wg sync.WaitGroup
-	for i := range inputs {
+	infer := func(i int) {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
 			y, err := srv.Infer(inputs[i])
 			if err != nil {
@@ -286,8 +295,15 @@ func TestServerMatchesDirectExecution(t *testing.T) {
 				return
 			}
 			results[i] = y
-		}(i)
+		}()
 	}
+	infer(0)
+	<-gate
+	for i := 1; i < n; i++ {
+		infer(i)
+	}
+	awaitQueueDepth(t, srv, n-1-maxBatch)
+	unblock()
 	wg.Wait()
 	for i := range inputs {
 		if results[i] == nil {
@@ -304,50 +320,10 @@ func TestServerMatchesDirectExecution(t *testing.T) {
 	if st.Requests != n {
 		t.Fatalf("stats requests = %d, want %d", st.Requests, n)
 	}
-	if st.Batches >= n {
-		t.Errorf("no coalescing: %d batches for %d requests", st.Batches, n)
-	}
-}
-
-func TestServerFullBatchDispatchesImmediately(t *testing.T) {
-	// Regression: a full batch must dispatch the moment it fills, not on
-	// the next timer tick. With BatchWait set absurdly high, 2×MaxBatch
-	// concurrent requests only complete quickly if the batcher flushes
-	// full batches without consulting the timer.
-	g := tensor.NewRNG(34)
-	calib, _ := data.Generate(data.SynthCIFAR10, 32, 8)
-	model := smallCNN(g)
-	_, prog := compile(t, model, calib)
-	srv, err := engine.NewServer(prog, []int{3, 8, 8}, engine.ServerOptions{
-		Workers: 2, MaxBatch: 4, BatchWait: time.Hour,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	const n = 8 // exactly two full batches
-	inputs := make([]*tensor.Tensor, n)
-	for i := range inputs {
-		inputs[i] = g.Uniform(0, 1, 1, 3, 8, 8)
-	}
-	start := time.Now()
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if _, err := srv.Infer(inputs[i]); err != nil {
-				t.Error(err)
-			}
-		}(i)
-	}
-	wg.Wait()
-	if el := time.Since(start); el > 10*time.Second {
-		t.Fatalf("full batches took %s; the batcher waited on the flush timer", el)
-	}
-	if st := srv.Stats(); st.Requests != n {
-		t.Fatalf("served %d requests, want %d", st.Requests, n)
+	// The held request ran alone; the backlog was never empty until its
+	// last batch, so it drained in full batches.
+	if want := int64(1 + (n-1+maxBatch-1)/maxBatch); st.Batches != want {
+		t.Errorf("%d requests ran as %d batches, want %d", n, st.Batches, want)
 	}
 }
 

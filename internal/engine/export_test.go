@@ -28,3 +28,13 @@ func FastKernelsWithout(caps int) *Registry {
 	}
 	return r
 }
+
+// Enqueued reports how many requests have ever entered the server's
+// queue. Together with QueueDepth it tells a test that everything it
+// sent was pushed and popped — into the batcher's open batch, when every
+// worker is held.
+func (s *Server) Enqueued() uint64 {
+	s.q.mu.Lock()
+	defer s.q.mu.Unlock()
+	return s.q.seq
+}

@@ -67,8 +67,8 @@ const (
 	// deadline-less requests after deadlined ones, FIFO as the final
 	// tie-break. The batcher also closes batches deadline-driven.
 	SchedEDF SchedPolicy = "edf"
-	// SchedFIFO is the pre-cost-model baseline: strict arrival order
-	// and fixed-timer batch formation.
+	// SchedFIFO is the pre-cost-model baseline: strict arrival order,
+	// and batches close only when full or when a worker is idle.
 	SchedFIFO SchedPolicy = "fifo"
 )
 
@@ -146,46 +146,63 @@ func (q *reqQueue) signal() {
 	}
 }
 
-// push enqueues r. When the queue is full: a blocking push waits for
-// space; a non-blocking push runs victim selection — if some waiting
-// request is strictly less urgent than r it is evicted (returned with
-// evicted=true, the caller fails it with ErrQueueFull) and r takes its
-// place, otherwise r itself is rejected with ErrQueueFull. Under FIFO
-// every arrival has the largest sequence number, so the incoming
-// request is always the victim — the historical shed behavior.
-func (q *reqQueue) push(r request, block bool) (victim request, evicted bool, err error) {
+// push enqueues the group rs all or nothing, under one lock and with one
+// notEmpty signal, so a batcher that wakes sees the whole group. When it
+// does not fit: a blocking push waits for space; a non-blocking push runs
+// victim selection — the waiting requests that must make room are
+// evicted (returned; the caller fails them with ErrQueueFull) only if
+// each is strictly less urgent than every member of rs, otherwise rs is
+// rejected whole with ErrQueueFull and the queue is left untouched.
+// Under FIFO every arrival has the largest sequence number, so the
+// incoming group is always the one shed.
+func (q *reqQueue) push(rs []request, block bool) (victims []request, err error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for {
 		if q.closed {
-			return request{}, false, errServerClosed
+			return nil, errServerClosed
 		}
-		if len(q.items) < q.limit {
+		over := len(q.items) + len(rs) - q.limit
+		if over <= 0 {
 			break
 		}
 		if !block {
-			w := q.worstLocked()
-			r.seq = q.seq // not yet assigned; ensure FIFO comparison sees it as newest
-			if w < 0 || !q.before(&r, &q.items[w]) {
-				return request{}, false, ErrQueueFull
+			if victims = q.evictLocked(rs, over); victims == nil {
+				return nil, ErrQueueFull
 			}
-			victim = q.items[w]
-			heap.Remove(q, w)
-			q.assignAndPush(r)
-			q.signal()
-			return victim, true, nil
+			break
 		}
 		q.space.Wait()
 	}
-	q.assignAndPush(r)
+	for _, r := range rs {
+		r.seq = q.seq
+		q.seq++
+		heap.Push(q, r)
+	}
 	q.signal()
-	return request{}, false, nil
+	return victims, nil
 }
 
-func (q *reqQueue) assignAndPush(r request) {
-	r.seq = q.seq
-	q.seq++
-	heap.Push(q, r)
+// evictLocked removes and returns the over least urgent waiting requests
+// when each is strictly less urgent than the group's last member (the
+// least urgent one: members share class and deadline, and it gets the
+// largest sequence number). Otherwise it restores what it removed and
+// returns nil.
+func (q *reqQueue) evictLocked(rs []request, over int) []request {
+	last := rs[len(rs)-1]
+	last.seq = q.seq + uint64(len(rs)-1)
+	victims := make([]request, 0, over)
+	for len(victims) < over {
+		w := q.worstLocked()
+		if w < 0 || !q.before(&last, &q.items[w]) {
+			for _, v := range victims {
+				heap.Push(q, v)
+			}
+			return nil
+		}
+		victims = append(victims, heap.Remove(q, w).(request))
+	}
+	return victims
 }
 
 // worstLocked finds the least urgent waiting request (max under before).

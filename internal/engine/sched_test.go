@@ -118,7 +118,7 @@ func TestServerEDFOrdersByDeadline(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					if _, err := srv.TryInferCodes(x, deadline, engine.PriNormal, 0); err != nil {
+					if _, err := srv.TryInferCodes([]*tensor.IntTensor{x}, deadline, engine.PriNormal, 0); err != nil {
 						t.Errorf("%s: %v", label, err)
 						return
 					}
@@ -126,23 +126,16 @@ func TestServerEDFOrdersByDeadline(t *testing.T) {
 				}()
 			}
 
-			// Hold the worker, then saturate the batcher's hand and the
-			// dispatch slot so later requests stay *queued* where the
-			// policy decides their order. With MaxBatch=1 the pipeline
-			// holds 3 requests ahead of the queue (executing, dispatched,
-			// batcher's hand).
+			// Hold the worker, then fill the batcher's hand so later
+			// requests stay *queued* where the policy decides their order.
+			// With MaxBatch=1 the pipeline holds 2 requests ahead of the
+			// queue: the executing one and the batcher's full hand, which
+			// waits for the worker.
 			far := time.Now().Add(time.Hour)
 			fire("hold", far)
 			<-gate
-			for i := 0; i < 2; i++ {
-				fire("pipe", far)
-			}
-			// The two pipe fillers are interchangeable, but both must be
-			// absorbed (dispatch buffer + batcher's hand) before loose and
-			// tight arrive, and absorption is not externally observable —
-			// give the fire goroutines ample time to land.
-			awaitQueueDepth(t, srv, 0)
-			time.Sleep(300 * time.Millisecond)
+			fire("pipe", far)
+			awaitHeld(t, srv, 2)
 			fire("loose", time.Now().Add(20*time.Second))
 			awaitQueueDepth(t, srv, 1)
 			fire("tight", time.Now().Add(5*time.Second))
@@ -153,7 +146,7 @@ func TestServerEDFOrdersByDeadline(t *testing.T) {
 			// the true serve order; each receive on gate means the next
 			// execute reached the parked kernel.
 			var order []string
-			for served := 0; served < 5; served++ {
+			for served := 0; served < 4; served++ {
 				select {
 				case release <- struct{}{}:
 				case <-time.After(10 * time.Second):
@@ -165,7 +158,7 @@ func TestServerEDFOrdersByDeadline(t *testing.T) {
 				case <-time.After(10 * time.Second):
 					t.Fatalf("request served at step %d never completed", served)
 				}
-				if served < 4 {
+				if served < 3 {
 					select {
 					case <-gate:
 					case <-time.After(10 * time.Second):
@@ -175,11 +168,25 @@ func TestServerEDFOrdersByDeadline(t *testing.T) {
 			}
 			wg.Wait()
 
-			got := [2]string{order[3], order[4]}
+			got := [2]string{order[2], order[3]}
 			if got != tc.want {
 				t.Fatalf("%s completion order = %v, want %v (full order %v)", tc.sched, got, tc.want, order)
 			}
 		})
+	}
+}
+
+// awaitHeld polls until the server has taken n requests in total and
+// none is left queued: with every worker held, the ones not executing
+// sit in the batcher's open batch.
+func awaitHeld(t *testing.T, srv *engine.Server, n uint64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for srv.Enqueued() != n || srv.QueueDepth() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("server never held %d requests (enqueued %d, queued %d)", n, srv.Enqueued(), srv.QueueDepth())
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -217,29 +224,23 @@ func TestServerPrioritySheds(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, err := srv.TryInferCodes(x, time.Time{}, class, 0)
+			_, err := srv.TryInferCodes([]*tensor.IntTensor{x}, time.Time{}, class, 0)
 			errs <- err
 		}()
 	}
 	// Hold the worker and fill pipeline + queue entirely with low-class
-	// requests (3 pipeline slots + 2 queue slots).
+	// requests (2 pipeline slots + 2 queue slots).
 	fire(engine.PriLow)
 	<-gate
-	for i := 0; i < 2; i++ {
-		fire(engine.PriLow)
-	}
-	awaitQueueDepth(t, srv, 0)
+	fire(engine.PriLow)
+	awaitHeld(t, srv, 2)
 	fire(engine.PriLow)
 	awaitQueueDepth(t, srv, 1)
 	fire(engine.PriLow)
 	awaitQueueDepth(t, srv, 2)
-	// Depth 2 can be observed transiently while a filler is still in
-	// flight; settle, then re-assert the queue is stably full.
-	time.Sleep(300 * time.Millisecond)
-	awaitQueueDepth(t, srv, 2)
 
 	// A further low-class request bounces off the full queue...
-	_, err := srv.TryInferCodes(x, time.Time{}, engine.PriLow, 0)
+	_, err := srv.TryInferCodes([]*tensor.IntTensor{x}, time.Time{}, engine.PriLow, 0)
 	if !errors.Is(err, engine.ErrQueueFull) {
 		t.Fatalf("low-class push into a full queue returned %v, want ErrQueueFull", err)
 	}
@@ -264,10 +265,10 @@ func TestServerPrioritySheds(t *testing.T) {
 	if st.ShedHigh != 0 {
 		t.Fatalf("stats shed-high = %d, want 0", st.ShedHigh)
 	}
-	// Everyone else completed: the held one, 2 pipeline, 2 queued... one
-	// of which was replaced by the high request.
-	if st.Requests != 5 {
-		t.Fatalf("stats requests = %d, want 5", st.Requests)
+	// Everyone else completed: the held one, the batcher's hand, 2
+	// queued... one of which was replaced by the high request.
+	if st.Requests != 4 {
+		t.Fatalf("stats requests = %d, want 4", st.Requests)
 	}
 }
 
@@ -332,11 +333,11 @@ func TestServerCodesPathMatchesInfer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		codes, err := srv.TryInferCodes(quantize(prog, x), time.Time{}, engine.PriNormal, 0)
+		codes, err := srv.TryInferCodes([]*tensor.IntTensor{quantize(prog, x)}, time.Time{}, engine.PriNormal, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := prog.DequantizeOutput(codes.Data, want.Shape)
+		got := prog.DequantizeOutput(codes[0].Data, want.Shape)
 		if len(got.Data) != len(want.Data) {
 			t.Fatalf("codes path shape %v vs %v", got.Shape, want.Shape)
 		}

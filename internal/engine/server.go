@@ -13,8 +13,8 @@ import (
 	"torch2chip/internal/trace"
 )
 
-// ErrQueueFull is returned by TryInferCodes when the request queue is at
-// capacity and the request lost victim selection: the server is
+// ErrQueueFull is returned by TryInferCodes when a group does not fit in
+// the request queue and lost victim selection: the server is
 // overloaded and the caller should shed load (the HTTP layer maps it to
 // 429) instead of buffering unboundedly. Under EDF scheduling a more
 // urgent arrival can evict a queued request, in which case the evicted
@@ -44,20 +44,17 @@ type ServerOptions struct {
 	// side, so concurrent replicas share cores instead of each fanning
 	// out to the full pool width.
 	KernelThreads int
-	// MaxBatch is the micro-batch size requests are coalesced into
-	// (default 8).
+	// MaxBatch is the largest micro-batch requests are coalesced into
+	// (default 8). The batcher never waits for a batch to fill: an idle
+	// worker takes whatever is queued at once, so batches grow only from
+	// work that arrives together or while every worker is busy.
 	MaxBatch int
-	// BatchWait bounds how long the batcher waits for more requests after
-	// the first one arrives (default 500µs). Under SchedEDF the wait is
-	// additionally cut short whenever the modeled cost of a larger batch
-	// would blow the earliest queued deadline.
-	BatchWait time.Duration
 	// QueueSize is the request queue capacity (default 4×MaxBatch×Workers).
 	QueueSize int
 	// Sched selects the request queue's scheduling policy: SchedEDF
 	// (the default) orders waiting requests earliest-deadline-first
 	// under priority classes and closes batches deadline-driven;
-	// SchedFIFO is the strict-arrival-order, fixed-timer baseline.
+	// SchedFIFO is the strict-arrival-order baseline.
 	Sched SchedPolicy
 	// Cost supplies measured per-op calibration ratios (from a
 	// BENCH_profile.json run) that scale the bind-time work model into
@@ -99,9 +96,6 @@ func (o ServerOptions) withDefaults() ServerOptions {
 	}
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = 8
-	}
-	if o.BatchWait <= 0 {
-		o.BatchWait = 500 * time.Microsecond
 	}
 	if o.QueueSize <= 0 {
 		o.QueueSize = 4 * o.MaxBatch * o.Workers
@@ -185,25 +179,28 @@ func (c CostStats) MeanAbsErr() float64 {
 	return float64(c.AbsErrMicroSum) / 1e6 / float64(c.Batches)
 }
 
-// request is the queue's unit of work: input codes (quantization happens
-// at enqueue time, so the cache and batcher share one deterministic code
-// path), deadline, priority class, and reply plumbing.
+// request is the queue's unit of work: one sample's input codes
+// (quantization happens at enqueue time, so the cache and batcher share
+// one deterministic code path), deadline, priority class, and reply
+// plumbing shared by the samples of one group.
 type request struct {
 	codes    *tensor.IntTensor // I64 quantized input codes, one sample
 	deadline time.Time         // zero = no deadline
 	class    PriorityClass
 	seq      uint64 // arrival order, assigned by the queue
 	reply    chan reply
+	idx      int    // position in the group, echoed in the reply
 	enq      int64  // tracer-relative enqueue ns (0 = not traced)
 	tid      uint64 // request trace id propagated from the HTTP layer
 }
 
 type reply struct {
+	idx   int
 	codes *tensor.IntTensor // I64 output codes, [1, out...]
 	err   error
 }
 
-// Server is the batched serving runtime: single-sample requests are
+// Server is the batched serving runtime: groups of samples are
 // coalesced by a micro-batching queue into batched executes that run on a
 // pool of workers, each owning planned executors (one per encountered
 // batch size), so steady-state serving does not allocate inter-op
@@ -252,9 +249,10 @@ type Server struct {
 	nmBatchForm uint32
 
 	// batchWait is always on (two clock reads per batch, not per
-	// request): the time from a batch's first request to its dispatch,
-	// the signal that separates batch formation from execution when a
-	// latency histogram regresses. execHist and slackHist are its
+	// request): the time from a batch's first request to the moment a
+	// worker took it — how long a formed batch waited for a free worker,
+	// the signal that separates queueing from execution when a latency
+	// histogram regresses. execHist and slackHist are its
 	// companions on the execute side: measured batch execution time, and
 	// the earliest-deadline slack remaining at dispatch.
 	batchWait *trace.Hist
@@ -284,7 +282,7 @@ func NewServer(p *Program, sampleShape []int, opts ServerOptions) (*Server, erro
 		sample:    append([]int(nil), sampleShape...),
 		opts:      opts,
 		q:         newReqQueue(opts.QueueSize, opts.Sched == SchedEDF),
-		batches:   make(chan []request, opts.Workers),
+		batches:   make(chan []request),
 		costNs:    map[int]int64{},
 		batchWait: trace.NewHist(trace.BatchWaitBucketsNs),
 		execHist:  trace.NewHist(trace.OpBucketsNs),
@@ -333,21 +331,19 @@ func (s *Server) bucketCostNs(bucket int) int64 {
 	return v
 }
 
-// batcher coalesces queued requests: a batch is dispatched the moment it
-// reaches MaxBatch, when BatchWait has elapsed since its first request,
-// or — under SchedEDF — as soon as admitting one more request would,
-// per EstimateCost, make the batch miss its earliest member deadline.
-// When requests arrive faster than the flush interval the backlog is
-// drained without ever arming the timer, so a saturated server
-// dispatches at queue speed. One timer is reused across batches.
+// batcher coalesces queued requests, work-conserving: while the queue
+// holds requests the batch fills from it, and once the queue is empty an
+// idle worker takes the batch at once — the batch keeps growing from new
+// arrivals only while every worker is busy. A batch that reaches
+// MaxBatch, or — under SchedEDF — whose next request would, per
+// EstimateCost, make it miss its earliest member deadline, closes and
+// waits for the next free worker. batches is unbuffered, so "a worker
+// took it" is exactly "a worker was idle".
 func (s *Server) batcher() {
 	defer s.batcherW.Done()
 	defer close(s.batches)
-	timer := time.NewTimer(0)
-	if !timer.Stop() {
-		<-timer.C
-	}
 	edf := s.opts.Sched == SchedEDF
+next:
 	for {
 		first, ok := s.q.waitPop()
 		if !ok {
@@ -378,57 +374,33 @@ func (s *Server) batcher() {
 				// current batch can still meet: close now.
 				break fill
 			}
-			// Queue empty: wait for a straggler, bounded by BatchWait and
-			// — under EDF — by the slack the batch's own deadlines leave
-			// after the modeled cost of executing one request larger.
-			wait := s.opts.BatchWait - time.Since(t0)
-			if edf {
-				if ed := earliestDeadline(batch, time.Time{}); !ed.IsZero() {
-					if slack := time.Until(ed) - s.EstimateCost(len(batch)+1); slack < wait {
-						wait = slack
-					}
-				}
-			}
-			if wait <= 0 || s.q.closedAndEmpty() {
-				break fill
-			}
-			timer.Reset(wait)
+			// Queue empty: a parked worker takes the batch now; while every
+			// worker is busy, new arrivals keep joining it.
 			select {
+			case s.batches <- batch:
+				s.dispatched(len(batch), t0)
+				continue next
 			case <-s.q.notEmpty:
-				if !timer.Stop() {
-					<-timer.C
-				}
-			case <-timer.C:
-				break fill
 			}
 		}
-		s.dispatch(batch, t0)
+		s.batches <- batch
+		s.dispatched(len(batch), t0)
 	}
 }
 
-// dispatch hands a formed batch to the workers, recording how long the
-// batcher held it open (always into the batch-wait histogram, and as a
-// KindBatchForm span when tracing is armed) and — when the batch
-// carries deadlines — the earliest-deadline slack remaining at
-// dispatch, clamped at zero (the deadline-attainment signal).
-func (s *Server) dispatch(batch []request, t0 time.Time) {
+// dispatched records how long a batch of n that a worker just took
+// waited, from its first request to hand-off: always into the batch-wait
+// histogram, and as a KindBatchForm span when tracing is armed. The
+// worker owns the batch from the hand-off on, so only its size is read.
+func (s *Server) dispatched(n int, t0 time.Time) {
 	wait := time.Since(t0).Nanoseconds()
 	s.batchWait.Observe(wait)
-	if ed := earliestDeadline(batch, time.Time{}); !ed.IsZero() {
-		slack := time.Until(ed).Nanoseconds()
-		if slack < 0 {
-			slack = 0
-		}
-		s.slackHist.Observe(slack)
-	}
 	if s.ring.Active() {
 		s.ring.Record(trace.Span{
 			Start: s.ring.Now() - wait, Dur: wait, Name: s.nmBatchForm,
-			Kind: trace.KindBatchForm, TID: batcherLane,
-			A0: int64(len(batch)),
+			Kind: trace.KindBatchForm, TID: batcherLane, A0: int64(n),
 		})
 	}
-	s.batches <- batch
 }
 
 // batcherLane is the Chrome-trace lane the batcher's spans render on,
@@ -462,16 +434,19 @@ func (s *Server) worker(w int) {
 	yCodes := map[int]*tensor.IntTensor{}
 	sampleN := tensor.Numel(s.sample)
 	for batch := range s.batches {
-		// Drop requests whose deadline passed while queued: replying
-		// ErrDeadlineExceeded without executing is what keeps latency
-		// bounded under overload instead of serving stale work.
-		if hasDeadlines(batch) {
+		// Record the earliest-deadline slack left at dispatch, clamped at
+		// zero (the deadline-attainment signal), and drop requests whose
+		// deadline passed while queued: replying ErrDeadlineExceeded
+		// without executing is what keeps latency bounded under overload
+		// instead of serving stale work.
+		if ed := earliestDeadline(batch, time.Time{}); !ed.IsZero() {
 			now := time.Now()
+			s.slackHist.Observe(max(ed.Sub(now).Nanoseconds(), 0))
 			live := batch[:0]
 			for _, r := range batch {
 				if !r.deadline.IsZero() && now.After(r.deadline) {
 					s.expired.Add(1)
-					r.reply <- reply{err: ErrDeadlineExceeded}
+					r.reply <- reply{idx: r.idx, err: ErrDeadlineExceeded}
 					continue
 				}
 				live = append(live, r)
@@ -492,7 +467,7 @@ func (s *Server) worker(w int) {
 				WithTraceRing(s.ring, int32(w)))
 			if err != nil {
 				for _, r := range batch {
-					r.reply <- reply{err: err}
+					r.reply <- reply{idx: r.idx, err: err}
 				}
 				continue
 			}
@@ -566,23 +541,14 @@ func (s *Server) worker(w int) {
 		outN := yc.Numel() / bucket
 		for i, r := range batch {
 			if err != nil {
-				r.reply <- reply{err: err}
+				r.reply <- reply{idx: r.idx, err: err}
 				continue
 			}
 			yi := tensor.NewInt(append([]int{1}, yc.Shape[1:]...)...)
 			copy(yi.Data, yc.Data[i*outN:(i+1)*outN])
-			r.reply <- reply{codes: yi}
+			r.reply <- reply{idx: r.idx, codes: yi}
 		}
 	}
-}
-
-func hasDeadlines(batch []request) bool {
-	for _, r := range batch {
-		if !r.deadline.IsZero() {
-			return true
-		}
-	}
-	return false
 }
 
 // checkShape validates a request shape against the server's sample
@@ -615,71 +581,92 @@ func (s *Server) Infer(x *tensor.Tensor) (*tensor.Tensor, error) {
 	}
 	codes := tensor.NewInt(x.Shape...)
 	s.prog.InQuant.QuantizeTo(codes, x)
-	out, err := s.inferCodes(codes, time.Time{}, PriNormal, true, 0)
+	out, err := s.inferCodes([]*tensor.IntTensor{codes}, time.Time{}, PriNormal, true, 0)
 	if err != nil {
 		return nil, err
 	}
-	return s.prog.DequantizeOutput(out.Data, out.Shape), nil
+	return s.prog.DequantizeOutput(out[0].Data, out[0].Shape), nil
 }
 
-// TryInferCodes serves one sample already quantized to input codes
-// (I64, shape = sampleShape or [1, sampleShape...]), returning its
-// output codes. This is the serving cache's entry point: the caller
-// quantized once to compute the cache key, and on a miss the exact same
-// codes execute here — so a later hit is bit-identical by construction.
-// It fast-fails with ErrQueueFull instead of blocking when the queue is
-// at capacity, and a non-zero deadline makes workers drop the request
-// unexecuted (ErrDeadlineExceeded) once it expires. class orders the
-// request against other queued work and picks shed victims under
-// overload. A non-zero tid is recorded on the request's queue-wait span,
-// stitching the engine timeline to the HTTP request span that owns it.
-func (s *Server) TryInferCodes(codes *tensor.IntTensor, deadline time.Time, class PriorityClass, tid uint64) (*tensor.IntTensor, error) {
-	if err := s.checkShape(codes.Shape); err != nil {
-		return nil, err
-	}
-	if codes.DType != tensor.I64 || codes.Data == nil {
-		return nil, fmt.Errorf("engine: TryInferCodes needs an I64 code tensor")
+// TryInferCodes serves a group of samples already quantized to input
+// codes (I64, each shaped sampleShape or [1, sampleShape...]), returning
+// their output codes in order. This is the serving cache's entry point:
+// the caller quantized once to compute the cache keys, and on a miss the
+// exact same codes execute here — so a later hit is bit-identical by
+// construction. The group enters the queue as one unit, so on an idle
+// server a group of at most MaxBatch runs as one batch. It fast-fails
+// with ErrQueueFull instead of blocking when the group does not fit,
+// leaving the queue untouched, and a non-zero deadline makes workers
+// drop the samples unexecuted (ErrDeadlineExceeded) once it expires.
+// class orders the group against other queued work and picks shed
+// victims under overload. A non-zero tid is recorded on the samples'
+// queue-wait spans, stitching the engine timeline to the HTTP request
+// span that owns them.
+func (s *Server) TryInferCodes(codes []*tensor.IntTensor, deadline time.Time, class PriorityClass, tid uint64) ([]*tensor.IntTensor, error) {
+	for _, c := range codes {
+		if err := s.checkShape(c.Shape); err != nil {
+			return nil, err
+		}
+		if c.DType != tensor.I64 || c.Data == nil {
+			return nil, fmt.Errorf("engine: TryInferCodes needs I64 code tensors")
+		}
 	}
 	return s.inferCodes(codes, deadline, class, false, tid)
 }
 
-func (s *Server) inferCodes(codes *tensor.IntTensor, deadline time.Time, class PriorityClass, block bool, tid uint64) (*tensor.IntTensor, error) {
+// inferCodes enqueues codes as one group sharing one reply channel and
+// waits for every member. A blocking push (Infer's group of one) waits
+// for queue space instead of shedding.
+func (s *Server) inferCodes(codes []*tensor.IntTensor, deadline time.Time, class PriorityClass, block bool, tid uint64) ([]*tensor.IntTensor, error) {
 	s.mu.RLock()
 	if s.closed {
 		s.mu.RUnlock()
 		return nil, errServerClosed
 	}
-	r := request{codes: codes, deadline: deadline, class: class, reply: make(chan reply, 1)}
+	var enq int64
 	if s.ring.Active() {
-		r.enq = s.ring.Now()
-		r.tid = tid
+		enq = s.ring.Now()
 	}
-	victim, evicted, err := s.q.push(r, block)
+	ch := make(chan reply, len(codes))
+	group := make([]request, len(codes))
+	for i, c := range codes {
+		group[i] = request{codes: c, deadline: deadline, class: class, reply: ch, idx: i, enq: enq, tid: tid}
+	}
+	victims, err := s.q.push(group, block)
+	s.mu.RUnlock()
 	if err != nil {
-		s.mu.RUnlock()
 		if errors.Is(err, ErrQueueFull) {
-			s.countShed(class)
+			s.countShed(class, len(group))
 		}
 		return nil, err
 	}
-	if evicted {
-		s.countShed(victim.class)
-		victim.reply <- reply{err: ErrQueueFull}
+	for _, v := range victims {
+		s.countShed(v.class, 1)
+		v.reply <- reply{idx: v.idx, err: ErrQueueFull}
 	}
-	s.mu.RUnlock()
-	rep := <-r.reply
-	return rep.codes, rep.err
+	out := make([]*tensor.IntTensor, len(codes))
+	for range codes {
+		rep := <-ch
+		if rep.err != nil && err == nil {
+			err = rep.err
+		}
+		out[rep.idx] = rep.codes
+	}
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
-func (s *Server) countShed(class PriorityClass) {
-	s.rejected.Add(1)
+func (s *Server) countShed(class PriorityClass, n int) {
+	s.rejected.Add(int64(n))
 	switch {
 	case class < PriNormal:
-		s.shedHigh.Add(1)
+		s.shedHigh.Add(int64(n))
 	case class > PriNormal:
-		s.shedLow.Add(1)
+		s.shedLow.Add(int64(n))
 	default:
-		s.shedNormal.Add(1)
+		s.shedNormal.Add(int64(n))
 	}
 }
 
@@ -691,9 +678,10 @@ func (s *Server) SampleShape() []int { return append([]int(nil), s.sample...) }
 // the read.
 func (s *Server) QueueDepth() int { return s.q.depth() }
 
-// BatchWait snapshots the always-on batch-formation-wait histogram:
-// the time each dispatched batch sat open in the batcher, from its
-// first request to hand-off.
+// BatchWait snapshots the always-on batch-wait histogram: how long each
+// formed batch waited for a free worker, from its first request to
+// hand-off. An idle server hands a batch over at once, so a mass above
+// the smallest bucket means every worker was busy.
 func (s *Server) BatchWait() trace.HistSnapshot { return s.batchWait.Snapshot() }
 
 // BatchExec snapshots the always-on batch-execution-time histogram —

@@ -85,8 +85,8 @@ func TestServerTryInferQueueFull(t *testing.T) {
 	defer unblock()
 
 	// Hold the single worker mid-execute, then oversubscribe the
-	// pipeline (worker + batches slot + batcher's hand + queue = 4
-	// slots) so the queue stays full until the kernel is released. One
+	// pipeline (worker + batcher's hand + queue = 3 slots) so the queue
+	// stays full until the kernel is released. One
 	// prebuilt input is shared read-only: the RNG is not thread-safe.
 	x := g.Uniform(0, 1, 3, 8, 8)
 	codes := quantize(prog, x)
@@ -120,7 +120,7 @@ func TestServerTryInferQueueFull(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, err := srv.TryInferCodes(codes, time.Time{}, engine.PriNormal, 0)
+			_, err := srv.TryInferCodes([]*tensor.IntTensor{codes}, time.Time{}, engine.PriNormal, 0)
 			if err != nil && !errors.Is(err, engine.ErrQueueFull) {
 				t.Errorf("TryInferCodes returned unexpected error: %v", err)
 			}
@@ -178,7 +178,7 @@ func TestServerDeadlineDropsUnexecuted(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, err := srv.TryInferCodes(quantize(prog, x2), time.Now().Add(20*time.Millisecond), engine.PriNormal, 0)
+		_, err := srv.TryInferCodes([]*tensor.IntTensor{quantize(prog, x2)}, time.Now().Add(20*time.Millisecond), engine.PriNormal, 0)
 		errc <- err
 	}()
 	time.Sleep(50 * time.Millisecond)
@@ -205,33 +205,26 @@ func TestServerArenaBoundedUnderRaggedLoad(t *testing.T) {
 	calib, _ := data.Generate(data.SynthCIFAR10, 32, 8)
 	_, prog := compile(t, smallCNN(g), calib)
 	const maxBatch = 8
-	srv, err := engine.NewServer(prog, []int{3, 8, 8}, engine.ServerOptions{
-		Workers: 1, MaxBatch: maxBatch, BatchWait: 50 * time.Millisecond,
-	})
+	srv, err := engine.NewServer(prog, []int{3, 8, 8}, engine.ServerOptions{Workers: 1, MaxBatch: maxBatch})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
 
-	// Drive bursts of every size 1..MaxBatch; each burst is sent
-	// concurrently and awaited, so the batcher coalesces it into one
-	// batch of exactly that (ragged) size.
+	// Drive a burst of every size 1..MaxBatch; each burst is sent as one
+	// group, which an idle server runs as one batch of exactly that
+	// (ragged) size.
 	for size := 1; size <= maxBatch; size++ {
-		inputs := make([]*tensor.Tensor, size)
-		for i := range inputs {
-			inputs[i] = g.Uniform(0, 1, 1, 3, 8, 8)
+		group := make([]*tensor.IntTensor, size)
+		for i := range group {
+			group[i] = quantize(prog, g.Uniform(0, 1, 1, 3, 8, 8))
 		}
-		var wg sync.WaitGroup
-		for i := 0; i < size; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				if _, err := srv.Infer(inputs[i]); err != nil {
-					t.Error(err)
-				}
-			}(i)
+		if _, err := srv.TryInferCodes(group, time.Time{}, engine.PriNormal, 0); err != nil {
+			t.Fatal(err)
 		}
-		wg.Wait()
+	}
+	if st := srv.Stats(); st.Batches != maxBatch {
+		t.Fatalf("%d ragged groups ran as %d batches, want one each", maxBatch, st.Batches)
 	}
 
 	// Bound: the sum of the power-of-two bucket plans (1, 2, 4, 8) for

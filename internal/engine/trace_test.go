@@ -115,7 +115,7 @@ func TestServerTraceSpans(t *testing.T) {
 	const tid = 77
 	deadline := time.Now().Add(5 * time.Second)
 	x := quantize(prog, g.Uniform(0, 1, 3, 8, 8))
-	if _, err := srv.TryInferCodes(x, deadline, engine.PriNormal, tid); err != nil {
+	if _, err := srv.TryInferCodes([]*tensor.IntTensor{x}, deadline, engine.PriNormal, tid); err != nil {
 		t.Fatal(err)
 	}
 	spans := tr.Snapshot()
@@ -150,7 +150,7 @@ func TestServerTraceSpans(t *testing.T) {
 		}
 	}
 
-	// The always-on batch-wait histogram saw the dispatch, and the
+	// The always-on batch-wait histogram saw the hand-off, and the
 	// queue-depth gauge reads cleanly on an idle server.
 	if bw := srv.BatchWait(); bw.Count < 1 {
 		t.Fatalf("batch-wait count = %d, want >= 1", bw.Count)

@@ -1,0 +1,198 @@
+package serve_test
+
+// The serving side of the batching contract: a request's cache misses
+// are admitted together and enter one replica's queue as one group, so
+// on an idle server they run as one batch; a group that fails admission
+// or meets full queues is refused whole.
+
+import (
+	"errors"
+	"net/http"
+	"net/http/httptest"
+	"sync"
+	"testing"
+	"time"
+
+	"torch2chip/internal/engine"
+	"torch2chip/internal/serve"
+	"torch2chip/internal/tensor"
+)
+
+// samples returns n distinct [1,3,8,8] inputs.
+func samples(g *tensor.RNG, n int) []*tensor.Tensor {
+	xs := make([]*tensor.Tensor, n)
+	for i := range xs {
+		xs[i] = g.Uniform(0, 1, 1, 3, 8, 8)
+	}
+	return xs
+}
+
+// TestBatchContractHTTPPredictIsOneBatch: an HTTP predict of 8 unique
+// samples on an idle server adds exactly one batch of 8.
+func TestBatchContractHTTPPredictIsOneBatch(t *testing.T) {
+	ck, _ := buildCheckpoint(t, 31)
+	reg := serve.NewRegistry(serve.Options{})
+	defer reg.Close()
+	ts := httptest.NewServer(serve.NewHandler(reg, serve.HandlerOptions{}))
+	defer ts.Close()
+	if _, err := reg.Load("cnn", ck, nil); err != nil {
+		t.Fatal(err)
+	}
+
+	const batch = 8
+	g := tensor.NewRNG(1300)
+	pb, err := serve.PredictBody([]int{batch, 3, 8, 8}, g.Uniform(0, 1, batch, 3, 8, 8).Data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := reg.Models()[0].Stats
+	if resp, body := postJSON(t, ts.URL+"/v1/models/cnn:predict", pb); resp.StatusCode != http.StatusOK {
+		t.Fatalf("predict status %d: %s", resp.StatusCode, body)
+	}
+	after := reg.Models()[0].Stats
+	if b, r := after.Batches-before.Batches, after.Requests-before.Requests; b != 1 || r != batch {
+		t.Fatalf("predict of %d samples ran as %d batches over %d samples, want 1 batch of %d", batch, b, r, batch)
+	}
+}
+
+// TestBatchContractOnlyMissesEnqueued: in a request mixing cache hits
+// and misses, only the misses reach the engine, as one group, and every
+// sample — hit or miss — comes back bit-identical in its own position.
+func TestBatchContractOnlyMissesEnqueued(t *testing.T) {
+	ck, im := buildCheckpoint(t, 32)
+	reg := serve.NewRegistry(serve.Options{})
+	defer reg.Close()
+	if _, err := reg.Load("cnn", ck, nil); err != nil {
+		t.Fatal(err)
+	}
+	g := tensor.NewRNG(1301)
+	warm, fresh := samples(g, 3), samples(g, 2)
+	if _, err := reg.PredictBatch("cnn", warm, time.Time{}, engine.PriNormal, 0); err != nil {
+		t.Fatal(err)
+	}
+
+	xs := []*tensor.Tensor{warm[0], fresh[0], warm[1], fresh[1], warm[2]}
+	before := reg.Models()[0].Stats
+	res, err := reg.PredictBatch("cnn", xs, time.Time{}, engine.PriNormal, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := reg.Models()[0].Stats
+	if b, r := after.Batches-before.Batches, after.Requests-before.Requests; b != 1 || r != 2 {
+		t.Fatalf("3 hits + 2 misses ran as %d batches over %d samples, want 1 batch of 2", b, r)
+	}
+	for i, x := range xs {
+		if wantHit := i%2 == 0; res[i].Cached != wantHit {
+			t.Fatalf("sample %d cached = %v, want %v", i, res[i].Cached, wantHit)
+		}
+		assertSame(t, res[i].Y, im.Forward(x), "mixed hit/miss request")
+	}
+}
+
+// TestBatchContractAdmissionReturnsTokens: a group wider than what is
+// left of the in-flight budget is refused whole and gives back every
+// token it took, so the next group that fits is admitted.
+func TestBatchContractAdmissionReturnsTokens(t *testing.T) {
+	ck, _ := buildCheckpoint(t, 33)
+	reg := serve.NewRegistry(serve.Options{MaxInFlight: 4, CacheCapacity: -1})
+	defer reg.Close()
+	if _, err := reg.Load("cnn", ck, nil); err != nil {
+		t.Fatal(err)
+	}
+	g := tensor.NewRNG(1302)
+	for _, tc := range []struct {
+		n     int
+		class engine.PriorityClass
+		err   error
+	}{
+		{5, engine.PriNormal, serve.ErrOverloaded},
+		{4, engine.PriNormal, nil},
+		{4, engine.PriLow, serve.ErrOverloaded}, // the last token is reserved for better classes
+		{3, engine.PriLow, nil},
+		{4, engine.PriNormal, nil},
+	} {
+		if _, err := reg.PredictBatch("cnn", samples(g, tc.n), time.Time{}, tc.class, 0); !errors.Is(err, tc.err) {
+			t.Fatalf("group of %d at %v returned %v, want %v", tc.n, tc.class, err, tc.err)
+		}
+	}
+	if shed := reg.Models()[0].Shed; shed != 9 {
+		t.Fatalf("admission shed %d samples, want 9 (the two refused groups)", shed)
+	}
+}
+
+// TestBatchContractQueueFullFallsThrough holds both replicas' workers
+// and fills their queues unevenly: a group the first replica cannot
+// take enters the second one whole, and a group neither can take is
+// refused whole with both queues unchanged.
+func TestBatchContractQueueFullFallsThrough(t *testing.T) {
+	ck, _ := buildCheckpoint(t, 34)
+	gate := make(chan struct{}, 1)
+	release := make(chan struct{})
+	reg := serve.NewRegistry(serve.Options{
+		Replicas: 2, CacheCapacity: -1,
+		Engine: engine.ServerOptions{Workers: 1, MaxBatch: 1, QueueSize: 3, Kernels: blockingKernels(gate, release)},
+	})
+	defer reg.Close()
+	if _, err := reg.Load("cnn", ck, nil); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	var once sync.Once
+	unblock := func() { once.Do(func() { close(release) }) }
+	defer wg.Wait()
+	defer unblock()
+
+	g := tensor.NewRNG(1303)
+	fire := func(n int) {
+		xs := samples(g, n)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := reg.PredictBatch("cnn", xs, time.Time{}, engine.PriNormal, 0); err != nil {
+				t.Errorf("admitted group of %d failed: %v", n, err)
+			}
+		}()
+	}
+	depth := func(want int) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for reg.Models()[0].QueueDepth != want {
+			if time.Now().After(deadline) {
+				t.Fatalf("queue depth never reached %d (at %d)", want, reg.Models()[0].QueueDepth)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	// Replicas are tried round-robin, starting at replica 1 for the first
+	// group. Hold both workers, then give each batcher a full hand (one
+	// sample, MaxBatch 1) plus queued samples: 2 of replica 1's 3 queue
+	// slots end up taken, and 1 of replica 0's.
+	fire(1) // replica 1's worker
+	<-gate
+	fire(1) // replica 0's worker
+	<-gate
+	fire(3) // replica 1: hand + 2 queued
+	depth(2)
+	fire(2) // replica 0: hand + 1 queued
+	depth(3)
+	// Starts at replica 1, which has one free slot: falls through to
+	// replica 0 and enters it whole.
+	fire(2)
+	depth(5)
+	// Starts at replica 0, now full; replica 1 has one slot for two.
+	before := reg.Models()[0].Stats.Rejected
+	if _, err := reg.PredictBatch("cnn", samples(g, 2), time.Time{}, engine.PriNormal, 0); !errors.Is(err, engine.ErrQueueFull) {
+		t.Fatalf("group meeting two full queues returned %v, want ErrQueueFull", err)
+	}
+	if d := reg.Models()[0].QueueDepth; d != 5 {
+		t.Fatalf("queue depth %d after a refused group, want 5 (unchanged)", d)
+	}
+	if r := reg.Models()[0].Stats.Rejected - before; r != 4 {
+		t.Fatalf("refused group counted %d rejections, want 4 (2 samples × 2 replicas)", r)
+	}
+	unblock()
+	wg.Wait()
+	if st := reg.Models()[0].Stats; st.Requests != 9 {
+		t.Fatalf("served %d samples, want 9", st.Requests)
+	}
+}

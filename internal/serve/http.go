@@ -8,13 +8,11 @@ import (
 	"net/http/pprof"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"torch2chip/internal/engine"
 	"torch2chip/internal/export"
-	"torch2chip/internal/tensor"
 	"torch2chip/internal/trace"
 )
 
@@ -177,14 +175,11 @@ func (h *Handler) models(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// Span lanes of the HTTP layer. Engine workers use their worker index
-// and the batcher uses lane 999, so HTTP spans start at 1000: the
-// request span on httpLane, fan-out spans spread over the next
-// fanoutLanes so concurrent samples don't stack on one Chrome track.
-const (
-	httpLane    = 1000
-	fanoutLanes = 63
-)
+// httpLane is the HTTP layer's span lane. Engine workers use their
+// worker index and the batcher uses lane 999, so HTTP spans start at
+// 1000: the request span on httpLane, its sequential wave spans on the
+// next lane.
+const httpLane = 1000
 
 // traceID resolves the request's trace id: an X-Trace-Id header (hex,
 // non-zero) propagates an upstream id, otherwise a fresh one is drawn
@@ -214,9 +209,9 @@ func resultCode(result string) int64 {
 	}
 }
 
-// predict parses a single or batched input tensor, fans the samples out
-// concurrently (so one batched request coalesces in the micro-batcher),
-// and replies with per-sample logits and argmax classes.
+// predict parses a single or batched input tensor, serves its samples
+// in waves that each enter the micro-batcher as one group, and replies
+// with per-sample logits and argmax classes.
 func (h *Handler) predict(w http.ResponseWriter, r *http.Request, name string) {
 	start := time.Now()
 	sample, err := h.reg.SampleShape(name)
@@ -227,7 +222,7 @@ func (h *Handler) predict(w http.ResponseWriter, r *http.Request, name string) {
 	}
 
 	// When the model's tracer is armed and this request is sampled,
-	// record a request span plus one fan-out span per sample, all
+	// record a request span plus one fan-out span per wave, all
 	// carrying one trace id that the engine stitches into its queue-wait
 	// spans. The untraced path pays one nil-ring branch.
 	ring := h.reg.TraceRing(name)
@@ -292,55 +287,37 @@ func (h *Handler) predict(w http.ResponseWriter, r *http.Request, name string) {
 		return
 	}
 
-	// Fan out at most MaxInFlight samples at a time: each sample is one
-	// admission unit, so a wider batch would exhaust the budget against
-	// itself and 429 even on an idle server. Waves keep any batch size
-	// servable while still shedding against concurrent traffic.
-	width := len(xs)
-	if m := h.reg.MaxInFlight(); m > 0 && m < width {
-		width = m
-	}
+	// Serve the samples in waves of at most waveWidth, each one
+	// PredictBatch call: its cache misses are admitted and enqueued as
+	// one group, so on an idle server a wave of up to MaxBatch misses runs
+	// as one batch. Waves keep any batch size servable while still
+	// shedding against concurrent traffic.
+	width := h.reg.waveWidth()
 	preds := make([]Prediction, len(xs))
-	errs := make([]error, len(xs))
-	slots := make(chan struct{}, width)
-	var wg sync.WaitGroup
-	for i, x := range xs {
-		wg.Add(1)
-		slots <- struct{}{}
-		go func(i int, x *tensor.Tensor) {
-			defer wg.Done()
-			defer func() { <-slots }()
-			var t0 int64
-			if traced {
-				t0 = ring.Now()
-			}
-			res, err := h.reg.Predict(name, x, deadline, class, tid)
-			if traced {
-				code := int64(0)
-				if err != nil {
-					_, res := statusFor(err)
-					code = resultCode(res)
-				}
-				ring.Record(trace.Span{Start: t0, Dur: ring.Now() - t0,
-					Name: nmFanout, Kind: trace.KindFanout,
-					TID: httpLane + 1 + int32(i%fanoutLanes),
-					ID:  tid, A0: int64(i), A1: code})
-			}
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			preds[i] = Prediction{Class: res.Y.Argmax(), Logits: res.Y.Data, Version: res.Version, Cached: res.Cached}
-		}(i, x)
-	}
-	wg.Wait()
-	for _, err := range errs {
+	for lo := 0; lo < len(xs); lo += width {
+		hi := min(lo+width, len(xs))
+		var t0 int64
+		if traced {
+			t0 = ring.Now()
+		}
+		res, err := h.reg.PredictBatch(name, xs[lo:hi], deadline, class, tid)
+		code, result := http.StatusOK, ResultOK
 		if err != nil {
-			code, result := statusFor(err)
+			code, result = statusFor(err)
+		}
+		if traced {
+			ring.Record(trace.Span{Start: t0, Dur: ring.Now() - t0,
+				Name: nmFanout, Kind: trace.KindFanout, TID: httpLane + 1,
+				ID: tid, A0: int64(lo), A1: resultCode(result)})
+		}
+		if err != nil {
 			h.metrics.Observe(name, result, time.Since(start))
 			endSpan(len(xs), result)
 			writeError(w, code, "%v", err)
 			return
+		}
+		for i, r := range res {
+			preds[lo+i] = Prediction{Class: r.Y.Argmax(), Logits: r.Y.Data, Version: r.Version, Cached: r.Cached}
 		}
 	}
 	h.metrics.Observe(name, ResultOK, time.Since(start))

@@ -249,7 +249,7 @@ func (m *Metrics) WriteText(w io.Writer, reg *Registry) {
 	for _, mi := range infos {
 		fmt.Fprintf(w, "t2c_batch_cost_abs_err{model=%q} %g\n", mi.Name, mi.Cost.MeanAbsErr())
 	}
-	fmt.Fprintf(w, "# HELP t2c_batch_wait_seconds Time each dispatched batch sat open in the batcher.\n# TYPE t2c_batch_wait_seconds histogram\n")
+	fmt.Fprintf(w, "# HELP t2c_batch_wait_seconds Time each formed batch waited for a free worker, from its first request to hand-off.\n# TYPE t2c_batch_wait_seconds histogram\n")
 	for _, mi := range infos {
 		writeHistSnapshot(w, "t2c_batch_wait_seconds", fmt.Sprintf("model=%q", mi.Name), mi.BatchWait)
 	}

@@ -151,13 +151,14 @@ func (m *Model) release() {
 	}
 }
 
-// inferCodes round-robins a quantized sample across replicas; a replica
-// reporting a full queue is skipped, and only when every replica is
-// saturated does the queue-full error surface to the caller (under EDF
-// that rejection may name an evicted lower-urgency victim rather than
-// this request). tid is the request trace id stitched into the
-// replica's queue-wait span (0 = untraced).
-func (m *Model) inferCodes(codes *tensor.IntTensor, deadline time.Time, class engine.PriorityClass, tid uint64) (*tensor.IntTensor, error) {
+// inferCodes round-robins a group of quantized samples across replicas;
+// the group enters one replica's queue whole, a replica whose queue
+// cannot take it is skipped, and only when every replica is saturated
+// does the queue-full error surface to the caller (under EDF that
+// rejection may name an evicted lower-urgency victim rather than this
+// group). tid is the request trace id stitched into the replica's
+// queue-wait spans (0 = untraced).
+func (m *Model) inferCodes(codes []*tensor.IntTensor, deadline time.Time, class engine.PriorityClass, tid uint64) ([]*tensor.IntTensor, error) {
 	start := m.rr.Add(1)
 	n := uint64(len(m.pool))
 	for i := uint64(0); i < n; i++ {
@@ -178,7 +179,7 @@ func (m *Model) queueDepth() int {
 	return d
 }
 
-// batchWait merges the replicas' batch-formation-wait histograms.
+// batchWait merges the replicas' batch-wait histograms.
 func (m *Model) batchWait() trace.HistSnapshot {
 	var h trace.HistSnapshot
 	for _, s := range m.pool {
@@ -285,36 +286,38 @@ type entry struct {
 	retired   engine.ServerStats
 }
 
-func (e *entry) admit() bool {
-	select {
-	case e.tokens <- struct{}{}:
-		return true
-	default:
+// admit takes n in-flight tokens, all or nothing: a group that cannot
+// take all n returns every token it took. Shedding is priority-aware:
+// low-class samples are refused while the last quarter of the budget
+// (min 1 token) is all that remains, so under overload PriLow sheds
+// first and better classes keep headroom. With a budget of 1 the reserve
+// is the whole budget — PriLow is never admitted there, which a config
+// that small has opted into.
+func (e *entry) admit(class engine.PriorityClass, n int) bool {
+	limit := cap(e.tokens)
+	if class > engine.PriNormal {
+		limit -= max(cap(e.tokens)/4, 1)
+	}
+	for i := 0; i < n; i++ {
+		if len(e.tokens) < limit {
+			select {
+			case e.tokens <- struct{}{}:
+				continue
+			default:
+			}
+		}
+		e.done(i)
 		return false
 	}
+	return true
 }
 
-// admitClass is admit with priority-aware shedding: low-class requests
-// are refused while the last quarter of the in-flight budget (min 1
-// token) is all that remains, so under overload PriLow sheds first and
-// better classes keep headroom. With a budget of 1 the reserve is the
-// whole budget — PriLow is never admitted there, which a config that
-// small has opted into.
-func (e *entry) admitClass(class engine.PriorityClass) bool {
-	if class > engine.PriNormal {
-		budget := cap(e.tokens)
-		reserve := budget / 4
-		if reserve < 1 {
-			reserve = 1
-		}
-		if len(e.tokens) >= budget-reserve {
-			return false
-		}
+// done returns n in-flight tokens.
+func (e *entry) done(n int) {
+	for ; n > 0; n-- {
+		<-e.tokens
 	}
-	return e.admit()
 }
-
-func (e *entry) done() { <-e.tokens }
 
 func (e *entry) absorb(st engine.ServerStats) {
 	e.retiredMu.Lock()
@@ -324,7 +327,8 @@ func (e *entry) absorb(st engine.ServerStats) {
 
 // Registry maps model names to versioned serving entries.
 type Registry struct {
-	opts Options
+	opts      Options
+	queueSize int // each replica's resolved queue capacity
 
 	mu      sync.RWMutex
 	entries map[string]*entry
@@ -335,7 +339,8 @@ type Registry struct {
 
 // NewRegistry builds an empty registry.
 func NewRegistry(opts Options) *Registry {
-	return &Registry{opts: opts.withDefaults(), entries: map[string]*entry{}}
+	opts = opts.withDefaults()
+	return &Registry{opts: opts, queueSize: opts.Engine.WithDefaults().QueueSize, entries: map[string]*entry{}}
 }
 
 // Load installs a checkpoint under name, creating the entry or — if the
@@ -453,66 +458,92 @@ type PredictResult struct {
 	Cached  bool
 }
 
-// Predict serves one sample through name's current version: quantize,
-// consult the content-addressed cache (hits return immediately,
-// bypassing admission and the batcher), then admit under the request's
-// priority class and run the codes through a replica. The request
-// travels as quantized codes end to end, so a cache hit and a
-// recompute are bit-identical by construction. A non-zero trace id tid
-// is stitched into the replica's queue-wait span, and an admission
-// rejection records a zero-duration admission span against it.
+// Predict serves one sample through name's current version: PredictBatch
+// with a group of one.
 func (r *Registry) Predict(name string, x *tensor.Tensor, deadline time.Time, class engine.PriorityClass, tid uint64) (PredictResult, error) {
-	e := r.lookup(name)
-	if e == nil {
-		return PredictResult{}, ErrNotFound
-	}
-	for {
-		m := e.cur.Load()
-		if m == nil {
-			return PredictResult{}, ErrNotFound
-		}
-		if !m.acquire() {
-			// Retired between the pointer load and the ref grab: the
-			// swap that retired it already published a successor.
-			continue
-		}
-		res, err := r.predictOn(e, m, x, deadline, class, tid)
-		m.release()
-		return res, err
-	}
-}
-
-func (r *Registry) predictOn(e *entry, m *Model, x *tensor.Tensor, deadline time.Time, class engine.PriorityClass, tid uint64) (PredictResult, error) {
-	if err := checkSample(x.Shape, m.Sample); err != nil {
-		return PredictResult{}, err
-	}
-	// Quantize up front: the codes are both the cache key material and —
-	// on a miss — exactly what executes, which is what makes a later hit
-	// provably identical to the recompute it replaced.
-	codes := tensor.NewInt(x.Shape...)
-	m.prog.InQuant.QuantizeTo(codes, x)
-	key := cacheKey(m.fp, codes.Data)
-	if out, shape, ok := e.cache.get(key, codes.Data); ok {
-		return PredictResult{Y: m.prog.DequantizeOutput(out, shape), Version: m.Version, Cached: true}, nil
-	}
-	if !e.admitClass(class) {
-		e.admRejected.Add(1)
-		if ring := e.httpRing; tid != 0 && ring.Active() {
-			ring.Record(trace.Span{Start: ring.Now(), Name: e.nmAdmission,
-				Kind: trace.KindAdmission, TID: httpLane, ID: tid, A0: 1})
-		}
-		return PredictResult{}, ErrOverloaded
-	}
-	defer e.done()
-	out, err := m.inferCodes(codes, deadline, class, tid)
+	res, err := r.PredictBatch(name, []*tensor.Tensor{x}, deadline, class, tid)
 	if err != nil {
 		return PredictResult{}, err
 	}
-	// A put racing a hot reload is harmless: the key embeds the
-	// fingerprint this result was computed under, so a new version never
-	// reads it and LRU churn reclaims the slot.
-	e.cache.put(key, codes.Data, out.Data, out.Shape)
-	return PredictResult{Y: m.prog.DequantizeOutput(out.Data, out.Shape), Version: m.Version}, nil
+	return res[0], nil
+}
+
+// PredictBatch serves samples through name's current version: quantize
+// each, consult the content-addressed cache (hits are answered at once,
+// bypassing admission and the batcher), then admit the misses together
+// under the request's priority class and enqueue them on one replica as
+// one group — on an idle replica, one batch. Samples travel as quantized
+// codes end to end, so a cache hit and a recompute are bit-identical by
+// construction. A non-zero trace id tid is stitched into the replica's
+// queue-wait spans, and an admission rejection records a zero-duration
+// admission span against it.
+func (r *Registry) PredictBatch(name string, xs []*tensor.Tensor, deadline time.Time, class engine.PriorityClass, tid uint64) ([]PredictResult, error) {
+	e := r.lookup(name)
+	if e == nil {
+		return nil, ErrNotFound
+	}
+	m := e.current()
+	if m == nil {
+		return nil, ErrNotFound
+	}
+	defer m.release()
+	res := make([]PredictResult, len(xs))
+	var codes []*tensor.IntTensor // the misses' input codes,
+	var keys []uint64             // their cache keys,
+	var miss []int                // and their positions in xs
+	for i, x := range xs {
+		if err := checkSample(x.Shape, m.Sample); err != nil {
+			return nil, err
+		}
+		// Quantize up front: the codes are both the cache key material and
+		// — on a miss — exactly what executes, which is what makes a later
+		// hit provably identical to the recompute it replaced.
+		c := tensor.NewInt(x.Shape...)
+		m.prog.InQuant.QuantizeTo(c, x)
+		key := cacheKey(m.fp, c.Data)
+		if out, shape, ok := e.cache.get(key, c.Data); ok {
+			res[i] = PredictResult{Y: m.prog.DequantizeOutput(out, shape), Version: m.Version, Cached: true}
+			continue
+		}
+		codes, keys, miss = append(codes, c), append(keys, key), append(miss, i)
+	}
+	if len(codes) == 0 {
+		return res, nil
+	}
+	if !e.admit(class, len(codes)) {
+		e.admRejected.Add(int64(len(codes)))
+		if ring := e.httpRing; tid != 0 && ring.Active() {
+			ring.Record(trace.Span{Start: ring.Now(), Name: e.nmAdmission,
+				Kind: trace.KindAdmission, TID: httpLane, ID: tid, A0: int64(len(codes))})
+		}
+		return nil, ErrOverloaded
+	}
+	defer e.done(len(codes))
+	outs, err := m.inferCodes(codes, deadline, class, tid)
+	if err != nil {
+		return nil, err
+	}
+	for j, out := range outs {
+		// A put racing a hot reload is harmless: the key embeds the
+		// fingerprint this result was computed under, so a new version
+		// never reads it and LRU churn reclaims the slot.
+		e.cache.put(keys[j], codes[j].Data, out.Data, out.Shape)
+		res[miss[j]] = PredictResult{Y: m.prog.DequantizeOutput(out.Data, out.Shape), Version: m.Version}
+	}
+	return res, nil
+}
+
+// current returns e's serving version with a reference held (the caller
+// releases it), or nil once the name is removed.
+func (e *entry) current() *Model {
+	for {
+		m := e.cur.Load()
+		if m == nil || m.acquire() {
+			return m
+		}
+		// Retired between the pointer load and the ref grab: the swap
+		// that retired it already published a successor.
+	}
 }
 
 // checkSample validates a request tensor shape against the model's
@@ -553,10 +584,13 @@ func (r *Registry) TraceRing(name string) *trace.Ring {
 	return nil
 }
 
-// MaxInFlight reports the per-model admission budget, so the HTTP
-// layer can bound a batched request's fan-out to a width that can
-// actually be admitted.
-func (r *Registry) MaxInFlight() int { return r.opts.MaxInFlight }
+// waveWidth bounds how many samples of one HTTP request go to
+// PredictBatch together: each sample takes one in-flight token and one
+// replica queue slot, so a wider group would exhaust the admission
+// budget or a queue against itself and 429 even on an idle server.
+func (r *Registry) waveWidth() int {
+	return min(r.opts.MaxInFlight, r.queueSize)
+}
 
 // SampleShape reports the input shape name currently expects.
 func (r *Registry) SampleShape(name string) ([]int, error) {
@@ -585,8 +619,8 @@ type ModelInfo struct {
 	// QueueDepth is the instantaneous sum of replica queue lengths at
 	// the time the info was taken.
 	QueueDepth int `json:"queue_depth"`
-	// BatchWait is the always-on batch-formation-wait histogram merged
-	// across the live replica pool.
+	// BatchWait is the always-on histogram of how long each formed batch
+	// waited for a free worker, merged across the live replica pool.
 	BatchWait trace.HistSnapshot `json:"batch_wait"`
 	// BatchExec is the measured batch-execution-time histogram — the
 	// measured side of the scheduler's cost model.

@@ -15,9 +15,10 @@ var OpBucketsNs = []int64{
 	10_000_000, 100_000_000, 1_000_000_000,
 }
 
-// BatchWaitBucketsNs bound the batcher's coalescing-wait histogram
-// (10 µs … 1 s): waits cluster at either "queue was hot, no wait" or
-// the configured BatchWait, so coarse decades suffice.
+// BatchWaitBucketsNs bound the histogram of how long a formed batch
+// waited for a free worker (10 µs … 1 s): waits cluster at "a worker
+// was idle, no wait" or near one batch execution time while every
+// worker was busy, so coarse decades suffice.
 var BatchWaitBucketsNs = []int64{
 	10_000, 50_000, 100_000, 500_000,
 	1_000_000, 5_000_000, 10_000_000, 50_000_000,

@@ -42,7 +42,7 @@ const (
 	KindQueueWait                 // request sat in the replica queue
 	KindBatchForm                 // batcher coalescing window
 	KindRequest                   // whole HTTP predict request
-	KindFanout                    // one sample's engine round-trip
+	KindFanout                    // one wave of a request's samples through the registry
 	KindAdmission                 // admission-control decision
 )
 
