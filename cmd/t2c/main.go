@@ -7,12 +7,10 @@
 //	    -weight sawb -act pact -trainer qat -epochs 8 -out out/ \
 //	    -save-inputs 16
 //
-// The serve subcommand loads an exported checkpoint and either starts
-// the network-facing multi-model HTTP server or replays a directory of
-// input tensor files through the batched graph-IR runtime:
+// The serve subcommand loads an exported checkpoint and starts the
+// network-facing multi-model HTTP server:
 //
 //	t2c serve -ckpt out/model_int.json -http :8080
-//	t2c serve -ckpt out/model_int.json -in out/inputs
 package main
 
 import (
@@ -26,7 +24,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
@@ -52,19 +49,17 @@ func main() {
 	runCompile()
 }
 
-// runServe loads a checkpoint's program section and either starts the
-// HTTP serving subsystem (-http) or replays a directory of input tensor
-// files through the micro-batching runtime (-in).
+// runServe loads a checkpoint's program section and starts the HTTP
+// serving subsystem on the -http address.
 func runServe(args []string) {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
-	ckptPath := fs.String("ckpt", "t2c-out/model_int.json", "JSON checkpoint with program section (empty with -http starts with no models)")
-	httpAddr := fs.String("http", "", "listen address for the HTTP serving API (e.g. :8080); empty = replay mode")
-	name := fs.String("name", "default", "model name the checkpoint is registered under (-http mode)")
+	ckptPath := fs.String("ckpt", "t2c-out/model_int.json", "JSON checkpoint with program section (empty starts with no models)")
+	httpAddr := fs.String("http", "", "listen address for the HTTP serving API (e.g. :8080); required")
+	name := fs.String("name", "default", "model name the checkpoint is registered under")
 	shape := fs.String("shape", "", "sample input shape override, e.g. 3,32,32 (for checkpoints without a recorded in_shape)")
-	replicas := fs.Int("replicas", 1, "engine.Server replicas per model (-http mode)")
+	replicas := fs.Int("replicas", 1, "engine.Server replicas per model")
 	maxInFlight := fs.Int("max-inflight", 0, "admission control: max in-flight requests per model (0 = auto)")
 	deadlineFlag := fs.Duration("deadline", 0, "default per-request deadline (0 = none)")
-	inDir := fs.String("in", "", "directory of input tensor JSON files ({\"shape\":[C,H,W],\"data\":[...]})")
 	workers := fs.Int("workers", 0, "serving workers per replica (0 = auto)")
 	maxBatch := fs.Int("max-batch", 8, "micro-batch size")
 	queue := fs.Int("queue", 0, "per-replica request queue capacity (0 = auto)")
@@ -73,12 +68,15 @@ func runServe(args []string) {
 	costProfile := fs.String("cost-profile", "", "BENCH_profile.json with measured per-op ratios to calibrate the batcher's cost model")
 	cacheCap := fs.Int("cache-capacity", 0, "content-addressed inference cache entries per model (0 = default 1024, negative = disabled)")
 	cacheFloor := fs.Float64("cache-floor", 0, "observed hit rate below which cache inserts back off (0 = default 0.02, negative = no floor)")
-	traceOn := fs.Bool("trace", false, "record per-model spans, served at /debug/trace?model=X (-http mode)")
+	traceOn := fs.Bool("trace", false, "record per-model spans, served at /debug/trace?model=X")
 	traceSpans := fs.Int("trace-spans", 0, "span ring capacity per ring with -trace (0 = default 4096)")
 	traceSample := fs.Int("trace-sample", 0, "with -trace, trace one in N HTTP requests (0 = every request)")
-	pprofOn := fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (-http mode)")
+	pprofOn := fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	if err := fs.Parse(args); err != nil {
 		log.Fatal(err)
+	}
+	if *httpAddr == "" {
+		log.Fatal("serve: pass -http with a listen address, e.g. -http :8080")
 	}
 	schedPolicy, err := engine.ParseSchedPolicy(*sched)
 	if err != nil {
@@ -103,95 +101,15 @@ func runServe(args []string) {
 		}
 	}
 
-	if *httpAddr != "" {
-		cfg := serveHTTPConfig{
-			replicas: *replicas, maxInFlight: *maxInFlight,
-			deadline: *deadlineFlag, opt: engine.OptLevel(*opt),
-			pprof: *pprofOn, cacheCap: *cacheCap, cacheFloor: *cacheFloor,
-		}
-		if *traceOn {
-			cfg.trace = &trace.Config{RingSpans: *traceSpans, SampleEvery: *traceSample}
-		}
-		runServeHTTP(*httpAddr, *ckptPath, *name, sample, engOpts, cfg)
-		return
+	cfg := serveHTTPConfig{
+		replicas: *replicas, maxInFlight: *maxInFlight,
+		deadline: *deadlineFlag, opt: engine.OptLevel(*opt),
+		pprof: *pprofOn, cacheCap: *cacheCap, cacheFloor: *cacheFloor,
 	}
-	if *inDir == "" {
-		log.Fatal("serve: pass -http to start the server or -in to replay a directory (export with -save-inputs to generate one)")
+	if *traceOn {
+		cfg.trace = &trace.Config{RingSpans: *traceSpans, SampleEvery: *traceSample}
 	}
-
-	ck := readCheckpoint(*ckptPath)
-	prog, err := engine.FromCheckpoint(ck)
-	if err != nil {
-		log.Fatal(err)
-	}
-	// Version-1 checkpoints carry unfused programs; optimize on load so
-	// old artifacts serve at current speed (bit-identity is preserved).
-	if lvl := engine.OptLevel(*opt); prog.OptLevel < lvl {
-		prog = engine.Optimize(prog, lvl)
-	}
-
-	files, err := filepath.Glob(filepath.Join(*inDir, "*.json"))
-	if err != nil {
-		log.Fatal(err)
-	}
-	sort.Strings(files)
-	if len(files) == 0 {
-		log.Fatalf("serve: no *.json inputs in %s", *inDir)
-	}
-	inputs := make([]*tensor.Tensor, len(files))
-	for i, fn := range files {
-		fp, err := os.Open(fn)
-		if err != nil {
-			log.Fatal(err)
-		}
-		it, err := export.ReadInputJSON(fp)
-		fp.Close()
-		if err != nil {
-			log.Fatalf("serve: %s: %v", fn, err)
-		}
-		shape := it.Shape
-		if len(shape) == 4 && shape[0] == 1 {
-			shape = shape[1:]
-		}
-		inputs[i] = tensor.FromSlice(it.Data, shape...)
-		// Every file must agree on the sample shape: equal element count
-		// with a different layout would be silently misinterpreted.
-		if i > 0 && fmt.Sprint(shape) != fmt.Sprint(inputs[0].Shape) {
-			log.Fatalf("serve: %s has shape %v, but %s set the sample shape to %v",
-				fn, shape, filepath.Base(files[0]), inputs[0].Shape)
-		}
-	}
-	srv, err := engine.NewServer(prog, inputs[0].Shape, engOpts)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer srv.Close()
-
-	results := make([]*tensor.Tensor, len(inputs))
-	errs := make([]error, len(inputs))
-	start := time.Now()
-	var wg sync.WaitGroup
-	for i := range inputs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i], errs[i] = srv.Infer(inputs[i])
-		}(i)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	for i, fn := range files {
-		if errs[i] != nil {
-			fmt.Printf("%-30s ERROR %v\n", filepath.Base(fn), errs[i])
-			continue
-		}
-		fmt.Printf("%-30s class %d\n", filepath.Base(fn), results[i].Argmax())
-	}
-	st := srv.Stats()
-	fmt.Printf("served %d requests in %s (%.0f req/s), %d batches, mean batch %.2f\n",
-		st.Requests, elapsed.Round(time.Millisecond),
-		float64(st.Requests)/elapsed.Seconds(), st.Batches, st.MeanBatch())
+	runServeHTTP(*httpAddr, *ckptPath, *name, sample, engOpts, cfg)
 }
 
 // instrKindSummary renders per-OpKind instruction counts (sorted by

@@ -372,10 +372,15 @@ func ReadInputJSON(r io.Reader) (*InputTensor, error) {
 	if err := json.NewDecoder(r).Decode(&t); err != nil {
 		return nil, err
 	}
+	// Stop as soon as the running product passes len(Data): the product
+	// then never overflows, so a huge shape cannot wrap to a small count.
 	n := 1
 	for _, s := range t.Shape {
 		if s <= 0 {
 			return nil, fmt.Errorf("export: bad input shape %v", t.Shape)
+		}
+		if n > len(t.Data)/s {
+			return nil, fmt.Errorf("export: input shape %v does not match %d values", t.Shape, len(t.Data))
 		}
 		n *= s
 	}

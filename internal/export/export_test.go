@@ -171,6 +171,25 @@ func TestCheckpointRejectsUnknownFormat(t *testing.T) {
 	}
 }
 
+func TestReadInputJSONValidatesShape(t *testing.T) {
+	in, err := ReadInputJSON(strings.NewReader(`{"shape":[2,3],"data":[1,2,3,4,5,6]}`))
+	if err != nil || len(in.Data) != 6 {
+		t.Fatalf("valid input: %v, %+v", err, in)
+	}
+	for _, body := range []string{
+		`{"shape":[2,3],"data":[1,2,3,4,5]}`,
+		`{"shape":[0,3],"data":[]}`,
+		`{"shape":[-1,3],"data":[1,2,3]}`,
+		// 2^58 × 3 × 8 × 8 wraps int64 to 0, which would match the empty data.
+		`{"shape":[288230376151711744,3,8,8],"data":[]}`,
+		`{"shape":[9223372036854775807,9223372036854775807],"data":[1]}`,
+	} {
+		if _, err := ReadInputJSON(strings.NewReader(body)); err == nil {
+			t.Fatalf("%s: want a shape error", body)
+		}
+	}
+}
+
 func TestQIntPackDensity(t *testing.T) {
 	g := tensor.NewRNG(6)
 	codes := randCodes(g, 16, 4)

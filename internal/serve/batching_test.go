@@ -41,7 +41,7 @@ func TestBatchContractHTTPPredictIsOneBatch(t *testing.T) {
 
 	const batch = 8
 	g := tensor.NewRNG(1300)
-	pb, err := serve.PredictBody([]int{batch, 3, 8, 8}, g.Uniform(0, 1, batch, 3, 8, 8).Data)
+	pb, err := predictBody([]int{batch, 3, 8, 8}, g.Uniform(0, 1, batch, 3, 8, 8).Data)
 	if err != nil {
 		t.Fatal(err)
 	}

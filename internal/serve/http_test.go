@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -29,6 +30,11 @@ func postJSON(t *testing.T, url string, body []byte) (*http.Response, []byte) {
 		t.Fatal(err)
 	}
 	return resp, b
+}
+
+// predictBody marshals one predict payload.
+func predictBody(shape []int, data []float32) ([]byte, error) {
+	return json.Marshal(export.InputTensor{Shape: shape, Data: data})
 }
 
 func checkpointBody(t *testing.T, ck *export.Checkpoint) []byte {
@@ -74,7 +80,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 	// Single-sample predict, bit-identical to the interpreter.
 	g := tensor.NewRNG(500)
 	x := g.Uniform(0, 1, 1, 3, 8, 8)
-	pb, err := serve.PredictBody([]int{3, 8, 8}, x.Data)
+	pb, err := predictBody([]int{3, 8, 8}, x.Data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +108,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 	// Batched predict: shape [N, sample...], one prediction per sample.
 	const batch = 3
 	xb := g.Uniform(0, 1, batch, 3, 8, 8)
-	pb, err = serve.PredictBody([]int{batch, 3, 8, 8}, xb.Data)
+	pb, err = predictBody([]int{batch, 3, 8, 8}, xb.Data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +160,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 	// checkpoint content is identical, so the fingerprint-keyed cache
 	// stays warm across the reload and serves this as a hit —
 	// bit-identical logits, no engine execution.
-	pbr, err := serve.PredictBody([]int{3, 8, 8}, x.Data)
+	pbr, err := predictBody([]int{3, 8, 8}, x.Data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +183,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 	// A fresh input still executes: bound executors make the memory
 	// gauges below live for the reloaded pool.
 	xf := g.Uniform(0, 1, 1, 3, 8, 8)
-	pbf, err := serve.PredictBody([]int{3, 8, 8}, xf.Data)
+	pbf, err := predictBody([]int{3, 8, 8}, xf.Data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,23 +261,26 @@ func TestHTTPRejectsBadRequests(t *testing.T) {
 
 	// Unknown model.
 	g := tensor.NewRNG(600)
-	pb, _ := serve.PredictBody([]int{3, 8, 8}, g.Uniform(0, 1, 3, 8, 8).Data)
+	pb, _ := predictBody([]int{3, 8, 8}, g.Uniform(0, 1, 3, 8, 8).Data)
 	resp, _ := postJSON(t, ts.URL+"/v1/models/nope:predict", pb)
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown model status %d, want 404", resp.StatusCode)
 	}
 
 	// Transposed layout with matching element count.
-	bad, _ := serve.PredictBody([]int{8, 8, 3}, g.Uniform(0, 1, 8, 8, 3).Data)
+	bad, _ := predictBody([]int{8, 8, 3}, g.Uniform(0, 1, 8, 8, 3).Data)
 	resp, body := postJSON(t, ts.URL+"/v1/models/cnn:predict", bad)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("transposed input status %d (%s), want 400", resp.StatusCode, body)
 	}
 
-	// Garbage payloads.
-	resp, _ = postJSON(t, ts.URL+"/v1/models/cnn:predict", []byte("{"))
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("garbage predict status %d, want 400", resp.StatusCode)
+	// Garbage payloads, including a shape whose element count wraps int64
+	// to 0 and so would match the empty data.
+	for _, b := range []string{"{", `{"shape":[288230376151711744,3,8,8],"data":[]}`} {
+		resp, body = postJSON(t, ts.URL+"/v1/models/cnn:predict", []byte(b))
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("predict %s status %d (%s), want 400", b, resp.StatusCode, body)
+		}
 	}
 	resp, _ = postJSON(t, ts.URL+"/v1/models/other", []byte("not a checkpoint"))
 	if resp.StatusCode != http.StatusBadRequest {
@@ -316,7 +325,7 @@ func TestHTTPDeadlineExpiredAtAdmission(t *testing.T) {
 	// A large batch makes body decode reliably outlast the 1 ms deadline.
 	g := tensor.NewRNG(601)
 	x := g.Uniform(0, 1, 256, 3, 8, 8)
-	pb, err := serve.PredictBody([]int{256, 3, 8, 8}, x.Data)
+	pb, err := predictBody([]int{256, 3, 8, 8}, x.Data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +354,7 @@ func TestHTTPOverloadReturns429(t *testing.T) {
 	}
 
 	g := tensor.NewRNG(700)
-	pb, _ := serve.PredictBody([]int{3, 8, 8}, g.Uniform(0, 1, 3, 8, 8).Data)
+	pb, _ := predictBody([]int{3, 8, 8}, g.Uniform(0, 1, 3, 8, 8).Data)
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -389,7 +398,7 @@ func TestHTTPBatchWiderThanAdmissionBudget(t *testing.T) {
 
 	const batch = 6
 	g := tensor.NewRNG(800)
-	pb, err := serve.PredictBody([]int{batch, 3, 8, 8}, g.Uniform(0, 1, batch, 3, 8, 8).Data)
+	pb, err := predictBody([]int{batch, 3, 8, 8}, g.Uniform(0, 1, batch, 3, 8, 8).Data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,34 +415,70 @@ func TestHTTPBatchWiderThanAdmissionBudget(t *testing.T) {
 	}
 }
 
-func TestRunLoadClosedLoop(t *testing.T) {
+// TestHTTPConcurrentPredicts: 4 clients × 16 back-to-back POSTs against
+// a default-options server all succeed, none is shed with 429, and every
+// response is bit-identical to a sequential predict of the same body on
+// a server without a cache.
+func TestHTTPConcurrentPredicts(t *testing.T) {
+	const clients, perClient, distinct = 4, 16, 8
 	ck, _ := buildCheckpoint(t, 8)
-	reg := serve.NewRegistry(serve.Options{})
-	defer reg.Close()
-	ts := httptest.NewServer(serve.NewHandler(reg, serve.HandlerOptions{}))
-	defer ts.Close()
-	if _, err := reg.Load("cnn", ck, nil); err != nil {
-		t.Fatal(err)
+	newServer := func(opts serve.Options) *httptest.Server {
+		reg := serve.NewRegistry(opts)
+		t.Cleanup(reg.Close)
+		if _, err := reg.Load("cnn", ck, nil); err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(serve.NewHandler(reg, serve.HandlerOptions{}))
+		t.Cleanup(ts.Close)
+		return ts
+	}
+	ts := newServer(serve.Options{})
+	ref := newServer(serve.Options{CacheCapacity: -1})
+
+	// Each client cycles the same bodies from a different offset, so equal
+	// bodies are in flight at once and the cache serves some of them.
+	g := tensor.NewRNG(1000)
+	bodies := make([][]byte, distinct)
+	want := make([]serve.Prediction, distinct)
+	for i := range bodies {
+		var err error
+		if bodies[i], err = predictBody([]int{3, 8, 8}, g.Uniform(0, 1, 3, 8, 8).Data); err != nil {
+			t.Fatal(err)
+		}
+		resp, body := postJSON(t, ref.URL+"/v1/models/cnn:predict", bodies[i])
+		var pr serve.PredictResponse
+		if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &pr) != nil || len(pr.Predictions) != 1 {
+			t.Fatalf("sequential predict %d: status %d: %s", i, resp.StatusCode, body)
+		}
+		want[i] = pr.Predictions[0]
 	}
 
-	body, err := serve.RandomBody([]int{3, 8, 8}, 1, 1)
-	if err != nil {
-		t.Fatal(err)
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for k := 0; k < perClient; k++ {
+				i := (c*3 + k) % distinct
+				resp, err := http.Post(ts.URL+"/v1/models/cnn:predict", "application/json", bytes.NewReader(bodies[i]))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var pr serve.PredictResponse
+				err = json.NewDecoder(resp.Body).Decode(&pr)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK || err != nil || len(pr.Predictions) != 1 {
+					t.Errorf("client %d request %d: status %d, decode %v", c, k, resp.StatusCode, err)
+					return
+				}
+				got := pr.Predictions[0]
+				if got.Class != want[i].Class || !slices.Equal(got.Logits, want[i].Logits) {
+					t.Errorf("client %d body %d: got %v, sequential %v", c, i, got, want[i])
+					return
+				}
+			}
+		}(c)
 	}
-	rep, err := serve.RunLoad(serve.LoadOptions{
-		URL: ts.URL, Model: "cnn", Body: body,
-		Mode: "closed", Clients: 4, MaxRequests: 64,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.OK < 64 || rep.Errors > 0 || rep.Rejected > 0 {
-		t.Fatalf("load report %+v, want ≥64 ok and no failures", rep)
-	}
-	if rep.P50Ns <= 0 || rep.P99Ns < rep.P50Ns || rep.ThroughputRPS <= 0 {
-		t.Fatalf("latency stats %+v look wrong", rep)
-	}
-	if fmt.Sprint(serve.FormatLoadReport(rep)) == "" {
-		t.Fatal("empty report")
-	}
+	wg.Wait()
 }

@@ -2,9 +2,8 @@
 // of internal/engine: a registry of named, versioned models loaded from
 // exported checkpoints, each backed by a pool of engine.Server replicas,
 // with atomic hot reload, admission control (bounded queues, max
-// in-flight, per-request deadlines), an HTTP/JSON API, Prometheus-style
-// metrics, and a load generator used by cmd/t2c-load and the serve
-// benchmark.
+// in-flight, per-request deadlines), an HTTP/JSON API and
+// Prometheus-style metrics.
 //
 // The invariant inherited from the engine holds end to end: every
 // response served over HTTP is bit-identical to IntModel.Forward of the

@@ -54,7 +54,7 @@ func TestHTTPDebugTrace(t *testing.T) {
 
 	g := tensor.NewRNG(900)
 	x := g.Uniform(0, 1, 2, 3, 8, 8) // two samples → fan-out spans
-	pb, err := serve.PredictBody([]int{2, 3, 8, 8}, x.Data)
+	pb, err := predictBody([]int{2, 3, 8, 8}, x.Data)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,16 +1,36 @@
 #!/usr/bin/env bash
 # End-to-end serving smoke test: compile a quick model, start the HTTP
-# server, check /healthz and a predict response, fire a short t2c-load
-# burst, and verify /metrics counted it. Run from the repo root; CI runs
-# this on every push.
+# server, check /healthz and a predict response, fire a concurrent curl
+# burst, verify /metrics counted it, and shut the server down gracefully.
+# Run from the repo root; CI runs this on every push. No child process
+# outlives the script.
 set -euo pipefail
 
 OUT=$(mktemp -d)
 PORT="${SERVE_SMOKE_PORT:-18080}"
 URL="http://127.0.0.1:${PORT}"
 SERVER_PID=""
+LOAD_PIDS=()
+
+# stop_server sends SIGTERM, gives the server 15 s to drain and exit,
+# SIGKILLs it past that, and returns its exit status.
+stop_server() {
+  kill -TERM "$1" 2>/dev/null || true
+  for _ in $(seq 1 150); do
+    kill -0 "$1" 2>/dev/null || break
+    sleep 0.1
+  done
+  kill -KILL "$1" 2>/dev/null && echo "server ignored SIGTERM for 15 s" >&2
+  wait "$1"
+}
+
+# cleanup stops the burst loops (each reaps its own curl, so none is
+# orphaned), then the server.
 cleanup() {
-  [ -n "$SERVER_PID" ] && kill "$SERVER_PID" 2>/dev/null || true
+  touch "$OUT/stop"
+  pkill -f -- "$OUT/inputs/" 2>/dev/null || true
+  for p in "${LOAD_PIDS[@]}"; do wait "$p" 2>/dev/null || true; done
+  if [ -n "$SERVER_PID" ]; then stop_server "$SERVER_PID" || true; fi
   rm -rf "$OUT"
 }
 trap cleanup EXIT
@@ -18,11 +38,16 @@ trap cleanup EXIT
 echo "== build =="
 go build ./...
 go build -o "$OUT/t2c" ./cmd/t2c
-go build -o "$OUT/t2c-load" ./cmd/t2c-load
 
 echo "== compile a quick model =="
 "$OUT/t2c" -model resnet20 -dataset cifar10 -trainer qat -epochs 1 \
   -train-n 48 -test-n 16 -formats json -save-inputs 2 -out "$OUT"
+
+echo "== serve without -http fails and names the flag =="
+if "$OUT/t2c" serve -ckpt "$OUT/model_int.json" >"$OUT/nohttp.log" 2>&1; then
+  echo "t2c serve without -http exited 0"; exit 1
+fi
+grep -q -- '-http' "$OUT/nohttp.log" || { echo "missing-flag message does not name -http:"; cat "$OUT/nohttp.log"; exit 1; }
 
 echo "== start the HTTP server =="
 # Redirect the server's stdio: the background child must not hold the
@@ -72,34 +97,53 @@ SPRED=$(curl -fsS -X POST --data-binary @"$OUT/sparse/inputs/input_000.json" \
   "$URL/v1/models/sparse:predict")
 echo "$SPRED" | grep -q '"predictions"' || { echo "bad sparse predict response: $SPRED"; exit 1; }
 
-echo "== t2c-load burst =="
-# The payload comes from an exported input file, so the burst always
-# matches the compiled model's sample shape.
-"$OUT/t2c-load" -url "$URL" -model default -in "$OUT/inputs/input_000.json" \
-  -mode closed -clients 8 -duration 2s -json "$OUT/load.json"
-grep -q '"errors": 0,' "$OUT/load.json" || { echo "load burst had errors:"; cat "$OUT/load.json"; exit 1; }
-if grep -q '"ok": 0,' "$OUT/load.json"; then
-  echo "load burst served nothing:"; cat "$OUT/load.json"; exit 1
-fi
+echo "== concurrent curl burst =="
+# 8 loops of 16 back-to-back POSTs. The payload comes from an exported
+# input file, so the burst always matches the compiled model's sample
+# shape. Each loop writes one HTTP status per request (000 = no answer).
+for c in $(seq 1 8); do
+  (
+    for _ in $(seq 1 16); do
+      [ -e "$OUT/stop" ] && break
+      curl -s -o /dev/null -w '%{http_code}\n' --max-time 10 -X POST \
+        --data-binary @"$OUT/inputs/input_000.json" \
+        "$URL/v1/models/default:predict" || true
+    done >"$OUT/codes.$c"
+  ) &
+  LOAD_PIDS+=("$!")
+done
+for p in "${LOAD_PIDS[@]}"; do wait "$p"; done
+LOAD_PIDS=()
+SENT=$(cat "$OUT"/codes.* | wc -l)
+OK=$(cat "$OUT"/codes.* | grep -cx 200 || true)
+[ "$OK" -gt 0 ] && [ "$OK" = "$SENT" ] || {
+  echo "burst: $OK of $SENT requests answered 200:"; sort "$OUT"/codes.* | uniq -c; exit 1
+}
 
 echo "== repeated predict is served from the inference cache =="
-# The burst replayed input_000.json, and the earlier hot reload kept the
-# program fingerprint, so this replay must answer from the warm cache.
+# The burst repeated input_000.json, and the earlier hot reload kept the
+# program fingerprint, so this predict must answer from the warm cache.
 CPRED=$(curl -fsS -X POST --data-binary @"$OUT/inputs/input_000.json" \
   "$URL/v1/models/default:predict")
 echo "$CPRED" | grep -q '"cached":true' || { echo "repeat predict missed the cache: $CPRED"; exit 1; }
 
-echo "== zipf trace through t2c-load reports the cache hit rate =="
-# The quick cifar10 compile downsamples to 3x16x16 samples; the distinct
-# pool payloads also force engine executes on the post-reload version.
-"$OUT/t2c-load" -url "$URL" -model default -shape 3,16,16 \
-  -zipf 1.1 -zipf-n 8 -mode closed -clients 4 -duration 2s \
-  -json "$OUT/zipf.json" | tee "$OUT/zipf.log"
-grep -q '"errors": 0,' "$OUT/zipf.json" || { echo "zipf burst had errors:"; cat "$OUT/zipf.json"; exit 1; }
-if grep -q '"ok": 0,' "$OUT/zipf.json"; then
-  echo "zipf burst served nothing:"; cat "$OUT/zipf.json"; exit 1
-fi
-grep -q 'cache hit rate' "$OUT/zipf.log" || { echo "t2c-load printed no cache stats"; exit 1; }
+echo "== alternating two inputs moves both cache counters =="
+# input_001.json is new to the cache: its first predict misses and
+# executes on the post-reload version, the later ones hit.
+counter() {
+  curl -fsS "$URL/metrics" | sed -n "s/^$1{model=\"default\"} //p"
+}
+HITS0=$(counter t2c_cache_hits_total)
+MISSES0=$(counter t2c_cache_misses_total)
+for i in $(seq 0 7); do
+  curl -fsS -o /dev/null -X POST --data-binary @"$OUT/inputs/input_00$((i % 2)).json" \
+    "$URL/v1/models/default:predict"
+done
+HITS1=$(counter t2c_cache_hits_total)
+MISSES1=$(counter t2c_cache_misses_total)
+[ $((HITS1 - HITS0)) -gt 0 ] && [ $((MISSES1 - MISSES0)) -gt 0 ] || {
+  echo "cache deltas: hits $HITS0 -> $HITS1, misses $MISSES0 -> $MISSES1"; exit 1
+}
 
 echo "== metrics counted the traffic =="
 METRICS=$(curl -fsS "$URL/metrics")
@@ -164,5 +208,12 @@ echo "$METRICS" | grep -q 't2c_engine_parallel_fraction{model="default"}'
 # it must parse as a non-negative integer.
 WAVES=$(echo "$METRICS" | sed -n 's/^t2c_engine_waves{model="vit"} //p')
 [ -n "$WAVES" ] && [ "$WAVES" -ge 0 ] || { echo "vit waves gauge missing: '$WAVES'"; exit 1; }
+
+echo "== SIGTERM shuts the server down gracefully =="
+STATUS=0
+stop_server "$SERVER_PID" || STATUS=$?
+SERVER_PID=""
+[ "$STATUS" = 0 ] || { echo "server exited with status $STATUS"; cat "$OUT/server.log"; exit 1; }
+grep -q 'shutting down' "$OUT/server.log" || { echo "no shutdown line in the server log"; cat "$OUT/server.log"; exit 1; }
 
 echo "serve smoke OK"
