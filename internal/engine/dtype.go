@@ -6,9 +6,12 @@ package engine
 // range-preserving ops), so the narrowest legal storage dtype per buffer
 // is a pure function of the program. Lower annotates fresh programs,
 // Optimize re-annotates after fusion rewrites the epilogues, and the
-// typed executor plans its arenas from the annotation — demoting any
-// conv/linear instruction that cannot take the int32-accumulate fast
-// path back to I64 storage so the legacy kernels run it bit-identically.
+// typed executor plans its arenas from the annotation unchanged. The
+// storage pass additionally decides, per conv/linear instruction, the
+// accumulator width its kernel binds (int32 where the bound below holds,
+// int64 otherwise) and whether the SWAR lane bound holds; both kernel
+// widths load and store any storage dtype, so storage is never widened
+// for a kernel.
 
 import (
 	"fmt"
@@ -115,9 +118,9 @@ func (p *Program) AnnotateDTypes() error {
 func (p *Program) Annotated() bool { return p.BufDTypes != nil }
 
 // storageInfo is the resolved typed-storage decision: the per-buffer
-// storage dtype after demotions, per instruction whether conv/linear
-// takes the narrow int32-accumulate path, and whether it may additionally
-// take the SWAR lane-packed path (a strict subset of typed).
+// storage dtype, per instruction whether conv/linear accumulates in
+// int32 (typed), and whether it may additionally take the SWAR
+// lane-packed path (a strict subset of typed).
 type storageInfo struct {
 	dts   []tensor.DType
 	typed []bool
@@ -157,13 +160,10 @@ func accBound(k, rawMax, wAbs int64) bool {
 }
 
 // storage resolves (and caches) the typed-storage plan. Unannotated
-// programs get all-I64 storage and no narrow instructions — exactly the
-// pre-typed engine. Annotated programs start from BufDTypes; every
-// conv/linear whose weights do not fit int8 or whose accumulator bound
-// exceeds int32 is demoted: it runs on the legacy I64 kernels, so its
-// operand and output buffers (and their flatten aliases, which must
-// share storage) are forced to I64. Neighbouring instructions stay
-// narrow — the typed kernels load and store any storage dtype.
+// programs get all-I64 storage and no int32 instructions. Annotated
+// programs store every buffer at its BufDTypes dtype; a conv/linear
+// accumulates in int32 when its weights fit int8 and its accumulator
+// bound fits int32, and binds the int64 kernels otherwise.
 func (p *Program) storage() (*storageInfo, error) {
 	packInitMu.Lock()
 	st := p.stor
@@ -189,36 +189,6 @@ func (p *Program) storage() (*storageInfo, error) {
 		return nil, err
 	}
 
-	// Flatten outputs alias their input storage (the kernel is a no-op),
-	// so a demotion must widen the whole alias group, not one member.
-	group := make([]int, p.NumBufs)
-	for i := range group {
-		group[i] = i
-	}
-	var find func(int) int
-	find = func(b int) int {
-		for group[b] != b {
-			group[b] = group[group[b]]
-			b = group[b]
-		}
-		return b
-	}
-	for i := range p.Instrs {
-		if p.Instrs[i].Kind == OpFlatten {
-			group[find(p.Instrs[i].Out)] = find(p.Instrs[i].In[0])
-		}
-	}
-	members := map[int][]int{}
-	for b := 0; b < p.NumBufs; b++ {
-		r := find(b)
-		members[r] = append(members[r], b)
-	}
-	forceI64 := func(b int) {
-		for _, m := range members[find(b)] {
-			st.dts[m] = tensor.I64
-		}
-	}
-
 	spar := p.sparsity()
 	for i := range p.Instrs {
 		it := &p.Instrs[i]
@@ -232,47 +202,19 @@ func (p *Program) storage() (*storageInfo, error) {
 		// reduce to the full K exactly as before.
 		k := spar[i].maxRowNnz
 		wMin, wMax := maxAbsWeight(it.W)
-		wAbs := wMax
-		if -wMin > wAbs {
-			wAbs = -wMin
-		}
-		ok := wMin >= -128 && wMax <= 127 && accBound(k, rng[it.In[0]].maxAbs(), wAbs)
-		st.typed[i] = ok
-		if !ok {
-			for _, b := range it.In {
-				forceI64(b)
-			}
-			forceI64(it.Out)
-		}
-	}
+		wAbs := max(wMax, -wMin)
+		st.typed[i] = wMin >= -128 && wMax <= 127 && accBound(k, rng[it.In[0]].maxAbs(), wAbs)
 
-	// SWAR eligibility is decided after all demotions settled: the packed
-	// microkernel gathers activations as biased bytes, so the input's
-	// resolved storage must be 8-bit, and the biased dot product must fit
-	// one 32-bit lane. Grouped convs keep the direct kernel — channel
-	// pairing has nothing to pack there.
-	for i := range p.Instrs {
-		it := &p.Instrs[i]
-		if !st.typed[i] {
-			continue
-		}
-		if it.Kind == OpConv && it.P.Groups > 1 {
-			continue
-		}
-		var k int64
-		if it.Kind == OpConv {
-			k = int64(it.W.Shape[1] * it.W.Shape[2] * it.W.Shape[3])
-		} else if it.Kind == OpLinear {
-			k = int64(it.W.Shape[1])
-		} else {
-			continue
-		}
+		// SWAR eligibility: the packed microkernel gathers activations as
+		// biased bytes, so the input's storage must be 8-bit, and the
+		// biased full-K dot product must fit one 32-bit lane. Grouped
+		// convs keep the direct kernel — channel pairing has nothing to
+		// pack there.
 		ad := st.dts[it.In[0]]
-		if ad != tensor.I8 && ad != tensor.U8 {
+		if !st.typed[i] || (it.Kind == OpConv && it.P.Groups > 1) || (ad != tensor.I8 && ad != tensor.U8) {
 			continue
 		}
-		wMin, wMax := maxAbsWeight(it.W)
-		st.swar[i] = swarEligible(k, ad, wMin, wMax)
+		st.swar[i] = swarEligible(int64(it.W.Numel()/it.W.Shape[0]), ad, wMin, wMax)
 		// The pair-skipping kernel only ever sums live positions, so its
 		// lane bound is the largest per-(panel, pair) live count.
 		if spar[i].skip != nil {

@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"bytes"
+	"strings"
 	"sync"
 	"testing"
 
@@ -54,9 +55,9 @@ func smallCNN(g *tensor.RNG) nn.Layer {
 
 // assertBitIdentical checks that the program reproduces the interpreter's
 // output codes and logits exactly on batch inputs.
-func assertBitIdentical(t *testing.T, im *fuse.IntModel, prog *engine.Program, x *tensor.Tensor, reg *engine.Registry) {
+func assertBitIdentical(t *testing.T, im *fuse.IntModel, prog *engine.Program, x *tensor.Tensor, reg *engine.Registry, opts ...engine.ExecOption) {
 	t.Helper()
-	ex, err := engine.NewExecutor(prog, x.Shape, engine.WithKernels(reg))
+	ex, err := engine.NewExecutor(prog, x.Shape, append([]engine.ExecOption{engine.WithKernels(reg)}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,6 +82,22 @@ func assertBitIdentical(t *testing.T, im *fuse.IntModel, prog *engine.Program, x
 	for i := range want.Data {
 		if want.Data[i] != got.Data[i] {
 			t.Fatalf("logit[%d] = %v, interpreter %v", i, got.Data[i], want.Data[i])
+		}
+	}
+}
+
+// assertInt64Bound fails unless every conv/linear of prog binds an int64
+// kernel under reg, so a parity row meant for those kernels can never
+// silently compare the reference body against itself.
+func assertInt64Bound(t *testing.T, prog *engine.Program, inShape []int, reg *engine.Registry) {
+	t.Helper()
+	ex, err := engine.NewExecutor(prog, inShape, engine.WithKernels(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range ex.KernelChoices() {
+		if (c.Kind == engine.OpConv || c.Kind == engine.OpLinear) && !strings.HasPrefix(c.Path, "i64-") {
+			t.Fatalf("%s bound %q, want an i64 path", c.Name, c.Path)
 		}
 	}
 }
@@ -394,5 +411,15 @@ func TestKernelRegistryPluggable(t *testing.T) {
 	for name, p := range map[string]*engine.Program{"unfused": unfused, "fused": prog} {
 		assertSameCodes(t, execCodes(t, p, codes, stateless),
 			execCodes(t, p, codes, engine.ReferenceKernels()), "stateless-prep/"+name)
+	}
+	// With no state bound, KernelChoices names the body that runs.
+	exStateless, err := engine.NewExecutor(prog, []int{1, 3, 8, 8}, engine.WithKernels(stateless))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range exStateless.KernelChoices() {
+		if c.Path != "reference" {
+			t.Fatalf("stateless-prep %s reports path %q, want \"reference\"", c.Name, c.Path)
+		}
 	}
 }

@@ -29,7 +29,7 @@ type Executor struct {
 	arI32 []int32
 
 	bufs        []*tensor.IntTensor
-	scratchBufs [][]int64             // grow-only kernel scratch (legacy lazy kernels + staging chunks)
+	scratchBufs [][]int64             // grow-only scratch of the unprepacked kernels (reference and elementwise)
 	states      []any                 // per-instr cached kernel state
 	opIns       [][]*tensor.IntTensor // per-instr input operand views, bound once
 	waves       []wave                // hazard-free instruction groups (schedule.go)
@@ -47,19 +47,15 @@ type Executor struct {
 	waveName  uint32
 
 	// Prepacked-kernel support, sized at bind time by the registry's
-	// prep hooks. slotScratch holds int64 words (legacy panels and the
-	// typed kernels' widened staging chunks); the typed slices hold
-	// narrow gather panels; accTiles hold the int32 GEMM accumulators.
+	// prep hooks. slotScratch holds int64 words (the kernels' widened
+	// staging chunks); slotU8 the SWAR byte panels; w32/w64 the gather
+	// panels and GEMM accumulator tiles of each accumulator width.
 	slotScratch [][]int64
 	slotNeed    int
-	slotI8      [][]int8
 	slotU8      [][]uint8
-	slotI16     [][]int16
-	slotU16     [][]uint16
-	slotI32     [][]int32
-	typedNeed   [tensor.NumDTypes]int
-	accTiles    [][]int32
-	accNeed     int
+	u8Need      int
+	w32         slotBufs[int32]
+	w64         slotBufs[int64]
 }
 
 // ExecOption configures NewExecutor.
@@ -189,60 +185,12 @@ func NewExecutor(p *Program, inShape []int, opts ...ExecOption) (*Executor, erro
 		}
 		ex.states[i] = st
 	}
-	slots := 0
-	if ex.slotNeed > 0 || ex.accNeed > 0 {
-		slots = tensor.MaxParallelSlots()
-	} else {
-		for _, n := range ex.typedNeed {
-			if n > 0 {
-				slots = tensor.MaxParallelSlots()
-				break
-			}
-		}
-	}
-	if slots > 0 {
-		if ex.slotNeed > 0 {
-			ex.slotScratch = make([][]int64, slots)
-			for s := range ex.slotScratch {
-				ex.slotScratch[s] = make([]int64, ex.slotNeed)
-			}
-		}
-		if ex.accNeed > 0 {
-			ex.accTiles = make([][]int32, slots)
-			for s := range ex.accTiles {
-				ex.accTiles[s] = make([]int32, ex.accNeed)
-			}
-		}
-		if n := ex.typedNeed[tensor.I8]; n > 0 {
-			ex.slotI8 = make([][]int8, slots)
-			for s := range ex.slotI8 {
-				ex.slotI8[s] = make([]int8, n)
-			}
-		}
-		if n := ex.typedNeed[tensor.U8]; n > 0 {
-			ex.slotU8 = make([][]uint8, slots)
-			for s := range ex.slotU8 {
-				ex.slotU8[s] = make([]uint8, n)
-			}
-		}
-		if n := ex.typedNeed[tensor.I16]; n > 0 {
-			ex.slotI16 = make([][]int16, slots)
-			for s := range ex.slotI16 {
-				ex.slotI16[s] = make([]int16, n)
-			}
-		}
-		if n := ex.typedNeed[tensor.U16]; n > 0 {
-			ex.slotU16 = make([][]uint16, slots)
-			for s := range ex.slotU16 {
-				ex.slotU16[s] = make([]uint16, n)
-			}
-		}
-		if n := ex.typedNeed[tensor.I32]; n > 0 {
-			ex.slotI32 = make([][]int32, slots)
-			for s := range ex.slotI32 {
-				ex.slotI32[s] = make([]int32, n)
-			}
-		}
+	if ex.slotNeed > 0 || ex.u8Need > 0 || ex.w32.needed() || ex.w64.needed() {
+		slots := tensor.MaxParallelSlots()
+		ex.slotScratch = makeSlots[int64](slots, ex.slotNeed)
+		ex.slotU8 = makeSlots[uint8](slots, ex.u8Need)
+		ex.w32.alloc(slots)
+		ex.w64.alloc(slots)
 	}
 	ex.buildWaves()
 	ex.bindTrace(&cfg)
@@ -310,44 +258,74 @@ func (ex *Executor) NeedSlotScratch(words int) {
 	}
 }
 
-// NeedSlotTyped reserves per-slot narrow scratch (gather panels) in
-// elements of the given dtype.
-func (ex *Executor) NeedSlotTyped(dt tensor.DType, elems int) {
-	if dt == tensor.I64 {
-		ex.NeedSlotScratch(elems)
-		return
-	}
-	if elems > ex.typedNeed[dt] {
-		ex.typedNeed[dt] = elems
-	}
-}
-
-// NeedAccTile reserves per-slot int32 accumulator tiles.
-func (ex *Executor) NeedAccTile(elems int) {
-	if elems > ex.accNeed {
-		ex.accNeed = elems
-	}
+// needSlotU8 reserves per-slot byte scratch (the SWAR gather panels).
+func (ex *Executor) needSlotU8(elems int) {
+	ex.u8Need = max(ex.u8Need, elems)
 }
 
 // SlotScratch returns the int64 scratch slice owned by a parallel slot.
 func (ex *Executor) SlotScratch(slot int) []int64 { return ex.slotScratch[slot] }
 
-// AccTile returns the int32 accumulator tile owned by a parallel slot.
-func (ex *Executor) AccTile(slot int) []int32 { return ex.accTiles[slot] }
+// slotBufs is one accumulator width's per-slot scratch: gather panels
+// (or widened input slabs) and GEMM accumulator tiles. Each slot is
+// touched only by the job the pool hands it, which is what makes the
+// conv/linear states wave-capable.
+type slotBufs[C accum] struct {
+	panelNeed, accNeed int
+	panel, acc         [][]C
+}
+
+// reserve raises the per-slot panel and accumulator-tile sizes.
+func (b *slotBufs[C]) reserve(panel, acc int) {
+	b.panelNeed = max(b.panelNeed, panel)
+	b.accNeed = max(b.accNeed, acc)
+}
+
+func (b *slotBufs[C]) needed() bool { return b.panelNeed > 0 || b.accNeed > 0 }
+
+func (b *slotBufs[C]) alloc(slots int) {
+	b.panel = makeSlots[C](slots, b.panelNeed)
+	b.acc = makeSlots[C](slots, b.accNeed)
+}
+
+func (b *slotBufs[C]) bytes() int64 {
+	size := int64(4)
+	if isWide[C]() {
+		size = 8
+	}
+	return int64(len(b.panel)*b.panelNeed+len(b.acc)*b.accNeed) * size
+}
+
+// slotsOf returns the executor's slot scratch of accumulator width C.
+func slotsOf[C accum](ex *Executor) *slotBufs[C] {
+	if b, ok := any(&ex.w32).(*slotBufs[C]); ok {
+		return b
+	}
+	return any(&ex.w64).(*slotBufs[C])
+}
+
+// makeSlots allocates n elements for each of slots parallel slots (nil
+// when nothing was reserved).
+func makeSlots[T any](slots, n int) [][]T {
+	if n == 0 {
+		return nil
+	}
+	s := make([][]T, slots)
+	for i := range s {
+		s[i] = make([]T, n)
+	}
+	return s
+}
 
 // ScratchBytes reports the executor's kernel scratch footprint: planned
 // per-slot panels and accumulator tiles, the im2col index maps its bound
 // state actually references (shared maps counted once), plus the
-// grow-only buffers the legacy kernels have claimed so far (stable after
-// one Execute).
+// grow-only buffers the unprepacked kernels have claimed so far (stable
+// after one Execute).
 func (ex *Executor) ScratchBytes() int64 {
 	bytes := int64(len(ex.slotScratch)*ex.slotNeed) * 8
-	bytes += int64(len(ex.accTiles)*ex.accNeed) * 4
-	bytes += int64(len(ex.slotI8) * ex.typedNeed[tensor.I8])
-	bytes += int64(len(ex.slotU8) * ex.typedNeed[tensor.U8])
-	bytes += int64(len(ex.slotI16)*ex.typedNeed[tensor.I16]) * 2
-	bytes += int64(len(ex.slotU16)*ex.typedNeed[tensor.U16]) * 2
-	bytes += int64(len(ex.slotI32)*ex.typedNeed[tensor.I32]) * 4
+	bytes += int64(len(ex.slotU8) * ex.u8Need)
+	bytes += ex.w32.bytes() + ex.w64.bytes()
 	for _, s := range ex.scratchBufs {
 		bytes += int64(cap(s)) * 8
 	}
@@ -363,9 +341,9 @@ func (ex *Executor) ScratchBytes() int64 {
 	}
 	for _, st := range ex.states {
 		switch cp := st.(type) {
-		case *convPack:
+		case *convPackT[int32]:
 			countIdx(cp.idx)
-		case *convPackT:
+		case *convPackT[int64]:
 			countIdx(cp.idx)
 		}
 	}

@@ -9,11 +9,12 @@ const (
 
 // FastKernelsWithout returns FastKernels with the given capability bits
 // cleared, forcing onto every instruction a path production picks only
-// per instruction: without CapTyped the int64-panel kernels over I64
-// arenas (the odd-width fallback), without CapSwar the int32 panel (the
-// failed-lane-bound fallback), without CapSparse the dense kernels (the
-// below-minSkipSparsity choice). The parity suites bind these variants
-// against the reference registry.
+// per instruction: without CapTyped the int64-accumulating instantiation
+// of the conv/linear drivers over I64 arenas (the odd-width choice),
+// without CapSwar the int32 panel (the failed-lane-bound fallback),
+// without CapSparse the dense kernels (the below-minSkipSparsity
+// choice). The parity suites bind these variants against the reference
+// registry.
 func FastKernelsWithout(caps int) *Registry {
 	r := FastKernels()
 	if caps&CapTyped != 0 {

@@ -33,7 +33,7 @@ type PrepFunc func(ex *Executor, idx int, it *Instr) (any, error)
 // bound) and sparse (pruned weights may bind the zero-skipping kernels).
 // FastKernels sets all three; installing any custom kernel or prep hook
 // clears them, so third-party kernels — which read buffers through the
-// legacy `.Data` int64 view — always execute against I64-planned arenas.
+// `.Data` int64 view — always execute against I64-planned arenas.
 type Registry struct {
 	kernels map[OpKind]KernelFunc
 	preps   map[OpKind]PrepFunc
@@ -250,7 +250,8 @@ func kernelLinearRef(ex *Executor, idx int, it *Instr, in []*tensor.IntTensor, o
 // register-blocked direct kernel. The set is dtype-aware: executors plan
 // narrow per-dtype arenas, conv/linear run the int8-panel GEMM with
 // int32 accumulation where the program's value ranges permit, and odd
-// widths fall back to the I64 kernels per instruction.
+// widths bind the int64-accumulating instantiation of the same GEMM per
+// instruction, over the same narrow storage.
 // Where the storage pass additionally proves the SWAR lane bound, dense
 // conv/linear run the lane-packed microkernel (two output channels per
 // 64-bit accumulator word over byte-gathered activation panels).

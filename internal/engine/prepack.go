@@ -6,9 +6,21 @@ package engine
 // requantization constants, fused-epilogue constants, and a cached
 // im2col gather-index map per (input shape, ConvParams) — so the steady
 // state is a pure indexed gather feeding a register-blocked integer GEMM
-// with the whole epilogue applied while the tile is hot. int64 addition
-// is exact, so any summation order is bit-identical to the reference
-// kernels and the IntModel interpreter.
+// with the whole epilogue applied while the tile is hot.
+//
+// There is one driver per layout — dense conv (convPackT), grouped or
+// depthwise conv (gconvPackT) and linear (linPackT) — generic over the
+// accumulator width C. Activations stay in their storage dtype and widen
+// to C at the gather; weights are packed as C at bind time. The int32
+// instantiation binds where Program.storage() proves the weights fit int8
+// and K·|a|max·|w|max fits int32. Every other instruction, every
+// unannotated program and every registry that plans I64 arenas binds the
+// int64 instantiation, which loads and stores any storage dtype. The
+// epilogue widens each finished accumulator to int64 once, applies the
+// zero-point row-sum correction and the shared Requantize/fused-epilogue
+// funnel, and narrows the result into the output buffer. Integer addition
+// at either width is exact below overflow, so every code is bit-identical
+// to the reference kernels and the IntModel interpreter.
 
 import (
 	"fmt"
@@ -20,8 +32,18 @@ import (
 
 // panelW is the output-channel width of a packed weight panel: the
 // microkernel keeps panelW independent accumulator chains per site pair,
-// which is what hides the int64 multiply latency.
+// which is what hides the multiply latency.
 const panelW = 4
+
+// accum is the accumulator width of a conv/linear driver.
+type accum interface{ int32 | int64 }
+
+// isWide reports whether C is the int64 instantiation.
+func isWide[C accum]() bool {
+	var z C
+	_, ok := any(z).(int64)
+	return ok
+}
 
 // epi holds an instruction's fully-expanded requantization pipeline:
 // own scaler (per channel) plus the shared folded-epilogue constants.
@@ -41,30 +63,80 @@ func newEpi(it *Instr, o int) epi {
 	return e
 }
 
-// store finishes one accumulator (already zero-point corrected) for
-// channel oc and writes outD[di]. add (indexed like outD) is read before
-// the write, so outD may alias the fused branch.
-func (e *epi) store(outD, add []int64, di int, acc int64, oc int) {
+// finishInto finishes one accumulator (already zero-point corrected by
+// the caller) through the shared requantize + fused-epilogue funnel
+// into an int64 staging chunk; add is chunk-aligned with dst.
+func (e *epi) finishInto(dst, add []int64, i int, acc int64, oc int) {
 	q := intmath.Requantize(acc, e.sfx[oc], e.bfx[oc], e.half, e.frac, e.zero, e.lo, e.hi)
-	outD[di] = e.fc.finish(q, add, di)
+	dst[i] = e.fc.finish(q, add, i)
+}
+
+// finishSeg finishes one channel's accumulator row — subtract the
+// row-sum correction, requantize, fused epilogue — storing straight into
+// the typed output segment (no int64 staging pass). bv is the widened
+// fused-branch chunk aligned with dst; it is fully read before dst is
+// written, which preserves the planner's same-dtype aliasing contract.
+func finishSeg[O tensor.Elem, C accum](dst []O, accRow []C, bv []int64, e *epi, corr int64, oc int) {
+	sfx, bfx := e.sfx[oc], e.bfx[oc]
+	if e.fc.active() {
+		for i, a := range accRow {
+			q := intmath.Requantize(int64(a)-corr, sfx, bfx, e.half, e.frac, e.zero, e.lo, e.hi)
+			dst[i] = O(e.fc.finish(q, bv, i))
+		}
+		return
+	}
+	for i, a := range accRow {
+		dst[i] = O(intmath.Requantize(int64(a)-corr, sfx, bfx, e.half, e.frac, e.zero, e.lo, e.hi))
+	}
+}
+
+// finishSegOut dispatches finishSeg on the output storage dtype (one
+// switch per channel segment, monomorphized element loops).
+func finishSegOut[C accum](out *tensor.IntTensor, off int, accRow []C, bv []int64, e *epi, corr int64, oc int) {
+	m := len(accRow)
+	switch out.DType {
+	case tensor.I8:
+		finishSeg(out.I8[off:off+m], accRow, bv, e, corr, oc)
+	case tensor.U8:
+		finishSeg(out.U8[off:off+m], accRow, bv, e, corr, oc)
+	case tensor.I16:
+		finishSeg(out.I16[off:off+m], accRow, bv, e, corr, oc)
+	case tensor.U16:
+		finishSeg(out.U16[off:off+m], accRow, bv, e, corr, oc)
+	case tensor.I32:
+		finishSeg(out.I32[off:off+m], accRow, bv, e, corr, oc)
+	default:
+		finishSeg(out.Data[off:off+m], accRow, bv, e, corr, oc)
+	}
 }
 
 // packPanels blocks a [o, k] row-major weight matrix into panels of
 // panelW output channels laid out [panel][k][panelW], so the microkernel
 // reads panelW weights contiguously per reduction step. Channels beyond
-// o are zero-padded.
-func packPanels(w []int64, o, k int) []int64 {
+// o are zero-padded. Weights are widened to C once here, so the GEMM
+// multiplies without per-element sign extension.
+func packPanels[C accum](w []int64, o, k int) []C {
 	np := (o + panelW - 1) / panelW
-	out := make([]int64, np*k*panelW)
+	out := make([]C, np*k*panelW)
 	for pb := 0; pb < np; pb++ {
 		for j := 0; j < k; j++ {
 			for r := 0; r < panelW; r++ {
 				oc := pb*panelW + r
 				if oc < o {
-					out[(pb*k+j)*panelW+r] = w[oc*k+j]
+					out[(pb*k+j)*panelW+r] = C(w[oc*k+j])
 				}
 			}
 		}
+	}
+	return out
+}
+
+// packRows converts a row-major [o, k] weight matrix to a flat C slab
+// (the grouped/depthwise kernel walks whole rows).
+func packRows[C accum](w []int64) []C {
+	out := make([]C, len(w))
+	for i, v := range w {
+		out[i] = C(v)
 	}
 	return out
 }
@@ -95,13 +167,11 @@ type convKey struct {
 }
 
 // sharedPack is the shape-independent part of an instruction's
-// prepacked state — weight panels (int64 for the legacy kernels, int8
-// for the typed path), zero-point row sums, expanded epilogue constants.
-// It is built once per (instruction, variant) and shared (read-only) by
-// every executor bound to the program.
+// prepacked state — weight panels, zero-point row sums, expanded
+// epilogue constants. It is built once per (instruction, variant) and
+// shared (read-only) by every executor bound to the program.
 type sharedPack struct {
-	wp    []int64
-	wp32  []int32
+	wp    any      // []int32 or []int64 panels (dense) or rows (grouped), at the accumulator width
 	wps   []uint64 // SWAR lane-packed biased weights
 	zsum  []int64
 	bcorr []int64 // SWAR activation-bias correction ba·Σw per channel
@@ -109,19 +179,19 @@ type sharedPack struct {
 }
 
 // sharedKey identifies a shared pack: the instruction plus which variant
-// — typed (int8-panel), swar (lane-packed), or legacy (int64-panel) —
-// one program can serve executors of all kinds concurrently (e.g. the
-// zoo-parity tests binding the typed and the forced-I64 registries
-// against one program). The key also carries a weight-content
-// fingerprint: a program whose weights were swapped in place (e.g. a
-// hot reload routed to the same Program value, or a differently-pruned
-// checkpoint under one model name) can never be served a stale panel
-// plan built from the old content.
+// — int32 panels, int64 panels (wide) or SWAR lane words — since one
+// program can serve executors of all kinds concurrently (e.g. the
+// zoo-parity tests binding the typed and the I64 registries against one
+// program). The key also carries a weight-content fingerprint: a program
+// whose weights were swapped in place (e.g. a hot reload routed to the
+// same Program value, or a differently-pruned checkpoint under one model
+// name) can never be served a stale panel plan built from the old
+// content.
 type sharedKey struct {
-	idx   int
-	typed bool
-	swar  bool
-	fp    uint64
+	idx  int
+	wide bool
+	swar bool
+	fp   uint64
 }
 
 // weightFP is an FNV-1a fingerprint of an instruction's weight content,
@@ -209,44 +279,80 @@ func buildIndexMap(key convKey) []int32 {
 	return idx
 }
 
-// convPack is the bound state of a dense (groups == 1) convolution.
-type convPack struct {
+// typedData returns a tensor's concrete storage slice; the caller's
+// dispatch guarantees A matches the storage dtype.
+func typedData[A tensor.Elem](t *tensor.IntTensor) []A {
+	var v any
+	switch t.DType {
+	case tensor.I8:
+		v = t.I8
+	case tensor.U8:
+		v = t.U8
+	case tensor.I16:
+		v = t.I16
+	case tensor.U16:
+		v = t.U16
+	case tensor.I32:
+		v = t.I32
+	default:
+		v = t.Data
+	}
+	return v.([]A)
+}
+
+// convPackT is the bound state of a dense convolution. At most one of
+// skip/nm is set (int32 instantiation under sparsity-aware registries
+// only): skip routes the GEMM through the channel CSR kernel, nm through
+// the N:M-packed kernel — both bit-identical to the dense panel loop
+// because skipped positions hold exactly-zero weights.
+type convPackT[C accum] struct {
 	n, c, h, w       int
 	o, colW, spatial int
 	tm, tiles, np    int
-	sampleWords      int
+	sampleElems      int
+	ad               tensor.DType
 	idx              []int32
-	wp               []int64
+	wp               []C
+	skip             *panelSkip
+	nm               *nmPack
 	zsum             []int64
 	epi              epi
 	parallel         bool
 }
 
-// gconvPack is the bound state of a grouped/depthwise convolution: tap
+// gconvPackT is the bound state of a grouped/depthwise convolution: tap
 // offsets for the register-blocked direct loop plus the interior region
 // where no bounds checks are needed.
-type gconvPack struct {
+type gconvPackT[C accum] struct {
 	n, c, h, w             int
 	o, og, cg, kH, kW      int
 	oh, ow, stride, pad    int
 	oyLo, oyHi, oxLo, oxHi int
+	ad                     tensor.DType
 	off                    []int32 // cg·kH·kW tap offsets within the group slab
+	wv                     []C     // row-major [o][cg·kH·kW]
 	zsum                   []int64
 	epi                    epi
 	parallel               bool
 }
 
-// linPack is the bound state of a linear layer.
-type linPack struct {
+// linPackT is the bound state of a linear layer (row-tiled; each job
+// owns a slot-local [tm, o] accumulator tile, the same contract as the
+// SWAR linear, so the state is wave-capable). skip/nm as in convPackT.
+type linPackT[C accum] struct {
 	rows, k, o, np int
-	wp             []int64
+	tm, tiles      int
+	ad             tensor.DType
+	wp             []C
+	skip           *panelSkip
+	nm             *nmPack
 	zsum           []int64
 	epi            epi
 	parallel       bool
 }
 
-// tileSites picks the GEMM row-tile so one gathered panel
-// (tile × colW int64 words) stays cache-resident.
+// tileSites picks the GEMM site tile so one gathered panel
+// (tile × colW words) stays cache-resident.
 func tileSites(colW, spatial int) int {
 	tm := 4096 / colW
 	if tm < 4 {
@@ -261,36 +367,52 @@ func tileSites(colW, spatial int) int {
 	return tm
 }
 
-// prepConv binds a conv instruction: dense convs get the packed-GEMM
-// state, grouped convs the direct-kernel state. Instructions the storage
-// pass proved narrow-safe bind the typed int8-panel/int32-accumulate
-// variant; everything else (including all-I64 registries) keeps the
-// legacy int64 state, whose buffers the planner stored as I64.
+// tileRows picks the linear's row tile: target an 8192-element
+// accumulator tile per slot (L1-resident alongside the weight panel at
+// int32), clamped to the row count.
+func tileRows(o, rows int) int {
+	tm := 8192 / o
+	if tm < 4 {
+		tm = 4
+	}
+	if tm > 64 {
+		tm = 64
+	}
+	if tm > rows {
+		tm = rows
+	}
+	return tm
+}
+
+// prepConv binds a conv instruction. The cost-driven sparse plan picks
+// first (CSR and N:M bind the int32 driver, pair-skipping the SWAR path —
+// the latter including instructions only the live-K lane bound admits);
+// otherwise dense convs take SWAR where its lane bound holds, and the
+// int32 or int64 driver by the storage pass's accumulator rule.
 func prepConv(ex *Executor, idx int, it *Instr) (any, error) {
-	in := ex.plan.Shapes[it.In[0]]
-	if len(in) != 4 {
+	if in := ex.plan.Shapes[it.In[0]]; len(in) != 4 {
 		return nil, fmt.Errorf("engine: conv %s input rank %d", it.Name, len(in))
 	}
-	// Sparse dispatch: the cost-driven plan picks the modeled-fastest
-	// legal kernel for the instruction's zero structure (CSR and N:M
-	// bind on the typed path, pair-skipping on the SWAR path — the
-	// latter including instructions only the live-K lane bound admits).
-	// pickDense falls through to the ordinary dense precedence.
-	if sp := ex.sparseInstr(idx); sp != nil {
-		pick, _, _ := sparsePlan(sp, ex.typedInstr(idx), ex.swarInstr(idx), ex.swarSparseInstr(idx))
-		switch pick {
-		case pickCSR, pickNM:
-			return prepConvTyped(ex, idx, it)
-		case pickPairSwar:
-			return prepConvSwar(ex, idx, it)
-		}
+	switch ex.sparsePickFor(idx) {
+	case pickCSR, pickNM:
+		return prepConvT[int32](ex, idx, it), nil
+	case pickPairSwar:
+		return prepConvSwar(ex, idx, it)
 	}
 	if ex.swarInstr(idx) {
 		return prepConvSwar(ex, idx, it)
 	}
 	if ex.typedInstr(idx) {
-		return prepConvTyped(ex, idx, it)
+		return prepConvT[int32](ex, idx, it), nil
 	}
+	return prepConvT[int64](ex, idx, it), nil
+}
+
+// prepConvT binds a conv onto the C-accumulating driver: grouped convs
+// get the direct-kernel state, dense convs the packed-GEMM state.
+func prepConvT[C accum](ex *Executor, idx int, it *Instr) any {
+	in := ex.plan.Shapes[it.In[0]]
+	ad := ex.plan.DTypes[it.In[0]]
 	pp := it.P
 	if pp.Stride <= 0 {
 		pp.Stride = 1
@@ -301,17 +423,22 @@ func prepConv(ex *Executor, idx int, it *Instr) (any, error) {
 	n, c, h, w := in[0], in[1], in[2], in[3]
 	o, cg, kH, kW := it.W.Shape[0], it.W.Shape[1], it.W.Shape[2], it.W.Shape[3]
 	oh, ow := pp.ConvOutSize(h, kH), pp.ConvOutSize(w, kW)
+	key := sharedKey{idx: idx, wide: isWide[C](), fp: weightFP(it.W)}
+	bufs := slotsOf[C](ex)
 	if pp.Groups > 1 {
-		sh := ex.prog.packs().sharedFor(sharedKey{idx: idx, fp: weightFP(it.W)}, func() *sharedPack {
+		sh := ex.prog.packs().sharedFor(key, func() *sharedPack {
 			return &sharedPack{
+				wp:   packRows[C](it.W.Data),
 				zsum: rowSumsScaled(it.W.Data, o, cg*kH*kW, it.InZero),
 				epi:  newEpi(it, o),
 			}
 		})
-		st := &gconvPack{
+		st := &gconvPackT[C]{
 			n: n, c: c, h: h, w: w,
 			o: o, og: o / pp.Groups, cg: cg, kH: kH, kW: kW,
 			oh: oh, ow: ow, stride: pp.Stride, pad: pp.Padding,
+			ad:   ad,
+			wv:   sh.wp.([]C),
 			zsum: sh.zsum,
 			epi:  sh.epi,
 		}
@@ -329,31 +456,49 @@ func prepConv(ex *Executor, idx int, it *Instr) (any, error) {
 			}
 		}
 		st.parallel = n*o*oh*ow*cg*kH*kW >= 1<<15
-		return st, nil
+		// Staging: the widened fused branch in the int64 slot, and the
+		// widened input group slab plus the raw accumulator plane in the
+		// C slot.
+		ex.NeedSlotScratch(oh * ow)
+		bufs.reserve(cg*h*w+oh*ow, 0)
+		return st
 	}
 	colW := c * kH * kW
-	sh := ex.prog.packs().sharedFor(sharedKey{idx: idx, fp: weightFP(it.W)}, func() *sharedPack {
+	sh := ex.prog.packs().sharedFor(key, func() *sharedPack {
 		return &sharedPack{
-			wp:   packPanels(it.W.Data, o, colW),
+			wp:   packPanels[C](it.W.Data, o, colW),
 			zsum: rowSumsScaled(it.W.Data, o, colW, it.InZero),
 			epi:  newEpi(it, o),
 		}
 	})
-	st := &convPack{
+	st := &convPackT[C]{
 		n: n, c: c, h: h, w: w,
 		o: o, colW: colW, spatial: oh * ow,
-		sampleWords: c * h * w,
+		sampleElems: c * h * w,
+		ad:          ad,
 		idx:         ex.prog.packs().indexMap(convKey{c: c, h: h, w: w, kH: kH, kW: kW, stride: pp.Stride, pad: pp.Padding}),
-		wp:          sh.wp,
+		wp:          sh.wp.([]C),
 		zsum:        sh.zsum,
 		epi:         sh.epi,
 	}
-	st.tm = tileSites(colW, st.spatial)
+	st.tm = splitTileM(tileSites(colW, st.spatial), st.spatial, n, ex.kernelWorkers())
 	st.tiles = (st.spatial + st.tm - 1) / st.tm
 	st.np = (o + panelW - 1) / panelW
+	if sp := ex.sparseInstr(idx); sp != nil {
+		switch ex.sparsePickFor(idx) {
+		case pickCSR:
+			st.skip = sp.skip
+		case pickNM:
+			st.nm = sp.nm
+		}
+	}
 	st.parallel = n*st.spatial*colW*o >= 1<<16
-	ex.NeedSlotScratch(st.tm * colW)
-	return st, nil
+	// Staging: widened fused-branch chunk in the int64 slot; the gather
+	// panel widens any input dtype into the C slot, so the GEMM is one
+	// loop per accumulator width.
+	ex.NeedSlotScratch(st.tm)
+	bufs.reserve(st.tm*colW, st.tm*st.o)
+	return st
 }
 
 // interiorRange returns [lo, hi) over output positions whose taps are
@@ -374,145 +519,241 @@ func interiorRange(outN, inN, k, stride, pad int) (int, int) {
 	return lo, hi
 }
 
-// prepLinear binds a linear instruction; rank > 2 inputs run as
-// row-major [rows, K] (ViT token tensors through the same panel GEMM).
+// prepLinear binds a linear instruction with prepConv's precedence;
+// rank > 2 inputs run as row-major [rows, K] (ViT token tensors through
+// the same panel GEMM).
 func prepLinear(ex *Executor, idx int, it *Instr) (any, error) {
-	in := ex.plan.Shapes[it.In[0]]
-	if len(in) < 2 {
+	if in := ex.plan.Shapes[it.In[0]]; len(in) < 2 {
 		return nil, fmt.Errorf("engine: linear %s input rank %d", it.Name, len(in))
 	}
-	// Cost-driven sparse dispatch, mirroring prepConv.
-	if sp := ex.sparseInstr(idx); sp != nil {
-		pick, _, _ := sparsePlan(sp, ex.typedInstr(idx), ex.swarInstr(idx), ex.swarSparseInstr(idx))
-		switch pick {
-		case pickCSR, pickNM:
-			return prepLinearTyped(ex, idx, it)
-		case pickPairSwar:
-			return prepLinearSwar(ex, idx, it)
-		}
+	switch ex.sparsePickFor(idx) {
+	case pickCSR, pickNM:
+		return prepLinearT[int32](ex, idx, it), nil
+	case pickPairSwar:
+		return prepLinearSwar(ex, idx, it)
 	}
 	if ex.swarInstr(idx) {
 		return prepLinearSwar(ex, idx, it)
 	}
 	if ex.typedInstr(idx) {
-		return prepLinearTyped(ex, idx, it)
+		return prepLinearT[int32](ex, idx, it), nil
 	}
+	return prepLinearT[int64](ex, idx, it), nil
+}
+
+// prepLinearT binds a linear layer onto the C-accumulating driver.
+func prepLinearT[C accum](ex *Executor, idx int, it *Instr) any {
+	in := ex.plan.Shapes[it.In[0]]
 	k := in[len(in)-1]
 	rows := tensor.Numel(in) / k
 	o := it.W.Shape[0]
-	sh := ex.prog.packs().sharedFor(sharedKey{idx: idx, fp: weightFP(it.W)}, func() *sharedPack {
+	sh := ex.prog.packs().sharedFor(sharedKey{idx: idx, wide: isWide[C](), fp: weightFP(it.W)}, func() *sharedPack {
 		return &sharedPack{
-			wp:   packPanels(it.W.Data, o, k),
+			wp:   packPanels[C](it.W.Data, o, k),
 			zsum: rowSumsScaled(it.W.Data, o, k, it.InZero),
 			epi:  newEpi(it, o),
 		}
 	})
-	st := &linPack{
+	st := &linPackT[C]{
 		rows: rows, k: k, o: o,
 		np:   (o + panelW - 1) / panelW,
-		wp:   sh.wp,
+		ad:   ex.plan.DTypes[it.In[0]],
+		wp:   sh.wp.([]C),
 		zsum: sh.zsum,
 		epi:  sh.epi,
 	}
-	st.parallel = rows*k*o >= 1<<16
-	return st, nil
-}
-
-// kernelConvPacked dispatches on the bound state built by prepConv.
-func kernelConvPacked(ex *Executor, idx int, it *Instr, in []*tensor.IntTensor, out *tensor.IntTensor) {
-	switch st := (*ex.KernelState(idx)).(type) {
-	case *convPack:
-		runConvPacked(ex, st, it, in, out)
-	case *gconvPack:
-		runConvGroupedPacked(ex, st, it, in, out)
-	case *convPackS:
-		runConvSwar(ex, st, it, in, out)
-	case *convPackT:
-		runConvTyped(ex, st, it, in, out)
-	case *gconvPackT:
-		runConvGroupedTyped(ex, st, it, in, out)
-	default:
-		// No prepacked state (a registry that replaced the prep hook):
-		// fall back to the reference body.
-		kernelConvRef(ex, idx, it, in, out)
+	st.tm = splitTileM(tileRows(o, rows), rows, 1, ex.kernelWorkers())
+	st.tiles = (rows + st.tm - 1) / st.tm
+	if sp := ex.sparseInstr(idx); sp != nil {
+		switch ex.sparsePickFor(idx) {
+		case pickCSR:
+			st.skip = sp.skip
+		case pickNM:
+			st.nm = sp.nm
+		}
 	}
+	st.parallel = rows*k*o >= 1<<16
+	// Staging: per-row int64 requantize chunk + fused-add chunk in the
+	// slot's scratch; the row-major accumulator tile.
+	ex.NeedSlotScratch(2 * o)
+	slotsOf[C](ex).reserve(0, st.tm*st.o)
+	return st
 }
 
-// runConvPacked: per (sample, site-tile) job, gather the tile's im2col
-// panel through the cached index map, run the register-blocked GEMM
-// against the packed weight panels, and finish each element through the
-// fused epilogue straight into NCHW planes.
-func runConvPacked(ex *Executor, st *convPack, it *Instr, in []*tensor.IntTensor, out *tensor.IntTensor) {
-	x := in[0]
-	add := fusedAddOperand(it, in)
-	outD := out.Data
-	colW := st.colW
-	tensor.ParallelForSlotsN(st.n*st.tiles, ex.maxPar, st.parallel, func(job, slot int) {
+// kernelConvPacked runs the state prepConv bound through its job grid,
+// falling back to the reference body when a registry that replaced the
+// prep hook bound none.
+func kernelConvPacked(ex *Executor, idx int, it *Instr, in []*tensor.IntTensor, out *tensor.IntTensor) {
+	runBound(ex, idx, it, in, out, kernelConvRef)
+}
+
+// kernelLinearPacked is kernelConvPacked for linear layers.
+func kernelLinearPacked(ex *Executor, idx int, it *Instr, in []*tensor.IntTensor, out *tensor.IntTensor) {
+	runBound(ex, idx, it, in, out, kernelLinearRef)
+}
+
+// runBound executes instruction idx's bound state as one pool pass over
+// its job grid — the same bodies wave execution runs — or ref when no
+// state is bound.
+func runBound(ex *Executor, idx int, it *Instr, in []*tensor.IntTensor, out *tensor.IntTensor, ref KernelFunc) {
+	st, ok := ex.states[idx].(waveRunner)
+	if !ok {
+		ref(ex, idx, it, in, out)
+		return
+	}
+	body, n, parallel := st.jobs(ex, idx, it, in, out)
+	tensor.ParallelForSlotsN(n, ex.maxPar, parallel, body)
+}
+
+// jobs exposes the conv as its (sample × site-tile) grid (waveRunner),
+// dispatching once on the input storage dtype.
+func (st *convPackT[C]) jobs(ex *Executor, idx int, it *Instr, in []*tensor.IntTensor, out *tensor.IntTensor) (func(job, slot int), int, bool) {
+	var body func(job, slot int)
+	switch st.ad {
+	case tensor.I8:
+		body = convJob[int8](ex, st, it, in, out)
+	case tensor.U8:
+		body = convJob[uint8](ex, st, it, in, out)
+	case tensor.I16:
+		body = convJob[int16](ex, st, it, in, out)
+	case tensor.U16:
+		body = convJob[uint16](ex, st, it, in, out)
+	case tensor.I32:
+		body = convJob[int32](ex, st, it, in, out)
+	default:
+		body = convJob[int64](ex, st, it, in, out)
+	}
+	return body, st.n * st.tiles, st.parallel
+}
+
+// convJob builds the per-(sample, site-tile) job body: gather the tile's
+// im2col panel — widening the storage dtype to C — through the cached
+// index map, run the register-blocked GEMM into the slot's channel-major
+// accumulator tile, then finish channel by channel straight into the
+// NCHW output planes.
+func convJob[A tensor.Elem, C accum](ex *Executor, st *convPackT[C], it *Instr, in []*tensor.IntTensor, out *tensor.IntTensor) func(job, slot int) {
+	xs := typedData[A](in[0])
+	var add *tensor.IntTensor
+	if it.FusedAdd {
+		add = in[len(in)-1]
+	}
+	bufs := slotsOf[C](ex)
+	colW, o := st.colW, st.o
+	return func(job, slot int) {
 		ni, t := job/st.tiles, job%st.tiles
 		s0 := t * st.tm
 		m := st.tm
 		if s0+m > st.spatial {
 			m = st.spatial - s0
 		}
-		panel := ex.SlotScratch(slot)[:m*colW]
-		xs := x.Data[ni*st.sampleWords : (ni+1)*st.sampleWords]
-		gatherPanel(panel, xs, st.idx[s0*colW:(s0+m)*colW], colW, m)
-		outBase := ni * st.o * st.spatial
-		for pb := 0; pb < st.np; pb++ {
-			wp := st.wp[pb*colW*panelW : (pb+1)*colW*panelW]
-			oc0 := pb * panelW
-			nch := st.o - oc0
-			if nch > panelW {
-				nch = panelW
-			}
-			i := 0
-			for ; i+2 <= m; i += 2 {
-				a0 := panel[i*colW : (i+1)*colW]
-				a1 := panel[(i+1)*colW : (i+2)*colW]
-				var c00, c01, c02, c03, c10, c11, c12, c13 int64
-				for j := 0; j < colW; j++ {
-					wj := wp[j*panelW : j*panelW+panelW : j*panelW+panelW]
-					av0, av1 := a0[j], a1[j]
-					w0, w1, w2, w3 := wj[0], wj[1], wj[2], wj[3]
-					c00 += av0 * w0
-					c01 += av0 * w1
-					c02 += av0 * w2
-					c03 += av0 * w3
-					c10 += av1 * w0
-					c11 += av1 * w1
-					c12 += av1 * w2
-					c13 += av1 * w3
-				}
-				st.finishSite(outD, add, outBase, s0+i, oc0, nch, c00, c01, c02, c03)
-				st.finishSite(outD, add, outBase, s0+i+1, oc0, nch, c10, c11, c12, c13)
-			}
-			if i < m {
-				a0 := panel[i*colW : (i+1)*colW]
-				var c0, c1, c2, c3 int64
-				for j := 0; j < colW; j++ {
-					wj := wp[j*panelW : j*panelW+panelW : j*panelW+panelW]
-					av := a0[j]
-					c0 += av * wj[0]
-					c1 += av * wj[1]
-					c2 += av * wj[2]
-					c3 += av * wj[3]
-				}
-				st.finishSite(outD, add, outBase, s0+i, oc0, nch, c0, c1, c2, c3)
-			}
+		panel := bufs.panel[slot][:m*colW]
+		sample := xs[ni*st.sampleElems : (ni+1)*st.sampleElems]
+		gatherPanel(panel, sample, st.idx[s0*colW:(s0+m)*colW], colW, m)
+		// Accumulator tile is channel-major [o][m]: the GEMM scatters four
+		// writes per site pair, and the epilogue walks each channel's
+		// accumulators contiguously.
+		acc := bufs.acc[slot]
+		switch {
+		case st.nm != nil:
+			gemmPanelsNM(acc, panel, st.nm, m, colW, o)
+		case st.skip != nil:
+			gemmPanelsCSR(acc, panel, st.skip, m, colW, o)
+		default:
+			gemmPanels(acc, panel, st.wp, m, colW, o, st.np)
 		}
-	})
+		// Epilogue: one contiguous output segment per channel, finished
+		// straight from the accumulator row into the typed output.
+		addw := ex.SlotScratch(slot)[:st.tm]
+		outBase := ni * o * st.spatial
+		for oc := 0; oc < o; oc++ {
+			off := outBase + oc*st.spatial + s0
+			var bv []int64
+			if add != nil {
+				bv = addw[:m]
+				add.ReadInt64(bv, off)
+			}
+			finishSegOut(out, off, acc[oc*m:(oc+1)*m], bv, &st.epi, st.zsum[oc], oc)
+		}
+	}
 }
 
-// gatherPanel fills a [m, colW] im2col panel from one sample's codes via
-// the index map (raw values; padded taps contribute 0 — the zero point
-// is folded into the epilogue's row-sum correction).
-func gatherPanel(panel, xs []int64, idx []int32, colW, m int) {
+// gemmPanels is the register-blocked microkernel:
+// C[site, oc] = Σ_j panel[site, j] · w[oc, j] over packed panelW-wide
+// weight panels, two sites per step, written channel-major into acc.
+func gemmPanels[C accum](acc, panel, wpAll []C, m, colW, o, np int) {
+	for pb := 0; pb < np; pb++ {
+		wp := wpAll[pb*colW*panelW : (pb+1)*colW*panelW]
+		oc0 := pb * panelW
+		nch := o - oc0
+		if nch > panelW {
+			nch = panelW
+		}
+		i := 0
+		for ; i+2 <= m; i += 2 {
+			a0 := panel[i*colW : (i+1)*colW]
+			a1 := panel[(i+1)*colW : (i+2)*colW]
+			var c00, c01, c02, c03, c10, c11, c12, c13 C
+			for j := 0; j < colW; j++ {
+				wj := wp[j*panelW : j*panelW+panelW : j*panelW+panelW]
+				av0, av1 := a0[j], a1[j]
+				w0, w1, w2, w3 := wj[0], wj[1], wj[2], wj[3]
+				c00 += av0 * w0
+				c01 += av0 * w1
+				c02 += av0 * w2
+				c03 += av0 * w3
+				c10 += av1 * w0
+				c11 += av1 * w1
+				c12 += av1 * w2
+				c13 += av1 * w3
+			}
+			storeAccCol(acc, oc0*m+i, m, nch, c00, c01, c02, c03)
+			storeAccCol(acc, oc0*m+i+1, m, nch, c10, c11, c12, c13)
+		}
+		if i < m {
+			a0 := panel[i*colW : (i+1)*colW]
+			var c0, c1, c2, c3 C
+			for j := 0; j < colW; j++ {
+				wj := wp[j*panelW : j*panelW+panelW : j*panelW+panelW]
+				av := a0[j]
+				c0 += av * wj[0]
+				c1 += av * wj[1]
+				c2 += av * wj[2]
+				c3 += av * wj[3]
+			}
+			storeAccCol(acc, oc0*m+i, m, nch, c0, c1, c2, c3)
+		}
+	}
+}
+
+// storeAccCol writes up to panelW accumulators of one site into the
+// channel-major tile (stride = sites in the tile).
+func storeAccCol[C accum](acc []C, base, stride, nch int, c0, c1, c2, c3 C) {
+	cs := [panelW]C{c0, c1, c2, c3}
+	for r := 0; r < nch; r++ {
+		acc[base+r*stride] = cs[r]
+	}
+}
+
+// storeAccRow writes up to panelW accumulators into a row-major tile row
+// (the linear kernel's [rows, o] layout).
+func storeAccRow[C accum](acc []C, base, nch int, c0, c1, c2, c3 C) {
+	cs := [panelW]C{c0, c1, c2, c3}
+	for r := 0; r < nch; r++ {
+		acc[base+r] = cs[r]
+	}
+}
+
+// gatherPanel fills a [m, colW] im2col panel from one sample's typed
+// codes via the index map, widening at the gather (raw values; padded
+// taps contribute 0 — the zero point is folded into the epilogue's
+// row-sum correction).
+func gatherPanel[A tensor.Elem, C accum](panel []C, xs []A, idx []int32, colW, m int) {
 	for i := 0; i < m; i++ {
 		row := panel[i*colW : (i+1)*colW]
 		irow := idx[i*colW : (i+1)*colW]
 		for j, id := range irow {
 			if id >= 0 {
-				row[j] = xs[id]
+				row[j] = C(xs[id])
 			} else {
 				row[j] = 0
 			}
@@ -520,37 +761,59 @@ func gatherPanel(panel, xs []int64, idx []int32, colW, m int) {
 	}
 }
 
-// finishSite requantizes one site's panelW accumulators and scatters
-// them into the NCHW output planes.
-func (st *convPack) finishSite(outD, add []int64, outBase, s, oc0, nch int, c0, c1, c2, c3 int64) {
-	accs := [panelW]int64{c0, c1, c2, c3}
-	for r := 0; r < nch; r++ {
-		oc := oc0 + r
-		st.epi.store(outD, add, outBase+oc*st.spatial+s, accs[r]-st.zsum[oc], oc)
+// jobs exposes the grouped conv as its (sample × channel-plane) grid
+// (waveRunner), dispatching once on the input storage dtype.
+func (st *gconvPackT[C]) jobs(ex *Executor, idx int, it *Instr, in []*tensor.IntTensor, out *tensor.IntTensor) (func(job, slot int), int, bool) {
+	var body func(job, slot int)
+	switch st.ad {
+	case tensor.I8:
+		body = gconvJob[int8](ex, st, it, in, out)
+	case tensor.U8:
+		body = gconvJob[uint8](ex, st, it, in, out)
+	case tensor.I16:
+		body = gconvJob[int16](ex, st, it, in, out)
+	case tensor.U16:
+		body = gconvJob[uint16](ex, st, it, in, out)
+	case tensor.I32:
+		body = gconvJob[int32](ex, st, it, in, out)
+	default:
+		body = gconvJob[int64](ex, st, it, in, out)
 	}
+	return body, st.n * st.o, st.parallel
 }
 
-// runConvGroupedPacked: one job per (sample, output channel) plane. The
-// interior runs the precomputed tap-offset loop with two-site register
-// blocking and no bounds checks; border sites take the checked loop.
-// Both paths gather raw codes and correct with z·Σw, exactly like the
-// dense kernel.
-func runConvGroupedPacked(ex *Executor, st *gconvPack, it *Instr, in []*tensor.IntTensor, out *tensor.IntTensor) {
-	x := in[0]
-	add := fusedAddOperand(it, in)
-	outD := out.Data
-	wD := it.W.Data
+// gconvJob builds the per-(sample, channel-plane) job body. The group's
+// input slab is widened once into the slot's C scratch — the conv
+// re-reads each input element kH·kW times, so the single widening pass
+// is amortized and keeps the tap loops free of conversions. The interior
+// runs the precomputed tap-offset loop with two-site register blocking
+// and no bounds checks; border sites take the checked loop. The whole
+// plane is then finished into the output in one pass.
+func gconvJob[A tensor.Elem, C accum](ex *Executor, st *gconvPackT[C], it *Instr, in []*tensor.IntTensor, out *tensor.IntTensor) func(job, slot int) {
+	xs := typedData[A](in[0])
+	var add *tensor.IntTensor
+	if it.FusedAdd {
+		add = in[len(in)-1]
+	}
+	bufs := slotsOf[C](ex)
 	nt := len(st.off)
-	tensor.ParallelForIntN(st.n*st.o, ex.maxPar, st.parallel, func(job int) {
+	ohw := st.oh * st.ow
+	slab := st.cg * st.h * st.w
+	return func(job, slot int) {
 		ni, oc := job/st.o, job%st.o
 		g := oc / st.og
-		wv := wD[oc*nt : (oc+1)*nt]
+		wv := st.wv[oc*nt : (oc+1)*nt]
 		xBase := (ni*st.c + g*st.cg) * st.h * st.w
-		xd := x.Data
-		base := (ni*st.o + oc) * st.oh * st.ow
-		corr := st.zsum[oc]
+		base := (ni*st.o + oc) * ohw
+		xw := bufs.panel[slot][:slab]
+		for i, v := range xs[xBase : xBase+slab] {
+			xw[i] = C(v)
+		}
+		// Raw accumulators land in a C plane; the epilogue finishes the
+		// whole plane into the typed output in one monomorphized pass.
+		acc := bufs.panel[slot][slab : slab+ohw]
 		for oy := 0; oy < st.oh; oy++ {
-			rowOff := base + oy*st.ow
+			rowOff := oy * st.ow
 			interiorRow := oy >= st.oyLo && oy < st.oyHi
 			// Border columns (and whole border rows) take the checked path.
 			oxLo, oxHi := st.oxLo, st.oxHi
@@ -558,52 +821,58 @@ func runConvGroupedPacked(ex *Executor, st *gconvPack, it *Instr, in []*tensor.I
 				oxLo, oxHi = 0, 0
 			}
 			for ox := 0; ox < oxLo; ox++ {
-				st.epi.store(outD, add, rowOff+ox, st.borderAcc(xd, wv, xBase, oy, ox)-corr, oc)
+				acc[rowOff+ox] = st.borderAcc(xw, wv, oy, ox)
 			}
 			if interiorRow {
-				rowBase := xBase + (oy*st.stride-st.pad)*st.w - st.pad
+				rowBase := (oy*st.stride-st.pad)*st.w - st.pad
 				ox := oxLo
 				for ; ox+2 <= oxHi; ox += 2 {
 					b0 := rowBase + ox*st.stride
 					b1 := b0 + st.stride
-					var s0, s1 int64
+					var s0, s1 C
 					for t := 0; t < nt; t++ {
 						o := int(st.off[t])
 						wt := wv[t]
-						s0 += xd[b0+o] * wt
-						s1 += xd[b1+o] * wt
+						s0 += xw[b0+o] * wt
+						s1 += xw[b1+o] * wt
 					}
-					st.epi.store(outD, add, rowOff+ox, s0-corr, oc)
-					st.epi.store(outD, add, rowOff+ox+1, s1-corr, oc)
+					acc[rowOff+ox] = s0
+					acc[rowOff+ox+1] = s1
 				}
 				for ; ox < oxHi; ox++ {
 					b0 := rowBase + ox*st.stride
-					var s int64
+					var s C
 					for t := 0; t < nt; t++ {
-						s += xd[b0+int(st.off[t])] * wv[t]
+						s += xw[b0+int(st.off[t])] * wv[t]
 					}
-					st.epi.store(outD, add, rowOff+ox, s-corr, oc)
+					acc[rowOff+ox] = s
 				}
 			}
 			for ox := oxHi; ox < st.ow; ox++ {
-				st.epi.store(outD, add, rowOff+ox, st.borderAcc(xd, wv, xBase, oy, ox)-corr, oc)
+				acc[rowOff+ox] = st.borderAcc(xw, wv, oy, ox)
 			}
 		}
-	})
+		var bv []int64
+		if add != nil {
+			bv = ex.SlotScratch(slot)[:ohw]
+			add.ReadInt64(bv, base)
+		}
+		finishSegOut(out, base, acc, bv, &st.epi, st.zsum[oc], oc)
+	}
 }
 
-// borderAcc accumulates one output site with per-tap bounds checks
-// (raw codes; out-of-bounds taps contribute 0).
-func (st *gconvPack) borderAcc(xd, wv []int64, xBase, oy, ox int) int64 {
-	var s int64
+// borderAcc accumulates one output site with per-tap bounds checks over
+// the widened group slab (raw codes; out-of-bounds taps contribute 0).
+func (st *gconvPackT[C]) borderAcc(xw, wv []C, oy, ox int) C {
+	var s C
 	for ch := 0; ch < st.cg; ch++ {
-		xb := xBase + ch*st.h*st.w
+		xb := ch * st.h * st.w
 		for ky := 0; ky < st.kH; ky++ {
 			iy := oy*st.stride - st.pad + ky
 			if iy < 0 || iy >= st.h {
 				continue
 			}
-			row := xd[xb+iy*st.w : xb+(iy+1)*st.w]
+			row := xw[xb+iy*st.w : xb+(iy+1)*st.w]
 			wRow := wv[(ch*st.kH+ky)*st.kW : (ch*st.kH+ky+1)*st.kW]
 			for kx := 0; kx < st.kW; kx++ {
 				ix := ox*st.stride - st.pad + kx
@@ -616,50 +885,90 @@ func (st *gconvPack) borderAcc(xd, wv []int64, xBase, oy, ox int) int64 {
 	return s
 }
 
-// kernelLinearPacked runs the packed-panel GEMM over the input rows
-// directly (no gather needed) with the zero point folded into the
-// row-sum correction, eliminating the shifted input copy entirely.
-func kernelLinearPacked(ex *Executor, idx int, it *Instr, in []*tensor.IntTensor, out *tensor.IntTensor) {
-	if st, ok := (*ex.KernelState(idx)).(*linPackS); ok {
-		runLinearSwar(ex, st, it, in, out)
-		return
+// jobs exposes the linear as its row-tile grid (waveRunner),
+// dispatching once on the input storage dtype.
+func (st *linPackT[C]) jobs(ex *Executor, idx int, it *Instr, in []*tensor.IntTensor, out *tensor.IntTensor) (func(job, slot int), int, bool) {
+	var body func(job, slot int)
+	switch st.ad {
+	case tensor.I8:
+		body = linJob[int8](ex, st, it, in, out)
+	case tensor.U8:
+		body = linJob[uint8](ex, st, it, in, out)
+	case tensor.I16:
+		body = linJob[int16](ex, st, it, in, out)
+	case tensor.U16:
+		body = linJob[uint16](ex, st, it, in, out)
+	case tensor.I32:
+		body = linJob[int32](ex, st, it, in, out)
+	default:
+		body = linJob[int64](ex, st, it, in, out)
 	}
-	if st, ok := (*ex.KernelState(idx)).(*linPackT); ok {
-		runLinearTyped(ex, st, it, in, out)
-		return
+	return body, st.tiles, st.parallel
+}
+
+// linJob builds the per-row-tile job body: run the panel GEMM straight
+// over the input rows (no gather; the zero point is folded into the
+// row-sum correction) into a slot-local row-major [m, o] tile, then
+// finish row by row through the slot's int64 staging chunk into the
+// output. Each output element's accumulation order over k (and its
+// epilogue) is independent of the tiling, so tiling never affects
+// values.
+func linJob[A tensor.Elem, C accum](ex *Executor, st *linPackT[C], it *Instr, in []*tensor.IntTensor, out *tensor.IntTensor) func(t, slot int) {
+	xs := typedData[A](in[0])
+	var add *tensor.IntTensor
+	if it.FusedAdd {
+		add = in[len(in)-1]
 	}
-	st, ok := (*ex.KernelState(idx)).(*linPack)
-	if !ok {
-		kernelLinearRef(ex, idx, it, in, out)
-		return
-	}
-	x := in[0]
-	add := fusedAddOperand(it, in)
-	outD := out.Data
-	k := st.k
-	tensor.ParallelForIntN(st.np, ex.maxPar, st.parallel, func(pb int) {
-		wp := st.wp[pb*k*panelW : (pb+1)*k*panelW]
-		oc0 := pb * panelW
-		nch := st.o - oc0
-		if nch > panelW {
-			nch = panelW
+	bufs := slotsOf[C](ex)
+	k, o := st.k, st.o
+	return func(t, slot int) {
+		r0 := t * st.tm
+		m := st.tm
+		if r0+m > st.rows {
+			m = st.rows - r0
 		}
-		for row := 0; row < st.rows; row++ {
-			a0 := x.Data[row*k : (row+1)*k]
-			var c0, c1, c2, c3 int64
-			for j := 0; j < k; j++ {
-				wj := wp[j*panelW : j*panelW+panelW : j*panelW+panelW]
-				av := a0[j]
-				c0 += av * wj[0]
-				c1 += av * wj[1]
-				c2 += av * wj[2]
-				c3 += av * wj[3]
-			}
-			accs := [panelW]int64{c0, c1, c2, c3}
-			for r := 0; r < nch; r++ {
-				oc := oc0 + r
-				st.epi.store(outD, add, row*st.o+oc, accs[r]-st.zsum[oc], oc)
+		acc := bufs.acc[slot][:m*o]
+		switch {
+		case st.nm != nil:
+			linPanelsNM(acc, xs, st.nm, r0, m, k, o)
+		case st.skip != nil:
+			linPanelsCSR(acc, xs, st.skip, r0, m, k, o)
+		default:
+			for pb := 0; pb < st.np; pb++ {
+				wp := st.wp[pb*k*panelW : (pb+1)*k*panelW]
+				oc0 := pb * panelW
+				nch := o - oc0
+				if nch > panelW {
+					nch = panelW
+				}
+				for i := 0; i < m; i++ {
+					a0 := xs[(r0+i)*k : (r0+i+1)*k]
+					var c0, c1, c2, c3 C
+					for j := 0; j < k; j++ {
+						wj := wp[j*panelW : j*panelW+panelW : j*panelW+panelW]
+						av := C(a0[j])
+						c0 += av * wj[0]
+						c1 += av * wj[1]
+						c2 += av * wj[2]
+						c3 += av * wj[3]
+					}
+					storeAccRow(acc, i*o+oc0, nch, c0, c1, c2, c3)
+				}
 			}
 		}
-	})
+		sc := ex.SlotScratch(slot)
+		av, bv := sc[:o], sc[o:2*o]
+		for i := 0; i < m; i++ {
+			row := acc[i*o : (i+1)*o]
+			var bvv []int64
+			if add != nil {
+				bvv = bv[:o]
+				add.ReadInt64(bvv, (r0+i)*o)
+			}
+			for oc, a := range row {
+				st.epi.finishInto(av, bvv, oc, int64(a)-st.zsum[oc], oc)
+			}
+			out.WriteInt64(av[:o], (r0+i)*o)
+		}
+	}
 }

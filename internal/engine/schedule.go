@@ -16,13 +16,14 @@ import "torch2chip/internal/tensor"
 // waveRunner is implemented by prepacked kernel states that can expose
 // their instruction as a grid of slot-confined jobs: jobs returns a
 // body executing one job on one parallel slot (touching only that
-// slot's scratch) plus the job count. That is exactly the contract
+// slot's scratch), the job count, and whether the grid is worth a
+// parallel dispatch on its own. That is exactly the contract
 // wave-parallel execution needs — jobs from different members run
 // concurrently, each confined to the slot the pool handed it. States
-// that stage through the executor's shared grow-only scratch (legacy
-// and elementwise kernels) must not implement it.
+// that stage through the executor's shared grow-only scratch
+// (elementwise kernels) must not implement it.
 type waveRunner interface {
-	jobs(ex *Executor, idx int, it *Instr, in []*tensor.IntTensor, out *tensor.IntTensor) (func(job, slot int), int)
+	jobs(ex *Executor, idx int, it *Instr, in []*tensor.IntTensor, out *tensor.IntTensor) (func(job, slot int), int, bool)
 }
 
 // wave is one scheduling step of the bound program.
@@ -106,7 +107,7 @@ func (ex *Executor) buildWaves() {
 				wv.jobOff = make([]int, len(pw.Members)+1)
 				for i, m := range pw.Members {
 					it := &ex.prog.Instrs[m]
-					body, n := ex.states[m].(waveRunner).jobs(ex, m, it, ex.opIns[m], ex.bufs[it.Out])
+					body, n, _ := ex.states[m].(waveRunner).jobs(ex, m, it, ex.opIns[m], ex.bufs[it.Out])
 					wv.bodies[i] = body
 					wv.jobOff[i+1] = wv.jobOff[i] + n
 				}

@@ -439,13 +439,13 @@ func (ex *Executor) swarSparseInstr(idx int) bool {
 	return ex.reg.swar && ex.reg.sparse && ex.stor != nil && ex.stor.swarSparse[idx]
 }
 
-// gemmPanels32CSR is the channel-granular sparse int32 microkernel: each
+// gemmPanelsCSR is the channel-granular sparse microkernel: each
 // output channel streams its own (position, weight) entries, so it skips
 // the full weight-sparsity fraction s (the pair lists only skip s²).
 // Entries stream sequentially; only the activation loads are indirect.
 // Four sites per step amortize each entry load over four MACs. Writes
-// the same [channel][site] accumulator layout as gemmPanels32.
-func gemmPanels32CSR(acc, panel []int32, sk *panelSkip, m, colW, o int) {
+// the same [channel][site] accumulator layout as gemmPanels.
+func gemmPanelsCSR[C accum](acc, panel []C, sk *panelSkip, m, colW, o int) {
 	for oc := 0; oc < o; oc++ {
 		es := sk.csrEnt[2*sk.csrOff[oc] : 2*sk.csrOff[oc+1]]
 		out := acc[oc*m : (oc+1)*m]
@@ -455,13 +455,13 @@ func gemmPanels32CSR(acc, panel []int32, sk *panelSkip, m, colW, o int) {
 			a1 := panel[(i+1)*colW:][:colW]
 			a2 := panel[(i+2)*colW:][:colW]
 			a3 := panel[(i+3)*colW:][:colW]
-			var c0, c1, c2, c3 int32
+			var c0, c1, c2, c3 C
 			e := 0
 			for ; e+4 <= len(es); e += 4 {
 				j0 := int(es[e])
-				w0 := es[e+1]
+				w0 := C(es[e+1])
 				j1 := int(es[e+2])
-				w1 := es[e+3]
+				w1 := C(es[e+3])
 				c0 += a0[j0]*w0 + a0[j1]*w1
 				c1 += a1[j0]*w0 + a1[j1]*w1
 				c2 += a2[j0]*w0 + a2[j1]*w1
@@ -469,7 +469,7 @@ func gemmPanels32CSR(acc, panel []int32, sk *panelSkip, m, colW, o int) {
 			}
 			for ; e+2 <= len(es); e += 2 {
 				j := int(es[e])
-				w := es[e+1]
+				w := C(es[e+1])
 				c0 += a0[j] * w
 				c1 += a1[j] * w
 				c2 += a2[j] * w
@@ -479,9 +479,9 @@ func gemmPanels32CSR(acc, panel []int32, sk *panelSkip, m, colW, o int) {
 		}
 		for ; i < m; i++ {
 			a0 := panel[i*colW:][:colW]
-			var c0 int32
+			var c0 C
 			for e := 0; e+2 <= len(es); e += 2 {
-				c0 += a0[es[e]] * es[e+1]
+				c0 += a0[es[e]] * C(es[e+1])
 			}
 			out[i] = c0
 		}
@@ -490,8 +490,8 @@ func gemmPanels32CSR(acc, panel []int32, sk *panelSkip, m, colW, o int) {
 
 // linPanelsCSR runs the channel-granular sparse GEMM for the typed
 // linear, widening activations at use exactly like the dense loop.
-// Writes the same [site][channel] accumulator layout as linTypedJob.
-func linPanelsCSR[A tensor.Elem](acc []int32, xs []A, sk *panelSkip, r0, m, k, o int) {
+// Writes the same [site][channel] accumulator layout as linJob.
+func linPanelsCSR[A tensor.Elem, C accum](acc []C, xs []A, sk *panelSkip, r0, m, k, o int) {
 	for oc := 0; oc < o; oc++ {
 		es := sk.csrEnt[2*sk.csrOff[oc] : 2*sk.csrOff[oc+1]]
 		i := 0
@@ -500,25 +500,25 @@ func linPanelsCSR[A tensor.Elem](acc []int32, xs []A, sk *panelSkip, r0, m, k, o
 			a1 := xs[(r0+i+1)*k : (r0+i+2)*k]
 			a2 := xs[(r0+i+2)*k : (r0+i+3)*k]
 			a3 := xs[(r0+i+3)*k : (r0+i+4)*k]
-			var c0, c1, c2, c3 int32
+			var c0, c1, c2, c3 C
 			e := 0
 			for ; e+4 <= len(es); e += 4 {
 				j0 := int(es[e])
-				w0 := es[e+1]
+				w0 := C(es[e+1])
 				j1 := int(es[e+2])
-				w1 := es[e+3]
-				c0 += int32(a0[j0])*w0 + int32(a0[j1])*w1
-				c1 += int32(a1[j0])*w0 + int32(a1[j1])*w1
-				c2 += int32(a2[j0])*w0 + int32(a2[j1])*w1
-				c3 += int32(a3[j0])*w0 + int32(a3[j1])*w1
+				w1 := C(es[e+3])
+				c0 += C(a0[j0])*w0 + C(a0[j1])*w1
+				c1 += C(a1[j0])*w0 + C(a1[j1])*w1
+				c2 += C(a2[j0])*w0 + C(a2[j1])*w1
+				c3 += C(a3[j0])*w0 + C(a3[j1])*w1
 			}
 			for ; e+2 <= len(es); e += 2 {
 				j := int(es[e])
-				w := es[e+1]
-				c0 += int32(a0[j]) * w
-				c1 += int32(a1[j]) * w
-				c2 += int32(a2[j]) * w
-				c3 += int32(a3[j]) * w
+				w := C(es[e+1])
+				c0 += C(a0[j]) * w
+				c1 += C(a1[j]) * w
+				c2 += C(a2[j]) * w
+				c3 += C(a3[j]) * w
 			}
 			acc[i*o+oc] = c0
 			acc[(i+1)*o+oc] = c1
@@ -527,22 +527,22 @@ func linPanelsCSR[A tensor.Elem](acc []int32, xs []A, sk *panelSkip, r0, m, k, o
 		}
 		for ; i < m; i++ {
 			a0 := xs[(r0+i)*k : (r0+i+1)*k]
-			var c0 int32
+			var c0 C
 			for e := 0; e+2 <= len(es); e += 2 {
-				c0 += int32(a0[es[e]]) * es[e+1]
+				c0 += C(a0[es[e]]) * C(es[e+1])
 			}
 			acc[i*o+oc] = c0
 		}
 	}
 }
 
-// gemmPanelsNM is the N:M-packed int32 microkernel: each output channel
+// gemmPanelsNM is the N:M-packed microkernel: each output channel
 // streams its packed slots (one sequential int32 per executed multiply),
 // selecting the activation inside the aligned group by the 2-bit index.
 // Four sites per step amortize each slot load over four MACs; at 2:4 the
 // multiply count is half the dense kernel's. Writes the same
-// [channel][site] accumulator layout as gemmPanels32.
-func gemmPanelsNM(acc, panel []int32, nm *nmPack, m, colW, o int) {
+// [channel][site] accumulator layout as gemmPanels.
+func gemmPanelsNM[C accum](acc, panel []C, nm *nmPack, m, colW, o int) {
 	n, groups := nm.n, nm.groups
 	for oc := 0; oc < o; oc++ {
 		pk := nm.packed[oc*groups*n : (oc+1)*groups*n]
@@ -557,15 +557,15 @@ func gemmPanelsNM(acc, panel []int32, nm *nmPack, m, colW, o int) {
 			a5 := panel[(i+5)*colW:][:colW]
 			a6 := panel[(i+6)*colW:][:colW]
 			a7 := panel[(i+7)*colW:][:colW]
-			var c0, c1, c2, c3, c4, c5, c6, c7 int32
+			var c0, c1, c2, c3, c4, c5, c6, c7 C
 			if n == 2 {
 				for g := 0; g < groups; g++ {
 					e0 := pk[g*2]
 					e1 := pk[g*2+1]
 					j0 := g*nmM + int(e0&3)
 					j1 := g*nmM + int(e1&3)
-					w0 := e0 >> 2
-					w1 := e1 >> 2
+					w0 := C(e0 >> 2)
+					w1 := C(e1 >> 2)
 					c0 += a0[j0]*w0 + a0[j1]*w1
 					c1 += a1[j0]*w0 + a1[j1]*w1
 					c2 += a2[j0]*w0 + a2[j1]*w1
@@ -579,7 +579,7 @@ func gemmPanelsNM(acc, panel []int32, nm *nmPack, m, colW, o int) {
 				for g := 0; g < groups; g++ {
 					e0 := pk[g]
 					j0 := g*nmM + int(e0&3)
-					w0 := e0 >> 2
+					w0 := C(e0 >> 2)
 					c0 += a0[j0] * w0
 					c1 += a1[j0] * w0
 					c2 += a2[j0] * w0
@@ -598,15 +598,15 @@ func gemmPanelsNM(acc, panel []int32, nm *nmPack, m, colW, o int) {
 			a1 := panel[(i+1)*colW:][:colW]
 			a2 := panel[(i+2)*colW:][:colW]
 			a3 := panel[(i+3)*colW:][:colW]
-			var c0, c1, c2, c3 int32
+			var c0, c1, c2, c3 C
 			if n == 2 {
 				for g := 0; g < groups; g++ {
 					e0 := pk[g*2]
 					e1 := pk[g*2+1]
 					j0 := g*nmM + int(e0&3)
 					j1 := g*nmM + int(e1&3)
-					w0 := e0 >> 2
-					w1 := e1 >> 2
+					w0 := C(e0 >> 2)
+					w1 := C(e1 >> 2)
 					c0 += a0[j0]*w0 + a0[j1]*w1
 					c1 += a1[j0]*w0 + a1[j1]*w1
 					c2 += a2[j0]*w0 + a2[j1]*w1
@@ -616,7 +616,7 @@ func gemmPanelsNM(acc, panel []int32, nm *nmPack, m, colW, o int) {
 				for g := 0; g < groups; g++ {
 					e0 := pk[g]
 					j0 := g*nmM + int(e0&3)
-					w0 := e0 >> 2
+					w0 := C(e0 >> 2)
 					c0 += a0[j0] * w0
 					c1 += a1[j0] * w0
 					c2 += a2[j0] * w0
@@ -627,11 +627,11 @@ func gemmPanelsNM(acc, panel []int32, nm *nmPack, m, colW, o int) {
 		}
 		for ; i < m; i++ {
 			a0 := panel[i*colW:][:colW]
-			var c0 int32
+			var c0 C
 			for g := 0; g < groups; g++ {
 				for t := 0; t < n; t++ {
 					e := pk[g*n+t]
-					c0 += a0[g*nmM+int(e&3)] * (e >> 2)
+					c0 += a0[g*nmM+int(e&3)] * C(e>>2)
 				}
 			}
 			out[i] = c0
@@ -641,8 +641,8 @@ func gemmPanelsNM(acc, panel []int32, nm *nmPack, m, colW, o int) {
 
 // linPanelsNM runs the N:M-packed GEMM for the typed linear, widening
 // activations at use. Writes the same [site][channel] accumulator layout
-// as linTypedJob.
-func linPanelsNM[A tensor.Elem](acc []int32, xs []A, nm *nmPack, r0, m, k, o int) {
+// as linJob.
+func linPanelsNM[A tensor.Elem, C accum](acc []C, xs []A, nm *nmPack, r0, m, k, o int) {
 	n, groups := nm.n, nm.groups
 	for oc := 0; oc < o; oc++ {
 		pk := nm.packed[oc*groups*n : (oc+1)*groups*n]
@@ -652,29 +652,29 @@ func linPanelsNM[A tensor.Elem](acc []int32, xs []A, nm *nmPack, r0, m, k, o int
 			a1 := xs[(r0+i+1)*k : (r0+i+2)*k]
 			a2 := xs[(r0+i+2)*k : (r0+i+3)*k]
 			a3 := xs[(r0+i+3)*k : (r0+i+4)*k]
-			var c0, c1, c2, c3 int32
+			var c0, c1, c2, c3 C
 			if n == 2 {
 				for g := 0; g < groups; g++ {
 					e0 := pk[g*2]
 					e1 := pk[g*2+1]
 					j0 := g*nmM + int(e0&3)
 					j1 := g*nmM + int(e1&3)
-					w0 := e0 >> 2
-					w1 := e1 >> 2
-					c0 += int32(a0[j0])*w0 + int32(a0[j1])*w1
-					c1 += int32(a1[j0])*w0 + int32(a1[j1])*w1
-					c2 += int32(a2[j0])*w0 + int32(a2[j1])*w1
-					c3 += int32(a3[j0])*w0 + int32(a3[j1])*w1
+					w0 := C(e0 >> 2)
+					w1 := C(e1 >> 2)
+					c0 += C(a0[j0])*w0 + C(a0[j1])*w1
+					c1 += C(a1[j0])*w0 + C(a1[j1])*w1
+					c2 += C(a2[j0])*w0 + C(a2[j1])*w1
+					c3 += C(a3[j0])*w0 + C(a3[j1])*w1
 				}
 			} else {
 				for g := 0; g < groups; g++ {
 					e0 := pk[g]
 					j := g*nmM + int(e0&3)
-					w := e0 >> 2
-					c0 += int32(a0[j]) * w
-					c1 += int32(a1[j]) * w
-					c2 += int32(a2[j]) * w
-					c3 += int32(a3[j]) * w
+					w := C(e0 >> 2)
+					c0 += C(a0[j]) * w
+					c1 += C(a1[j]) * w
+					c2 += C(a2[j]) * w
+					c3 += C(a3[j]) * w
 				}
 			}
 			acc[i*o+oc] = c0
@@ -684,11 +684,11 @@ func linPanelsNM[A tensor.Elem](acc []int32, xs []A, nm *nmPack, r0, m, k, o int
 		}
 		for ; i < m; i++ {
 			a0 := xs[(r0+i)*k : (r0+i+1)*k]
-			var c0 int32
+			var c0 C
 			for g := 0; g < groups; g++ {
 				for t := 0; t < n; t++ {
 					e := pk[g*n+t]
-					c0 += int32(a0[g*nmM+int(e&3)]) * (e >> 2)
+					c0 += C(a0[g*nmM+int(e&3)]) * C(e>>2)
 				}
 			}
 			acc[i*o+oc] = c0

@@ -46,7 +46,7 @@ func BenchmarkSparseKernels(b *testing.B) {
 	for _, s := range []float64{0.5, 0.7, 0.85} {
 		w := benchWeights(o, k, s)
 		sk := buildPanelSkip(w, o, k)
-		wp32 := packPanels32(w, o, k)
+		wp32 := packPanels[int32](w, o, k)
 		const ba, bw = 128, 128
 		wps := packPanelsSwar(w, o, k, bw)
 		wsum := rowSumsScaled(w, o, k, 1)
@@ -62,7 +62,7 @@ func BenchmarkSparseKernels(b *testing.B) {
 		})
 		b.Run("dense-i32/"+name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				gemmPanels32(acc, panel32, wp32, m, k, o, np)
+				gemmPanels(acc, panel32, wp32, m, k, o, np)
 			}
 		})
 		b.Run("pair-swar/"+name, func(b *testing.B) {
@@ -72,7 +72,7 @@ func BenchmarkSparseKernels(b *testing.B) {
 		})
 		b.Run("csr-i32/"+name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				gemmPanels32CSR(acc, panel32, sk, m, k, o)
+				gemmPanelsCSR(acc, panel32, sk, m, k, o)
 			}
 		})
 	}
@@ -109,7 +109,7 @@ func BenchmarkSparseKernels(b *testing.B) {
 		})
 		b.Run("csr-shared/"+name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				gemmPanels32CSR(acc, panel32, sk, m, k, o)
+				gemmPanelsCSR(acc, panel32, sk, m, k, o)
 			}
 		})
 	}
@@ -124,7 +124,7 @@ func BenchmarkSparseKernels(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("nm-csr/n%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				gemmPanels32CSR(acc, panel32, sk, m, k, o)
+				gemmPanelsCSR(acc, panel32, sk, m, k, o)
 			}
 		})
 	}

@@ -63,7 +63,7 @@ func nmWeights(o, k, n int, seed uint64) []int64 {
 
 // TestSparseGemmKernelsMatchDense: the pair-skipping and N:M int32
 // kernels (conv-panel and linear layouts) and the pair-skipping SWAR
-// kernel must reproduce gemmPanels32's accumulator tile exactly, at
+// kernel must reproduce gemmPanels's accumulator tile exactly, at
 // several shapes including partial panels and odd site counts.
 func TestSparseGemmKernelsMatchDense(t *testing.T) {
 	shapes := []struct{ o, k, m int }{
@@ -77,7 +77,7 @@ func TestSparseGemmKernelsMatchDense(t *testing.T) {
 			o, k, m := sh.o, sh.k, sh.m
 			w := sparseWeights(o, k, sparsity, uint64(o*k)+uint64(sparsity*100))
 			np := (o + panelW - 1) / panelW
-			wp32 := packPanels32(w, o, k)
+			wp32 := packPanels[int32](w, o, k)
 			sk := buildPanelSkip(w, o, k)
 
 			// Random raw int8 activations as a widened panel.
@@ -88,10 +88,10 @@ func TestSparseGemmKernelsMatchDense(t *testing.T) {
 				panel[i] = int32((s>>33)%255) - 127
 			}
 			want := make([]int32, np*panelW*m)
-			gemmPanels32(want, panel, wp32, m, k, o, np)
+			gemmPanels(want, panel, wp32, m, k, o, np)
 
 			got := make([]int32, len(want))
-			gemmPanels32CSR(got, panel, sk, m, k, o)
+			gemmPanelsCSR(got, panel, sk, m, k, o)
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("o=%d k=%d m=%d s=%.2f: csr acc[%d] = %d, dense %d", o, k, m, sparsity, i, got[i], want[i])
@@ -174,7 +174,7 @@ func TestNMKernelsMatchDense(t *testing.T) {
 				t.Fatalf("detectNM(%d:%d weights) = %d", n, nmM, got)
 			}
 			np := (o + panelW - 1) / panelW
-			wp32 := packPanels32(w, o, k)
+			wp32 := packPanels[int32](w, o, k)
 			nm := buildNMPack(w, o, k, n)
 			panel := make([]int32, m*k)
 			s := uint64(7)
@@ -183,7 +183,7 @@ func TestNMKernelsMatchDense(t *testing.T) {
 				panel[i] = int32((s>>33)%255) - 127
 			}
 			want := make([]int32, np*panelW*m)
-			gemmPanels32(want, panel, wp32, m, k, o, np)
+			gemmPanels(want, panel, wp32, m, k, o, np)
 			got := make([]int32, len(want))
 			gemmPanelsNM(got, panel, nm, m, k, o)
 			for i := range want {

@@ -104,6 +104,9 @@ func TestSparseZooParityAcrossRegistriesAndOptLevels(t *testing.T) {
 						for _, batch := range []int{1, 3} {
 							xb := g.Uniform(0, 1, batch, 3, 32, 32)
 							t.Run(rname, func(t *testing.T) {
+								if rname == "fast-i64" {
+									assertInt64Bound(t, prog, xb.Shape, reg)
+								}
 								assertBitIdentical(t, cm.Int, prog, xb, reg)
 							})
 						}

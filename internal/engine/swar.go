@@ -193,8 +193,8 @@ func prepConvSwar(ex *Executor, idx int, it *Instr) (any, error) {
 	// the biased byte panel in the u8 slot, the accumulator tile shared
 	// with the int32-panel path.
 	ex.NeedSlotScratch(2 * st.tm)
-	ex.NeedSlotTyped(tensor.U8, st.tm*colW)
-	ex.NeedAccTile(st.tm * st.o)
+	ex.needSlotU8(st.tm * colW)
+	ex.w32.reserve(0, st.tm*st.o)
 	return st, nil
 }
 
@@ -231,8 +231,8 @@ func prepLinearSwar(ex *Executor, idx int, it *Instr) (any, error) {
 	// Staging: per-row int64 requantize chunk + fused-add chunk + byte
 	// sums; the biased byte panel; the row-major accumulator tile.
 	ex.NeedSlotScratch(2*o + st.tm)
-	ex.NeedSlotTyped(tensor.U8, st.tm*k)
-	ex.NeedAccTile(st.tm * st.o)
+	ex.needSlotU8(st.tm * k)
+	ex.w32.reserve(0, st.tm*st.o)
 	return st, nil
 }
 
@@ -431,26 +431,10 @@ func storeSwarSite(acc []int32, bcorr []int64, oc0, nch, i, cs, rs int, siteCorr
 	}
 }
 
-// runConvSwar dispatches the SWAR conv on the input storage dtype
-// (selection guarantees an 8-bit dtype).
-func runConvSwar(ex *Executor, st *convPackS, it *Instr, in []*tensor.IntTensor, out *tensor.IntTensor) {
-	if st.ad == tensor.U8 {
-		runConvSwarA[uint8](ex, st, it, in, out)
-		return
-	}
-	runConvSwarA[int8](ex, st, it, in, out)
-}
-
-// runConvSwarA: per (sample, site-tile) job, gather the tile's biased
-// byte panel plus per-site sums, run the lane-packed GEMM into the
-// channel-major int32 tile, and finish each channel through the shared
-// typed epilogue.
-func runConvSwarA[A tensor.Elem](ex *Executor, st *convPackS, it *Instr, in []*tensor.IntTensor, out *tensor.IntTensor) {
-	tensor.ParallelForSlotsN(st.n*st.tiles, ex.maxPar, st.parallel, convSwarJob[A](ex, st, it, in, out))
-}
-
-// convSwarJob builds the per-(sample, site-tile) job body shared by the
-// parallel loop and the serial wave fallback.
+// convSwarJob builds the per-(sample, site-tile) job body: gather the
+// tile's biased byte panel plus per-site sums, run the lane-packed GEMM
+// into the channel-major int32 tile, and finish each channel through the
+// shared epilogue.
 func convSwarJob[A tensor.Elem](ex *Executor, st *convPackS, it *Instr, in []*tensor.IntTensor, out *tensor.IntTensor) func(job, slot int) {
 	xs := typedData[A](in[0])
 	var add *tensor.IntTensor
@@ -470,7 +454,7 @@ func convSwarJob[A tensor.Elem](ex *Executor, st *convPackS, it *Instr, in []*te
 		addw, sums := sc[:st.tm], sc[st.tm:st.tm+m]
 		sample := xs[ni*st.sampleElems : (ni+1)*st.sampleElems]
 		gatherPanelBytes(panel, sums, sample, st, s0, m)
-		acc := ex.AccTile(slot)
+		acc := ex.w32.acc[slot]
 		if st.skip != nil {
 			gemmPanelsSwarSparse(acc, panel, st.wps, st.skip, st.bcorr, st.bw, m, colW, o, st.np, m, 1)
 		} else {
@@ -489,37 +473,22 @@ func convSwarJob[A tensor.Elem](ex *Executor, st *convPackS, it *Instr, in []*te
 	}
 }
 
-// jobs exposes the conv as its (sample × site-tile) grid for wave
-// execution (waveRunner).
-func (st *convPackS) jobs(ex *Executor, idx int, it *Instr, in []*tensor.IntTensor, out *tensor.IntTensor) (func(job, slot int), int) {
+// jobs exposes the conv as its (sample × site-tile) grid (waveRunner),
+// dispatching once on the 8-bit input dtype.
+func (st *convPackS) jobs(ex *Executor, idx int, it *Instr, in []*tensor.IntTensor, out *tensor.IntTensor) (func(job, slot int), int, bool) {
 	var body func(job, slot int)
 	if st.ad == tensor.U8 {
 		body = convSwarJob[uint8](ex, st, it, in, out)
 	} else {
 		body = convSwarJob[int8](ex, st, it, in, out)
 	}
-	return body, st.n * st.tiles
+	return body, st.n * st.tiles, st.parallel
 }
 
-// runLinearSwar dispatches the SWAR linear on the input storage dtype.
-func runLinearSwar(ex *Executor, st *linPackS, it *Instr, in []*tensor.IntTensor, out *tensor.IntTensor) {
-	if st.ad == tensor.U8 {
-		runLinearSwarA[uint8](ex, st, it, in, out)
-		return
-	}
-	runLinearSwarA[int8](ex, st, it, in, out)
-}
-
-// runLinearSwarA: per row-tile job, gather biased byte rows plus sums,
-// run the lane-packed GEMM into the row-major int32 tile, then finish
-// row by row — widen, correct, requantize, fused epilogue — through the
-// slot's int64 staging chunk into the output.
-func runLinearSwarA[A tensor.Elem](ex *Executor, st *linPackS, it *Instr, in []*tensor.IntTensor, out *tensor.IntTensor) {
-	tensor.ParallelForSlotsN(st.tiles, ex.maxPar, st.parallel, linSwarJob[A](ex, st, it, in, out))
-}
-
-// linSwarJob builds the per-row-tile job body shared by the parallel
-// loop and the serial wave fallback.
+// linSwarJob builds the per-row-tile job body: gather biased byte rows
+// plus sums, run the lane-packed GEMM into the row-major int32 tile, then
+// finish row by row — widen, correct, requantize, fused epilogue —
+// through the slot's int64 staging chunk into the output.
 func linSwarJob[A tensor.Elem](ex *Executor, st *linPackS, it *Instr, in []*tensor.IntTensor, out *tensor.IntTensor) func(t, slot int) {
 	xs := typedData[A](in[0])
 	var add *tensor.IntTensor
@@ -537,7 +506,7 @@ func linSwarJob[A tensor.Elem](ex *Executor, st *linPackS, it *Instr, in []*tens
 		sc := ex.SlotScratch(slot)
 		av, bv, sums := sc[:o], sc[o:2*o], sc[2*o:2*o+m]
 		gatherRowBytes(panel, sums, xs[r0*k:(r0+m)*k], k, m, st.ba)
-		acc := ex.AccTile(slot)
+		acc := ex.w32.acc[slot]
 		if st.skip != nil {
 			gemmPanelsSwarSparse(acc, panel, st.wps, st.skip, st.bcorr, st.bw, m, k, o, st.np, 1, o)
 		} else {
@@ -558,16 +527,16 @@ func linSwarJob[A tensor.Elem](ex *Executor, st *linPackS, it *Instr, in []*tens
 	}
 }
 
-// jobs exposes the linear as its row-tile grid for wave execution
-// (waveRunner).
-func (st *linPackS) jobs(ex *Executor, idx int, it *Instr, in []*tensor.IntTensor, out *tensor.IntTensor) (func(job, slot int), int) {
+// jobs exposes the linear as its row-tile grid (waveRunner),
+// dispatching once on the 8-bit input dtype.
+func (st *linPackS) jobs(ex *Executor, idx int, it *Instr, in []*tensor.IntTensor, out *tensor.IntTensor) (func(job, slot int), int, bool) {
 	var body func(t, slot int)
 	if st.ad == tensor.U8 {
 		body = linSwarJob[uint8](ex, st, it, in, out)
 	} else {
 		body = linSwarJob[int8](ex, st, it, in, out)
 	}
-	return body, st.tiles
+	return body, st.tiles, st.parallel
 }
 
 // KernelChoice describes the compute path one instruction is bound to —
@@ -576,9 +545,12 @@ type KernelChoice struct {
 	Index int    // instruction index
 	Name  string // instruction name
 	Kind  OpKind
-	Path  string // "swar", "swar-sparse", "i32-panel", "i32-sparse", "i32-nm", "i32-direct", "i64-panel", "i64-direct", "matmul", "im2col", ""
-	Lanes int    // output channels per packed accumulator word (SWAR only)
-	TileM int    // site/row tile of the bound GEMM state
+	// Path is "swar", "swar-sparse", "i32-panel", "i32-sparse", "i32-nm",
+	// "i32-direct", "i64-panel", "i64-direct", "matmul", or "reference"
+	// when no state is bound and the reference body runs.
+	Path  string
+	Lanes int // output channels per packed accumulator word (SWAR only)
+	TileM int // site/row tile of the bound GEMM state
 	// WeightSparsity is the fraction of exactly-zero weights;
 	// SkipFrac the fraction of dense MACs the bound kernel skips
 	// (1 − effective/dense; 0 on dense-bound paths even when the
@@ -618,34 +590,24 @@ func (ex *Executor) KernelChoices() []KernelChoice {
 			if st.skip != nil {
 				c.Path, sparseBound = "swar-sparse", true
 			}
-		case *convPackT:
-			c.Path, c.TileM = "i32-panel", st.tm
-			switch {
-			case st.nm != nil:
-				c.Path, sparseBound = "i32-nm", true
-			case st.skip != nil:
-				c.Path, sparseBound = "i32-sparse", true
-			}
-		case *linPackT:
-			c.Path, c.TileM = "i32-panel", st.tm
-			switch {
-			case st.nm != nil:
-				c.Path, sparseBound = "i32-nm", true
-			case st.skip != nil:
-				c.Path, sparseBound = "i32-sparse", true
-			}
-		case *gconvPackT:
+		case *convPackT[int32]:
+			c.TileM = st.tm
+			c.Path, sparseBound = panelPath(st.skip, st.nm)
+		case *linPackT[int32]:
+			c.TileM = st.tm
+			c.Path, sparseBound = panelPath(st.skip, st.nm)
+		case *gconvPackT[int32]:
 			c.Path = "i32-direct"
-		case *convPack:
+		case *convPackT[int64]:
 			c.Path, c.TileM = "i64-panel", st.tm
-		case *linPack:
-			c.Path, c.TileM = "i64-panel", st.rows
-		case *gconvPack:
+		case *linPackT[int64]:
+			c.Path, c.TileM = "i64-panel", st.tm
+		case *gconvPackT[int64]:
 			c.Path = "i64-direct"
 		case *mmPack:
 			c.Path = "matmul"
 		default:
-			c.Path = "im2col"
+			c.Path = "reference"
 		}
 		if sparseBound {
 			// Skip fraction of the kernel actually bound (the CSR, pair
@@ -663,4 +625,16 @@ func (ex *Executor) KernelChoices() []KernelChoice {
 		out = append(out, c)
 	}
 	return out
+}
+
+// panelPath names the path of an int32 panel state: dense, or the
+// sparse form it bound.
+func panelPath(skip *panelSkip, nm *nmPack) (path string, sparse bool) {
+	switch {
+	case nm != nil:
+		return "i32-nm", true
+	case skip != nil:
+		return "i32-sparse", true
+	}
+	return "i32-panel", false
 }

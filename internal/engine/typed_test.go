@@ -3,8 +3,8 @@ package engine_test
 // Typed-storage tests: the narrow-precision engine must stay bit-exact
 // with the IntModel interpreter across every registry, opt level, and
 // dtype mix; the planner's byte accounting must show the narrow arenas
-// actually shrinking; and odd-width models must fall back to I64
-// storage without losing exactness.
+// actually shrinking; and odd-width models must bind the int64 kernels
+// over narrow storage without losing exactness.
 
 import (
 	"bytes"
@@ -84,6 +84,9 @@ func TestTypedZooParityAcrossRegistriesAndOptLevels(t *testing.T) {
 					for _, batch := range []int{1, 3} {
 						xb := g.Uniform(0, 1, batch, 3, 32, 32)
 						t.Run(rname, func(t *testing.T) {
+							if rname == "fast-i64" {
+								assertInt64Bound(t, prog, xb.Shape, reg)
+							}
 							assertBitIdentical(t, cm.Int, prog, xb, reg)
 						})
 					}
@@ -246,10 +249,12 @@ func TestExecuteCodesRejectsOutOfRangeInput(t *testing.T) {
 	}
 }
 
-// TestOddWidthModelFallsBackToI64 compiles a model with 12-bit weights —
-// too wide for the int8 panels — and asserts every conv/linear touching
-// buffer is demoted to I64 storage while execution stays bit-identical.
-func TestOddWidthModelFallsBackToI64(t *testing.T) {
+// TestOddWidthModelBindsInt64Kernels compiles a model with 12-bit
+// weights — too wide for the int32-accumulating kernels — and asserts
+// that those instructions bind the int64 kernels over the program's
+// narrow storage (no buffer is widened for them), bit-identically at
+// every batch size and parallelism bound.
+func TestOddWidthModelBindsInt64Kernels(t *testing.T) {
 	g := tensor.NewRNG(51)
 	calib, _ := data.Generate(data.SynthCIFAR10, 32, 8)
 	model := smallCNN(g)
@@ -265,29 +270,47 @@ func TestOddWidthModelFallsBackToI64(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex, err := engine.NewExecutor(cm.Prog, []int{2, 3, 8, 8}, engine.WithKernels(engine.FastKernels()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan := ex.Plan()
-	for d := tensor.DType(0); d < tensor.NumDTypes; d++ {
-		if d != tensor.I64 && plan.ArenaElems[d] != 0 {
-			t.Fatalf("odd-width model placed a %s arena: %s", d, plan)
-		}
-	}
-	// 12-bit weights really are too wide for int8 somewhere.
-	wide := false
-	for _, it := range cm.Prog.Instrs {
+	// 12-bit weights really are too wide for int8.
+	wideW := map[int]bool{}
+	for i, it := range cm.Prog.Instrs {
 		if it.W == nil {
 			continue
 		}
 		if mn, mx := it.W.MinMax(); mn < -128 || mx > 127 {
-			wide = true
+			wideW[i] = true
 		}
 	}
-	if !wide {
-		t.Skip("12-bit quantizer produced int8-range weights; fallback not exercised")
+	if len(wideW) == 0 {
+		t.Fatal("12-bit quantizer produced int8-range weights; the int64 kernels are not exercised")
 	}
-	xb := g.Uniform(0, 1, 2, 3, 8, 8)
-	assertBitIdentical(t, cm.Int, cm.Prog, xb, engine.FastKernels())
+	for _, batch := range []int{1, 3, 8} {
+		xb := g.Uniform(0, 1, batch, 3, 8, 8)
+		i64Plan, err := cm.Prog.PlanBuffersI64(xb.Shape)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, maxPar := range []int{1, 4} {
+			opt := engine.WithMaxParallel(maxPar)
+			ex, err := engine.NewExecutor(cm.Prog, xb.Shape, engine.WithKernels(engine.FastKernels()), opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range ex.KernelChoices() {
+				if wideW[c.Index] && c.Path != "i64-panel" && c.Path != "i64-direct" {
+					t.Fatalf("%s with 12-bit weights bound %q, want an i64 path", c.Name, c.Path)
+				}
+			}
+			plan := ex.Plan()
+			narrow := 0
+			for d := tensor.DType(0); d < tensor.NumDTypes; d++ {
+				if d != tensor.I64 {
+					narrow += plan.ArenaElems[d]
+				}
+			}
+			if narrow == 0 || plan.ArenaBytes >= i64Plan.ArenaBytes {
+				t.Fatalf("odd-width plan %s is not narrower than the I64 plan's %d B", plan, i64Plan.ArenaBytes)
+			}
+			assertBitIdentical(t, cm.Int, cm.Prog, xb, engine.FastKernels(), opt)
+		}
+	}
 }

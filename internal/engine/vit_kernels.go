@@ -50,8 +50,9 @@ func prepMatMul(ex *Executor, idx int, it *Instr) (any, error) {
 
 // jobs exposes the matmul as its batch-entry grid for wave execution
 // (waveRunner).
-func (st *mmPack) jobs(ex *Executor, idx int, it *Instr, in []*tensor.IntTensor, out *tensor.IntTensor) (func(job, slot int), int) {
-	return matMulJob(ex, it, in, out)
+func (st *mmPack) jobs(ex *Executor, idx int, it *Instr, in []*tensor.IntTensor, out *tensor.IntTensor) (func(job, slot int), int, bool) {
+	body, batches := matMulJob(ex, it, in, out)
+	return body, batches, st.parallel
 }
 
 // matMulBatch computes one batch entry: ov[M,N] = requant(Σ (av−za)(bv−zb))
@@ -111,11 +112,11 @@ func stageShift(dst []int64, t *tensor.IntTensor, off int, z int64) {
 // With bound mmPack state (fast registries) batch entries run in
 // parallel on per-slot scratch; otherwise serially on executor scratch.
 func kernelMatMul(ex *Executor, idx int, it *Instr, in []*tensor.IntTensor, out *tensor.IntTensor) {
-	if st, ok := (*ex.KernelState(idx)).(*mmPack); ok {
-		body, batches := matMulJob(ex, it, in, out)
-		tensor.ParallelForSlotsN(batches, ex.maxPar, st.parallel, body)
-		return
-	}
+	runBound(ex, idx, it, in, out, kernelMatMulSerial)
+}
+
+// kernelMatMulSerial is the unprepacked matmul body.
+func kernelMatMulSerial(ex *Executor, idx int, it *Instr, in []*tensor.IntTensor, out *tensor.IntTensor) {
 	a, b := in[0], in[1]
 	m, k := a.Shape[1], a.Shape[2]
 	n := out.Shape[2]

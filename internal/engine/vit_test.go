@@ -66,6 +66,9 @@ func TestViTZooParity(t *testing.T) {
 			for _, batch := range []int{1, 3} {
 				xb := g.Uniform(0, 1, batch, 3, 32, 32)
 				t.Run(pname+"/"+rname, func(t *testing.T) {
+					if rname == "fast-i64" {
+						assertInt64Bound(t, prog, xb.Shape, reg)
+					}
 					assertBitIdentical(t, cm.Int, prog, xb, reg)
 				})
 			}
