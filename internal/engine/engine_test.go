@@ -187,6 +187,9 @@ func TestPlannerRejectsBadShape(t *testing.T) {
 	}
 }
 
+// TestExecutorRejectsWrongInput: inputs an executor cannot view — a
+// batch of 0, a batch above the bound, a wrong per-sample shape, a
+// partial sample, a dst of another batch — are errors, not panics.
 func TestExecutorRejectsWrongInput(t *testing.T) {
 	g := tensor.NewRNG(13)
 	calib, _ := data.Generate(data.SynthCIFAR10, 32, 8)
@@ -198,6 +201,17 @@ func TestExecutorRejectsWrongInput(t *testing.T) {
 	}
 	if _, err := ex.Execute(g.Uniform(0, 1, 4, 3, 8, 8)); err == nil {
 		t.Fatal("expected shape mismatch error")
+	}
+	if _, err := ex.Execute(g.Uniform(0, 1, 100)); err == nil {
+		t.Error("Execute accepted a partial sample")
+	}
+	for _, shape := range [][]int{{0, 3, 8, 8}, {3, 3, 8, 8}, {2, 3, 8, 9}, {2, 8, 8, 3}, {2, 3, 64}, {3, 8, 8}} {
+		if _, err := ex.ExecuteCodes(tensor.NewInt(shape...), nil); err == nil {
+			t.Errorf("ExecuteCodes accepted input %v against bound shape %v", shape, ex.InShape())
+		}
+	}
+	if _, err := ex.ExecuteCodes(tensor.NewInt(1, 3, 8, 8), tensor.NewInt(2, 10)); err == nil {
+		t.Error("ExecuteCodes accepted a batch-2 dst for a batch-1 input")
 	}
 }
 

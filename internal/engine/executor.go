@@ -2,17 +2,22 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 
 	"torch2chip/internal/tensor"
 	"torch2chip/internal/trace"
 )
 
-// Executor runs a Program for one fixed input shape. All inter-op
-// buffers live in per-dtype arenas placed by the static planner (narrow
-// dtypes store one/two/four bytes per element); scratch used inside
-// kernels is grow-only and reused across calls, so steady-state Execute
-// performs no per-op allocation. An Executor is not safe for concurrent
-// use — the Server gives each worker its own.
+// Executor runs a Program for inputs of any batch size n up to the batch
+// it was bound at. All inter-op buffers live in per-dtype arenas placed
+// by the static planner at the bound batch (narrow dtypes store
+// one/two/four bytes per element). Every op keeps batch as the outermost
+// dimension, so a buffer's n-sample view is a prefix of its bound
+// placement: the first execute at n builds that view set once, and
+// every later execute at n reuses it. Scratch used inside kernels is
+// grow-only and reused across calls, so steady-state Execute performs no
+// allocation. An Executor is not safe for concurrent use — the Server
+// gives each worker its own.
 type Executor struct {
 	prog *Program
 	plan *Plan
@@ -28,22 +33,21 @@ type Executor struct {
 	arU16 []uint16
 	arI32 []int32
 
-	bufs        []*tensor.IntTensor
-	scratchBufs [][]int64             // grow-only scratch of the unprepacked kernels (reference and elementwise)
-	states      []any                 // per-instr cached kernel state
-	opIns       [][]*tensor.IntTensor // per-instr input operand views, bound once
-	waves       []wave                // hazard-free instruction groups (schedule.go)
-	maxPar      int                   // WithMaxParallel bound (0 = pool width)
-	waveRuns    int                   // waves executed member-concurrently so far
+	bound       int       // batch size the plan was placed for
+	views       []*view   // per batch size n (index n), built on first use
+	cur         *view     // the view the running execute binds
+	scratchBufs [][]int64 // grow-only scratch of the unprepacked kernels (reference and elementwise)
+	states      []any     // per-instr cached kernel state
+	waves       []wave    // hazard-free instruction groups (schedule.go)
+	maxPar      int       // WithMaxParallel bound (0 = pool width)
+	waveRuns    int       // waves executed member-concurrently so far
 
 	// Tracing (nil ring when no tracer was bound; the disabled path
-	// then costs one nil check per Execute). Names are interned and
-	// output footprints precomputed at bind so recording never
-	// allocates or re-derives shape math.
+	// then costs one nil check per Execute). Names are interned at bind
+	// so recording never allocates.
 	ring      *trace.Ring
 	traceTID  int32
 	instrName []uint32 // per-instr interned op-kind name
-	instrOutB []int64  // per-instr output-buffer bytes
 	waveName  uint32
 
 	// Prepacked-kernel support, sized at bind time by the registry's
@@ -111,8 +115,13 @@ func WithTraceRing(r *trace.Ring, tid int32) ExecOption {
 }
 
 // NewExecutor plans and binds a program for inputs of shape inShape
-// (full shape including the batch dimension, e.g. [8,3,32,32]).
+// (full shape including the batch dimension, e.g. [8,3,32,32]); the
+// executor then runs any batch of 1..inShape[0] samples in that plan's
+// arenas.
 func NewExecutor(p *Program, inShape []int, opts ...ExecOption) (*Executor, error) {
+	if len(inShape) == 0 || inShape[0] < 1 {
+		return nil, fmt.Errorf("engine: input shape %v has no batch dimension", inShape)
+	}
 	cfg := execConfig{reg: DefaultKernels(), planCfg: DefaultPlanConfig()}
 	for _, o := range opts {
 		o(&cfg)
@@ -144,7 +153,8 @@ func NewExecutor(p *Program, inShape []int, opts ...ExecOption) (*Executor, erro
 		plan:        plan,
 		stor:        stor,
 		reg:         reg,
-		bufs:        make([]*tensor.IntTensor, p.NumBufs),
+		bound:       inShape[0],
+		views:       make([]*view, inShape[0]+1),
 		scratchBufs: make([][]int64, 4),
 		states:      make([]any, len(p.Instrs)),
 		maxPar:      cfg.maxPar,
@@ -155,22 +165,9 @@ func NewExecutor(p *Program, inShape []int, opts ...ExecOption) (*Executor, erro
 	ex.arI16 = make([]int16, plan.ArenaElems[tensor.I16])
 	ex.arU16 = make([]uint16, plan.ArenaElems[tensor.U16])
 	ex.arI32 = make([]int32, plan.ArenaElems[tensor.I32])
-	for b := 0; b < p.NumBufs; b++ {
-		if plan.Offsets[b] < 0 {
-			continue
-		}
-		ex.bufs[b] = ex.arenaView(plan.DTypes[b], plan.Offsets[b], plan.Shapes[b])
-	}
 	ex.kern = make([]KernelFunc, len(p.Instrs))
-	ex.opIns = make([][]*tensor.IntTensor, len(p.Instrs))
 	for i := range p.Instrs {
-		k, _ := reg.Lookup(p.Instrs[i].Kind)
-		ex.kern[i] = k
-		ops := make([]*tensor.IntTensor, len(p.Instrs[i].In))
-		for j, b := range p.Instrs[i].In {
-			ops[j] = ex.bufs[b]
-		}
-		ex.opIns[i] = ops
+		ex.kern[i], _ = reg.Lookup(p.Instrs[i].Kind)
 	}
 	// Bind-time prep: prepack weights, epilogue constants, and cached
 	// index maps so the first Execute already runs the steady state.
@@ -193,13 +190,112 @@ func NewExecutor(p *Program, inShape []int, opts ...ExecOption) (*Executor, erro
 		ex.w64.alloc(slots)
 	}
 	ex.buildWaves()
+	if _, err := ex.viewAt(ex.bound); err != nil {
+		return nil, err
+	}
 	ex.bindTrace(&cfg)
 	return ex, nil
 }
 
+// view is the executor bound at one batch size n: every placed buffer's
+// n-sample view, the per-instruction operand lists, and the job grids of
+// the prepacked states and of the parallel waves, so an execute at n
+// does no shape math and no allocation.
+type view struct {
+	bufs  []*tensor.IntTensor
+	opIns [][]*tensor.IntTensor
+	grids []jobGrid // per instruction; zero when the state exposes no job grid
+	waves []jobGrid // per schedule wave; zero unless the wave is safe
+}
+
+// jobGrid is one pool pass: body runs job j on a parallel slot, for j in
+// [0, n).
+type jobGrid struct {
+	body     func(job, slot int)
+	n        int
+	parallel bool
+}
+
+// viewAt returns the executor's view at batch n (1 ≤ n ≤ bound), building
+// it on first use. Every op keeps batch as the outermost dimension, so a
+// buffer's n-sample shape — InferShapes at [n, sample…] — covers exactly
+// the first n/bound of its bound placement, at the same plan offset.
+func (ex *Executor) viewAt(n int) (*view, error) {
+	if n < 1 || n > ex.bound {
+		return nil, fmt.Errorf("engine: batch %d outside the executor's bound 1..%d", n, ex.bound)
+	}
+	if v := ex.views[n]; v != nil {
+		return v, nil
+	}
+	p := ex.prog
+	shapes := ex.plan.Shapes
+	if n != ex.bound {
+		var err error
+		if shapes, err = p.InferShapes(append([]int{n}, ex.InShape()[1:]...)); err != nil {
+			return nil, err
+		}
+	}
+	v := &view{
+		bufs:  make([]*tensor.IntTensor, p.NumBufs),
+		opIns: make([][]*tensor.IntTensor, len(p.Instrs)),
+		grids: make([]jobGrid, len(p.Instrs)),
+		waves: make([]jobGrid, len(ex.waves)),
+	}
+	for b := 0; b < p.NumBufs; b++ {
+		if ex.plan.Offsets[b] < 0 {
+			continue
+		}
+		if tensor.Numel(shapes[b])*ex.bound != tensor.Numel(ex.plan.Shapes[b])*n {
+			return nil, fmt.Errorf("engine: buffer %d is %v at batch %d, not a batch-major prefix of %v",
+				b, shapes[b], n, ex.plan.Shapes[b])
+		}
+		v.bufs[b] = ex.arenaView(ex.plan.DTypes[b], ex.plan.Offsets[b], shapes[b])
+	}
+	for i := range p.Instrs {
+		it := &p.Instrs[i]
+		ops := make([]*tensor.IntTensor, len(it.In))
+		for j, b := range it.In {
+			ops[j] = v.bufs[b]
+		}
+		v.opIns[i] = ops
+		if st, ok := ex.states[i].(waveRunner); ok {
+			g := &v.grids[i]
+			g.body, g.n, g.parallel = st.jobs(ex, i, it, ops, v.bufs[it.Out])
+		}
+	}
+	for wi := range ex.waves {
+		if ex.waves[wi].safe {
+			v.waves[wi] = v.waveGrid(ex.waves[wi].members)
+		}
+	}
+	ex.views[n] = v
+	return v, nil
+}
+
+// viewOf validates an input shape — [n, sample…] with the bound
+// per-sample shape — and returns the view at n.
+func (ex *Executor) viewOf(shape []int) (*view, error) {
+	want := ex.InShape()
+	if len(shape) != len(want) || !slices.Equal(shape[1:], want[1:]) {
+		return nil, fmt.Errorf("engine: input %v does not match planned shape %v", shape, want)
+	}
+	return ex.viewAt(shape[0])
+}
+
+// viewOfElems returns the view whose input holds elems elements — the
+// float API's check, which accepts any layout of n whole samples.
+func (ex *Executor) viewOfElems(elems int) (*view, error) {
+	want := ex.InShape()
+	per := tensor.Numel(want) / ex.bound
+	if elems == 0 || elems%per != 0 {
+		return nil, fmt.Errorf("engine: %d input elements are not whole samples of planned shape %v", elems, want)
+	}
+	return ex.viewAt(elems / per)
+}
+
 // bindTrace resolves the tracing options: interns every instruction's
-// op-kind name and precomputes output footprints so the recording hot
-// path is a clock read and a ring write, nothing else.
+// op-kind name so the recording hot path is a clock read and a ring
+// write, nothing else.
 func (ex *Executor) bindTrace(cfg *execConfig) {
 	ring, tid := cfg.ring, cfg.traceTID
 	if ring == nil && cfg.tracer != nil {
@@ -212,14 +308,8 @@ func (ex *Executor) bindTrace(cfg *execConfig) {
 	t := ring.Tracer()
 	ex.waveName = t.Intern("wave")
 	ex.instrName = make([]uint32, len(ex.prog.Instrs))
-	ex.instrOutB = make([]int64, len(ex.prog.Instrs))
 	for i := range ex.prog.Instrs {
-		it := &ex.prog.Instrs[i]
-		ex.instrName[i] = t.Intern(string(it.Kind))
-		out := it.Out
-		if ex.plan.Offsets[out] >= 0 {
-			ex.instrOutB[i] = int64(tensor.Numel(ex.plan.Shapes[out])) * int64(ex.plan.DTypes[out].Size())
-		}
+		ex.instrName[i] = t.Intern(string(ex.prog.Instrs[i].Kind))
 	}
 }
 
@@ -321,7 +411,7 @@ func makeSlots[T any](slots, n int) [][]T {
 // per-slot panels and accumulator tiles, the im2col index maps its bound
 // state actually references (shared maps counted once), plus the
 // grow-only buffers the unprepacked kernels have claimed so far (stable
-// after one Execute).
+// once each batch size that will run has run once).
 func (ex *Executor) ScratchBytes() int64 {
 	bytes := int64(len(ex.slotScratch)*ex.slotNeed) * 8
 	bytes += int64(len(ex.slotU8) * ex.u8Need)
@@ -356,15 +446,17 @@ func (ex *Executor) Plan() *Plan { return ex.plan }
 // InShape returns the input shape the executor was planned for.
 func (ex *Executor) InShape() []int { return ex.plan.Shapes[ex.prog.Input] }
 
-// ExecuteCodes runs the program on already-quantized input codes, writing
-// results into dst (allocated if nil) and returning it. The returned
-// tensor is caller-owned; arena storage is reused by the next call.
+// ExecuteCodes runs the program on already-quantized input codes of
+// shape [n, sample…] for any 1 ≤ n ≤ the bound batch, writing results
+// into dst (allocated if nil) and returning it. The returned tensor is
+// caller-owned; arena storage is reused by the next call.
 func (ex *Executor) ExecuteCodes(codes *tensor.IntTensor, dst *tensor.IntTensor) (*tensor.IntTensor, error) {
-	in := ex.bufs[ex.prog.Input]
-	n := in.Numel()
-	if codes.Numel() != n {
-		return nil, fmt.Errorf("engine: input %v does not match planned shape %v", codes.Shape, in.Shape)
+	v, err := ex.viewOf(codes.Shape)
+	if err != nil {
+		return nil, err
 	}
+	in := v.bufs[ex.prog.Input]
+	n := in.Numel()
 	if in.DType != tensor.I64 {
 		// The input buffer is stored narrow because the quantizer's code
 		// range fits it; codes outside that range would silently wrap on
@@ -379,6 +471,12 @@ func (ex *Executor) ExecuteCodes(codes *tensor.IntTensor, dst *tensor.IntTensor)
 			}
 		}
 	}
+	out := v.bufs[ex.prog.Output]
+	if dst == nil {
+		dst = tensor.NewInt(out.Shape...)
+	} else if dst.Numel() != out.Numel() {
+		return nil, fmt.Errorf("engine: dst %v does not match output shape %v", dst.Shape, out.Shape)
+	}
 	if in.DType == tensor.I64 && codes.DType == tensor.I64 {
 		copy(in.Data, codes.Data)
 	} else if codes.DType == tensor.I64 {
@@ -388,13 +486,7 @@ func (ex *Executor) ExecuteCodes(codes *tensor.IntTensor, dst *tensor.IntTensor)
 			in.Put(i, codes.Get(i))
 		}
 	}
-	ex.run()
-	out := ex.bufs[ex.prog.Output]
-	if dst == nil {
-		dst = tensor.NewInt(out.Shape...)
-	} else if dst.Numel() != out.Numel() {
-		return nil, fmt.Errorf("engine: dst %v does not match output shape %v", dst.Shape, out.Shape)
-	}
+	ex.run(v)
 	if out.DType == tensor.I64 && dst.DType == tensor.I64 {
 		copy(dst.Data, out.Data)
 	} else if dst.DType == tensor.I64 {
@@ -410,15 +502,16 @@ func (ex *Executor) ExecuteCodes(codes *tensor.IntTensor, dst *tensor.IntTensor)
 
 // Execute runs the full float→int→float pipeline exactly like
 // IntModel.Forward: quantize at the boundary, execute the integer
-// program, dequantize the output codes to logits.
+// program, dequantize the output codes to logits. x holds n whole
+// samples, 1 ≤ n ≤ the bound batch.
 func (ex *Executor) Execute(x *tensor.Tensor) (*tensor.Tensor, error) {
-	in := ex.bufs[ex.prog.Input]
-	if len(x.Data) != in.Numel() {
-		return nil, fmt.Errorf("engine: input %v does not match planned shape %v", x.Shape, in.Shape)
+	v, err := ex.viewOfElems(len(x.Data))
+	if err != nil {
+		return nil, err
 	}
-	ex.prog.InQuant.QuantizeTo(in, x)
-	ex.run()
-	codes := ex.bufs[ex.prog.Output]
+	ex.prog.InQuant.QuantizeTo(v.bufs[ex.prog.Input], x)
+	ex.run(v)
+	codes := v.bufs[ex.prog.Output]
 	out := tensor.New(codes.Shape...)
 	ex.DequantizeInto(out, codes)
 	return out, nil
@@ -427,16 +520,16 @@ func (ex *Executor) Execute(x *tensor.Tensor) (*tensor.Tensor, error) {
 // ExecuteInto is Execute writing logits into a caller-owned tensor, the
 // zero-alloc path the serving runtime uses.
 func (ex *Executor) ExecuteInto(out *tensor.Tensor, x *tensor.Tensor) error {
-	in := ex.bufs[ex.prog.Input]
-	if len(x.Data) != in.Numel() {
-		return fmt.Errorf("engine: input %v does not match planned shape %v", x.Shape, in.Shape)
+	v, err := ex.viewOfElems(len(x.Data))
+	if err != nil {
+		return err
 	}
-	ex.prog.InQuant.QuantizeTo(in, x)
-	ex.run()
-	codes := ex.bufs[ex.prog.Output]
+	codes := v.bufs[ex.prog.Output]
 	if len(out.Data) != codes.Numel() {
 		return fmt.Errorf("engine: out %v does not match output shape %v", out.Shape, codes.Shape)
 	}
+	ex.prog.InQuant.QuantizeTo(v.bufs[ex.prog.Input], x)
+	ex.run(v)
 	ex.DequantizeInto(out, codes)
 	return nil
 }
@@ -470,8 +563,8 @@ func (p *Program) DequantizeOutput(codes []int64, shape []int) *tensor.Tensor {
 	return out
 }
 
-// run executes the bound program wave by wave. A safe parallel wave
-// dispatches the combined job grid of all its members in one pool
+// run executes the program on view v wave by wave. A safe parallel
+// wave dispatches the combined job grid of all its members in one pool
 // pass — each job confined to the slot the pool hands it — so
 // independent GEMMs overlap while still splitting internally into
 // tiles; with a single worker, or a wave the bind-time checks demoted,
@@ -479,27 +572,22 @@ func (p *Program) DequantizeOutput(codes []int64, shape []int) *tensor.Tensor {
 // Both paths compute identical values — wave members write disjoint
 // arena intervals by construction, and job bodies are the same tile
 // bodies the intra-op path runs.
-func (ex *Executor) run() {
+func (ex *Executor) run(v *view) {
+	ex.cur = v
 	if ex.ring.Active() {
-		ex.runTraced()
+		ex.runTraced(v)
 		return
 	}
 	for wi := range ex.waves {
 		wv := &ex.waves[wi]
 		if wv.safe && ex.kernelWorkers() > 1 {
 			ex.waveRuns++
-			total := wv.jobOff[len(wv.bodies)]
-			tensor.ParallelForSlotsN(total, ex.maxPar, true, func(j, slot int) {
-				m := 0
-				for wv.jobOff[m+1] <= j {
-					m++
-				}
-				wv.bodies[m](j-wv.jobOff[m], slot)
-			})
+			g := &v.waves[wi]
+			tensor.ParallelForSlotsN(g.n, ex.maxPar, true, g.body)
 			continue
 		}
 		for _, i := range wv.members {
-			ex.runInstr(i)
+			ex.runInstr(v, i)
 		}
 	}
 }
@@ -507,39 +595,34 @@ func (ex *Executor) run() {
 // runTraced is run() with span recording: every wave gets a KindWave
 // span (A0 = members, A1 = combined jobs, or 0 when it ran serially),
 // and serially executed instructions each get a KindInstr span (A0 =
-// output-buffer bytes, A1 = instruction index). Members of a
-// parallel-dispatched wave are timed only as the wave — their job
+// output-buffer bytes at this batch, A1 = instruction index). Members of
+// a parallel-dispatched wave are timed only as the wave — their job
 // grids interleave across pool slots, so per-member wall time is not a
 // meaningful quantity there.
-func (ex *Executor) runTraced() {
+func (ex *Executor) runTraced(v *view) {
 	r := ex.ring
 	for wi := range ex.waves {
 		wv := &ex.waves[wi]
 		wStart := r.Now()
 		if wv.safe && ex.kernelWorkers() > 1 {
 			ex.waveRuns++
-			total := wv.jobOff[len(wv.bodies)]
-			tensor.ParallelForSlotsN(total, ex.maxPar, true, func(j, slot int) {
-				m := 0
-				for wv.jobOff[m+1] <= j {
-					m++
-				}
-				wv.bodies[m](j-wv.jobOff[m], slot)
-			})
+			g := &v.waves[wi]
+			tensor.ParallelForSlotsN(g.n, ex.maxPar, true, g.body)
 			r.Record(trace.Span{
 				Start: wStart, Dur: r.Now() - wStart, Name: ex.waveName,
 				Kind: trace.KindWave, TID: ex.traceTID,
-				A0: int64(len(wv.members)), A1: int64(total),
+				A0: int64(len(wv.members)), A1: int64(g.n),
 			})
 			continue
 		}
 		for _, i := range wv.members {
 			start := r.Now()
-			ex.runInstr(i)
+			ex.runInstr(v, i)
+			out := v.bufs[ex.prog.Instrs[i].Out]
 			r.Record(trace.Span{
 				Start: start, Dur: r.Now() - start, Name: ex.instrName[i],
 				Kind: trace.KindInstr, TID: ex.traceTID,
-				A0: ex.instrOutB[i], A1: int64(i),
+				A0: int64(out.Numel()) * int64(out.DType.Size()), A1: int64(i),
 			})
 		}
 		r.Record(trace.Span{
@@ -550,11 +633,11 @@ func (ex *Executor) runTraced() {
 	}
 }
 
-// runInstr dispatches one instruction through its bound kernel (the
-// kernel may parallelize internally).
-func (ex *Executor) runInstr(i int) {
+// runInstr dispatches one instruction through its bound kernel on view
+// v (the kernel may parallelize internally).
+func (ex *Executor) runInstr(v *view, i int) {
 	it := &ex.prog.Instrs[i]
-	ex.kern[i](ex, i, it, ex.opIns[i], ex.bufs[it.Out])
+	ex.kern[i](ex, i, it, v.opIns[i], v.bufs[it.Out])
 }
 
 // KernelState returns the cached state slot for instruction idx. Kernels

@@ -39,3 +39,30 @@ func (s *Server) Enqueued() uint64 {
 	defer s.q.mu.Unlock()
 	return s.q.seq
 }
+
+// TilesAt reports, in KernelChoices order, the site/row tile each
+// conv/linear/matmul instruction runs with at batch n (0 for states
+// without a tiled GEMM) — the per-n counterpart of KernelChoice.TileM,
+// so a test can compare it with a bind at batch n.
+func (ex *Executor) TilesAt(n int) []int {
+	var out []int
+	for _, c := range ex.KernelChoices() {
+		tm := 0
+		switch st := ex.states[c.Index].(type) {
+		case *convPackT[int32]:
+			tm = st.tm[n]
+		case *convPackT[int64]:
+			tm = st.tm[n]
+		case *linPackT[int32]:
+			tm = st.tm[n]
+		case *linPackT[int64]:
+			tm = st.tm[n]
+		case *convPackS:
+			tm = st.tm[n]
+		case *linPackS:
+			tm = st.tm[n]
+		}
+		out = append(out, tm)
+	}
+	return out
+}

@@ -24,6 +24,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"torch2chip/internal/intmath"
@@ -304,11 +305,14 @@ func typedData[A tensor.Elem](t *tensor.IntTensor) []A {
 // skip/nm is set (int32 instantiation under sparsity-aware registries
 // only): skip routes the GEMM through the channel CSR kernel, nm through
 // the N:M-packed kernel — both bit-identical to the dense panel loop
-// because skipped positions hold exactly-zero weights.
+// because skipped positions hold exactly-zero weights. The batch size
+// comes from the input view each job grid is built for; tm holds the
+// site tile per batch size.
 type convPackT[C accum] struct {
-	n, c, h, w       int
+	c, h, w          int
 	o, colW, spatial int
-	tm, tiles, np    int
+	np               int
+	tm               []int
 	sampleElems      int
 	ad               tensor.DType
 	idx              []int32
@@ -317,14 +321,13 @@ type convPackT[C accum] struct {
 	nm               *nmPack
 	zsum             []int64
 	epi              epi
-	parallel         bool
 }
 
 // gconvPackT is the bound state of a grouped/depthwise convolution: tap
 // offsets for the register-blocked direct loop plus the interior region
 // where no bounds checks are needed.
 type gconvPackT[C accum] struct {
-	n, c, h, w             int
+	c, h, w                int
 	o, og, cg, kH, kW      int
 	oh, ow, stride, pad    int
 	oyLo, oyHi, oxLo, oxHi int
@@ -333,22 +336,23 @@ type gconvPackT[C accum] struct {
 	wv                     []C     // row-major [o][cg·kH·kW]
 	zsum                   []int64
 	epi                    epi
-	parallel               bool
 }
 
 // linPackT is the bound state of a linear layer (row-tiled; each job
 // owns a slot-local [tm, o] accumulator tile, the same contract as the
 // SWAR linear, so the state is wave-capable). skip/nm as in convPackT.
+// The row count comes from the input view (rowsPer rows per sample);
+// tm holds the row tile per batch size.
 type linPackT[C accum] struct {
-	rows, k, o, np int
-	tm, tiles      int
-	ad             tensor.DType
-	wp             []C
-	skip           *panelSkip
-	nm             *nmPack
-	zsum           []int64
-	epi            epi
-	parallel       bool
+	k, o, np int
+	rowsPer  int
+	tm       []int
+	ad       tensor.DType
+	wp       []C
+	skip     *panelSkip
+	nm       *nmPack
+	zsum     []int64
+	epi      epi
 }
 
 // tileSites picks the GEMM site tile so one gathered panel
@@ -382,6 +386,18 @@ func tileRows(o, rows int) int {
 		tm = rows
 	}
 	return tm
+}
+
+// tilesByBatch evaluates tile(n) for every batch size n up to the
+// executor's bound (index n; index 0 unused) — the tile a bind at batch
+// n would choose, so per-n kernel work does not depend on the bound —
+// and returns the largest, which sizes the slot scratch.
+func (ex *Executor) tilesByBatch(tile func(n int) int) ([]int, int) {
+	t := make([]int, ex.bound+1)
+	for n := 1; n <= ex.bound; n++ {
+		t[n] = tile(n)
+	}
+	return t, slices.Max(t)
 }
 
 // prepConv binds a conv instruction. The cost-driven sparse plan picks
@@ -420,7 +436,7 @@ func prepConvT[C accum](ex *Executor, idx int, it *Instr) any {
 	if pp.Groups <= 0 {
 		pp.Groups = 1
 	}
-	n, c, h, w := in[0], in[1], in[2], in[3]
+	c, h, w := in[1], in[2], in[3]
 	o, cg, kH, kW := it.W.Shape[0], it.W.Shape[1], it.W.Shape[2], it.W.Shape[3]
 	oh, ow := pp.ConvOutSize(h, kH), pp.ConvOutSize(w, kW)
 	key := sharedKey{idx: idx, wide: isWide[C](), fp: weightFP(it.W)}
@@ -434,7 +450,7 @@ func prepConvT[C accum](ex *Executor, idx int, it *Instr) any {
 			}
 		})
 		st := &gconvPackT[C]{
-			n: n, c: c, h: h, w: w,
+			c: c, h: h, w: w,
 			o: o, og: o / pp.Groups, cg: cg, kH: kH, kW: kW,
 			oh: oh, ow: ow, stride: pp.Stride, pad: pp.Padding,
 			ad:   ad,
@@ -455,7 +471,6 @@ func prepConvT[C accum](ex *Executor, idx int, it *Instr) any {
 				}
 			}
 		}
-		st.parallel = n*o*oh*ow*cg*kH*kW >= 1<<15
 		// Staging: the widened fused branch in the int64 slot, and the
 		// widened input group slab plus the raw accumulator plane in the
 		// C slot.
@@ -472,7 +487,7 @@ func prepConvT[C accum](ex *Executor, idx int, it *Instr) any {
 		}
 	})
 	st := &convPackT[C]{
-		n: n, c: c, h: h, w: w,
+		c: c, h: h, w: w,
 		o: o, colW: colW, spatial: oh * ow,
 		sampleElems: c * h * w,
 		ad:          ad,
@@ -481,8 +496,10 @@ func prepConvT[C accum](ex *Executor, idx int, it *Instr) any {
 		zsum:        sh.zsum,
 		epi:         sh.epi,
 	}
-	st.tm = splitTileM(tileSites(colW, st.spatial), st.spatial, n, ex.kernelWorkers())
-	st.tiles = (st.spatial + st.tm - 1) / st.tm
+	tms, tm := ex.tilesByBatch(func(n int) int {
+		return splitTileM(tileSites(colW, st.spatial), st.spatial, n, ex.kernelWorkers())
+	})
+	st.tm = tms
 	st.np = (o + panelW - 1) / panelW
 	if sp := ex.sparseInstr(idx); sp != nil {
 		switch ex.sparsePickFor(idx) {
@@ -492,12 +509,11 @@ func prepConvT[C accum](ex *Executor, idx int, it *Instr) any {
 			st.nm = sp.nm
 		}
 	}
-	st.parallel = n*st.spatial*colW*o >= 1<<16
 	// Staging: widened fused-branch chunk in the int64 slot; the gather
 	// panel widens any input dtype into the C slot, so the GEMM is one
 	// loop per accumulator width.
-	ex.NeedSlotScratch(st.tm)
-	bufs.reserve(st.tm*colW, st.tm*st.o)
+	ex.NeedSlotScratch(tm)
+	bufs.reserve(tm*colW, tm*st.o)
 	return st
 }
 
@@ -555,15 +571,19 @@ func prepLinearT[C accum](ex *Executor, idx int, it *Instr) any {
 		}
 	})
 	st := &linPackT[C]{
-		rows: rows, k: k, o: o,
-		np:   (o + panelW - 1) / panelW,
-		ad:   ex.plan.DTypes[it.In[0]],
-		wp:   sh.wp.([]C),
-		zsum: sh.zsum,
-		epi:  sh.epi,
+		k: k, o: o,
+		np:      (o + panelW - 1) / panelW,
+		rowsPer: rows / ex.bound,
+		ad:      ex.plan.DTypes[it.In[0]],
+		wp:      sh.wp.([]C),
+		zsum:    sh.zsum,
+		epi:     sh.epi,
 	}
-	st.tm = splitTileM(tileRows(o, rows), rows, 1, ex.kernelWorkers())
-	st.tiles = (rows + st.tm - 1) / st.tm
+	tms, tm := ex.tilesByBatch(func(n int) int {
+		rows := n * st.rowsPer
+		return splitTileM(tileRows(o, rows), rows, 1, ex.kernelWorkers())
+	})
+	st.tm = tms
 	if sp := ex.sparseInstr(idx); sp != nil {
 		switch ex.sparsePickFor(idx) {
 		case pickCSR:
@@ -572,11 +592,10 @@ func prepLinearT[C accum](ex *Executor, idx int, it *Instr) any {
 			st.nm = sp.nm
 		}
 	}
-	st.parallel = rows*k*o >= 1<<16
 	// Staging: per-row int64 requantize chunk + fused-add chunk in the
 	// slot's scratch; the row-major accumulator tile.
 	ex.NeedSlotScratch(2 * o)
-	slotsOf[C](ex).reserve(0, st.tm*st.o)
+	slotsOf[C](ex).reserve(0, tm*st.o)
 	return st
 }
 
@@ -593,45 +612,51 @@ func kernelLinearPacked(ex *Executor, idx int, it *Instr, in []*tensor.IntTensor
 }
 
 // runBound executes instruction idx's bound state as one pool pass over
-// its job grid — the same bodies wave execution runs — or ref when no
-// state is bound.
+// the job grid the running view cached for it — the same bodies wave
+// execution runs, built over the operands the executor passes as in and
+// out — or ref when no state is bound.
 func runBound(ex *Executor, idx int, it *Instr, in []*tensor.IntTensor, out *tensor.IntTensor, ref KernelFunc) {
-	st, ok := ex.states[idx].(waveRunner)
-	if !ok {
+	g := &ex.cur.grids[idx]
+	if g.body == nil {
 		ref(ex, idx, it, in, out)
 		return
 	}
-	body, n, parallel := st.jobs(ex, idx, it, in, out)
-	tensor.ParallelForSlotsN(n, ex.maxPar, parallel, body)
+	tensor.ParallelForSlotsN(g.n, ex.maxPar, g.parallel, g.body)
 }
 
-// jobs exposes the conv as its (sample × site-tile) grid (waveRunner),
-// dispatching once on the input storage dtype.
+// jobs exposes the conv as its (sample × site-tile) grid (waveRunner)
+// at the input view's batch size, dispatching once on the input storage
+// dtype.
 func (st *convPackT[C]) jobs(ex *Executor, idx int, it *Instr, in []*tensor.IntTensor, out *tensor.IntTensor) (func(job, slot int), int, bool) {
+	n := in[0].Shape[0]
+	tm := st.tm[n]
 	var body func(job, slot int)
 	switch st.ad {
 	case tensor.I8:
-		body = convJob[int8](ex, st, it, in, out)
+		body = convJob[int8](ex, st, it, in, out, tm)
 	case tensor.U8:
-		body = convJob[uint8](ex, st, it, in, out)
+		body = convJob[uint8](ex, st, it, in, out, tm)
 	case tensor.I16:
-		body = convJob[int16](ex, st, it, in, out)
+		body = convJob[int16](ex, st, it, in, out, tm)
 	case tensor.U16:
-		body = convJob[uint16](ex, st, it, in, out)
+		body = convJob[uint16](ex, st, it, in, out, tm)
 	case tensor.I32:
-		body = convJob[int32](ex, st, it, in, out)
+		body = convJob[int32](ex, st, it, in, out, tm)
 	default:
-		body = convJob[int64](ex, st, it, in, out)
+		body = convJob[int64](ex, st, it, in, out, tm)
 	}
-	return body, st.n * st.tiles, st.parallel
+	return body, n * ceilDiv(st.spatial, tm), n*st.spatial*st.colW*st.o >= 1<<16
 }
+
+// ceilDiv is ⌈a/b⌉ for positive b.
+func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
 // convJob builds the per-(sample, site-tile) job body: gather the tile's
 // im2col panel — widening the storage dtype to C — through the cached
 // index map, run the register-blocked GEMM into the slot's channel-major
 // accumulator tile, then finish channel by channel straight into the
 // NCHW output planes.
-func convJob[A tensor.Elem, C accum](ex *Executor, st *convPackT[C], it *Instr, in []*tensor.IntTensor, out *tensor.IntTensor) func(job, slot int) {
+func convJob[A tensor.Elem, C accum](ex *Executor, st *convPackT[C], it *Instr, in []*tensor.IntTensor, out *tensor.IntTensor, tm int) func(job, slot int) {
 	xs := typedData[A](in[0])
 	var add *tensor.IntTensor
 	if it.FusedAdd {
@@ -639,10 +664,11 @@ func convJob[A tensor.Elem, C accum](ex *Executor, st *convPackT[C], it *Instr, 
 	}
 	bufs := slotsOf[C](ex)
 	colW, o := st.colW, st.o
+	tiles := ceilDiv(st.spatial, tm)
 	return func(job, slot int) {
-		ni, t := job/st.tiles, job%st.tiles
-		s0 := t * st.tm
-		m := st.tm
+		ni, t := job/tiles, job%tiles
+		s0 := t * tm
+		m := tm
 		if s0+m > st.spatial {
 			m = st.spatial - s0
 		}
@@ -663,7 +689,7 @@ func convJob[A tensor.Elem, C accum](ex *Executor, st *convPackT[C], it *Instr, 
 		}
 		// Epilogue: one contiguous output segment per channel, finished
 		// straight from the accumulator row into the typed output.
-		addw := ex.SlotScratch(slot)[:st.tm]
+		addw := ex.SlotScratch(slot)[:tm]
 		outBase := ni * o * st.spatial
 		for oc := 0; oc < o; oc++ {
 			off := outBase + oc*st.spatial + s0
@@ -762,7 +788,8 @@ func gatherPanel[A tensor.Elem, C accum](panel []C, xs []A, idx []int32, colW, m
 }
 
 // jobs exposes the grouped conv as its (sample × channel-plane) grid
-// (waveRunner), dispatching once on the input storage dtype.
+// (waveRunner) at the input view's batch size, dispatching once on the
+// input storage dtype.
 func (st *gconvPackT[C]) jobs(ex *Executor, idx int, it *Instr, in []*tensor.IntTensor, out *tensor.IntTensor) (func(job, slot int), int, bool) {
 	var body func(job, slot int)
 	switch st.ad {
@@ -779,7 +806,8 @@ func (st *gconvPackT[C]) jobs(ex *Executor, idx int, it *Instr, in []*tensor.Int
 	default:
 		body = gconvJob[int64](ex, st, it, in, out)
 	}
-	return body, st.n * st.o, st.parallel
+	n := in[0].Shape[0]
+	return body, n * st.o, n*st.o*st.oh*st.ow*st.cg*st.kH*st.kW >= 1<<15
 }
 
 // gconvJob builds the per-(sample, channel-plane) job body. The group's
@@ -885,25 +913,27 @@ func (st *gconvPackT[C]) borderAcc(xw, wv []C, oy, ox int) C {
 	return s
 }
 
-// jobs exposes the linear as its row-tile grid (waveRunner),
-// dispatching once on the input storage dtype.
+// jobs exposes the linear as its row-tile grid (waveRunner) at the
+// input view's row count, dispatching once on the input storage dtype.
 func (st *linPackT[C]) jobs(ex *Executor, idx int, it *Instr, in []*tensor.IntTensor, out *tensor.IntTensor) (func(job, slot int), int, bool) {
+	rows := in[0].Numel() / st.k
+	tm := st.tm[rows/st.rowsPer]
 	var body func(job, slot int)
 	switch st.ad {
 	case tensor.I8:
-		body = linJob[int8](ex, st, it, in, out)
+		body = linJob[int8](ex, st, it, in, out, rows, tm)
 	case tensor.U8:
-		body = linJob[uint8](ex, st, it, in, out)
+		body = linJob[uint8](ex, st, it, in, out, rows, tm)
 	case tensor.I16:
-		body = linJob[int16](ex, st, it, in, out)
+		body = linJob[int16](ex, st, it, in, out, rows, tm)
 	case tensor.U16:
-		body = linJob[uint16](ex, st, it, in, out)
+		body = linJob[uint16](ex, st, it, in, out, rows, tm)
 	case tensor.I32:
-		body = linJob[int32](ex, st, it, in, out)
+		body = linJob[int32](ex, st, it, in, out, rows, tm)
 	default:
-		body = linJob[int64](ex, st, it, in, out)
+		body = linJob[int64](ex, st, it, in, out, rows, tm)
 	}
-	return body, st.tiles, st.parallel
+	return body, ceilDiv(rows, tm), rows*st.k*st.o >= 1<<16
 }
 
 // linJob builds the per-row-tile job body: run the panel GEMM straight
@@ -913,7 +943,7 @@ func (st *linPackT[C]) jobs(ex *Executor, idx int, it *Instr, in []*tensor.IntTe
 // output. Each output element's accumulation order over k (and its
 // epilogue) is independent of the tiling, so tiling never affects
 // values.
-func linJob[A tensor.Elem, C accum](ex *Executor, st *linPackT[C], it *Instr, in []*tensor.IntTensor, out *tensor.IntTensor) func(t, slot int) {
+func linJob[A tensor.Elem, C accum](ex *Executor, st *linPackT[C], it *Instr, in []*tensor.IntTensor, out *tensor.IntTensor, rows, tm int) func(t, slot int) {
 	xs := typedData[A](in[0])
 	var add *tensor.IntTensor
 	if it.FusedAdd {
@@ -922,10 +952,10 @@ func linJob[A tensor.Elem, C accum](ex *Executor, st *linPackT[C], it *Instr, in
 	bufs := slotsOf[C](ex)
 	k, o := st.k, st.o
 	return func(t, slot int) {
-		r0 := t * st.tm
-		m := st.tm
-		if r0+m > st.rows {
-			m = st.rows - r0
+		r0 := t * tm
+		m := tm
+		if r0+m > rows {
+			m = rows - r0
 		}
 		acc := bufs.acc[slot][:m*o]
 		switch {

@@ -273,7 +273,9 @@ func TestServerPrioritySheds(t *testing.T) {
 }
 
 // TestServerEstimateCost pins the cost estimator's contract: positive,
-// monotonic in batch size, and scaled exactly by calibration ratios.
+// the modeled cost of exactly the batch size asked for (3 samples cost
+// less than 4 — no rounding up to a padded batch), CostStats reporting
+// the MaxBatch cost, and scaled exactly by calibration ratios.
 func TestServerEstimateCost(t *testing.T) {
 	g := tensor.NewRNG(61)
 	calib, _ := data.Generate(data.SynthCIFAR10, 32, 8)
@@ -284,12 +286,26 @@ func TestServerEstimateCost(t *testing.T) {
 	}
 	defer srv.Close()
 
-	c1, c8 := srv.EstimateCost(1), srv.EstimateCost(8)
+	c1, c3, c4, c8 := srv.EstimateCost(1), srv.EstimateCost(3), srv.EstimateCost(4), srv.EstimateCost(8)
 	if c1 <= 0 {
 		t.Fatalf("EstimateCost(1) = %v, want > 0", c1)
 	}
-	if c8 < c1 {
-		t.Fatalf("EstimateCost(8) = %v < EstimateCost(1) = %v", c8, c1)
+	if !(c1 < c3 && c3 < c4 && c4 < c8) {
+		t.Fatalf("EstimateCost(1, 3, 4, 8) = %v, %v, %v, %v, want strictly increasing", c1, c3, c4, c8)
+	}
+	work3, err := prog.ModeledOpWork([]int{3, 3, 8, 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ns3 int64
+	for _, w := range work3 {
+		ns3 += w.WorkNs
+	}
+	if int64(c3) != ns3 {
+		t.Fatalf("EstimateCost(3) = %d ns, want the batch-3 modeled work %d ns", int64(c3), ns3)
+	}
+	if got := srv.CostStats().ModeledBatchNs; got != int64(c8) {
+		t.Fatalf("CostStats().ModeledBatchNs = %d, want the MaxBatch cost %d", got, int64(c8))
 	}
 
 	// A uniform ratio of 2 on every op must exactly double the estimate.

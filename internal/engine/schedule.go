@@ -4,10 +4,10 @@ package engine
 // schedule (plan.go) — mutually independent GEMM instructions are
 // grouped into waves whose outputs the planner keeps in disjoint arena
 // regions, under a configurable arena-growth budget. The executor
-// consumes that schedule here: at bind it flattens each parallel wave's
-// members into one combined job grid (every member contributes its
-// intra-op tiles), and at run time the whole grid dispatches as a
-// single pool pass — cross-instruction parallelism for independent IR
+// consumes that schedule here: at bind it checks each parallel wave, on
+// each batch size's first execute it flattens the wave's members into
+// one combined job grid (every member contributes its intra-op tiles),
+// and at run time the whole grid dispatches as a single pool pass — cross-instruction parallelism for independent IR
 // nodes (e.g. the q/k/v projections of a transformer block) without
 // giving up intra-op splitting for the members that need it.
 
@@ -30,8 +30,6 @@ type waveRunner interface {
 type wave struct {
 	members []int
 	safe    bool // planner marked parallel AND every member binds a waveRunner
-	bodies  []func(job, slot int)
-	jobOff  []int // prefix sums: member i owns jobs [jobOff[i], jobOff[i+1])
 }
 
 // span is a half-open element range in one dtype arena. The zero
@@ -84,9 +82,10 @@ func (ex *Executor) waveDisjoint(members []int) bool {
 
 // buildWaves materializes the plan's wave schedule for this binding: a
 // parallel wave is kept iff every member's bound state implements
-// waveRunner and the placement re-check passes; it then caches each
-// member's job body and the combined grid's prefix sums so run() can
-// dispatch the whole wave as one pool pass with zero per-call setup.
+// waveRunner and the placement re-check passes. The check runs on the
+// bound placement; every batch's buffers are prefixes of it, so
+// disjointness holds at every n. Each view then caches the wave's
+// combined job grid (view.waveGrid).
 func (ex *Executor) buildWaves() {
 	waves := make([]wave, 0, len(ex.plan.Schedule))
 	for _, pw := range ex.plan.Schedule {
@@ -102,20 +101,28 @@ func (ex *Executor) buildWaves() {
 			if wv.safe && !ex.waveDisjoint(pw.Members) {
 				wv.safe = false
 			}
-			if wv.safe {
-				wv.bodies = make([]func(job, slot int), len(pw.Members))
-				wv.jobOff = make([]int, len(pw.Members)+1)
-				for i, m := range pw.Members {
-					it := &ex.prog.Instrs[m]
-					body, n, _ := ex.states[m].(waveRunner).jobs(ex, m, it, ex.opIns[m], ex.bufs[it.Out])
-					wv.bodies[i] = body
-					wv.jobOff[i+1] = wv.jobOff[i] + n
-				}
-			}
 		}
 		waves = append(waves, wv)
 	}
 	ex.waves = waves
+}
+
+// waveGrid combines the members' job grids into one pool pass: member i
+// owns jobs [off[i], off[i+1]) of the combined grid.
+func (v *view) waveGrid(members []int) jobGrid {
+	off := make([]int, len(members)+1)
+	bodies := make([]func(job, slot int), len(members))
+	for i, m := range members {
+		bodies[i] = v.grids[m].body
+		off[i+1] = off[i] + v.grids[m].n
+	}
+	return jobGrid{n: off[len(members)], parallel: true, body: func(j, slot int) {
+		m := 0
+		for off[m+1] <= j {
+			m++
+		}
+		bodies[m](j-off[m], slot)
+	}}
 }
 
 // WaveSummary reports the member count of every scheduling wave in

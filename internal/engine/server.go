@@ -202,12 +202,13 @@ type reply struct {
 
 // Server is the batched serving runtime: groups of samples are
 // coalesced by a micro-batching queue into batched executes that run on a
-// pool of workers, each owning planned executors (one per encountered
-// batch size), so steady-state serving does not allocate inter-op
-// buffers. Requests travel as quantized input codes end to end; the
-// float Infer API quantizes on entry and dequantizes on reply with the
-// exact boundary arithmetic the executor uses, so results are
-// bit-identical to the pre-codes path.
+// pool of workers, each owning one executor bound at MaxBatch that runs
+// every batch of n ≤ MaxBatch samples in its planned arenas, so
+// steady-state serving does not allocate inter-op buffers. Requests
+// travel as quantized input codes end to end; the float Infer API
+// quantizes on entry and dequantizes on reply with the exact boundary
+// arithmetic the executor uses, so results are bit-identical to the
+// pre-codes path.
 type Server struct {
 	prog   *Program
 	sample []int // single-sample shape (no batch dim)
@@ -230,11 +231,11 @@ type Server struct {
 
 	arenaBytes   atomic.Int64
 	scratchBytes atomic.Int64
-	planWaves    atomic.Int64  // max parallel waves over bound plans
-	parallelFrac atomic.Uint64 // max Plan.ParallelFrac (float64 bits)
+	planWaves    atomic.Int64  // parallel waves of the MaxBatch plan
+	parallelFrac atomic.Uint64 // its Plan.ParallelFrac (float64 bits)
 
-	// Modeled batch-execution cost per batch bucket (lazily filled; one
-	// ModeledOpWork evaluation per bucket per server lifetime), and the
+	// Modeled batch-execution cost per batch size (lazily filled; one
+	// ModeledOpWork evaluation per size per server lifetime), and the
 	// measured-vs-modeled error accumulators the workers feed.
 	costMu       sync.Mutex
 	costNs       map[int]int64
@@ -304,30 +305,32 @@ func NewServer(p *Program, sampleShape []int, opts ServerOptions) (*Server, erro
 }
 
 // EstimateCost returns the modeled wall-clock execution time of one
-// batched execute at the given batch size: the bind-time work model
-// evaluated at the batch's power-of-two bucket, scaled by the per-op
-// calibration ratios in Options.Cost. The estimate is serial (intra-op
-// parallelism would only shrink it), so the deadline-driven batcher errs
-// toward closing batches early rather than blowing deadlines.
+// batched execute of batch samples (clamped to 1..MaxBatch): the
+// bind-time work model evaluated at that batch size, scaled by the
+// per-op calibration ratios in Options.Cost. The estimate is serial
+// (intra-op parallelism would only shrink it), so the deadline-driven
+// batcher errs toward closing batches early rather than blowing
+// deadlines.
 func (s *Server) EstimateCost(batch int) time.Duration {
-	return time.Duration(s.bucketCostNs(batchBucket(batch, s.opts.MaxBatch)))
+	return time.Duration(s.costNsAt(batch))
 }
 
-func (s *Server) bucketCostNs(bucket int) int64 {
+func (s *Server) costNsAt(n int) int64 {
+	n = min(max(n, 1), s.opts.MaxBatch)
 	s.costMu.Lock()
 	defer s.costMu.Unlock()
-	if v, ok := s.costNs[bucket]; ok {
+	if v, ok := s.costNs[n]; ok {
 		return v
 	}
 	var total float64
-	ops, err := s.prog.ModeledOpWork(append([]int{bucket}, s.sample...))
+	ops, err := s.prog.ModeledOpWork(append([]int{n}, s.sample...))
 	if err == nil {
 		for _, op := range ops {
 			total += float64(op.WorkNs) * s.opts.Cost.ratio(op.Kind)
 		}
 	}
 	v := int64(total)
-	s.costNs[bucket] = v
+	s.costNs[n] = v
 	return v
 }
 
@@ -407,31 +410,19 @@ func (s *Server) dispatched(n int, t0 time.Time) {
 // clear of the worker lanes (worker w records on lane w).
 const batcherLane = 999
 
-// batchBucket rounds a partial batch up to the next power of two
-// (capped at max). Workers plan one executor+arena per bucket instead
-// of per encountered batch size, so ragged traffic builds at most
-// ⌈log2(MaxBatch)⌉+1 arenas per worker rather than MaxBatch of them.
-func batchBucket(n, max int) int {
-	b := 1
-	for b < n {
-		b <<= 1
-	}
-	if b > max {
-		b = max
-	}
-	return b
-}
-
-// worker owns one executor per power-of-two batch bucket and serves
-// batches; partial batches run padded to their bucket (per-sample
-// computation is independent, so the padding lanes are dead work that
-// buys a bounded executor set). w is the worker index — the trace lane
-// its spans and its executors' spans are tagged with.
+// worker owns one executor bound at MaxBatch, bound on the first batch,
+// and runs each batch of n samples on the executor's n-sample view. w
+// is the worker index — the trace lane its spans and its executor's
+// spans are tagged with.
 func (s *Server) worker(w int) {
 	defer s.wg.Done()
-	execs := map[int]*Executor{}
-	xCodes := map[int]*tensor.IntTensor{}
-	yCodes := map[int]*tensor.IntTensor{}
+	var ex *Executor
+	// Per batch size n: the input and output code headers over the
+	// first n samples of xBuf/yBuf, and whether n has run yet.
+	xCodes := make([]*tensor.IntTensor, s.opts.MaxBatch+1)
+	yCodes := make([]*tensor.IntTensor, s.opts.MaxBatch+1)
+	var xBuf, yBuf *tensor.IntTensor
+	var scratch int64 // this worker's share of s.scratchBytes
 	sampleN := tensor.Numel(s.sample)
 	for batch := range s.batches {
 		// Record the earliest-deadline slack left at dispatch, clamped at
@@ -457,12 +448,9 @@ func (s *Server) worker(w int) {
 			}
 		}
 		n := len(batch)
-		bucket := batchBucket(n, s.opts.MaxBatch)
-		ex, ok := execs[bucket]
-		created := false
-		if !ok {
+		if ex == nil {
 			var err error
-			ex, err = NewExecutor(s.prog, append([]int{bucket}, s.sample...),
+			ex, err = NewExecutor(s.prog, append([]int{s.opts.MaxBatch}, s.sample...),
 				WithKernels(s.opts.Kernels), WithMaxParallel(s.opts.KernelThreads),
 				WithTraceRing(s.ring, int32(w)))
 			if err != nil {
@@ -471,20 +459,25 @@ func (s *Server) worker(w int) {
 				}
 				continue
 			}
-			execs[bucket] = ex
-			created = true
-			xCodes[bucket] = tensor.NewInt(append([]int{bucket}, s.sample...)...)
-			yCodes[bucket] = tensor.NewInt(ex.OutShape()...)
-			s.arenaBytes.Add(ex.Plan().ArenaBytes)
-			s.recordPlanParallelism(ex.Plan())
+			xBuf = tensor.NewInt(ex.InShape()...)
+			yBuf = tensor.NewInt(ex.OutShape()...)
+			// Every worker binds the same MaxBatch plan, so the plan gauges
+			// are plain stores.
+			pl := ex.Plan()
+			s.arenaBytes.Add(pl.ArenaBytes)
+			s.planWaves.Store(int64(pl.ParallelWaves))
+			s.parallelFrac.Store(math.Float64bits(pl.ParallelFrac))
 		}
-		xc, yc := xCodes[bucket], yCodes[bucket]
+		first := xCodes[n] == nil
+		if first {
+			outN := yBuf.Numel() / s.opts.MaxBatch
+			xCodes[n] = tensor.IntFromSlice(xBuf.Data[:n*sampleN], append([]int{n}, s.sample...)...)
+			yCodes[n] = tensor.IntFromSlice(yBuf.Data[:n*outN], append([]int{n}, yBuf.Shape[1:]...)...)
+		}
+		xc, yc := xCodes[n], yCodes[n]
 		for i, r := range batch {
 			copy(xc.Data[i*sampleN:(i+1)*sampleN], r.codes.Data)
 		}
-		// Padding lanes beyond n keep whatever codes the previous batch
-		// left (zero initially) — always in-range, and per-sample
-		// computation is independent, so they cannot affect live lanes.
 		var bStart int64
 		traced := s.ring.Active()
 		if traced {
@@ -506,7 +499,7 @@ func (s *Server) worker(w int) {
 		_, err := ex.ExecuteCodes(xc, yc)
 		execNs := time.Since(t0).Nanoseconds()
 		s.execHist.Observe(execNs)
-		if mod := s.bucketCostNs(bucket); mod > 0 {
+		if mod := s.costNsAt(n); mod > 0 {
 			errMicro := (execNs - mod) * 1e6 / mod
 			if errMicro < 0 {
 				errMicro = -errMicro
@@ -518,13 +511,16 @@ func (s *Server) worker(w int) {
 			s.ring.Record(trace.Span{
 				Start: bStart, Dur: s.ring.Now() - bStart, Name: s.nmBatch,
 				Kind: trace.KindBatch, TID: int32(w),
-				A0: int64(n), A1: int64(bucket),
+				A0: int64(n), A1: int64(n),
 			})
 		}
-		if created {
-			// Account scratch after the first execute, when the grow-only
-			// buffers the lazy kernels claim have reached steady state.
-			s.scratchBytes.Add(ex.ScratchBytes())
+		if first {
+			// Re-sample scratch the first time each batch size runs: the
+			// grow-only buffers the unprepacked kernels claim reach their
+			// steady state only once a size has executed.
+			cur := ex.ScratchBytes()
+			s.scratchBytes.Add(cur - scratch)
+			scratch = cur
 		}
 		// Count before replying: a client that reads Stats right after
 		// its Infer returns must see this batch. Failed batches count as
@@ -538,7 +534,7 @@ func (s *Server) worker(w int) {
 				s.batched.Add(int64(n))
 			}
 		}
-		outN := yc.Numel() / bucket
+		outN := yc.Numel() / n
 		for i, r := range batch {
 			if err != nil {
 				r.reply <- reply{idx: r.idx, err: err}
@@ -680,8 +676,8 @@ func (s *Server) QueueDepth() int { return s.q.depth() }
 
 // BatchWait snapshots the always-on batch-wait histogram: how long each
 // formed batch waited for a free worker, from its first request to
-// hand-off. An idle server hands a batch over at once, so a mass above
-// the smallest bucket means every worker was busy.
+// hand-off. An idle server hands a batch over at once, so mass above
+// the histogram's first bound means every worker was busy.
 func (s *Server) BatchWait() trace.HistSnapshot { return s.batchWait.Snapshot() }
 
 // BatchExec snapshots the always-on batch-execution-time histogram —
@@ -697,26 +693,26 @@ func (s *Server) BatchSlack() trace.HistSnapshot { return s.slackHist.Snapshot()
 func (s *Server) CostStats() CostStats {
 	return CostStats{
 		Batches:        s.costBatches.Load(),
-		ModeledBatchNs: s.bucketCostNs(batchBucket(s.opts.MaxBatch, s.opts.MaxBatch)),
+		ModeledBatchNs: s.costNsAt(s.opts.MaxBatch),
 		AbsErrMicroSum: s.costErrMicro.Load(),
 	}
 }
 
 // ServerMemStats reports the memory a server's bound executors hold:
-// planned per-dtype arenas and kernel scratch, summed across every
-// (worker, batch size) executor built so far. With typed storage the
-// arena share is byte-accurate per buffer dtype. Scratch is sampled
-// after each executor's first execute (steady state for the grow-only
-// buffers); im2col index maps shared across a program's executors are
-// attributed to each executor that references them, so the scratch sum
-// slightly overstates a multi-executor server's shared-map footprint.
+// planned per-dtype arenas and kernel scratch, summed across the
+// workers' executors — one per worker that has run a batch, planned at
+// MaxBatch. With typed storage the arena share is byte-accurate per
+// buffer dtype. Scratch is re-sampled the first time each batch size
+// runs, so it is the executors' steady-state footprint for the sizes
+// served so far; im2col index maps shared across a program's executors
+// are attributed to each executor that references them, so the scratch
+// sum slightly overstates a multi-worker server's shared-map footprint.
 type ServerMemStats struct {
 	ArenaBytes   int64 `json:"arena_bytes"`
 	ScratchBytes int64 `json:"scratch_bytes"`
 	// Waves / ParallelFraction are the plan-level parallelism stats of
-	// the bound executors (max over batch buckets, which only widens
-	// with batch size): scheduling steps whose members run concurrently,
-	// and the modeled-work share inside them.
+	// the MaxBatch plan the workers bind: scheduling steps whose members
+	// run concurrently, and the modeled-work share inside them.
 	Waves            int     `json:"waves,omitempty"`
 	ParallelFraction float64 `json:"parallel_fraction,omitempty"`
 	// WeightSparsity / SkipFraction are the bound program's sparsity
@@ -724,24 +720,6 @@ type ServerMemStats struct {
 	// the sparsity-aware kernels skip (0 for a dense checkpoint).
 	WeightSparsity float64 `json:"weight_sparsity,omitempty"`
 	SkipFraction   float64 `json:"skip_fraction,omitempty"`
-}
-
-// recordPlanParallelism folds one freshly bound plan's parallelism
-// stats into the server's max-aggregated gauges.
-func (s *Server) recordPlanParallelism(pl *Plan) {
-	for {
-		cur := s.planWaves.Load()
-		if int64(pl.ParallelWaves) <= cur || s.planWaves.CompareAndSwap(cur, int64(pl.ParallelWaves)) {
-			break
-		}
-	}
-	for {
-		cur := s.parallelFrac.Load()
-		if pl.ParallelFrac <= math.Float64frombits(cur) ||
-			s.parallelFrac.CompareAndSwap(cur, math.Float64bits(pl.ParallelFrac)) {
-			break
-		}
-	}
 }
 
 // MemStats returns a snapshot of the executor memory footprint.

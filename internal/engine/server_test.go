@@ -196,52 +196,83 @@ func TestServerDeadlineDropsUnexecuted(t *testing.T) {
 	}
 }
 
-// TestServerArenaBoundedUnderRaggedLoad: a single worker hit with every
-// ragged batch size 1..MaxBatch must build executors only for the
-// power-of-two buckets, so its arena footprint is bounded by the bucket
-// plans — not by one arena per distinct batch size.
-func TestServerArenaBoundedUnderRaggedLoad(t *testing.T) {
+// TestServerMemoryIsOneMaxBatchPlanPerWorker: after ragged groups of
+// every size 1..MaxBatch, each worker holds exactly one executor planned
+// at MaxBatch — the arena gauge is Workers × the MaxBatch plan, with no
+// executor per batch size — and the scratch gauge is Workers × an
+// executor's steady-state scratch once the largest batch has run.
+func TestServerMemoryIsOneMaxBatchPlanPerWorker(t *testing.T) {
 	g := tensor.NewRNG(91)
 	calib, _ := data.Generate(data.SynthCIFAR10, 32, 8)
 	_, prog := compile(t, smallCNN(g), calib)
 	const maxBatch = 8
-	srv, err := engine.NewServer(prog, []int{3, 8, 8}, engine.ServerOptions{Workers: 1, MaxBatch: maxBatch})
+	sample := []int{3, 8, 8}
+	inShape := append([]int{maxBatch}, sample...)
+	plan, err := prog.PlanBuffers(inShape)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
-
-	// Drive a burst of every size 1..MaxBatch; each burst is sent as one
-	// group, which an idle server runs as one batch of exactly that
-	// (ragged) size.
-	for size := 1; size <= maxBatch; size++ {
-		group := make([]*tensor.IntTensor, size)
-		for i := range group {
-			group[i] = quantize(prog, g.Uniform(0, 1, 1, 3, 8, 8))
+	group := func(n int) []*tensor.IntTensor {
+		codes := make([]*tensor.IntTensor, n)
+		for i := range codes {
+			codes[i] = quantize(prog, g.Uniform(0, 1, 1, 3, 8, 8))
 		}
-		if _, err := srv.TryInferCodes(group, time.Time{}, engine.PriNormal, 0); err != nil {
-			t.Fatal(err)
-		}
+		return codes
 	}
-	if st := srv.Stats(); st.Batches != maxBatch {
-		t.Fatalf("%d ragged groups ran as %d batches, want one each", maxBatch, st.Batches)
-	}
-
-	// Bound: the sum of the power-of-two bucket plans (1, 2, 4, 8) for
-	// the single worker. One arena per distinct ragged size would exceed
-	// this (sizes 3, 5, 6, 7 would add four more arenas).
-	var bound int64
-	for b := 1; b <= maxBatch; b <<= 1 {
-		plan, err := prog.PlanBuffers([]int{b, 3, 8, 8})
+	for _, workers := range []int{1, 2} {
+		opts := engine.ServerOptions{Workers: workers, MaxBatch: maxBatch}
+		srv, err := engine.NewServer(prog, sample, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bound += plan.ArenaBytes
-	}
-	got := srv.MemStats().ArenaBytes
-	t.Logf("arena bytes after ragged 1..%d load: %d (pow2-bucket bound %d)", maxBatch, got, bound)
-	if got > bound {
-		t.Fatalf("arena bytes %d exceed the power-of-two bucket bound %d: ragged sizes are building their own executors", got, bound)
+		defer srv.Close()
+		// Each group runs as one batch of exactly its (ragged) size.
+		for n := 1; n <= maxBatch; n++ {
+			if _, err := srv.TryInferCodes(group(n), time.Time{}, engine.PriNormal, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// A batch runs on whichever worker is idle: send full batches from
+		// every worker's worth of clients until each worker has bound its
+		// executor.
+		want := int64(workers) * plan.ArenaBytes
+		for round := 0; srv.MemStats().ArenaBytes < want; round++ {
+			if round == 100 {
+				t.Fatalf("workers %d: arena bytes %d after %d rounds of concurrent full batches, want %d",
+					workers, srv.MemStats().ArenaBytes, round, want)
+			}
+			var wg sync.WaitGroup
+			for c := 0; c < workers; c++ {
+				codes := group(maxBatch)
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					if _, err := srv.TryInferCodes(codes, time.Time{}, engine.PriNormal, 0); err != nil {
+						t.Error(err)
+					}
+				}()
+			}
+			wg.Wait()
+		}
+
+		ref, err := engine.NewExecutor(prog, inShape, engine.WithMaxParallel(opts.WithDefaults().KernelThreads))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for n := 1; n <= maxBatch; n++ {
+			if _, err := ref.ExecuteCodes(tensor.NewInt(append([]int{n}, sample...)...), nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mem := srv.MemStats()
+		t.Logf("workers %d: arena %d B, scratch %d B (MaxBatch plan %d B, executor scratch %d B)",
+			workers, mem.ArenaBytes, mem.ScratchBytes, plan.ArenaBytes, ref.ScratchBytes())
+		if mem.ArenaBytes != want {
+			t.Fatalf("workers %d: arena bytes %d, want exactly %d × %d", workers, mem.ArenaBytes, workers, plan.ArenaBytes)
+		}
+		if w := int64(workers) * ref.ScratchBytes(); mem.ScratchBytes != w {
+			t.Fatalf("workers %d: scratch bytes %d, want exactly %d × %d", workers, mem.ScratchBytes, workers, ref.ScratchBytes())
+		}
 	}
 }
 

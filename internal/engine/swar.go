@@ -36,11 +36,13 @@ const swarLanes = intmath.SwarLanes
 // the live (nonzero-pair) K positions of each panel and accumulates the
 // live byte sums its bias correction needs in-loop; instructions whose
 // pruned weights pass only the live-K lane bound (storageInfo.swarSparse)
-// are ONLY legal with skip set.
+// are ONLY legal with skip set. As in convPackT, the batch size comes
+// from the input view and tm holds the site tile per batch size.
 type convPackS struct {
-	n, c, h, w       int
+	c, h, w          int
 	o, colW, spatial int
-	tm, tiles, np    int
+	np               int
+	tm               []int
 	sampleElems      int
 	kH, kW           int
 	stride, pad, ow  int
@@ -54,22 +56,21 @@ type convPackS struct {
 	bcorr            []int64 // ba·Σw per channel (activation-bias correction)
 	ba, bw           int64
 	epi              epi
-	parallel         bool
 }
 
 // linPackS is the bound state of a SWAR linear layer (row-tiled; skip
-// as in convPackS).
+// as in convPackS, rowsPer and tm as in linPackT).
 type linPackS struct {
-	rows, k, o, np int
-	tm, tiles      int
-	ad             tensor.DType
-	wps            []uint64
-	skip           *panelSkip
-	zsum           []int64
-	bcorr          []int64
-	ba, bw         int64
-	epi            epi
-	parallel       bool
+	k, o, np int
+	rowsPer  int
+	tm       []int
+	ad       tensor.DType
+	wps      []uint64
+	skip     *panelSkip
+	zsum     []int64
+	bcorr    []int64
+	ba, bw   int64
+	epi      epi
 }
 
 // swarInstr reports whether instruction idx takes the SWAR lane-packed
@@ -159,14 +160,14 @@ func prepConvSwar(ex *Executor, idx int, it *Instr) (any, error) {
 	if pp.Stride <= 0 {
 		pp.Stride = 1
 	}
-	n, c, h, w := in[0], in[1], in[2], in[3]
+	c, h, w := in[1], in[2], in[3]
 	o, _, kH, kW := it.W.Shape[0], it.W.Shape[1], it.W.Shape[2], it.W.Shape[3]
 	oh, ow := pp.ConvOutSize(h, kH), pp.ConvOutSize(w, kW)
 	colW := c * kH * kW
 	ba, bw := swarBiases(ad, it.W)
 	sh := swarShared(ex, idx, it, o, colW, ba, bw)
 	st := &convPackS{
-		n: n, c: c, h: h, w: w,
+		c: c, h: h, w: w,
 		o: o, colW: colW, spatial: oh * ow,
 		sampleElems: c * h * w,
 		kH:          kH, kW: kW,
@@ -185,16 +186,17 @@ func prepConvSwar(ex *Executor, idx int, it *Instr) (any, error) {
 	if sp := ex.sparseInstr(idx); sp != nil && ex.sparsePickFor(idx) == pickPairSwar {
 		st.skip = sp.skip
 	}
-	st.tm = splitTileM(tileSitesSwar(colW, st.spatial), st.spatial, n, ex.kernelWorkers())
-	st.tiles = (st.spatial + st.tm - 1) / st.tm
+	tms, tm := ex.tilesByBatch(func(n int) int {
+		return splitTileM(tileSitesSwar(colW, st.spatial), st.spatial, n, ex.kernelWorkers())
+	})
+	st.tm = tms
 	st.np = (o + panelW - 1) / panelW
-	st.parallel = n*st.spatial*colW*o >= 1<<16
 	// Staging: fused-add chunk plus per-site byte sums in the int64 slot,
 	// the biased byte panel in the u8 slot, the accumulator tile shared
 	// with the int32-panel path.
-	ex.NeedSlotScratch(2 * st.tm)
-	ex.needSlotU8(st.tm * colW)
-	ex.w32.reserve(0, st.tm*st.o)
+	ex.NeedSlotScratch(2 * tm)
+	ex.needSlotU8(tm * colW)
+	ex.w32.reserve(0, tm*st.o)
 	return st, nil
 }
 
@@ -212,27 +214,30 @@ func prepLinearSwar(ex *Executor, idx int, it *Instr) (any, error) {
 	ba, bw := swarBiases(ad, it.W)
 	sh := swarShared(ex, idx, it, o, k, ba, bw)
 	st := &linPackS{
-		rows: rows, k: k, o: o,
-		np:    (o + panelW - 1) / panelW,
-		ad:    ad,
-		wps:   sh.wps,
-		zsum:  sh.zsum,
-		bcorr: sh.bcorr,
-		ba:    ba,
-		bw:    bw,
-		epi:   sh.epi,
+		k: k, o: o,
+		np:      (o + panelW - 1) / panelW,
+		rowsPer: rows / ex.bound,
+		ad:      ad,
+		wps:     sh.wps,
+		zsum:    sh.zsum,
+		bcorr:   sh.bcorr,
+		ba:      ba,
+		bw:      bw,
+		epi:     sh.epi,
 	}
 	if sp := ex.sparseInstr(idx); sp != nil && ex.sparsePickFor(idx) == pickPairSwar {
 		st.skip = sp.skip
 	}
-	st.tm = splitTileM(tileSitesSwar(k, rows), rows, 1, ex.kernelWorkers())
-	st.tiles = (rows + st.tm - 1) / st.tm
-	st.parallel = rows*k*o >= 1<<16
+	tms, tm := ex.tilesByBatch(func(n int) int {
+		rows := n * st.rowsPer
+		return splitTileM(tileSitesSwar(k, rows), rows, 1, ex.kernelWorkers())
+	})
+	st.tm = tms
 	// Staging: per-row int64 requantize chunk + fused-add chunk + byte
 	// sums; the biased byte panel; the row-major accumulator tile.
-	ex.NeedSlotScratch(2*o + st.tm)
-	ex.needSlotU8(st.tm * k)
-	ex.w32.reserve(0, st.tm*st.o)
+	ex.NeedSlotScratch(2*o + tm)
+	ex.needSlotU8(tm * k)
+	ex.w32.reserve(0, tm*st.o)
 	return st, nil
 }
 
@@ -435,23 +440,24 @@ func storeSwarSite(acc []int32, bcorr []int64, oc0, nch, i, cs, rs int, siteCorr
 // tile's biased byte panel plus per-site sums, run the lane-packed GEMM
 // into the channel-major int32 tile, and finish each channel through the
 // shared epilogue.
-func convSwarJob[A tensor.Elem](ex *Executor, st *convPackS, it *Instr, in []*tensor.IntTensor, out *tensor.IntTensor) func(job, slot int) {
+func convSwarJob[A tensor.Elem](ex *Executor, st *convPackS, it *Instr, in []*tensor.IntTensor, out *tensor.IntTensor, tm int) func(job, slot int) {
 	xs := typedData[A](in[0])
 	var add *tensor.IntTensor
 	if it.FusedAdd {
 		add = in[len(in)-1]
 	}
 	colW, o := st.colW, st.o
+	tiles := ceilDiv(st.spatial, tm)
 	return func(job, slot int) {
-		ni, t := job/st.tiles, job%st.tiles
-		s0 := t * st.tm
-		m := st.tm
+		ni, t := job/tiles, job%tiles
+		s0 := t * tm
+		m := tm
 		if s0+m > st.spatial {
 			m = st.spatial - s0
 		}
 		panel := ex.slotU8[slot][:m*colW]
 		sc := ex.SlotScratch(slot)
-		addw, sums := sc[:st.tm], sc[st.tm:st.tm+m]
+		addw, sums := sc[:tm], sc[tm:tm+m]
 		sample := xs[ni*st.sampleElems : (ni+1)*st.sampleElems]
 		gatherPanelBytes(panel, sums, sample, st, s0, m)
 		acc := ex.w32.acc[slot]
@@ -473,23 +479,26 @@ func convSwarJob[A tensor.Elem](ex *Executor, st *convPackS, it *Instr, in []*te
 	}
 }
 
-// jobs exposes the conv as its (sample × site-tile) grid (waveRunner),
-// dispatching once on the 8-bit input dtype.
+// jobs exposes the conv as its (sample × site-tile) grid (waveRunner)
+// at the input view's batch size, dispatching once on the 8-bit input
+// dtype.
 func (st *convPackS) jobs(ex *Executor, idx int, it *Instr, in []*tensor.IntTensor, out *tensor.IntTensor) (func(job, slot int), int, bool) {
+	n := in[0].Shape[0]
+	tm := st.tm[n]
 	var body func(job, slot int)
 	if st.ad == tensor.U8 {
-		body = convSwarJob[uint8](ex, st, it, in, out)
+		body = convSwarJob[uint8](ex, st, it, in, out, tm)
 	} else {
-		body = convSwarJob[int8](ex, st, it, in, out)
+		body = convSwarJob[int8](ex, st, it, in, out, tm)
 	}
-	return body, st.n * st.tiles, st.parallel
+	return body, n * ceilDiv(st.spatial, tm), n*st.spatial*st.colW*st.o >= 1<<16
 }
 
 // linSwarJob builds the per-row-tile job body: gather biased byte rows
 // plus sums, run the lane-packed GEMM into the row-major int32 tile, then
 // finish row by row — widen, correct, requantize, fused epilogue —
 // through the slot's int64 staging chunk into the output.
-func linSwarJob[A tensor.Elem](ex *Executor, st *linPackS, it *Instr, in []*tensor.IntTensor, out *tensor.IntTensor) func(t, slot int) {
+func linSwarJob[A tensor.Elem](ex *Executor, st *linPackS, it *Instr, in []*tensor.IntTensor, out *tensor.IntTensor, rows, tm int) func(t, slot int) {
 	xs := typedData[A](in[0])
 	var add *tensor.IntTensor
 	if it.FusedAdd {
@@ -497,10 +506,10 @@ func linSwarJob[A tensor.Elem](ex *Executor, st *linPackS, it *Instr, in []*tens
 	}
 	k, o := st.k, st.o
 	return func(t, slot int) {
-		r0 := t * st.tm
-		m := st.tm
-		if r0+m > st.rows {
-			m = st.rows - r0
+		r0 := t * tm
+		m := tm
+		if r0+m > rows {
+			m = rows - r0
 		}
 		panel := ex.slotU8[slot][:m*k]
 		sc := ex.SlotScratch(slot)
@@ -527,16 +536,18 @@ func linSwarJob[A tensor.Elem](ex *Executor, st *linPackS, it *Instr, in []*tens
 	}
 }
 
-// jobs exposes the linear as its row-tile grid (waveRunner),
-// dispatching once on the 8-bit input dtype.
+// jobs exposes the linear as its row-tile grid (waveRunner) at the
+// input view's row count, dispatching once on the 8-bit input dtype.
 func (st *linPackS) jobs(ex *Executor, idx int, it *Instr, in []*tensor.IntTensor, out *tensor.IntTensor) (func(job, slot int), int, bool) {
+	rows := in[0].Numel() / st.k
+	tm := st.tm[rows/st.rowsPer]
 	var body func(t, slot int)
 	if st.ad == tensor.U8 {
-		body = linSwarJob[uint8](ex, st, it, in, out)
+		body = linSwarJob[uint8](ex, st, it, in, out, rows, tm)
 	} else {
-		body = linSwarJob[int8](ex, st, it, in, out)
+		body = linSwarJob[int8](ex, st, it, in, out, rows, tm)
 	}
-	return body, st.tiles, st.parallel
+	return body, ceilDiv(rows, tm), rows*st.k*st.o >= 1<<16
 }
 
 // KernelChoice describes the compute path one instruction is bound to —
@@ -550,7 +561,7 @@ type KernelChoice struct {
 	// when no state is bound and the reference body runs.
 	Path  string
 	Lanes int // output channels per packed accumulator word (SWAR only)
-	TileM int // site/row tile of the bound GEMM state
+	TileM int // site/row tile of the bound GEMM state at the bound batch
 	// WeightSparsity is the fraction of exactly-zero weights;
 	// SkipFrac the fraction of dense MACs the bound kernel skips
 	// (1 − effective/dense; 0 on dense-bound paths even when the
@@ -581,27 +592,27 @@ func (ex *Executor) KernelChoices() []KernelChoice {
 		sparseBound := false
 		switch st := ex.states[i].(type) {
 		case *convPackS:
-			c.Path, c.Lanes, c.TileM = "swar", swarLanes, st.tm
+			c.Path, c.Lanes, c.TileM = "swar", swarLanes, st.tm[ex.bound]
 			if st.skip != nil {
 				c.Path, sparseBound = "swar-sparse", true
 			}
 		case *linPackS:
-			c.Path, c.Lanes, c.TileM = "swar", swarLanes, st.tm
+			c.Path, c.Lanes, c.TileM = "swar", swarLanes, st.tm[ex.bound]
 			if st.skip != nil {
 				c.Path, sparseBound = "swar-sparse", true
 			}
 		case *convPackT[int32]:
-			c.TileM = st.tm
+			c.TileM = st.tm[ex.bound]
 			c.Path, sparseBound = panelPath(st.skip, st.nm)
 		case *linPackT[int32]:
-			c.TileM = st.tm
+			c.TileM = st.tm[ex.bound]
 			c.Path, sparseBound = panelPath(st.skip, st.nm)
 		case *gconvPackT[int32]:
 			c.Path = "i32-direct"
 		case *convPackT[int64]:
-			c.Path, c.TileM = "i64-panel", st.tm
+			c.Path, c.TileM = "i64-panel", st.tm[ex.bound]
 		case *linPackT[int64]:
-			c.Path, c.TileM = "i64-panel", st.tm
+			c.Path, c.TileM = "i64-panel", st.tm[ex.bound]
 		case *gconvPackT[int64]:
 			c.Path = "i64-direct"
 		case *mmPack:

@@ -15,6 +15,7 @@ import (
 	"torch2chip/internal/data"
 	"torch2chip/internal/engine"
 	"torch2chip/internal/export"
+	"torch2chip/internal/fuse"
 	"torch2chip/internal/models"
 	"torch2chip/internal/nn"
 	"torch2chip/internal/tensor"
@@ -249,12 +250,11 @@ func TestExecuteCodesRejectsOutOfRangeInput(t *testing.T) {
 	}
 }
 
-// TestOddWidthModelBindsInt64Kernels compiles a model with 12-bit
-// weights — too wide for the int32-accumulating kernels — and asserts
-// that those instructions bind the int64 kernels over the program's
-// narrow storage (no buffer is widened for them), bit-identically at
-// every batch size and parallelism bound.
-func TestOddWidthModelBindsInt64Kernels(t *testing.T) {
+// compileOddWidth compiles smallCNN with 12-bit weights, too wide for
+// int8, so its conv/linear instructions bind the int64 drivers over
+// narrow storage.
+func compileOddWidth(t *testing.T) (*fuse.IntModel, *engine.Program) {
+	t.Helper()
 	g := tensor.NewRNG(51)
 	calib, _ := data.Generate(data.SynthCIFAR10, 32, 8)
 	model := smallCNN(g)
@@ -270,9 +270,20 @@ func TestOddWidthModelBindsInt64Kernels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return cm.Int, cm.Prog
+}
+
+// TestOddWidthModelBindsInt64Kernels compiles a model with 12-bit
+// weights — too wide for the int32-accumulating kernels — and asserts
+// that those instructions bind the int64 kernels over the program's
+// narrow storage (no buffer is widened for them), bit-identically at
+// every batch size and parallelism bound.
+func TestOddWidthModelBindsInt64Kernels(t *testing.T) {
+	im, prog := compileOddWidth(t)
+	g := tensor.NewRNG(52)
 	// 12-bit weights really are too wide for int8.
 	wideW := map[int]bool{}
-	for i, it := range cm.Prog.Instrs {
+	for i, it := range prog.Instrs {
 		if it.W == nil {
 			continue
 		}
@@ -285,13 +296,13 @@ func TestOddWidthModelBindsInt64Kernels(t *testing.T) {
 	}
 	for _, batch := range []int{1, 3, 8} {
 		xb := g.Uniform(0, 1, batch, 3, 8, 8)
-		i64Plan, err := cm.Prog.PlanBuffersI64(xb.Shape)
+		i64Plan, err := prog.PlanBuffersI64(xb.Shape)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, maxPar := range []int{1, 4} {
 			opt := engine.WithMaxParallel(maxPar)
-			ex, err := engine.NewExecutor(cm.Prog, xb.Shape, engine.WithKernels(engine.FastKernels()), opt)
+			ex, err := engine.NewExecutor(prog, xb.Shape, engine.WithKernels(engine.FastKernels()), opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -310,7 +321,7 @@ func TestOddWidthModelBindsInt64Kernels(t *testing.T) {
 			if narrow == 0 || plan.ArenaBytes >= i64Plan.ArenaBytes {
 				t.Fatalf("odd-width plan %s is not narrower than the I64 plan's %d B", plan, i64Plan.ArenaBytes)
 			}
-			assertBitIdentical(t, cm.Int, cm.Prog, xb, engine.FastKernels(), opt)
+			assertBitIdentical(t, im, prog, xb, engine.FastKernels(), opt)
 		}
 	}
 }

@@ -28,13 +28,11 @@ func registerViTKernels(r *Registry) {
 	r.kernels[OpSliceCls] = kernelSliceCls
 }
 
-// mmPack is the bound state of a batched matmul: whether the batch
-// entries run in parallel (the kernel reads its dimensions from the
-// live tensor shapes; per-slot scratch was sized by prepMatMul).
-type mmPack struct {
-	parallel bool
-	batches  int
-}
+// mmPack is the bound state of a batched matmul. It carries nothing:
+// the job grid reads its dimensions from the input view, and prepMatMul
+// sized the per-slot staging, which is per batch entry and so the same
+// at every batch size.
+type mmPack struct{}
 
 // prepMatMul reserves per-slot staging for the parallel batched matmul.
 func prepMatMul(ex *Executor, idx int, it *Instr) (any, error) {
@@ -43,16 +41,17 @@ func prepMatMul(ex *Executor, idx int, it *Instr) (any, error) {
 	if len(a) != 3 || len(o) != 3 {
 		return nil, fmt.Errorf("engine: matmul %s operands rank %d/%d, want 3", it.Name, len(a), len(o))
 	}
-	b, m, k, n := a[0], a[1], a[2], o[2]
+	m, k, n := a[1], a[2], o[2]
 	ex.NeedSlotScratch(m*k + k*n + m*n)
-	return &mmPack{parallel: b*m*k*n >= 1<<14, batches: b}, nil
+	return &mmPack{}, nil
 }
 
-// jobs exposes the matmul as its batch-entry grid for wave execution
-// (waveRunner).
+// jobs exposes the matmul as its batch-entry grid (waveRunner) at the
+// input view's batch size.
 func (st *mmPack) jobs(ex *Executor, idx int, it *Instr, in []*tensor.IntTensor, out *tensor.IntTensor) (func(job, slot int), int, bool) {
 	body, batches := matMulJob(ex, it, in, out)
-	return body, batches, st.parallel
+	a := in[0].Shape
+	return body, batches, batches*a[1]*a[2]*out.Shape[2] >= 1<<14
 }
 
 // matMulBatch computes one batch entry: ov[M,N] = requant(Σ (av−za)(bv−zb))

@@ -171,6 +171,11 @@ var (
 	// replicas sharing cores) can throttle splitting without restarting
 	// the pool: idle workers simply receive no jobs.
 	parCap atomic.Int32
+
+	// waitGroups recycles the per-section WaitGroup, which the pool jobs
+	// point at and which would otherwise escape to the heap on every
+	// parallel section.
+	waitGroups = make(chan *sync.WaitGroup, 64)
 )
 
 // SetParallelism bounds the number of chunks every subsequent parallel
@@ -244,6 +249,24 @@ func ensurePool() {
 	})
 }
 
+// getWaitGroup takes a recycled WaitGroup, or a new one when none is free.
+func getWaitGroup() *sync.WaitGroup {
+	select {
+	case wg := <-waitGroups:
+		return wg
+	default:
+		return new(sync.WaitGroup)
+	}
+}
+
+// putWaitGroup recycles a WaitGroup whose Wait has returned.
+func putWaitGroup(wg *sync.WaitGroup) {
+	select {
+	case waitGroups <- wg:
+	default:
+	}
+}
+
 // parallelFor runs fn(i) for i in [0,n), in parallel when parallel is
 // true. The caller executes the first chunk itself and chunks that do not
 // fit the pool queue run inline, so progress never depends on a free
@@ -273,7 +296,7 @@ func parallelForN(n, maxSplit int, parallel bool, fn func(i int)) {
 		return
 	}
 	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
+	wg := getWaitGroup()
 	for lo := chunk; lo < n; lo += chunk {
 		hi := lo + chunk
 		if hi > n {
@@ -281,7 +304,7 @@ func parallelForN(n, maxSplit int, parallel bool, fn func(i int)) {
 		}
 		wg.Add(1)
 		select {
-		case poolJobs <- poolJob{fn: fn, lo: lo, hi: hi, wg: &wg}:
+		case poolJobs <- poolJob{fn: fn, lo: lo, hi: hi, wg: wg}:
 		default:
 			for i := lo; i < hi; i++ {
 				fn(i)
@@ -297,6 +320,7 @@ func parallelForN(n, maxSplit int, parallel bool, fn func(i int)) {
 		fn(i)
 	}
 	wg.Wait()
+	putWaitGroup(wg)
 }
 
 // MaxParallelSlots bounds the slot indices parallelForSlots hands out:
@@ -338,7 +362,7 @@ func parallelForSlotsN(n, maxSplit int, parallel bool, fn func(i, slot int)) {
 		return
 	}
 	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
+	wg := getWaitGroup()
 	slot := 1
 	for lo := chunk; lo < n; lo += chunk {
 		hi := lo + chunk
@@ -347,7 +371,7 @@ func parallelForSlotsN(n, maxSplit int, parallel bool, fn func(i, slot int)) {
 		}
 		wg.Add(1)
 		select {
-		case poolJobs <- poolJob{fnSlot: fn, slot: slot, lo: lo, hi: hi, wg: &wg}:
+		case poolJobs <- poolJob{fnSlot: fn, slot: slot, lo: lo, hi: hi, wg: wg}:
 		default:
 			// Queue full: run inline on the caller's slot (0), which is
 			// only used between the dispatch loop and the tail chunk here,
@@ -367,6 +391,7 @@ func parallelForSlotsN(n, maxSplit int, parallel bool, fn func(i, slot int)) {
 		fn(i, 0)
 	}
 	wg.Wait()
+	putWaitGroup(wg)
 }
 
 // MatMulT computes A[m,k] × Bᵀ where b is [n,k], returning [m,n]. This is the
