@@ -105,13 +105,11 @@ type ProfileReport struct {
 }
 
 // ProfileComparison runs the zoo under instruction-level tracing and
-// joins the measured per-op execution times against the bind-time cost
-// model (engine.Program.ModeledOpWork). Runs are pinned to parallelism
-// 1: the cost model predicts serial work, and only serially executed
-// waves record per-instruction spans (a parallel wave's members
-// interleave across pool slots, so their wall times would not be
-// attributable). The first, untraced execute warms scratch buffers and
-// the prepack cache so one-time costs stay out of the calibration.
+// joins the measured per-op execution times against the work model
+// (engine.Program.ModeledOpWork). Runs are pinned to parallelism 1
+// because the work model predicts serial work. The first, untraced
+// execute warms scratch buffers and the prepack cache so one-time costs
+// stay out of the calibration.
 func ProfileComparison(sc Scale) *ProfileReport {
 	const batch = 8
 	iters := 3

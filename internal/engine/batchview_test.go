@@ -123,7 +123,7 @@ func TestOneExecutorAnyBatchParity(t *testing.T) {
 
 // TestOneExecutorSteadyStateAllocs: once a batch size has run, executing
 // it again allocates nothing — the view, its operand lists and the job
-// grids (waves included) are cached per n.
+// grids are cached per n.
 func TestOneExecutorSteadyStateAllocs(t *testing.T) {
 	g := tensor.NewRNG(39)
 	calib, _ := data.Generate(data.SynthCIFAR10, 32, 8)

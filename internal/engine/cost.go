@@ -1,16 +1,15 @@
 package engine
 
-// Bind-time work model: per-instruction cost estimates from op kind ×
-// shapes, used by the planner to decide which candidate waves are worth
-// a parallel dispatch and which to demote first when disjoint placement
-// would exceed the arena-growth budget. The constants were fitted from
-// single-core batch-8 executes of the fused zoo programs on the default
-// kernels when the work model was written (resnet20 ≈ 98 ms over
-// ~330 M MACs ≈ 0.30 ns/MAC, vit ≈ 0.25 ns/MAC), so modeled work was
-// within ~2x of measured time on that machine — more than enough to
-// separate µs-scale GEMMs from ns-scale dispatch overhead.
-// BENCH_profile.json (t2c-bench -exp profile) is the live per-op check
-// of measured against modeled time. The model only gates scheduling; it
+// Work model: per-instruction cost estimates from op kind × shapes.
+// Its consumer is Server.EstimateCost, which scales the modeled work by
+// a CostModel's per-op calibration ratios to predict a batch's
+// wall-clock time for the deadline-aware batcher. The constants were
+// fitted from single-core batch-8 executes of the fused zoo programs on
+// the default kernels when the work model was written (resnet20 ≈ 98 ms
+// over ~330 M MACs ≈ 0.30 ns/MAC, vit ≈ 0.25 ns/MAC), so modeled work
+// was within ~2x of measured time on that machine. BENCH_profile.json
+// (t2c-bench -exp profile) is the live per-op check of measured against
+// modeled time and the source of the calibration ratios. The model
 // never affects values.
 
 import "torch2chip/internal/tensor"
@@ -24,33 +23,10 @@ const (
 	elemNs = 1
 )
 
-// PlanConfig tunes parallelism-aware placement. The zero value disables
-// arena growth entirely (serial-plan bytes are a hard ceiling) and
-// accepts any wave with positive modeled work; DefaultPlanConfig is
-// what NewExecutor uses when no WithPlanConfig option is given.
-type PlanConfig struct {
-	// ArenaGrowth is the fraction of the serial plan's arena bytes the
-	// parallelism-aware plan may add to keep same-wave outputs disjoint
-	// (0.25 = up to 25% larger). Waves are demoted cheapest-first until
-	// the plan fits, so the bound is always honored.
-	ArenaGrowth float64
-	// MinWaveNs is the smallest modeled wave work (summed over members)
-	// worth a cross-instruction parallel dispatch; below it the pool
-	// barrier would cost more than the overlap buys.
-	MinWaveNs int64
-}
-
-// DefaultPlanConfig allows 25% arena growth and requires ~2 µs of
-// modeled work per wave (a pool dispatch plus barrier costs on the
-// order of 1 µs).
-func DefaultPlanConfig() PlanConfig {
-	return PlanConfig{ArenaGrowth: 0.25, MinWaveNs: 2000}
-}
-
 // CostModel carries measured-vs-modeled calibration ratios per op kind,
 // typically loaded from a committed BENCH_profile.json run. Multiplying
-// the bind-time work model by these ratios turns it from a relative
-// scheduling heuristic into a wall-clock predictor for the machine the
+// the work model by these ratios turns it from a relative cost
+// estimate into a wall-clock predictor for the machine the
 // profile was measured on. A nil model (and any op kind missing from
 // Ratios) models the ratio as 1.
 type CostModel struct {
@@ -71,14 +47,14 @@ func (c *CostModel) ratio(k OpKind) float64 {
 // how many instructions of the kind execute per run and the summed
 // modeled serial nanoseconds. The profile experiment joins this against
 // measured per-instruction spans to produce the measured-vs-modeled
-// calibration ratio the SLO scheduler will consume.
+// calibration ratio EstimateCost consumes.
 type OpWork struct {
 	Kind   OpKind
 	Instrs int
 	WorkNs int64
 }
 
-// ModeledOpWork evaluates the bind-time work model for every
+// ModeledOpWork evaluates the work model for every
 // instruction at inShape (full shape including the batch dimension) and
 // aggregates it per op kind, in first-appearance order.
 func (p *Program) ModeledOpWork(inShape []int) ([]OpWork, error) {
@@ -125,9 +101,8 @@ func instrDenseMacs(it *Instr, shapes [][]int) int64 {
 // instrWorkNs models one instruction's serial execution time in
 // nanoseconds from its kind and planned shapes. Conv/linear MACs are
 // scaled by the instruction's effective-MAC fraction — the sparse-bound
-// kernels execute only the live fraction, so waves formed around (and
-// calibration ratios computed against) the dense count would be
-// dishonest on pruned models.
+// kernels execute only the live fraction, so calibration ratios
+// computed against the dense count would be dishonest on pruned models.
 func (p *Program) instrWorkNs(i int, shapes [][]int) int64 {
 	it := &p.Instrs[i]
 	macs := instrDenseMacs(it, shapes)

@@ -38,9 +38,7 @@ type Executor struct {
 	cur         *view     // the view the running execute binds
 	scratchBufs [][]int64 // grow-only scratch of the unprepacked kernels (reference and elementwise)
 	states      []any     // per-instr cached kernel state
-	waves       []wave    // hazard-free instruction groups (schedule.go)
 	maxPar      int       // WithMaxParallel bound (0 = pool width)
-	waveRuns    int       // waves executed member-concurrently so far
 
 	// Tracing (nil ring when no tracer was bound; the disabled path
 	// then costs one nil check per Execute). Names are interned at bind
@@ -48,7 +46,6 @@ type Executor struct {
 	ring      *trace.Ring
 	traceTID  int32
 	instrName []uint32 // per-instr interned op-kind name
-	waveName  uint32
 
 	// Prepacked-kernel support, sized at bind time by the registry's
 	// prep hooks. slotScratch holds int64 words (the kernels' widened
@@ -68,7 +65,6 @@ type ExecOption func(*execConfig)
 type execConfig struct {
 	reg      *Registry
 	maxPar   int
-	planCfg  PlanConfig
 	tracer   *trace.Tracer
 	ring     *trace.Ring
 	traceTID int32
@@ -81,8 +77,8 @@ func WithKernels(r *Registry) ExecOption {
 
 // WithMaxParallel caps how many worker-pool lanes this executor's
 // kernels may occupy at once (0 or less = the pool's full width). A
-// server running R replicas binds each with ⌈width/R⌉ so concurrent
-// executors share cores instead of oversubscribing them.
+// server binds each worker's executor with its KernelThreads, so
+// concurrent executors share cores instead of oversubscribing them.
 func WithMaxParallel(n int) ExecOption {
 	return func(c *execConfig) {
 		if n < 0 {
@@ -90,14 +86,6 @@ func WithMaxParallel(n int) ExecOption {
 		}
 		c.maxPar = n
 	}
-}
-
-// WithPlanConfig overrides the parallelism-aware placement tuning
-// (arena-growth budget, minimum wave work). The default is
-// DefaultPlanConfig; PlanConfig{} forbids any arena growth, which
-// demotes every wave that would cost bytes.
-func WithPlanConfig(pc PlanConfig) ExecOption {
-	return func(c *execConfig) { c.planCfg = pc }
 }
 
 // WithTracer binds the executor to a span tracer with its own ring —
@@ -122,7 +110,7 @@ func NewExecutor(p *Program, inShape []int, opts ...ExecOption) (*Executor, erro
 	if len(inShape) == 0 || inShape[0] < 1 {
 		return nil, fmt.Errorf("engine: input shape %v has no batch dimension", inShape)
 	}
-	cfg := execConfig{reg: DefaultKernels(), planCfg: DefaultPlanConfig()}
+	cfg := execConfig{reg: DefaultKernels()}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -134,14 +122,12 @@ func NewExecutor(p *Program, inShape []int, opts ...ExecOption) (*Executor, erro
 	var stor *storageInfo
 	var err error
 	if reg.typed {
-		// The typed kernel set executes narrow buffers and binds the
-		// slot-confined states wave execution needs, so it plans with the
-		// parallelism-aware schedule; registries with custom kernels plan
-		// I64 and serial so `in.Data` stays valid everywhere.
+		// The typed kernel set executes narrow buffers; registries with
+		// custom kernels plan I64 so `in.Data` stays valid everywhere.
 		if stor, err = p.storage(); err != nil {
 			return nil, err
 		}
-		plan, err = p.planBuffersAs(inShape, stor.dts, &cfg.planCfg)
+		plan, err = p.packProgram(inShape, stor.dts)
 	} else {
 		plan, err = p.PlanBuffersI64(inShape)
 	}
@@ -189,7 +175,6 @@ func NewExecutor(p *Program, inShape []int, opts ...ExecOption) (*Executor, erro
 		ex.w32.alloc(slots)
 		ex.w64.alloc(slots)
 	}
-	ex.buildWaves()
 	if _, err := ex.viewAt(ex.bound); err != nil {
 		return nil, err
 	}
@@ -199,13 +184,12 @@ func NewExecutor(p *Program, inShape []int, opts ...ExecOption) (*Executor, erro
 
 // view is the executor bound at one batch size n: every placed buffer's
 // n-sample view, the per-instruction operand lists, and the job grids of
-// the prepacked states and of the parallel waves, so an execute at n
-// does no shape math and no allocation.
+// the prepacked states, so an execute at n does no shape math and no
+// allocation.
 type view struct {
 	bufs  []*tensor.IntTensor
 	opIns [][]*tensor.IntTensor
 	grids []jobGrid // per instruction; zero when the state exposes no job grid
-	waves []jobGrid // per schedule wave; zero unless the wave is safe
 }
 
 // jobGrid is one pool pass: body runs job j on a parallel slot, for j in
@@ -239,7 +223,6 @@ func (ex *Executor) viewAt(n int) (*view, error) {
 		bufs:  make([]*tensor.IntTensor, p.NumBufs),
 		opIns: make([][]*tensor.IntTensor, len(p.Instrs)),
 		grids: make([]jobGrid, len(p.Instrs)),
-		waves: make([]jobGrid, len(ex.waves)),
 	}
 	for b := 0; b < p.NumBufs; b++ {
 		if ex.plan.Offsets[b] < 0 {
@@ -258,14 +241,9 @@ func (ex *Executor) viewAt(n int) (*view, error) {
 			ops[j] = v.bufs[b]
 		}
 		v.opIns[i] = ops
-		if st, ok := ex.states[i].(waveRunner); ok {
+		if st, ok := ex.states[i].(gridRunner); ok {
 			g := &v.grids[i]
 			g.body, g.n, g.parallel = st.jobs(ex, i, it, ops, v.bufs[it.Out])
-		}
-	}
-	for wi := range ex.waves {
-		if ex.waves[wi].safe {
-			v.waves[wi] = v.waveGrid(ex.waves[wi].members)
 		}
 	}
 	ex.views[n] = v
@@ -306,7 +284,6 @@ func (ex *Executor) bindTrace(cfg *execConfig) {
 	}
 	ex.ring, ex.traceTID = ring, tid
 	t := ring.Tracer()
-	ex.waveName = t.Intern("wave")
 	ex.instrName = make([]uint32, len(ex.prog.Instrs))
 	for i := range ex.prog.Instrs {
 		ex.instrName[i] = t.Intern(string(ex.prog.Instrs[i].Kind))
@@ -358,8 +335,8 @@ func (ex *Executor) SlotScratch(slot int) []int64 { return ex.slotScratch[slot] 
 
 // slotBufs is one accumulator width's per-slot scratch: gather panels
 // (or widened input slabs) and GEMM accumulator tiles. Each slot is
-// touched only by the job the pool hands it, which is what makes the
-// conv/linear states wave-capable.
+// touched only by the job the pool hands it, which is what lets the
+// conv/linear job grids run on any pool lane.
 type slotBufs[C accum] struct {
 	panelNeed, accNeed int
 	panel, acc         [][]C
@@ -563,72 +540,32 @@ func (p *Program) DequantizeOutput(codes []int64, shape []int) *tensor.Tensor {
 	return out
 }
 
-// run executes the program on view v wave by wave. A safe parallel
-// wave dispatches the combined job grid of all its members in one pool
-// pass — each job confined to the slot the pool hands it — so
-// independent GEMMs overlap while still splitting internally into
-// tiles; with a single worker, or a wave the bind-time checks demoted,
-// members run in program order with their own intra-op parallelism.
-// Both paths compute identical values — wave members write disjoint
-// arena intervals by construction, and job bodies are the same tile
-// bodies the intra-op path runs.
+// run executes the program on view v in program order, one instruction
+// at a time; each kernel may split its own work across pool lanes.
 func (ex *Executor) run(v *view) {
 	ex.cur = v
 	if ex.ring.Active() {
 		ex.runTraced(v)
 		return
 	}
-	for wi := range ex.waves {
-		wv := &ex.waves[wi]
-		if wv.safe && ex.kernelWorkers() > 1 {
-			ex.waveRuns++
-			g := &v.waves[wi]
-			tensor.ParallelForSlotsN(g.n, ex.maxPar, true, g.body)
-			continue
-		}
-		for _, i := range wv.members {
-			ex.runInstr(v, i)
-		}
+	for i := range ex.prog.Instrs {
+		ex.runInstr(v, i)
 	}
 }
 
-// runTraced is run() with span recording: every wave gets a KindWave
-// span (A0 = members, A1 = combined jobs, or 0 when it ran serially),
-// and serially executed instructions each get a KindInstr span (A0 =
-// output-buffer bytes at this batch, A1 = instruction index). Members of
-// a parallel-dispatched wave are timed only as the wave — their job
-// grids interleave across pool slots, so per-member wall time is not a
-// meaningful quantity there.
+// runTraced is run() with span recording: every instruction gets a
+// KindInstr span (A0 = output-buffer bytes at this batch, A1 =
+// instruction index).
 func (ex *Executor) runTraced(v *view) {
 	r := ex.ring
-	for wi := range ex.waves {
-		wv := &ex.waves[wi]
-		wStart := r.Now()
-		if wv.safe && ex.kernelWorkers() > 1 {
-			ex.waveRuns++
-			g := &v.waves[wi]
-			tensor.ParallelForSlotsN(g.n, ex.maxPar, true, g.body)
-			r.Record(trace.Span{
-				Start: wStart, Dur: r.Now() - wStart, Name: ex.waveName,
-				Kind: trace.KindWave, TID: ex.traceTID,
-				A0: int64(len(wv.members)), A1: int64(g.n),
-			})
-			continue
-		}
-		for _, i := range wv.members {
-			start := r.Now()
-			ex.runInstr(v, i)
-			out := v.bufs[ex.prog.Instrs[i].Out]
-			r.Record(trace.Span{
-				Start: start, Dur: r.Now() - start, Name: ex.instrName[i],
-				Kind: trace.KindInstr, TID: ex.traceTID,
-				A0: int64(out.Numel()) * int64(out.DType.Size()), A1: int64(i),
-			})
-		}
+	for i := range ex.prog.Instrs {
+		start := r.Now()
+		ex.runInstr(v, i)
+		out := v.bufs[ex.prog.Instrs[i].Out]
 		r.Record(trace.Span{
-			Start: wStart, Dur: r.Now() - wStart, Name: ex.waveName,
-			Kind: trace.KindWave, TID: ex.traceTID,
-			A0: int64(len(wv.members)), A1: 0,
+			Start: start, Dur: r.Now() - start, Name: ex.instrName[i],
+			Kind: trace.KindInstr, TID: ex.traceTID,
+			A0: int64(out.Numel()) * int64(out.DType.Size()), A1: int64(i),
 		})
 	}
 }

@@ -10,7 +10,7 @@ import (
 
 // TestMain widens GOMAXPROCS to at least 4 before the tensor worker
 // pool freezes its width, so the parallel kernel paths — slot-confined
-// wave execution, tile splitting, the GOMAXPROCS bench sweep — are
+// job grids, tile splitting, the GOMAXPROCS bench sweep — are
 // genuinely exercised even on 1- and 2-core CI runners. Wall-clock
 // scaling assertions still gate on runtime.NumCPU separately.
 func TestMain(m *testing.M) {

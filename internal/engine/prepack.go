@@ -340,7 +340,7 @@ type gconvPackT[C accum] struct {
 
 // linPackT is the bound state of a linear layer (row-tiled; each job
 // owns a slot-local [tm, o] accumulator tile, the same contract as the
-// SWAR linear, so the state is wave-capable). skip/nm as in convPackT.
+// SWAR linear, so the state is a gridRunner). skip/nm as in convPackT.
 // The row count comes from the input view (rowsPer rows per sample);
 // tm holds the row tile per batch size.
 type linPackT[C accum] struct {
@@ -611,10 +611,20 @@ func kernelLinearPacked(ex *Executor, idx int, it *Instr, in []*tensor.IntTensor
 	runBound(ex, idx, it, in, out, kernelLinearRef)
 }
 
+// gridRunner is implemented by prepacked kernel states that expose
+// their instruction as a grid of slot-confined jobs: jobs returns a
+// body executing one job on one parallel slot (touching only that
+// slot's scratch), the job count, and whether the grid is worth a
+// parallel dispatch. Each view caches the grid per instruction, and
+// runBound dispatches it. States that stage through the executor's
+// shared grow-only scratch (elementwise kernels) must not implement it.
+type gridRunner interface {
+	jobs(ex *Executor, idx int, it *Instr, in []*tensor.IntTensor, out *tensor.IntTensor) (func(job, slot int), int, bool)
+}
+
 // runBound executes instruction idx's bound state as one pool pass over
-// the job grid the running view cached for it — the same bodies wave
-// execution runs, built over the operands the executor passes as in and
-// out — or ref when no state is bound.
+// the job grid the running view cached for it, built over the operands
+// the executor passes as in and out — or ref when no state is bound.
 func runBound(ex *Executor, idx int, it *Instr, in []*tensor.IntTensor, out *tensor.IntTensor, ref KernelFunc) {
 	g := &ex.cur.grids[idx]
 	if g.body == nil {
@@ -624,7 +634,31 @@ func runBound(ex *Executor, idx int, it *Instr, in []*tensor.IntTensor, out *ten
 	tensor.ParallelForSlotsN(g.n, ex.maxPar, g.parallel, g.body)
 }
 
-// jobs exposes the conv as its (sample × site-tile) grid (waveRunner)
+// kernelWorkers is the parallelism actually available to this
+// executor's kernels: the pool's effective width clamped by the
+// executor's own WithMaxParallel bound.
+func (ex *Executor) kernelWorkers() int {
+	w := tensor.Parallelism()
+	if ex.maxPar > 0 && ex.maxPar < w {
+		w = ex.maxPar
+	}
+	return w
+}
+
+// splitTileM halves a GEMM site tile until the (sample × tile) job grid
+// offers at least one job per available worker, so small layers still
+// scale instead of leaving workers idle. Tile size never affects
+// values — each site's accumulator and epilogue are element-local — so
+// this is a pure scheduling choice. The floor keeps the microkernel's
+// register blocking worthwhile.
+func splitTileM(tm, spatial, n, workers int) int {
+	for tm > 8 && n*((spatial+tm-1)/tm) < workers {
+		tm >>= 1
+	}
+	return tm
+}
+
+// jobs exposes the conv as its (sample × site-tile) grid (gridRunner)
 // at the input view's batch size, dispatching once on the input storage
 // dtype.
 func (st *convPackT[C]) jobs(ex *Executor, idx int, it *Instr, in []*tensor.IntTensor, out *tensor.IntTensor) (func(job, slot int), int, bool) {
@@ -788,7 +822,7 @@ func gatherPanel[A tensor.Elem, C accum](panel []C, xs []A, idx []int32, colW, m
 }
 
 // jobs exposes the grouped conv as its (sample × channel-plane) grid
-// (waveRunner) at the input view's batch size, dispatching once on the
+// (gridRunner) at the input view's batch size, dispatching once on the
 // input storage dtype.
 func (st *gconvPackT[C]) jobs(ex *Executor, idx int, it *Instr, in []*tensor.IntTensor, out *tensor.IntTensor) (func(job, slot int), int, bool) {
 	var body func(job, slot int)
@@ -913,7 +947,7 @@ func (st *gconvPackT[C]) borderAcc(xw, wv []C, oy, ox int) C {
 	return s
 }
 
-// jobs exposes the linear as its row-tile grid (waveRunner) at the
+// jobs exposes the linear as its row-tile grid (gridRunner) at the
 // input view's row count, dispatching once on the input storage dtype.
 func (st *linPackT[C]) jobs(ex *Executor, idx int, it *Instr, in []*tensor.IntTensor, out *tensor.IntTensor) (func(job, slot int), int, bool) {
 	rows := in[0].Numel() / st.k

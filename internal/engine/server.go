@@ -3,7 +3,6 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -57,15 +56,15 @@ type ServerOptions struct {
 	// SchedFIFO is the strict-arrival-order baseline.
 	Sched SchedPolicy
 	// Cost supplies measured per-op calibration ratios (from a
-	// BENCH_profile.json run) that scale the bind-time work model into
+	// BENCH_profile.json run) that scale the work model into
 	// EstimateCost's wall-clock predictions. nil models every ratio as 1.
 	Cost *CostModel
 	// Kernels selects the kernel registry (default DefaultKernels).
 	Kernels *Registry
 	// Trace, when non-nil, gives the server a span ring on the tracer:
 	// workers record queue-wait and batch spans and bind their
-	// executors for per-instruction/wave spans. nil (the default)
-	// leaves serving at the PR-7 hot path — no ring, no clock reads.
+	// executors for per-instruction spans. nil (the default) leaves
+	// the hot path untraced — no ring, no clock reads.
 	Trace *trace.Tracer
 }
 
@@ -231,8 +230,6 @@ type Server struct {
 
 	arenaBytes   atomic.Int64
 	scratchBytes atomic.Int64
-	planWaves    atomic.Int64  // parallel waves of the MaxBatch plan
-	parallelFrac atomic.Uint64 // its Plan.ParallelFrac (float64 bits)
 
 	// Modeled batch-execution cost per batch size (lazily filled; one
 	// ModeledOpWork evaluation per size per server lifetime), and the
@@ -461,12 +458,7 @@ func (s *Server) worker(w int) {
 			}
 			xBuf = tensor.NewInt(ex.InShape()...)
 			yBuf = tensor.NewInt(ex.OutShape()...)
-			// Every worker binds the same MaxBatch plan, so the plan gauges
-			// are plain stores.
-			pl := ex.Plan()
-			s.arenaBytes.Add(pl.ArenaBytes)
-			s.planWaves.Store(int64(pl.ParallelWaves))
-			s.parallelFrac.Store(math.Float64bits(pl.ParallelFrac))
+			s.arenaBytes.Add(ex.Plan().ArenaBytes)
 		}
 		first := xCodes[n] == nil
 		if first {
@@ -482,7 +474,7 @@ func (s *Server) worker(w int) {
 		traced := s.ring.Active()
 		if traced {
 			// Close each request's queue-wait span now that its batch is
-			// about to execute; the executor's instruction/wave spans then
+			// about to execute; the executor's instruction spans then
 			// nest inside the batch span that follows.
 			bStart = s.ring.Now()
 			for _, r := range batch {
@@ -710,11 +702,6 @@ func (s *Server) CostStats() CostStats {
 type ServerMemStats struct {
 	ArenaBytes   int64 `json:"arena_bytes"`
 	ScratchBytes int64 `json:"scratch_bytes"`
-	// Waves / ParallelFraction are the plan-level parallelism stats of
-	// the MaxBatch plan the workers bind: scheduling steps whose members
-	// run concurrently, and the modeled-work share inside them.
-	Waves            int     `json:"waves,omitempty"`
-	ParallelFraction float64 `json:"parallel_fraction,omitempty"`
 	// WeightSparsity / SkipFraction are the bound program's sparsity
 	// stats: the exactly-zero weight fraction, and the modeled MAC share
 	// the sparsity-aware kernels skip (0 for a dense checkpoint).
@@ -726,12 +713,10 @@ type ServerMemStats struct {
 func (s *Server) MemStats() ServerMemStats {
 	ws, sf := s.prog.SparsityStats()
 	return ServerMemStats{
-		ArenaBytes:       s.arenaBytes.Load(),
-		ScratchBytes:     s.scratchBytes.Load(),
-		Waves:            int(s.planWaves.Load()),
-		ParallelFraction: math.Float64frombits(s.parallelFrac.Load()),
-		WeightSparsity:   ws,
-		SkipFraction:     sf,
+		ArenaBytes:     s.arenaBytes.Load(),
+		ScratchBytes:   s.scratchBytes.Load(),
+		WeightSparsity: ws,
+		SkipFraction:   sf,
 	}
 }
 

@@ -13,7 +13,7 @@ package engine
 // packed microkernel that stores only the n live values + 2-bit indices
 // per m-group. The same analysis feeds the cost model: modeled MACs for
 // conv/linear scale by the effective-MAC fraction of the strategy the
-// fast kernels bind, so wave formation and the BENCH_profile calibration
+// fast kernels bind, so EstimateCost and the BENCH_profile calibration
 // stay honest on sparse models.
 //
 // Liveness granularity is the channel *pair*, matching the SWAR lane

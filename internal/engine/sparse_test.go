@@ -240,7 +240,7 @@ func TestNMSelectionOnPrunedZoo(t *testing.T) {
 }
 
 // TestSparseParityAcrossParallelism: the sparse-bound kernels must stay
-// bit-identical across worker counts and wave-parallel execution.
+// bit-identical across worker counts and per-executor parallel bounds.
 func TestSparseParityAcrossParallelism(t *testing.T) {
 	calib, _ := data.Generate(data.SynthCIFAR10, 48, 8)
 	_, prog := compileZooPruned(t, "resnet20", calib, 0.7, false)

@@ -479,7 +479,7 @@ func convSwarJob[A tensor.Elem](ex *Executor, st *convPackS, it *Instr, in []*te
 	}
 }
 
-// jobs exposes the conv as its (sample × site-tile) grid (waveRunner)
+// jobs exposes the conv as its (sample × site-tile) grid (gridRunner)
 // at the input view's batch size, dispatching once on the 8-bit input
 // dtype.
 func (st *convPackS) jobs(ex *Executor, idx int, it *Instr, in []*tensor.IntTensor, out *tensor.IntTensor) (func(job, slot int), int, bool) {
@@ -536,7 +536,7 @@ func linSwarJob[A tensor.Elem](ex *Executor, st *linPackS, it *Instr, in []*tens
 	}
 }
 
-// jobs exposes the linear as its row-tile grid (waveRunner) at the
+// jobs exposes the linear as its row-tile grid (gridRunner) at the
 // input view's row count, dispatching once on the 8-bit input dtype.
 func (st *linPackS) jobs(ex *Executor, idx int, it *Instr, in []*tensor.IntTensor, out *tensor.IntTensor) (func(job, slot int), int, bool) {
 	rows := in[0].Numel() / st.k

@@ -1,8 +1,7 @@
 package engine
 
 // White-box SWAR tests: the storage pass's lane-overflow legality rule
-// at its exact boundary, the scheduling tile splitter, and the arena
-// span overlap predicate the wave builder relies on.
+// at its exact boundary and the intra-op tile splitter.
 
 import (
 	"testing"
@@ -56,27 +55,5 @@ func TestSplitTileM(t *testing.T) {
 	// Serial executors never split.
 	if got := splitTileM(64, 64, 1, 1); got != 64 {
 		t.Fatalf("splitTileM serial case: got %d, want 64", got)
-	}
-}
-
-func TestSpanOverlap(t *testing.T) {
-	a := span{dt: tensor.I8, lo: 0, hi: 100}
-	cases := []struct {
-		b    span
-		want bool
-	}{
-		{span{dt: tensor.I8, lo: 50, hi: 150}, true},   // partial overlap
-		{span{dt: tensor.I8, lo: 100, hi: 200}, false}, // touching, half-open
-		{span{dt: tensor.U8, lo: 50, hi: 150}, false},  // different arena
-		{span{dt: tensor.I8, lo: 0, hi: 100}, true},    // identical
-		{span{}, false}, // unplaced buffer
-	}
-	for _, c := range cases {
-		if got := overlaps(a, c.b); got != c.want {
-			t.Fatalf("overlaps(%v, %v) = %v, want %v", a, c.b, got, c.want)
-		}
-		if got := overlaps(c.b, a); got != c.want {
-			t.Fatalf("overlaps(%v, %v) = %v, want %v (symmetry)", c.b, a, got, c.want)
-		}
 	}
 }

@@ -2,8 +2,8 @@ package engine_test
 
 // Black-box SWAR and multicore tests: kernel-path selection (including
 // the overflow fallback) via KernelChoices, bit-parity across
-// parallelism settings, wave scheduling on the transformer, and a
-// scaling sanity check on multicore runners.
+// parallelism settings on the zoo, a branched residual and the
+// transformer, and a scaling sanity check on multicore runners.
 
 import (
 	"runtime"
@@ -64,8 +64,7 @@ func TestSwarKernelSelectionOnZoo(t *testing.T) {
 
 // TestEngineParityAcrossParallelism: the engine's codes are bit-identical
 // whatever the parallelism — across the process-wide cap and across the
-// per-executor WithMaxParallel bound (which also gates wave-parallel
-// execution).
+// per-executor WithMaxParallel bound.
 func TestEngineParityAcrossParallelism(t *testing.T) {
 	calib, _ := data.Generate(data.SynthCIFAR10, 48, 8)
 	progs := map[string]*engine.Program{}
@@ -105,7 +104,7 @@ func TestEngineParityAcrossParallelism(t *testing.T) {
 // branchyCNN has a residual block whose shortcut carries its own conv —
 // the two branch convs are independent IR nodes whose outputs are
 // simultaneously live at the join, so (unfused) the planner must place
-// them disjointly and the wave scheduler may run them concurrently.
+// them disjointly.
 func branchyCNN(g *tensor.RNG) nn.Layer {
 	model := nn.NewSequential(
 		nn.NewConv2d(g, 3, 8, 3, 1, 1, 1, false),
@@ -129,15 +128,13 @@ func branchyCNN(g *tensor.RNG) nn.Layer {
 	return model
 }
 
-// TestWavesOnBranchedResidual: on the unfused branched program the
-// scheduler must group the two independent branch convs into one wave,
-// the wave-parallel path must actually engage on a small input (where
-// intra-op tiling cannot saturate the pool alone), and its output must
-// be bit-identical to a serial executor's. The fused program serializes
-// the join (add-fusion consumes the body output inside the shortcut
-// conv), so there waves degenerate to singletons — both variants must
-// still cover every instruction exactly once.
-func TestWavesOnBranchedResidual(t *testing.T) {
+// TestBranchedResidualParity: on the branched program, unfused (the two
+// branch convs are independent and both live at the join) and fused
+// (add-fusion consumes the body output inside the shortcut conv), an
+// executor at WithMaxParallel 1 and 4 must be bit-identical to the
+// interpreter. Batch 1 on a 4×4 input keeps every conv grid to at most
+// two site tiles, the smallest jobs intra-op splitting produces.
+func TestBranchedResidualParity(t *testing.T) {
 	g := tensor.NewRNG(5)
 	calib, _ := data.Generate(data.SynthCIFAR10, 32, 8)
 	im, fused := compile(t, branchyCNN(g), calib)
@@ -145,65 +142,30 @@ func TestWavesOnBranchedResidual(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Batch 1 on a 4×4 input: 16 conv sites split to at most two tiles
-	// per branch (tile floor 8), so no member can saturate a ≥4-wide
-	// pool and the wave heuristic must choose cross-instruction
-	// concurrency.
 	x := g.Uniform(0, 1, 1, 3, 4, 4)
+	want := im.Forward(x)
 	for _, tc := range []struct {
-		name     string
-		prog     *engine.Program
-		wantWave bool
+		name string
+		prog *engine.Program
 	}{
-		{"unfused", unfused, true},
-		{"fused", fused, false},
+		{"unfused", unfused},
+		{"fused", fused},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			ex, err := engine.NewExecutor(tc.prog, x.Shape, engine.WithKernels(engine.FastKernels()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			sum := ex.WaveSummary()
-			total, widest := 0, 0
-			for _, n := range sum {
-				total += n
-				if n > widest {
-					widest = n
+			for _, maxPar := range []int{1, 4} {
+				ex, err := engine.NewExecutor(tc.prog, x.Shape,
+					engine.WithKernels(engine.FastKernels()), engine.WithMaxParallel(maxPar))
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			if total != len(tc.prog.Instrs) {
-				t.Fatalf("waves cover %d of %d instructions", total, len(tc.prog.Instrs))
-			}
-			if tc.wantWave && widest < 2 {
-				t.Fatalf("no multi-instruction wave on the unfused branched program: %v", sum)
-			}
-			y, err := ex.Execute(x)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if tc.wantWave {
-				if ex.WaveParallelRuns() == 0 {
-					t.Fatalf("wave-parallel path never engaged (pool width %d, waves %v)",
-						tensor.Parallelism(), sum)
+				y, err := ex.Execute(x)
+				if err != nil {
+					t.Fatal(err)
 				}
-			} else if ex.WaveParallelRuns() != 0 {
-				t.Fatal("singleton waves must not run member-concurrently")
-			}
-			serial, err := engine.NewExecutor(tc.prog, x.Shape,
-				engine.WithKernels(engine.FastKernels()), engine.WithMaxParallel(1))
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := serial.Execute(x)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if serial.WaveParallelRuns() != 0 {
-				t.Fatal("WithMaxParallel(1) executor ran a wave concurrently")
-			}
-			for i := range want.Data {
-				if y.Data[i] != want.Data[i] {
-					t.Fatalf("wave-parallel output diverges from serial at %d", i)
+				for i := range want.Data {
+					if y.Data[i] != want.Data[i] {
+						t.Fatalf("%s maxPar=%d diverges from the interpreter at %d", tc.name, maxPar, i)
+					}
 				}
 			}
 		})

@@ -19,12 +19,10 @@ func countKinds(spans []trace.Span) map[trace.Kind]int {
 	return n
 }
 
-// TestExecutorTraceSpans runs a traced executor serially and checks the
-// recorded timeline: one instruction span per instruction per execute,
-// each wrapped by a wave span, with correct indices and op names.
+// TestExecutorTraceSpans runs a traced executor and checks the recorded
+// timeline: exactly one instruction span per instruction per execute,
+// with correct indices and op names, and no span of any other kind.
 func TestExecutorTraceSpans(t *testing.T) {
-	old := tensor.SetParallelism(1) // serial waves → per-instruction spans
-	defer tensor.SetParallelism(old)
 	g := tensor.NewRNG(71)
 	calib, _ := data.Generate(data.SynthCIFAR10, 32, 8)
 	_, prog := compile(t, smallCNN(g), calib)
@@ -58,27 +56,13 @@ func TestExecutorTraceSpans(t *testing.T) {
 		t.Fatalf("instr spans = %d, want %d (%d instrs × %d iters)",
 			kinds[trace.KindInstr], want, len(prog.Instrs), iters)
 	}
-	if kinds[trace.KindWave] == 0 {
-		t.Fatal("no wave spans recorded")
+	if len(spans) != kinds[trace.KindInstr] {
+		t.Fatalf("executor recorded spans of other kinds: %v", kinds)
 	}
-	// Per-execute, the instruction indices must cover the program and
-	// each instruction span must nest inside some wave span.
+	// Per-execute, the instruction indices must cover the program.
 	seen := map[int64]int{}
 	for _, s := range spans {
-		if s.Kind != trace.KindInstr {
-			continue
-		}
 		seen[s.A1]++
-		nested := false
-		for _, w := range spans {
-			if w.Kind == trace.KindWave && w.Start <= s.Start && s.Start+s.Dur <= w.Start+w.Dur {
-				nested = true
-				break
-			}
-		}
-		if !nested {
-			t.Fatalf("instruction span %+v not nested in any wave span", s)
-		}
 	}
 	for i := range prog.Instrs {
 		if seen[int64(i)] != iters {
@@ -95,9 +79,9 @@ func TestExecutorTraceSpans(t *testing.T) {
 	}
 }
 
-// TestServerTraceSpans drives a traced Server and checks the request →
-// batch → wave nesting and the trace-id stitching from TryInferCodes'
-// tid into the queue-wait span.
+// TestServerTraceSpans drives a traced Server and checks the queue-wait
+// → batch → instruction nesting and the trace-id stitching from
+// TryInferCodes' tid into the queue-wait span.
 func TestServerTraceSpans(t *testing.T) {
 	g := tensor.NewRNG(72)
 	calib, _ := data.Generate(data.SynthCIFAR10, 32, 8)
@@ -120,7 +104,7 @@ func TestServerTraceSpans(t *testing.T) {
 	}
 	spans := tr.Snapshot()
 	kinds := countKinds(spans)
-	for _, k := range []trace.Kind{trace.KindQueueWait, trace.KindBatch, trace.KindWave} {
+	for _, k := range []trace.Kind{trace.KindQueueWait, trace.KindBatch, trace.KindInstr} {
 		if kinds[k] == 0 {
 			t.Fatalf("no %s span recorded (kinds: %v)", k, kinds)
 		}
@@ -137,16 +121,14 @@ func TestServerTraceSpans(t *testing.T) {
 	if qw.ID != tid {
 		t.Fatalf("queue-wait span carries trace id %d, want %d", qw.ID, tid)
 	}
-	// Queue wait ends where the batch begins; the executor's spans nest
-	// inside the batch span.
+	// Queue wait ends where the batch begins; the executor's instruction
+	// spans nest inside the batch span.
 	if qw.Start+qw.Dur != batch.Start {
 		t.Fatalf("queue-wait [%d,+%d] does not end at batch start %d", qw.Start, qw.Dur, batch.Start)
 	}
 	for _, s := range spans {
-		if s.Kind == trace.KindInstr || s.Kind == trace.KindWave {
-			if s.Start < batch.Start || s.Start+s.Dur > batch.Start+batch.Dur {
-				t.Fatalf("engine span %+v escapes its batch span %+v", s, batch)
-			}
+		if s.Kind == trace.KindInstr && (s.Start < batch.Start || s.Start+s.Dur > batch.Start+batch.Dur) {
+			t.Fatalf("instruction span %+v escapes its batch span %+v", s, batch)
 		}
 	}
 

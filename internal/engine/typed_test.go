@@ -23,11 +23,9 @@ import (
 
 // resnet20ArenaBudgetBytes is the committed ceiling for the resnet20
 // fused typed plan at batch 8. The PR-3 I64 baseline was 1,572,864 B;
-// typed storage plans ≤ this budget (measured 295,424 B, unchanged by
-// parallelism-aware placement: the fused chain has no independent GEMM
-// pair, so the wave-aware plan degenerates to the serial plan), and
-// CI's bench-smoke job fails if a dtype-widening regression pushes the
-// plan back over it.
+// typed storage plans ≤ this budget (measured 295,424 B), and CI's
+// bench-smoke job fails if a dtype-widening regression pushes the plan
+// back over it.
 const resnet20ArenaBudgetBytes = 320_000
 
 // compileZoo builds, calibrates, and compiles a zoo model.

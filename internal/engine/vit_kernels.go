@@ -46,12 +46,26 @@ func prepMatMul(ex *Executor, idx int, it *Instr) (any, error) {
 	return &mmPack{}, nil
 }
 
-// jobs exposes the matmul as its batch-entry grid (waveRunner) at the
-// input view's batch size.
+// jobs exposes the matmul as its batch-entry grid (gridRunner) at the
+// input view's batch size; each job stages its entry through the slot's
+// scratch.
 func (st *mmPack) jobs(ex *Executor, idx int, it *Instr, in []*tensor.IntTensor, out *tensor.IntTensor) (func(job, slot int), int, bool) {
-	body, batches := matMulJob(ex, it, in, out)
-	a := in[0].Shape
-	return body, batches, batches*a[1]*a[2]*out.Shape[2] >= 1<<14
+	a, b := in[0], in[1]
+	m, k := a.Shape[1], a.Shape[2]
+	n := out.Shape[2]
+	batches := a.Shape[0]
+	aw, bw, ow := m*k, k*n, m*n
+	if it.TransposeB {
+		bw = n * k
+	}
+	return func(bi, slot int) {
+		s := ex.SlotScratch(slot)
+		av, bv, ov := s[:aw], s[aw:aw+bw], s[aw+bw:aw+bw+ow]
+		stageShift(av, a, bi*aw, it.ZA)
+		stageShift(bv, b, bi*bw, it.ZB)
+		matMulBatch(ov, av, bv, m, k, n, it.TransposeB, it.Scaler)
+		out.WriteInt64(ov, bi*ow)
+	}, batches, batches*m*k*n >= 1<<14
 }
 
 // matMulBatch computes one batch entry: ov[M,N] = requant(Σ (av−za)(bv−zb))
@@ -133,28 +147,6 @@ func kernelMatMulSerial(ex *Executor, idx int, it *Instr, in []*tensor.IntTensor
 		matMulBatch(ov, av, bv, m, k, n, it.TransposeB, it.Scaler)
 		out.WriteInt64(ov, bi*ow)
 	}
-}
-
-// matMulJob builds the per-batch-entry job body (staged through the
-// slot's scratch) shared by the parallel loop and the serial wave
-// fallback, returning the batch count alongside.
-func matMulJob(ex *Executor, it *Instr, in []*tensor.IntTensor, out *tensor.IntTensor) (func(bi, slot int), int) {
-	a, b := in[0], in[1]
-	m, k := a.Shape[1], a.Shape[2]
-	n := out.Shape[2]
-	batches := a.Shape[0]
-	aw, bw, ow := m*k, k*n, m*n
-	if it.TransposeB {
-		bw = n * k
-	}
-	return func(bi, slot int) {
-		s := ex.SlotScratch(slot)
-		av, bv, ov := s[:aw], s[aw:aw+bw], s[aw+bw:aw+bw+ow]
-		stageShift(av, a, bi*aw, it.ZA)
-		stageShift(bv, b, bi*bw, it.ZB)
-		matMulBatch(ov, av, bv, m, k, n, it.TransposeB, it.Scaler)
-		out.WriteInt64(ov, bi*ow)
-	}, batches
 }
 
 // scalerConsts mirrors MulQuant.scaleAt using the exported fields

@@ -282,15 +282,43 @@ func TestViTArenaUsesNarrowAttentionMaps(t *testing.T) {
 	}
 }
 
+// TestViTMaxParallelParity: the fused depth-2 ViT executor at
+// WithMaxParallel 1 and 4 must be bit-identical to the interpreter
+// under both fast registries — the typed one with SWAR projections and
+// the one without.
+func TestViTMaxParallelParity(t *testing.T) {
+	cm, prog := compileViT(t, 3, 2)
+	g := tensor.NewRNG(19)
+	x := g.Uniform(0, 1, 8, 3, 32, 32)
+	want := cm.Int.Forward(x)
+	for rname, reg := range map[string]*engine.Registry{
+		"fast-typed":  engine.FastKernels(),
+		"fast-noswar": engine.FastKernelsWithout(engine.CapSwar),
+	} {
+		t.Run(rname, func(t *testing.T) {
+			for _, maxPar := range []int{1, 4} {
+				ex, err := engine.NewExecutor(prog, x.Shape, engine.WithKernels(reg), engine.WithMaxParallel(maxPar))
+				if err != nil {
+					t.Fatal(err)
+				}
+				y, err := ex.Execute(x)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range want.Data {
+					if y.Data[i] != want.Data[i] {
+						t.Fatalf("%s maxPar=%d diverges from the interpreter at %d", rname, maxPar, i)
+					}
+				}
+			}
+		})
+	}
+}
+
 // vitArenaBudgetBytes is the committed ceiling for the depth-2 ViT
 // fused typed plan at batch 8 (measured 505,440 B: I8 projections/probs
-// operands, U8 attention maps, I16 block boundaries). Parallelism-aware
-// placement keeps the same bytes even with both q/k/v waves live —
-// hoisting the projections shortens the shared input's lifetime by as
-// much as the sibling outputs extend theirs — so the budget carries
-// over from the serial planner unchanged. CI's bench-smoke fails if a
-// dtype-widening (or wave-placement) regression pushes the plan over
-// it.
+// operands, U8 attention maps, I16 block boundaries). CI's bench-smoke
+// fails if a dtype-widening regression pushes the plan over it.
 const vitArenaBudgetBytes = 560_000
 
 // TestViTArenaBudget is the transformer counterpart of

@@ -201,12 +201,6 @@ func (m *Metrics) WriteText(w io.Writer, reg *Registry) {
 		func(mi ModelInfo) int64 { return mi.Mem.ArenaBytes })
 	emit("t2c_engine_scratch_bytes", "Kernel scratch bound by the serving version's executors.", "gauge",
 		func(mi ModelInfo) int64 { return mi.Mem.ScratchBytes })
-	emit("t2c_engine_waves", "Parallel scheduling waves in the serving version's plan.", "gauge",
-		func(mi ModelInfo) int64 { return int64(mi.Mem.Waves) })
-	fmt.Fprintf(w, "# HELP t2c_engine_parallel_fraction Modeled work share inside parallel waves.\n# TYPE t2c_engine_parallel_fraction gauge\n")
-	for _, mi := range infos {
-		fmt.Fprintf(w, "t2c_engine_parallel_fraction{model=%q} %g\n", mi.Name, mi.Mem.ParallelFraction)
-	}
 	fmt.Fprintf(w, "# HELP t2c_engine_weight_sparsity Exactly-zero weight fraction of the serving program.\n# TYPE t2c_engine_weight_sparsity gauge\n")
 	for _, mi := range infos {
 		fmt.Fprintf(w, "t2c_engine_weight_sparsity{model=%q} %g\n", mi.Name, mi.Mem.WeightSparsity)

@@ -57,7 +57,7 @@ type Options struct {
 	RawOptLevel bool
 	// Trace, when non-nil, gives every model entry its own armed
 	// span Tracer sized by the config: engine replicas record
-	// instruction/wave/batch spans, the HTTP layer records
+	// instruction/batch spans, the HTTP layer records
 	// request/fanout spans, and /debug/trace?model=X snapshots them as
 	// Chrome trace-event JSON. nil keeps the engine hot path at its
 	// untraced cost (a nil-ring branch per execute).
@@ -232,16 +232,9 @@ func (m *Model) mem() engine.ServerMemStats {
 		ms := s.MemStats()
 		mem.ArenaBytes += ms.ArenaBytes
 		mem.ScratchBytes += ms.ScratchBytes
-		// Parallelism stats describe the shared plan, not a footprint:
+		// Sparsity stats describe the shared program, not a footprint:
 		// replicas bind the same program, so take the max instead of
 		// summing.
-		if ms.Waves > mem.Waves {
-			mem.Waves = ms.Waves
-		}
-		if ms.ParallelFraction > mem.ParallelFraction {
-			mem.ParallelFraction = ms.ParallelFraction
-		}
-		// Sparsity stats likewise describe the shared program.
 		if ms.WeightSparsity > mem.WeightSparsity {
 			mem.WeightSparsity = ms.WeightSparsity
 		}

@@ -33,14 +33,13 @@ type chromeDoc struct {
 
 // TestHTTPDebugTrace drives a traced registry over HTTP and checks the
 // /debug/trace dump: valid Chrome trace-event JSON whose spans nest
-// request → batch → wave → instruction, all stitched to one trace id.
+// request → fanout → queue_wait → batch → instruction, all stitched to
+// one trace id.
 func TestHTTPDebugTrace(t *testing.T) {
 	ck, _ := buildCheckpoint(t, 11)
-	// KernelThreads 1 keeps wave execution serial, so the dump includes
-	// per-instruction spans (parallel waves record only the wave).
 	reg := serve.NewRegistry(serve.Options{
 		Trace:  &trace.Config{RingSpans: 4096},
-		Engine: engine.ServerOptions{Workers: 1, KernelThreads: 1},
+		Engine: engine.ServerOptions{Workers: 1},
 	})
 	defer reg.Close()
 	h := serve.NewHandler(reg, serve.HandlerOptions{EnablePprof: true})
@@ -92,7 +91,7 @@ func TestHTTPDebugTrace(t *testing.T) {
 		}
 		byCat[ev.Cat] = append(byCat[ev.Cat], iv{ev.Ts, ev.Ts + ev.Dur})
 	}
-	for _, cat := range []string{"request", "fanout", "queue_wait", "batch", "wave", "instr"} {
+	for _, cat := range []string{"request", "fanout", "queue_wait", "batch", "instr"} {
 		if len(byCat[cat]) == 0 {
 			have := make([]string, 0, len(byCat))
 			for k := range byCat {
@@ -116,14 +115,9 @@ func TestHTTPDebugTrace(t *testing.T) {
 			t.Fatalf("batch span %+v escapes the request span %+v", b, req)
 		}
 	}
-	for _, w := range byCat["wave"] {
-		if !nestedIn(w, byCat["batch"]) {
-			t.Fatalf("wave span %+v not nested in any batch span", w)
-		}
-	}
 	for _, in := range byCat["instr"] {
-		if !nestedIn(in, byCat["wave"]) {
-			t.Fatalf("instruction span %+v not nested in any wave span", in)
+		if !nestedIn(in, byCat["batch"]) {
+			t.Fatalf("instruction span %+v not nested in any batch span", in)
 		}
 	}
 

@@ -114,7 +114,7 @@ type OpStat struct {
 
 // OpProfile returns the per-op-kind execution-time aggregates in
 // interning order, skipping names that never recorded an instruction
-// span (wave/batch/request names share the intern table).
+// span (batch/request names share the intern table).
 func (t *Tracer) OpProfile() []OpStat {
 	if t == nil {
 		return nil

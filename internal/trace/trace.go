@@ -37,7 +37,6 @@ type Kind uint8
 
 const (
 	KindInstr     Kind = iota + 1 // one engine instruction
-	KindWave                      // one executor scheduling wave
 	KindBatch                     // one batched execute on a worker
 	KindQueueWait                 // request sat in the replica queue
 	KindBatchForm                 // batcher coalescing window
@@ -51,8 +50,6 @@ func (k Kind) String() string {
 	switch k {
 	case KindInstr:
 		return "instr"
-	case KindWave:
-		return "wave"
 	case KindBatch:
 		return "batch"
 	case KindQueueWait:
@@ -75,8 +72,7 @@ func (k Kind) String() string {
 // the request trace id (0 when the span is not request-scoped), TID the
 // lane it ran on (worker index, or a synthetic HTTP lane), and A0/A1
 // kind-specific arguments: output-buffer bytes and instruction index
-// for instructions, member and job counts for waves, batch size for
-// batches and queue waits.
+// for instructions, batch size for batches and queue waits.
 type Span struct {
 	Start int64
 	Dur   int64

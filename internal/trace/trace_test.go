@@ -8,7 +8,7 @@ import (
 )
 
 func TestKindsDistinct(t *testing.T) {
-	kinds := []Kind{KindInstr, KindWave, KindBatch, KindQueueWait,
+	kinds := []Kind{KindInstr, KindBatch, KindQueueWait,
 		KindBatchForm, KindRequest, KindFanout, KindAdmission}
 	seen := map[Kind]bool{}
 	for _, k := range kinds {
@@ -78,7 +78,7 @@ func TestRingWraparound(t *testing.T) {
 	nm := tr.Intern("x")
 	const total = 20 // 2.5× the ring
 	for i := 0; i < total; i++ {
-		r.Record(Span{Start: int64(i), Dur: 1, Name: nm, Kind: KindWave, TID: 7, A0: int64(i) * 10})
+		r.Record(Span{Start: int64(i), Dur: 1, Name: nm, Kind: KindInstr, TID: 7, A0: int64(i) * 10})
 	}
 	if r.Len() != total {
 		t.Fatalf("Len = %d, want %d", r.Len(), total)
@@ -90,7 +90,7 @@ func TestRingWraparound(t *testing.T) {
 	// The retained window must be exactly the newest 8, in start order.
 	for i, s := range got {
 		want := int64(total - 8 + i)
-		if s.Start != want || s.A0 != want*10 || s.TID != 7 || s.Kind != KindWave {
+		if s.Start != want || s.A0 != want*10 || s.TID != 7 || s.Kind != KindInstr {
 			t.Fatalf("span %d = %+v, want Start %d", i, s, want)
 		}
 	}
