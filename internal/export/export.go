@@ -354,78 +354,6 @@ func (c *Checkpoint) Names() []string {
 	return names
 }
 
-// InputTensor is a float tensor payload file: one serving request for
-// the t2c serve subcommand (shape [C,H,W] or [1,C,H,W]).
-type InputTensor struct {
-	Shape []int     `json:"shape"`
-	Data  []float32 `json:"data"`
-}
-
-// WriteInputJSON serializes a float tensor as a serving input file.
-func WriteInputJSON(w io.Writer, shape []int, data []float32) error {
-	return json.NewEncoder(w).Encode(InputTensor{Shape: shape, Data: data})
-}
-
-// ReadInputJSON parses a serving input file.
-func ReadInputJSON(r io.Reader) (*InputTensor, error) {
-	var t InputTensor
-	if err := json.NewDecoder(r).Decode(&t); err != nil {
-		return nil, err
-	}
-	// Stop as soon as the running product passes len(Data): the product
-	// then never overflows, so a huge shape cannot wrap to a small count.
-	n := 1
-	for _, s := range t.Shape {
-		if s <= 0 {
-			return nil, fmt.Errorf("export: bad input shape %v", t.Shape)
-		}
-		if n > len(t.Data)/s {
-			return nil, fmt.Errorf("export: input shape %v does not match %d values", t.Shape, len(t.Data))
-		}
-		n *= s
-	}
-	if n != len(t.Data) {
-		return nil, fmt.Errorf("export: input shape %v does not match %d values", t.Shape, len(t.Data))
-	}
-	return &t, nil
-}
-
-// Samples splits a (possibly batched) input payload into per-sample
-// tensors of the given sample shape. Accepted layouts are exactly
-// sample (one tensor) and [N, sample...] (a batch); anything else —
-// including a transposed layout with a matching element count — is
-// rejected so it cannot be silently misinterpreted.
-func (t *InputTensor) Samples(sample []int) ([]*tensor.Tensor, error) {
-	sh := t.Shape
-	n := 1
-	switch {
-	case shapeEqual(sh, sample):
-	case len(sh) == len(sample)+1 && shapeEqual(sh[1:], sample):
-		n = sh[0]
-	default:
-		return nil, fmt.Errorf("export: input shape %v, want %v or [N,%v]", sh, sample, sample)
-	}
-	sampleN := len(t.Data) / n
-	out := make([]*tensor.Tensor, n)
-	for i := range out {
-		data := append([]float32(nil), t.Data[i*sampleN:(i+1)*sampleN]...)
-		out[i] = tensor.FromSlice(data, append([]int{1}, sample...)...)
-	}
-	return out, nil
-}
-
-func shapeEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // QIntPack packs sub-byte codes densely (e.g. eight 4-bit codes in four
 // bytes), the storage layout behind the "Model Size (MB)" accounting and
 // the closest analogue of torch.qint packed tensors.

@@ -13,6 +13,7 @@ import (
 
 	"torch2chip/internal/engine"
 	"torch2chip/internal/export"
+	"torch2chip/internal/tensor"
 	"torch2chip/internal/trace"
 )
 
@@ -177,8 +178,8 @@ func (h *Handler) models(w http.ResponseWriter, r *http.Request) {
 
 // httpLane is the HTTP layer's span lane. Engine workers use their
 // worker index and the batcher uses lane 999, so HTTP spans start at
-// 1000: the request span on httpLane, its sequential wave spans on the
-// next lane.
+// 1000: the request span on httpLane, its decode span and sequential
+// wave spans on the next lane.
 const httpLane = 1000
 
 // traceID resolves the request's trace id: an X-Trace-Id header (hex,
@@ -222,19 +223,21 @@ func (h *Handler) predict(w http.ResponseWriter, r *http.Request, name string) {
 	}
 
 	// When the model's tracer is armed and this request is sampled,
-	// record a request span plus one fan-out span per wave, all
-	// carrying one trace id that the engine stitches into its queue-wait
-	// spans. The untraced path pays one nil-ring branch.
+	// record a request span, a decode span for the body and one fan-out
+	// span per wave, all carrying one trace id that the engine stitches
+	// into its queue-wait spans. The untraced path pays one nil-ring
+	// branch per span.
 	ring := h.reg.TraceRing(name)
 	tracer := ring.Tracer()
 	traced := ring.Active() && tracer.SampleRequest()
 	var tid uint64
 	var reqStart int64
-	var nmRequest, nmFanout uint32
+	var nmRequest, nmDecode, nmFanout uint32
 	if traced {
 		tid = h.traceID(r)
 		reqStart = ring.Now()
 		nmRequest = tracer.Intern("request")
+		nmDecode = tracer.Intern("decode")
 		nmFanout = tracer.Intern("fanout")
 		w.Header().Set("X-Trace-Id", strconv.FormatUint(tid, 16))
 	}
@@ -263,18 +266,20 @@ func (h *Handler) predict(w http.ResponseWriter, r *http.Request, name string) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	in, err := export.ReadInputJSON(http.MaxBytesReader(w, r.Body, h.opts.MaxBodyBytes))
-	if err != nil {
-		h.metrics.Observe(name, ResultInvalid, 0)
-		endSpan(0, ResultInvalid)
-		writeError(w, http.StatusBadRequest, "bad input tensor: %v", err)
-		return
+	var dec0 int64
+	if traced {
+		dec0 = ring.Now()
 	}
-	xs, err := in.Samples(sample)
+	xs, code, err := h.readSamples(w, r, sample)
+	if traced {
+		ring.Record(trace.Span{Start: dec0, Dur: ring.Now() - dec0,
+			Name: nmDecode, Kind: trace.KindDecode, TID: httpLane + 1,
+			ID: tid, A0: int64(len(xs))})
+	}
 	if err != nil {
 		h.metrics.Observe(name, ResultInvalid, 0)
 		endSpan(0, ResultInvalid)
-		writeError(w, http.StatusBadRequest, "%v", err)
+		writeError(w, code, "%v", err)
 		return
 	}
 	// A deadline that expired while the body was read (or arrived
@@ -323,6 +328,26 @@ func (h *Handler) predict(w http.ResponseWriter, r *http.Request, name string) {
 	h.metrics.Observe(name, ResultOK, time.Since(start))
 	endSpan(len(xs), ResultOK)
 	writeJSON(w, http.StatusOK, PredictResponse{Model: name, Predictions: preds})
+}
+
+// readSamples reads a predict body and splits it into samples of the
+// model's sample shape. On failure it also returns the status to reply
+// with: 413 for a body past MaxBodyBytes, 400 for anything else.
+func (h *Handler) readSamples(w http.ResponseWriter, r *http.Request, sample []int) ([]*tensor.Tensor, int, error) {
+	in, err := export.ReadInputJSON(http.MaxBytesReader(w, r.Body, h.opts.MaxBodyBytes))
+	if err != nil {
+		return nil, bodyStatus(err), fmt.Errorf("bad input tensor: %w", err)
+	}
+	xs, err := in.Samples(sample)
+	return xs, http.StatusBadRequest, err
+}
+
+// bodyStatus is the status for a request body that failed to parse.
+func bodyStatus(err error) int {
+	if errors.As(err, new(*http.MaxBytesError)) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
 }
 
 // debugTrace dumps ?model=X's recorded spans as Chrome trace-event
@@ -392,7 +417,7 @@ func (h *Handler) priority(r *http.Request) (engine.PriorityClass, error) {
 func (h *Handler) load(w http.ResponseWriter, r *http.Request, name string) {
 	ck, err := export.ReadJSON(http.MaxBytesReader(w, r.Body, h.opts.MaxBodyBytes))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad checkpoint: %v", err)
+		writeError(w, bodyStatus(err), "bad checkpoint: %v", err)
 		return
 	}
 	var sample []int

@@ -287,6 +287,17 @@ func TestHTTPRejectsBadRequests(t *testing.T) {
 		t.Fatalf("garbage upload status %d, want 400", resp.StatusCode)
 	}
 
+	// A body past MaxBodyBytes is too large (413), not malformed (400),
+	// on both predict and upload.
+	small := httptest.NewServer(serve.NewHandler(reg, serve.HandlerOptions{MaxBodyBytes: 64}))
+	defer small.Close()
+	for _, url := range []string{small.URL + "/v1/models/cnn:predict", small.URL + "/v1/models/other"} {
+		resp, body = postJSON(t, url, pb)
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("over-limit body to %s: status %d (%s), want 413", url, resp.StatusCode, body)
+		}
+	}
+
 	// Bad deadline parameters: unparsable, negative, and zero are all
 	// client errors, not generic 500s.
 	for _, q := range []string{"banana", "-5", "0"} {

@@ -33,8 +33,8 @@ type chromeDoc struct {
 
 // TestHTTPDebugTrace drives a traced registry over HTTP and checks the
 // /debug/trace dump: valid Chrome trace-event JSON whose spans nest
-// request → fanout → queue_wait → batch → instruction, all stitched to
-// one trace id.
+// request → decode, then fanout → queue_wait → batch → instruction, all
+// stitched to one trace id.
 func TestHTTPDebugTrace(t *testing.T) {
 	ck, _ := buildCheckpoint(t, 11)
 	reg := serve.NewRegistry(serve.Options{
@@ -91,7 +91,7 @@ func TestHTTPDebugTrace(t *testing.T) {
 		}
 		byCat[ev.Cat] = append(byCat[ev.Cat], iv{ev.Ts, ev.Ts + ev.Dur})
 	}
-	for _, cat := range []string{"request", "fanout", "queue_wait", "batch", "instr"} {
+	for _, cat := range []string{"request", "decode", "fanout", "queue_wait", "batch", "instr"} {
 		if len(byCat[cat]) == 0 {
 			have := make([]string, 0, len(byCat))
 			for k := range byCat {
@@ -110,6 +110,17 @@ func TestHTTPDebugTrace(t *testing.T) {
 		return false
 	}
 	req := byCat["request"][0]
+	// The body is decoded inside the request and before any sample fans
+	// out.
+	dec := byCat["decode"][0]
+	if !contains(req, dec) {
+		t.Fatalf("decode span %+v escapes the request span %+v", dec, req)
+	}
+	for _, f := range byCat["fanout"] {
+		if f.start < dec.end {
+			t.Fatalf("fanout span %+v starts before the decode span %+v ends", f, dec)
+		}
+	}
 	for _, b := range byCat["batch"] {
 		if !contains(req, b) {
 			t.Fatalf("batch span %+v escapes the request span %+v", b, req)

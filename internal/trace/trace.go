@@ -43,6 +43,7 @@ const (
 	KindRequest                   // whole HTTP predict request
 	KindFanout                    // one wave of a request's samples through the registry
 	KindAdmission                 // admission-control decision
+	KindDecode                    // parsing a request body into samples
 )
 
 // String names the kind for Chrome trace categories.
@@ -62,6 +63,8 @@ func (k Kind) String() string {
 		return "fanout"
 	case KindAdmission:
 		return "admission"
+	case KindDecode:
+		return "decode"
 	default:
 		return "span"
 	}
