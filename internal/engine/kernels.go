@@ -96,14 +96,12 @@ func (r *Registry) Clone() *Registry {
 
 // addShiftClamp is the residual-add epilogue shared by every kernel:
 // shift back with round-half-away (when shift > 0) and clamp. It mirrors
-// fuse.IntResidual.Forward exactly.
+// fuse.IntResidual.Forward exactly, rounding with the sign mask of
+// intmath.Requantize instead of a branch on the sign of v.
 func addShiftClamp(v int64, shift int, half, lo, hi int64) int64 {
 	if shift > 0 {
-		if v >= 0 {
-			v = (v + half) >> uint(shift)
-		} else {
-			v = -((-v + half) >> uint(shift))
-		}
+		s := v >> 63
+		v = ((((v ^ s) - s + half) >> uint(shift)) ^ s) - s
 	}
 	if v < lo {
 		v = lo

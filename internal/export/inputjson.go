@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"strconv"
 	"sync"
@@ -306,8 +307,10 @@ func (s *inputScanner) ints() ([]int, bool) {
 	return append(make([]int, 0, len(v)), v...), ok
 }
 
-// floats consumes the data array with strconv.ParseFloat at 32 bits, as
-// encoding/json does for a float32 field, into a slice of capacity c.
+// floats consumes the data array into a slice of capacity c. Each
+// number converts to the float32 strconv.ParseFloat at 32 bits returns,
+// as encoding/json does for a float32 field: by exactFloat32 when it can
+// decide, by ParseFloat itself otherwise.
 func (s *inputScanner) floats(c int) ([]float32, bool) {
 	v := make([]float32, 0, c)
 	more, ok := s.open()
@@ -316,11 +319,100 @@ func (s *inputScanner) floats(c int) ([]float32, bool) {
 		if !valid {
 			return nil, false
 		}
-		f, err := strconv.ParseFloat(string(num), 32)
-		if err != nil {
-			return nil, false
+		f, exact := exactFloat32(num)
+		if !exact {
+			f64, err := strconv.ParseFloat(string(num), 32)
+			if err != nil {
+				return nil, false
+			}
+			f = float32(f64)
 		}
-		v = append(v, float32(f))
+		v = append(v, f)
 	}
 	return v, ok
+}
+
+// pow10 holds the powers of ten float64 represents exactly.
+var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
+
+// exactFloat32 converts a number that inputScanner.number accepted to
+// the float32 strconv.ParseFloat(num, 32) returns, and reports false
+// when it cannot decide; the caller then asks ParseFloat. It is
+// Clinger's fast path taken at float64 precision: with at most 15
+// significant digits m and a power of ten e in [-22, 22], both m and
+// 10^|e| are exact float64 values, so q = m·10^e (or m/10^-e) is the
+// correctly rounded float64 of the decimal x, and lies in [1e-22, 1e37),
+// inside float32's normal range.
+//
+// float32(q) is then the correctly rounded float32 of x unless q is a
+// float32 rounding midpoint. Every such midpoint has 25 significant bits
+// and so is itself a float64; one lying strictly between x and q would
+// be closer to x than q, which contradicts q's correct rounding. So x
+// and q round to the same float32 unless q is a midpoint — its low 29
+// float64 mantissa bits are exactly 1<<28 — and then the result is left
+// to ParseFloat.
+func exactFloat32(num []byte) (float32, bool) {
+	i, neg := 0, num[0] == '-'
+	if neg {
+		i++
+	}
+	// Read the digits into m and the fraction's length into -e, the
+	// power of ten. Leading zeros leave m at 0, so m < 1e15 holds exactly
+	// when it has at most 15 significant digits. 19 digits cannot wrap a
+	// uint64; longer runs are left to ParseFloat.
+	var m uint64
+	start, e := i, 0
+	for ; i < len(num) && num[i]-'0' <= 9; i++ {
+		m = m*10 + uint64(num[i]-'0')
+	}
+	nd := i - start
+	if i < len(num) && num[i] == '.' {
+		i++
+		start = i
+		for ; i < len(num) && num[i]-'0' <= 9; i++ {
+			m = m*10 + uint64(num[i]-'0')
+		}
+		nd += i - start
+		e = start - i
+	}
+	if nd > 19 {
+		return 0, false
+	}
+	if i < len(num) { // exponent
+		i++
+		eneg := num[i] == '-'
+		if num[i] == '-' || num[i] == '+' {
+			i++
+		}
+		// Past 1e4 the exponent is out of range already; stopping there
+		// keeps x from overflowing.
+		x := 0
+		for ; i < len(num) && x < 1e4; i++ {
+			x = x*10 + int(num[i]-'0')
+		}
+		if eneg {
+			x = -x
+		}
+		e += x
+	}
+	if m == 0 {
+		e = 0 // ±0 at any exponent
+	}
+	if m >= 1e15 || e < -22 || e > 22 {
+		return 0, false
+	}
+	q := float64(m)
+	if e < 0 {
+		q /= pow10[-e]
+	} else {
+		q *= pow10[e]
+	}
+	if math.Float64bits(q)&(1<<29-1) == 1<<28 {
+		return 0, false
+	}
+	if neg {
+		q = -q
+	}
+	return float32(q), true
 }

@@ -231,6 +231,191 @@ func TestScanInputJSONFastPath(t *testing.T) {
 			t.Errorf("%s: scanner decoded %v, oracle %v", name, got.Shape, want.Shape)
 		}
 	}
+	// The numbers servers see convert on exactFloat32, without falling
+	// back to strconv, except WriteInputJSON's float32 extremes, which
+	// lie outside the fast path's range by design.
+	for name, body := range map[string][]byte{
+		"bench-b1": benchBody(1),
+		"bench-b8": benchBody(8),
+		"written":  writtenBody(t),
+	} {
+		for _, num := range dataNumbers(t, body) {
+			extreme := string(num) == "3.4028235e+38" || string(num) == "1e-45"
+			if _, fast := exactFloat32(num); fast == extreme {
+				t.Errorf("%s: exactFloat32(%s) took the fast path: %v", name, num, fast)
+			}
+		}
+	}
+}
+
+// dataNumbers returns the bytes of each number in body's data array.
+func dataNumbers(t *testing.T, body []byte) [][]byte {
+	s := inputScanner{b: body, i: bytes.Index(body, []byte(`"data"`)) + len(`"data"`)}
+	if !s.skip(':') {
+		t.Fatalf("%.40q: no data array", body)
+	}
+	var nums [][]byte
+	more, ok := s.open()
+	for ; more; more, ok = s.next() {
+		num, _, valid := s.number()
+		if !valid {
+			t.Fatalf("%.40q: bad number at byte %d", body, s.i)
+		}
+		nums = append(nums, num)
+	}
+	if !ok {
+		t.Fatalf("%.40q: data array does not close", body)
+	}
+	return nums
+}
+
+// exactVectors are named cases of the float32 fast path: whether it
+// decides each number (fast) or leaves it to strconv.
+var exactVectors = []struct {
+	num  string
+	fast bool
+}{
+	{"16777217", false}, // a float32 midpoint: strconv rounds it to 16777216
+	{"1e22", true},      // the largest exact power of ten
+	{"1e23", false},
+	{"1234567890123456", false}, // 16 significant digits
+	{"-0", true},
+	{"0e400", true},
+	{"-0.0e5", true},
+	{"4.5727237e-05", true},
+}
+
+// diffExact converts num with exactFloat32 and reports whether the fast
+// path decided it, and how it differs from strconv.ParseFloat(num, 32)
+// in any bit, sign of zero included, if it did.
+func diffExact(num string) (fast bool, err error) {
+	got, fast := exactFloat32([]byte(num))
+	if !fast {
+		return false, nil
+	}
+	want, perr := strconv.ParseFloat(num, 32)
+	if perr != nil {
+		return true, fmt.Errorf("%s: fast path gave %v, ParseFloat failed: %v", num, got, perr)
+	}
+	if math.Float32bits(got) != math.Float32bits(float32(want)) {
+		return true, fmt.Errorf("%s: fast path gave %v (%#08x), ParseFloat %v (%#08x)",
+			num, got, math.Float32bits(got), float32(want), math.Float32bits(float32(want)))
+	}
+	return true, nil
+}
+
+// isNumber reports whether all of s is one number inputScanner accepts.
+func isNumber(s string) bool {
+	sc := inputScanner{b: []byte(s)}
+	_, _, ok := sc.number()
+	return ok && sc.i == len(s)
+}
+
+// randomNumber renders 1–17 random digits with a random decimal point,
+// sign and exponent in [-30, 30], in the RFC 8259 grammar.
+func randomNumber(r *rand.Rand) string {
+	d := make([]byte, 1+r.Intn(17))
+	for i := range d {
+		d[i] = byte('0' + r.Intn(10))
+	}
+	point := r.Intn(len(d) + 1)
+	var b []byte
+	if r.Intn(2) == 0 {
+		b = append(b, '-')
+	}
+	if whole := bytes.TrimLeft(d[:point], "0"); len(whole) > 0 {
+		b = append(b, whole...)
+	} else {
+		b = append(b, '0')
+	}
+	if point < len(d) {
+		b = append(append(b, '.'), d[point:]...)
+	}
+	if r.Intn(2) == 0 {
+		b = append(b, "eE"[r.Intn(2)])
+		x := r.Intn(61) - 30
+		if x < 0 {
+			b = append(b, '-')
+			x = -x
+		} else if r.Intn(2) == 0 {
+			b = append(b, '+')
+		}
+		b = strconv.AppendInt(b, int64(x), 10)
+	}
+	return string(b)
+}
+
+// TestExactFloat32MatchesParseFloat: wherever the fast path decides a
+// number, it decides it as strconv.ParseFloat(num, 32) does, bit for
+// bit. It checks the named vectors, random decimal strings, and float32
+// rounding midpoints with their float64 neighbours at every precision a
+// writer is likely to print.
+func TestExactFloat32MatchesParseFloat(t *testing.T) {
+	for _, v := range exactVectors {
+		fast, err := diffExact(v.num)
+		if err != nil {
+			t.Error(err)
+		}
+		if fast != v.fast {
+			t.Errorf("%s: fast path %v, want %v", v.num, fast, v.fast)
+		}
+	}
+	r := rand.New(rand.NewSource(42))
+	check := func(num string) bool {
+		if !isNumber(num) {
+			t.Fatalf("%q is not a JSON number", num)
+		}
+		fast, err := diffExact(num)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fast
+	}
+	const strs = 300_000
+	fast := 0
+	for range strs {
+		if check(randomNumber(r)) {
+			fast++
+		}
+	}
+	if fast < strs/4 {
+		t.Errorf("fast path decided %d of %d random numbers, want at least a quarter", fast, strs)
+	}
+	const mids = 30_000
+	fast = 0
+	for range mids {
+		// A positive normal float32 below the largest, its successor, and
+		// the midpoint between them, which float64 holds exactly.
+		f := math.Float32frombits(uint32(1+r.Intn(253))<<23 | r.Uint32()&(1<<23-1))
+		mid := (float64(f) + float64(math.Nextafter32(f, float32(math.Inf(1))))) / 2
+		if r.Intn(2) == 0 {
+			mid = -mid
+		}
+		for _, v := range []float64{mid, math.Nextafter(mid, math.Inf(-1)), math.Nextafter(mid, math.Inf(1))} {
+			for _, prec := range []int{-1, 8, 9, 12, 15, 16, 17} {
+				if check(strconv.FormatFloat(v, 'g', prec, 64)) {
+					fast++
+				}
+			}
+		}
+	}
+	if fast == 0 {
+		t.Error("fast path decided none of the midpoint strings")
+	}
+}
+
+func FuzzExactFloat32(f *testing.F) {
+	for _, v := range exactVectors {
+		f.Add(v.num)
+	}
+	f.Fuzz(func(t *testing.T, num string) {
+		if !isNumber(num) {
+			return
+		}
+		if _, err := diffExact(num); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestReadInputJSONSteadyStateAllocs: with the body buffer pooled, a

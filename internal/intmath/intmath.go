@@ -116,12 +116,12 @@ func Conv2dInt(x, w *tensor.IntTensor, zx int64, p tensor.ConvParams) *tensor.In
 
 // RoundDiv divides num by den (den > 0) rounding half away from zero —
 // the shared integer-division rounding every deploy stage uses, so the
-// interpreter and the engine kernels agree bit for bit.
+// interpreter and the engine kernels agree bit for bit. Like Requantize,
+// it divides |num| and restores the sign with the mask num>>63 rather
+// than a branch.
 func RoundDiv(num, den int64) int64 {
-	if num >= 0 {
-		return (num + den/2) / den
-	}
-	return -((-num + den/2) / den)
+	s := num >> 63
+	return ((((num ^ s) - s + den/2) / den) ^ s) - s
 }
 
 // ISqrt returns floor(sqrt(n)) computed with a pure-integer Newton

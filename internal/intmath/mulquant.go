@@ -123,14 +123,14 @@ func (m *MulQuant) requantize(v, sfx, bfx, half, lo, hi int64) int64 {
 // funnels through: q = round_half_away((v·sfx + bfx) >> frac) + zero,
 // clamped to [lo, hi]. It is exported so compiled-engine kernels that
 // prepack the MulQuant constants produce bit-identical codes.
+//
+// The rounding takes no branch on the sign of t: with s = t>>63 (0 or
+// -1), (t^s)-s is |t| and (r^s)-s gives r back its sign, so q is
+// (|t|+half)>>frac carrying t's sign, for every int64 t.
 func Requantize(v, sfx, bfx, half int64, frac uint, zero, lo, hi int64) int64 {
 	t := v*sfx + bfx
-	var q int64
-	if t >= 0 {
-		q = (t + half) >> frac
-	} else {
-		q = -((-t + half) >> frac)
-	}
+	s := t >> 63
+	q := ((((t ^ s) - s + half) >> frac) ^ s) - s
 	q += zero
 	if q < lo {
 		q = lo

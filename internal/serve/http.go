@@ -223,22 +223,23 @@ func (h *Handler) predict(w http.ResponseWriter, r *http.Request, name string) {
 	}
 
 	// When the model's tracer is armed and this request is sampled,
-	// record a request span, a decode span for the body and one fan-out
-	// span per wave, all carrying one trace id that the engine stitches
-	// into its queue-wait spans. The untraced path pays one nil-ring
-	// branch per span.
+	// record a request span, a decode span for the body, one fan-out
+	// span per wave and an encode span for the reply, all carrying one
+	// trace id that the engine stitches into its queue-wait spans. The
+	// untraced path pays one nil-ring branch per span.
 	ring := h.reg.TraceRing(name)
 	tracer := ring.Tracer()
 	traced := ring.Active() && tracer.SampleRequest()
 	var tid uint64
 	var reqStart int64
-	var nmRequest, nmDecode, nmFanout uint32
+	var nmRequest, nmDecode, nmFanout, nmEncode uint32
 	if traced {
 		tid = h.traceID(r)
 		reqStart = ring.Now()
 		nmRequest = tracer.Intern("request")
 		nmDecode = tracer.Intern("decode")
 		nmFanout = tracer.Intern("fanout")
+		nmEncode = tracer.Intern("encode")
 		w.Header().Set("X-Trace-Id", strconv.FormatUint(tid, 16))
 	}
 	endSpan := func(samples int, result string) {
@@ -326,8 +327,18 @@ func (h *Handler) predict(w http.ResponseWriter, r *http.Request, name string) {
 		}
 	}
 	h.metrics.Observe(name, ResultOK, time.Since(start))
+	resp := PredictResponse{Model: name, Predictions: preds}
+	if !traced {
+		writeJSON(w, http.StatusOK, resp)
+		return
+	}
+	// The reply is encoded inside the request span, after the last wave.
+	enc0 := ring.Now()
+	writeJSON(w, http.StatusOK, resp)
+	ring.Record(trace.Span{Start: enc0, Dur: ring.Now() - enc0,
+		Name: nmEncode, Kind: trace.KindEncode, TID: httpLane + 1,
+		ID: tid, A0: int64(len(xs))})
 	endSpan(len(xs), ResultOK)
-	writeJSON(w, http.StatusOK, PredictResponse{Model: name, Predictions: preds})
 }
 
 // readSamples reads a predict body and splits it into samples of the

@@ -33,8 +33,8 @@ type chromeDoc struct {
 
 // TestHTTPDebugTrace drives a traced registry over HTTP and checks the
 // /debug/trace dump: valid Chrome trace-event JSON whose spans nest
-// request → decode, then fanout → queue_wait → batch → instruction, all
-// stitched to one trace id.
+// request → decode, then fanout → queue_wait → batch → instruction,
+// then encode, all stitched to one trace id.
 func TestHTTPDebugTrace(t *testing.T) {
 	ck, _ := buildCheckpoint(t, 11)
 	reg := serve.NewRegistry(serve.Options{
@@ -91,7 +91,7 @@ func TestHTTPDebugTrace(t *testing.T) {
 		}
 		byCat[ev.Cat] = append(byCat[ev.Cat], iv{ev.Ts, ev.Ts + ev.Dur})
 	}
-	for _, cat := range []string{"request", "decode", "fanout", "queue_wait", "batch", "instr"} {
+	for _, cat := range []string{"request", "decode", "fanout", "queue_wait", "batch", "instr", "encode"} {
 		if len(byCat[cat]) == 0 {
 			have := make([]string, 0, len(byCat))
 			for k := range byCat {
@@ -119,6 +119,17 @@ func TestHTTPDebugTrace(t *testing.T) {
 	for _, f := range byCat["fanout"] {
 		if f.start < dec.end {
 			t.Fatalf("fanout span %+v starts before the decode span %+v ends", f, dec)
+		}
+	}
+	// The reply is encoded inside the request and after the last wave
+	// ends.
+	enc := byCat["encode"][0]
+	if !contains(req, enc) {
+		t.Fatalf("encode span %+v escapes the request span %+v", enc, req)
+	}
+	for _, f := range byCat["fanout"] {
+		if enc.start < f.end {
+			t.Fatalf("encode span %+v starts before the fanout span %+v ends", enc, f)
 		}
 	}
 	for _, b := range byCat["batch"] {

@@ -44,6 +44,7 @@ const (
 	KindFanout                    // one wave of a request's samples through the registry
 	KindAdmission                 // admission-control decision
 	KindDecode                    // parsing a request body into samples
+	KindEncode                    // writing a predict response body
 )
 
 // String names the kind for Chrome trace categories.
@@ -65,6 +66,8 @@ func (k Kind) String() string {
 		return "admission"
 	case KindDecode:
 		return "decode"
+	case KindEncode:
+		return "encode"
 	default:
 		return "span"
 	}

@@ -9,7 +9,7 @@ import (
 
 func TestKindsDistinct(t *testing.T) {
 	kinds := []Kind{KindInstr, KindBatch, KindQueueWait,
-		KindBatchForm, KindRequest, KindFanout, KindAdmission, KindDecode}
+		KindBatchForm, KindRequest, KindFanout, KindAdmission, KindDecode, KindEncode}
 	seen := map[Kind]bool{}
 	for _, k := range kinds {
 		if k == 0 {
