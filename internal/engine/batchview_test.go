@@ -89,7 +89,9 @@ func assertAnyBatchParity(t *testing.T, im *fuse.IntModel, prog *engine.Program,
 	}
 }
 
-// TestOneExecutorAnyBatchParity covers the zoo, the ViT, an odd-width
+// TestOneExecutorAnyBatchParity covers the zoo, the ViT (its matmuls on
+// the int32 GEMM over typed arenas, and on the int64 GEMM over the
+// I64-planned arenas of a registry without typed storage), an odd-width
 // program that binds the int64 drivers, and pruned programs that bind
 // the channel-CSR and N:M kernels.
 func TestOneExecutorAnyBatchParity(t *testing.T) {
@@ -105,7 +107,11 @@ func TestOneExecutorAnyBatchParity(t *testing.T) {
 	})
 	t.Run("vit", func(t *testing.T) {
 		cm, prog := compileViT(t, 3, 2)
-		assertAnyBatchParity(t, cm.Int, prog, cifar, engine.FastKernels(), "matmul")
+		assertAnyBatchParity(t, cm.Int, prog, cifar, engine.FastKernels(), "matmul-i32")
+	})
+	t.Run("vit-i64", func(t *testing.T) {
+		cm, prog := compileViT(t, 3, 2)
+		assertAnyBatchParity(t, cm.Int, prog, cifar, engine.FastKernelsWithout(engine.CapTyped), "matmul-i64")
 	})
 	t.Run("odd-width", func(t *testing.T) {
 		im, prog := compileOddWidth(t)

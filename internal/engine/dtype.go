@@ -27,8 +27,10 @@ type bufRange struct {
 	ok     bool
 }
 
-func (r bufRange) maxAbs() int64 {
-	a, b := r.lo, r.hi
+// maxDist is the largest |v − z| over the range: a zero-point-shifted
+// operand's magnitude bound (z = 0 gives the raw codes').
+func (r bufRange) maxDist(z int64) int64 {
+	a, b := r.lo-z, r.hi-z
 	if a < 0 {
 		a = -a
 	}
@@ -118,11 +120,14 @@ func (p *Program) AnnotateDTypes() error {
 func (p *Program) Annotated() bool { return p.BufDTypes != nil }
 
 // storageInfo is the resolved typed-storage decision: the per-buffer
-// storage dtype, per instruction whether conv/linear accumulates in
-// int32 (typed), and whether it may additionally take the SWAR
-// lane-packed path (a strict subset of typed).
+// storage dtype and derived range, per instruction whether conv/linear
+// accumulates in int32 (typed), and whether it may additionally take
+// the SWAR lane-packed path (a strict subset of typed). A matmul's
+// reduction length is a shape, not a weight property, so its int32
+// rule (matMulTyped) runs at bind over rng.
 type storageInfo struct {
 	dts   []tensor.DType
+	rng   []bufRange // nil for unannotated programs
 	typed []bool
 	swar  []bool
 	// swarSparse marks typed conv/linear instructions whose pruned
@@ -159,6 +164,16 @@ func accBound(k, rawMax, wAbs int64) bool {
 	return true
 }
 
+// matMulTyped is the matmul's accumulator rule: every partial sum of a
+// K-long Σ (a−za)(b−zb) over codes in the operands' derived ranges is
+// bounded by K·max|a−za|·max|b−zb|, so where accBound holds (and the
+// shifted B codes fit int32 too) the int32 GEMM is bit-identical to
+// the int64 reference.
+func matMulTyped(k int64, ra, rb bufRange, za, zb int64) bool {
+	bAbs := rb.maxDist(zb)
+	return bAbs <= math.MaxInt32 && accBound(k, ra.maxDist(za), bAbs)
+}
+
 // storage resolves (and caches) the typed-storage plan. Unannotated
 // programs get all-I64 storage and no int32 instructions. Annotated
 // programs store every buffer at its BufDTypes dtype; a conv/linear
@@ -188,6 +203,7 @@ func (p *Program) storage() (*storageInfo, error) {
 	if err != nil {
 		return nil, err
 	}
+	st.rng = rng
 
 	spar := p.sparsity()
 	for i := range p.Instrs {
@@ -203,7 +219,7 @@ func (p *Program) storage() (*storageInfo, error) {
 		k := spar[i].maxRowNnz
 		wMin, wMax := maxAbsWeight(it.W)
 		wAbs := max(wMax, -wMin)
-		st.typed[i] = wMin >= -128 && wMax <= 127 && accBound(k, rng[it.In[0]].maxAbs(), wAbs)
+		st.typed[i] = wMin >= -128 && wMax <= 127 && accBound(k, rng[it.In[0]].maxDist(0), wAbs)
 
 		// SWAR eligibility: the packed microkernel gathers activations as
 		// biased bytes, so the input's storage must be 8-bit, and the

@@ -374,15 +374,17 @@ func TestServerRejectsAfterClose(t *testing.T) {
 	srv.Close() // double close must be safe
 }
 
-// statelessPrepKernels is FastKernels with conv and linear prep hooks
-// that bind no state, which sends the packed conv and linear kernels
-// down their fallback to the reference bodies (over I64 arenas, since
-// replacing a prep hook clears the registry's capability bits).
+// statelessPrepKernels is FastKernels with conv, linear, matmul and
+// softmax prep hooks that bind no state, which sends the packed conv,
+// linear and matmul kernels and the typed softmax down their fallback to
+// the reference bodies (over I64 arenas, since replacing a prep hook
+// clears the registry's capability bits).
 func statelessPrepKernels() *engine.Registry {
 	r := engine.FastKernels()
 	noState := func(*engine.Executor, int, *engine.Instr) (any, error) { return nil, nil }
-	r.RegisterPrep(engine.OpConv, noState)
-	r.RegisterPrep(engine.OpLinear, noState)
+	for _, k := range []engine.OpKind{engine.OpConv, engine.OpLinear, engine.OpMatMul, engine.OpSoftmax} {
+		r.RegisterPrep(k, noState)
+	}
 	return r
 }
 

@@ -252,7 +252,9 @@ func kernelLinearRef(ex *Executor, idx int, it *Instr, in []*tensor.IntTensor, o
 // instruction, over the same narrow storage.
 // Where the storage pass additionally proves the SWAR lane bound, dense
 // conv/linear run the lane-packed microkernel (two output channels per
-// 64-bit accumulator word over byte-gathered activation panels).
+// 64-bit accumulator word over byte-gathered activation panels). The
+// attention matmul runs on the same panel GEMM at the accumulator width
+// its operand ranges prove, and the softmax as a typed row kernel.
 func FastKernels() *Registry {
 	r := ReferenceKernels().Clone()
 	r.Register(OpConv, kernelConvPacked)
@@ -260,6 +262,8 @@ func FastKernels() *Registry {
 	r.Register(OpLinear, kernelLinearPacked)
 	r.RegisterPrep(OpLinear, prepLinear)
 	r.RegisterPrep(OpMatMul, prepMatMul)
+	r.Register(OpSoftmax, kernelSoftmaxTyped)
+	r.RegisterPrep(OpSoftmax, prepSoftmax)
 	r.typed = true
 	r.swar = true
 	r.sparse = true

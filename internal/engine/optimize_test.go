@@ -10,6 +10,7 @@ import (
 	"torch2chip/internal/intmath"
 	"torch2chip/internal/models"
 	"torch2chip/internal/nn"
+	"torch2chip/internal/quant"
 	"torch2chip/internal/tensor"
 )
 
@@ -202,6 +203,64 @@ func TestPlannerOutputAliasesLastFusedBuffer(t *testing.T) {
 	want := execCodes(t, p, codes, engine.ReferenceKernels())
 	assertSameCodes(t, execCodes(t, q, codes, engine.FastKernels()), want, "aliased-output")
 	assertSameCodes(t, execCodes(t, q, codes, engine.ReferenceKernels()), want, "aliased-output-ref")
+}
+
+// TestLinearFinishesInPlaceOverFusedAdd: a linear carrying a folded
+// rescale and a folded residual add, whose output the planner places
+// over its dying add operand, finishes each row straight into typed
+// storage on the SWAR, int32-panel and int64-panel paths, and every
+// code equals the reference registry's.
+func TestLinearFinishesInPlaceOverFusedAdd(t *testing.T) {
+	g := tensor.NewRNG(46)
+	const rows, k = 37, 24
+	p := &engine.Program{
+		InQuant: quant.NewQBase(8, true, false),
+		NumBufs: 3, Input: 0, Output: 2,
+		InShape:  []int{k},
+		OptLevel: engine.OptFuse,
+	}
+	p.Instrs = []engine.Instr{
+		{Kind: engine.OpRescale, Name: "branch", In: []int{0}, Out: 1, Scaler: mkScaler(t, 1, 8, true, 0)},
+		{
+			Kind: engine.OpLinear, Name: "lin", In: []int{0, 1}, Out: 2,
+			W: randomCodes(g, 90, k, k), InZero: 3, WBits: 8,
+			Scaler:       mkScaler(t, k, 16, true, 0),
+			FusedRescale: mkScaler(t, 1, 8, true, 0),
+			FusedAdd:     true, Shift: 1, ClampLo: -128, ClampHi: 127,
+		},
+	}
+	if err := p.AnnotateDTypes(); err != nil {
+		t.Fatal(err)
+	}
+	codes := randomCodes(g, 128, rows, k)
+	for i, v := range codes.Data {
+		codes.Data[i] = min(v, 127)
+	}
+	want := execCodes(t, p, codes, engine.ReferenceKernels())
+	for _, tc := range []struct {
+		path string
+		reg  *engine.Registry
+	}{
+		{"swar", engine.FastKernels()},
+		{"i32-panel", engine.FastKernelsWithout(engine.CapSwar)},
+		{"i64-panel", engine.FastKernelsWithout(engine.CapTyped)},
+	} {
+		ex, err := engine.NewExecutor(p, codes.Shape, engine.WithKernels(tc.reg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := ex.KernelChoices()[0].Path; got != tc.path {
+			t.Fatalf("linear bound %q, want %q", got, tc.path)
+		}
+		if off := ex.Plan().Offsets; off[2] != off[1] {
+			t.Fatalf("%s: output at %d, not in place over the add operand at %d", tc.path, off[2], off[1])
+		}
+		got, err := ex.ExecuteCodes(codes, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameCodes(t, got, want, tc.path)
+	}
 }
 
 func TestGroupedConvParityStridePadding(t *testing.T) {

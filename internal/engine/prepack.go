@@ -9,7 +9,8 @@ package engine
 // with the whole epilogue applied while the tile is hot.
 //
 // There is one driver per layout — dense conv (convPackT), grouped or
-// depthwise conv (gconvPackT) and linear (linPackT) — generic over the
+// depthwise conv (gconvPackT), linear (linPackT) and the batched
+// attention matmul (mmPackT, vit_kernels.go) — generic over the
 // accumulator width C. Activations stay in their storage dtype and widen
 // to C at the gather; weights are packed as C at bind time. The int32
 // instantiation binds where Program.storage() proves the weights fit int8
@@ -64,14 +65,6 @@ func newEpi(it *Instr, o int) epi {
 	return e
 }
 
-// finishInto finishes one accumulator (already zero-point corrected by
-// the caller) through the shared requantize + fused-epilogue funnel
-// into an int64 staging chunk; add is chunk-aligned with dst.
-func (e *epi) finishInto(dst, add []int64, i int, acc int64, oc int) {
-	q := intmath.Requantize(acc, e.sfx[oc], e.bfx[oc], e.half, e.frac, e.zero, e.lo, e.hi)
-	dst[i] = e.fc.finish(q, add, i)
-}
-
 // finishSeg finishes one channel's accumulator row — subtract the
 // row-sum correction, requantize, fused epilogue — storing straight into
 // the typed output segment (no int64 staging pass). bv is the widened
@@ -108,6 +101,59 @@ func finishSegOut[C accum](out *tensor.IntTensor, off int, accRow []C, bv []int6
 		finishSeg(out.I32[off:off+m], accRow, bv, e, corr, oc)
 	default:
 		finishSeg(out.Data[off:off+m], accRow, bv, e, corr, oc)
+	}
+}
+
+// finishRow is finishSeg's row-major twin: one row of the linear's
+// [rows, o] accumulator tile, with the per-channel constants and row-sum
+// corrections running along the row. bv is the widened fused-branch row,
+// read before the aliased dst element is written.
+func finishRow[O tensor.Elem, C accum](dst []O, accRow []C, bv []int64, e *epi, corr []int64) {
+	sfx, bfx, corr := e.sfx[:len(accRow)], e.bfx[:len(accRow)], corr[:len(accRow)]
+	dst = dst[:len(accRow)]
+	if e.fc.active() {
+		for oc, a := range accRow {
+			q := intmath.Requantize(int64(a)-corr[oc], sfx[oc], bfx[oc], e.half, e.frac, e.zero, e.lo, e.hi)
+			dst[oc] = O(e.fc.finish(q, bv, oc))
+		}
+		return
+	}
+	for oc, a := range accRow {
+		dst[oc] = O(intmath.Requantize(int64(a)-corr[oc], sfx[oc], bfx[oc], e.half, e.frac, e.zero, e.lo, e.hi))
+	}
+}
+
+// finishRows finishes a row tile acc [m][o] into the typed output rows
+// r0.., widening each fused-branch row into bv (len o) first.
+func finishRows[O tensor.Elem, C accum](dst []O, r0 int, acc []C, add *tensor.IntTensor, bv []int64, e *epi, corr []int64) {
+	o := len(corr)
+	for i := 0; i < len(acc)/o; i++ {
+		off := (r0 + i) * o
+		var bvv []int64
+		if add != nil {
+			bvv = bv[:o]
+			add.ReadInt64(bvv, off)
+		}
+		finishRow(dst[off:off+o], acc[i*o:(i+1)*o], bvv, e, corr)
+	}
+}
+
+// finishRowsOut dispatches finishRows on the output storage dtype (one
+// switch per row tile).
+func finishRowsOut[C accum](out *tensor.IntTensor, r0 int, acc []C, add *tensor.IntTensor, bv []int64, e *epi, corr []int64) {
+	switch out.DType {
+	case tensor.I8:
+		finishRows(out.I8, r0, acc, add, bv, e, corr)
+	case tensor.U8:
+		finishRows(out.U8, r0, acc, add, bv, e, corr)
+	case tensor.I16:
+		finishRows(out.I16, r0, acc, add, bv, e, corr)
+	case tensor.U16:
+		finishRows(out.U16, r0, acc, add, bv, e, corr)
+	case tensor.I32:
+		finishRows(out.I32, r0, acc, add, bv, e, corr)
+	default:
+		finishRows(out.Data, r0, acc, add, bv, e, corr)
 	}
 }
 
@@ -592,9 +638,9 @@ func prepLinearT[C accum](ex *Executor, idx int, it *Instr) any {
 			st.nm = sp.nm
 		}
 	}
-	// Staging: per-row int64 requantize chunk + fused-add chunk in the
-	// slot's scratch; the row-major accumulator tile.
-	ex.NeedSlotScratch(2 * o)
+	// Staging: the widened fused-add row in the slot's scratch; the
+	// row-major accumulator tile.
+	ex.NeedSlotScratch(o)
 	slotsOf[C](ex).reserve(0, tm*st.o)
 	return st
 }
@@ -973,10 +1019,9 @@ func (st *linPackT[C]) jobs(ex *Executor, idx int, it *Instr, in []*tensor.IntTe
 // linJob builds the per-row-tile job body: run the panel GEMM straight
 // over the input rows (no gather; the zero point is folded into the
 // row-sum correction) into a slot-local row-major [m, o] tile, then
-// finish row by row through the slot's int64 staging chunk into the
-// output. Each output element's accumulation order over k (and its
-// epilogue) is independent of the tiling, so tiling never affects
-// values.
+// finish row by row straight into the typed output. Each output
+// element's accumulation order over k (and its epilogue) is independent
+// of the tiling, so tiling never affects values.
 func linJob[A tensor.Elem, C accum](ex *Executor, st *linPackT[C], it *Instr, in []*tensor.IntTensor, out *tensor.IntTensor, rows, tm int) func(t, slot int) {
 	xs := typedData[A](in[0])
 	var add *tensor.IntTensor
@@ -1020,19 +1065,6 @@ func linJob[A tensor.Elem, C accum](ex *Executor, st *linPackT[C], it *Instr, in
 				}
 			}
 		}
-		sc := ex.SlotScratch(slot)
-		av, bv := sc[:o], sc[o:2*o]
-		for i := 0; i < m; i++ {
-			row := acc[i*o : (i+1)*o]
-			var bvv []int64
-			if add != nil {
-				bvv = bv[:o]
-				add.ReadInt64(bvv, (r0+i)*o)
-			}
-			for oc, a := range row {
-				st.epi.finishInto(av, bvv, oc, int64(a)-st.zsum[oc], oc)
-			}
-			out.WriteInt64(av[:o], (r0+i)*o)
-		}
+		finishRowsOut(out, r0, acc, add, ex.SlotScratch(slot), &st.epi, st.zsum)
 	}
 }

@@ -233,9 +233,9 @@ func prepLinearSwar(ex *Executor, idx int, it *Instr) (any, error) {
 		return splitTileM(tileSitesSwar(k, rows), rows, 1, ex.kernelWorkers())
 	})
 	st.tm = tms
-	// Staging: per-row int64 requantize chunk + fused-add chunk + byte
-	// sums; the biased byte panel; the row-major accumulator tile.
-	ex.NeedSlotScratch(2*o + tm)
+	// Staging: the widened fused-add row + byte sums; the biased byte
+	// panel; the row-major accumulator tile.
+	ex.NeedSlotScratch(o + tm)
 	ex.needSlotU8(tm * k)
 	ex.w32.reserve(0, tm*st.o)
 	return st, nil
@@ -496,8 +496,8 @@ func (st *convPackS) jobs(ex *Executor, idx int, it *Instr, in []*tensor.IntTens
 
 // linSwarJob builds the per-row-tile job body: gather biased byte rows
 // plus sums, run the lane-packed GEMM into the row-major int32 tile, then
-// finish row by row — widen, correct, requantize, fused epilogue —
-// through the slot's int64 staging chunk into the output.
+// finish row by row — correct, requantize, fused epilogue — straight
+// into the typed output.
 func linSwarJob[A tensor.Elem](ex *Executor, st *linPackS, it *Instr, in []*tensor.IntTensor, out *tensor.IntTensor, rows, tm int) func(t, slot int) {
 	xs := typedData[A](in[0])
 	var add *tensor.IntTensor
@@ -513,7 +513,7 @@ func linSwarJob[A tensor.Elem](ex *Executor, st *linPackS, it *Instr, in []*tens
 		}
 		panel := ex.slotU8[slot][:m*k]
 		sc := ex.SlotScratch(slot)
-		av, bv, sums := sc[:o], sc[o:2*o], sc[2*o:2*o+m]
+		bv, sums := sc[:o], sc[o:o+m]
 		gatherRowBytes(panel, sums, xs[r0*k:(r0+m)*k], k, m, st.ba)
 		acc := ex.w32.acc[slot]
 		if st.skip != nil {
@@ -521,18 +521,7 @@ func linSwarJob[A tensor.Elem](ex *Executor, st *linPackS, it *Instr, in []*tens
 		} else {
 			gemmPanelsSwar(acc, panel, st.wps, sums, st.bcorr, st.bw, m, k, o, st.np, 1, o)
 		}
-		for i := 0; i < m; i++ {
-			row := acc[i*o : (i+1)*o]
-			var bvv []int64
-			if add != nil {
-				bvv = bv[:o]
-				add.ReadInt64(bvv, (r0+i)*o)
-			}
-			for oc, a := range row {
-				st.epi.finishInto(av, bvv, oc, int64(a)-st.zsum[oc], oc)
-			}
-			out.WriteInt64(av[:o], (r0+i)*o)
-		}
+		finishRowsOut(out, r0, acc[:m*o], add, bv, &st.epi, st.zsum)
 	}
 }
 
@@ -557,8 +546,9 @@ type KernelChoice struct {
 	Name  string // instruction name
 	Kind  OpKind
 	// Path is "swar", "swar-sparse", "i32-panel", "i32-sparse", "i32-nm",
-	// "i32-direct", "i64-panel", "i64-direct", "matmul", or "reference"
-	// when no state is bound and the reference body runs.
+	// "i32-direct", "i64-panel", "i64-direct", "matmul-i32" or
+	// "matmul-i64" (the packed-panel matmul at its accumulator width), or
+	// "reference" when no state is bound and the reference body runs.
 	Path  string
 	Lanes int // output channels per packed accumulator word (SWAR only)
 	TileM int // site/row tile of the bound GEMM state at the bound batch
@@ -615,8 +605,10 @@ func (ex *Executor) KernelChoices() []KernelChoice {
 			c.Path, c.TileM = "i64-panel", st.tm[ex.bound]
 		case *gconvPackT[int64]:
 			c.Path = "i64-direct"
-		case *mmPack:
-			c.Path = "matmul"
+		case *mmPackT[int32]:
+			c.Path = "matmul-i32"
+		case *mmPackT[int64]:
+			c.Path = "matmul-i64"
 		default:
 			c.Path = "reference"
 		}

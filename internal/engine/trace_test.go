@@ -133,9 +133,14 @@ func TestServerTraceSpans(t *testing.T) {
 	}
 
 	// The always-on batch-wait histogram saw the hand-off, and the
-	// queue-depth gauge reads cleanly on an idle server.
-	if bw := srv.BatchWait(); bw.Count < 1 {
-		t.Fatalf("batch-wait count = %d, want >= 1", bw.Count)
+	// queue-depth gauge reads cleanly on an idle server. The batcher
+	// records the wait just after the hand-off, when the worker may
+	// already have replied, so wait for the record.
+	for bw := srv.BatchWait(); bw.Count < 1; bw = srv.BatchWait() {
+		if time.Now().After(deadline) {
+			t.Fatalf("batch-wait count = %d, want >= 1", bw.Count)
+		}
+		time.Sleep(time.Millisecond)
 	}
 	if d := srv.QueueDepth(); d != 0 {
 		t.Fatalf("idle queue depth = %d", d)

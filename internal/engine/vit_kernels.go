@@ -1,17 +1,19 @@
 package engine
 
 // Transformer kernels: matmul, layernorm, softmax, gelu, head
-// split/merge, patch-embed token assembly, and class-token slice. All of
-// them stage narrow storage through int64 chunks (ReadInt64/WriteInt64),
-// run the exact integer funnels the fuse layers use (Requantize,
-// LUT.Lookup, LUTSoftmax.ApplyRow, ISqrt/RoundDiv), and are therefore
-// bit-identical across every registry and storage dtype. The batched
-// matmul — the only hot loop among them — additionally has a prepacked
-// parallel path (per-slot staging, one job per batch-head) bound by
-// FastKernels; registries without the prep hook run it serially.
+// split/merge, patch-embed token assembly, and class-token slice. The
+// reference bodies stage narrow storage through int64 chunks
+// (ReadInt64/WriteInt64) and run the exact integer funnels the fuse
+// layers use (Requantize, LUT.Lookup, LUTSoftmax.ApplyRow,
+// ISqrt/RoundDiv), so they are bit-identical across every registry and
+// storage dtype. FastKernels binds the two attention hot loops at
+// storage width: the batched matmul on the packed-panel GEMM (one job
+// per batch·head entry) and the softmax as a typed row kernel whose
+// normalization divides by an exact multiply-high reciprocal.
 
 import (
 	"fmt"
+	"math/bits"
 
 	"torch2chip/internal/intmath"
 	"torch2chip/internal/tensor"
@@ -28,13 +30,20 @@ func registerViTKernels(r *Registry) {
 	r.kernels[OpSliceCls] = kernelSliceCls
 }
 
-// mmPack is the bound state of a batched matmul. It carries nothing:
-// the job grid reads its dimensions from the input view, and prepMatMul
-// sized the per-slot staging, which is per batch entry and so the same
-// at every batch size.
-type mmPack struct{}
+// mmPackT is the bound state of a batched matmul on the packed-panel
+// GEMM at accumulator width C: per batch·head entry, A [M,K] is staged
+// as the GEMM's site panel and B as ⌈N/panelW⌉ weight panels, both with
+// their zero points subtracted, and the channel-major accumulator tile
+// is requantized straight into the typed output. The int32
+// instantiation binds where the operands' derived ranges prove the
+// accumulator bound (matMulTyped); every other matmul binds int64.
+type mmPackT[C accum] struct {
+	m, k, n, np int
+	epi         epi // unified scaler (channel 0); matmuls fold no epilogue
+}
 
-// prepMatMul reserves per-slot staging for the parallel batched matmul.
+// prepMatMul binds a matmul onto the packed-panel GEMM and reserves its
+// per-slot panels and accumulator tile.
 func prepMatMul(ex *Executor, idx int, it *Instr) (any, error) {
 	a := ex.plan.Shapes[it.In[0]]
 	o := ex.plan.Shapes[it.Out]
@@ -42,30 +51,129 @@ func prepMatMul(ex *Executor, idx int, it *Instr) (any, error) {
 		return nil, fmt.Errorf("engine: matmul %s operands rank %d/%d, want 3", it.Name, len(a), len(o))
 	}
 	m, k, n := a[1], a[2], o[2]
-	ex.NeedSlotScratch(m*k + k*n + m*n)
-	return &mmPack{}, nil
+	if ex.stor != nil && ex.stor.rng != nil &&
+		matMulTyped(int64(k), ex.stor.rng[it.In[0]], ex.stor.rng[it.In[1]], it.ZA, it.ZB) {
+		return prepMatMulT[int32](ex, it, m, k, n), nil
+	}
+	return prepMatMulT[int64](ex, it, m, k, n), nil
 }
 
-// jobs exposes the matmul as its batch-entry grid (gridRunner) at the
-// input view's batch size; each job stages its entry through the slot's
-// scratch.
-func (st *mmPack) jobs(ex *Executor, idx int, it *Instr, in []*tensor.IntTensor, out *tensor.IntTensor) (func(job, slot int), int, bool) {
+func prepMatMulT[C accum](ex *Executor, it *Instr, m, k, n int) *mmPackT[C] {
+	st := &mmPackT[C]{m: m, k: k, n: n, np: ceilDiv(n, panelW), epi: newEpi(it, 1)}
+	slotsOf[C](ex).reserve(m*k+st.np*k*panelW, n*m)
+	return st
+}
+
+// jobs exposes the matmul as its batch·head entry grid (gridRunner) at
+// the input view's batch size; each job stages its entry into the
+// slot's C panels.
+func (st *mmPackT[C]) jobs(ex *Executor, idx int, it *Instr, in []*tensor.IntTensor, out *tensor.IntTensor) (func(job, slot int), int, bool) {
 	a, b := in[0], in[1]
-	m, k := a.Shape[1], a.Shape[2]
-	n := out.Shape[2]
+	bufs := slotsOf[C](ex)
+	aw, bw := st.m*st.k, st.np*st.k*panelW
 	batches := a.Shape[0]
-	aw, bw, ow := m*k, k*n, m*n
-	if it.TransposeB {
-		bw = n * k
-	}
 	return func(bi, slot int) {
-		s := ex.SlotScratch(slot)
-		av, bv, ov := s[:aw], s[aw:aw+bw], s[aw+bw:aw+bw+ow]
-		stageShift(av, a, bi*aw, it.ZA)
-		stageShift(bv, b, bi*bw, it.ZB)
-		matMulBatch(ov, av, bv, m, k, n, it.TransposeB, it.Scaler)
-		out.WriteInt64(ov, bi*ow)
-	}, batches, batches*m*k*n >= 1<<14
+		p := bufs.panel[slot]
+		st.entry(p[:aw], p[aw:aw+bw], bufs.acc[slot][:st.n*st.m], a, b, out, bi, it)
+	}, batches, batches*st.m*st.k*st.n >= 1<<14
+}
+
+// entry computes batch·head entry bi: out[M,N] = requant(Σ (a−ZA)(b−ZB))
+// with a [M,K] and b either [N,K] (TransposeB) or [K,N], through the
+// panel GEMM into the channel-major accumulator tile acc [N][M].
+func (st *mmPackT[C]) entry(pa, pb, acc []C, a, b, out *tensor.IntTensor, bi int, it *Instr) {
+	m, k, n := st.m, st.k, st.n
+	switch a.DType {
+	case tensor.I8:
+		stageSub(pa, a.I8[bi*m*k:], it.ZA)
+	case tensor.U8:
+		stageSub(pa, a.U8[bi*m*k:], it.ZA)
+	case tensor.I16:
+		stageSub(pa, a.I16[bi*m*k:], it.ZA)
+	case tensor.U16:
+		stageSub(pa, a.U16[bi*m*k:], it.ZA)
+	case tensor.I32:
+		stageSub(pa, a.I32[bi*m*k:], it.ZA)
+	default:
+		stageSub(pa, a.Data[bi*m*k:], it.ZA)
+	}
+	switch b.DType {
+	case tensor.I8:
+		packB(pb, b.I8[bi*k*n:], k, n, it.TransposeB, it.ZB)
+	case tensor.U8:
+		packB(pb, b.U8[bi*k*n:], k, n, it.TransposeB, it.ZB)
+	case tensor.I16:
+		packB(pb, b.I16[bi*k*n:], k, n, it.TransposeB, it.ZB)
+	case tensor.U16:
+		packB(pb, b.U16[bi*k*n:], k, n, it.TransposeB, it.ZB)
+	case tensor.I32:
+		packB(pb, b.I32[bi*k*n:], k, n, it.TransposeB, it.ZB)
+	default:
+		packB(pb, b.Data[bi*k*n:], k, n, it.TransposeB, it.ZB)
+	}
+	gemmPanels(acc, pa, pb, m, k, n, st.np)
+	off := bi * m * n
+	switch out.DType {
+	case tensor.I8:
+		finishMatMul(out.I8[off:off+m*n], acc, m, n, &st.epi)
+	case tensor.U8:
+		finishMatMul(out.U8[off:off+m*n], acc, m, n, &st.epi)
+	case tensor.I16:
+		finishMatMul(out.I16[off:off+m*n], acc, m, n, &st.epi)
+	case tensor.U16:
+		finishMatMul(out.U16[off:off+m*n], acc, m, n, &st.epi)
+	case tensor.I32:
+		finishMatMul(out.I32[off:off+m*n], acc, m, n, &st.epi)
+	default:
+		finishMatMul(out.Data[off:off+m*n], acc, m, n, &st.epi)
+	}
+}
+
+// stageSub widens len(dst) codes of src into the C panel, subtracting z.
+func stageSub[A tensor.Elem, C accum](dst []C, src []A, z int64) {
+	src = src[:len(dst)]
+	for i, v := range src {
+		dst[i] = C(int64(v) - z)
+	}
+}
+
+// packB blocks one entry's B operand into [⌈N/panelW⌉][K][panelW]
+// panels (the layout packPanels gives weights), subtracting z: output
+// column oc reads row oc of an [N,K] B (transB) or column oc of a
+// [K,N] B. Lanes past N are zeroed.
+func packB[A tensor.Elem, C accum](dst []C, src []A, k, n int, transB bool, z int64) {
+	if transB {
+		for oc := 0; oc < n; oc++ {
+			base := (oc/panelW)*k*panelW + oc%panelW
+			for j, v := range src[oc*k : (oc+1)*k] {
+				dst[base+j*panelW] = C(int64(v) - z)
+			}
+		}
+	} else {
+		for j := 0; j < k; j++ {
+			for oc, v := range src[j*n : (j+1)*n] {
+				dst[((oc/panelW)*k+j)*panelW+oc%panelW] = C(int64(v) - z)
+			}
+		}
+	}
+	for oc := n; oc%panelW != 0; oc++ {
+		base := (oc/panelW)*k*panelW + oc%panelW
+		for j := 0; j < k; j++ {
+			dst[base+j*panelW] = 0
+		}
+	}
+}
+
+// finishMatMul requantizes the channel-major tile acc [N][M] with the
+// unified scaler into the row-major typed output [M,N].
+func finishMatMul[O tensor.Elem, C accum](dst []O, acc []C, m, n int, e *epi) {
+	sfx, bfx := e.sfx[0], e.bfx[0]
+	for i := 0; i < m; i++ {
+		row := dst[i*n : (i+1)*n]
+		for oc := range row {
+			row[oc] = O(intmath.Requantize(int64(acc[oc*m+i]), sfx, bfx, e.half, e.frac, e.zero, e.lo, e.hi))
+		}
+	}
 }
 
 // matMulBatch computes one batch entry: ov[M,N] = requant(Σ (av−za)(bv−zb))
@@ -122,13 +230,15 @@ func stageShift(dst []int64, t *tensor.IntTensor, off int, z int64) {
 }
 
 // kernelMatMul executes the batched zero-corrected matmul + requantize.
-// With bound mmPack state (fast registries) batch entries run in
-// parallel on per-slot scratch; otherwise serially on executor scratch.
+// With bound mmPackT state (fast registries) batch entries run in
+// parallel on the packed-panel GEMM; otherwise serially on executor
+// scratch.
 func kernelMatMul(ex *Executor, idx int, it *Instr, in []*tensor.IntTensor, out *tensor.IntTensor) {
 	runBound(ex, idx, it, in, out, kernelMatMulSerial)
 }
 
-// kernelMatMulSerial is the unprepacked matmul body.
+// kernelMatMulSerial is the unprepacked matmul body: the reference
+// registry's kernel and the packed GEMM's test oracle.
 func kernelMatMulSerial(ex *Executor, idx int, it *Instr, in []*tensor.IntTensor, out *tensor.IntTensor) {
 	a, b := in[0], in[1]
 	m, k := a.Shape[1], a.Shape[2]
@@ -200,6 +310,126 @@ func kernelSoftmax(ex *Executor, idx int, it *Instr, in []*tensor.IntTensor, out
 		it.SM.ApplyRow(row, row, es)
 		out.WriteInt64(row, r*d)
 	}
+}
+
+// smPack is the bound state of the typed softmax: tmaxS is the exp
+// table's largest entry times the probability scale 2^OutBits−1, the
+// bound on every row's e·S; recip is false when the table has a
+// negative entry or tmaxS reaches 2³², and every row then divides.
+type smPack struct {
+	tmaxS int64
+	recip bool
+}
+
+// prepSoftmax scans the exp table once for the reciprocal path's bound.
+func prepSoftmax(ex *Executor, idx int, it *Instr) (any, error) {
+	lo, hi := it.SM.Exp.Range()
+	st := &smPack{}
+	if s := int64(1)<<it.SM.OutBits - 1; lo >= 0 && it.SM.OutBits <= 32 && (s == 0 || hi <= (1<<32-1)/s) {
+		st.tmaxS, st.recip = hi*s, true
+	}
+	return st, nil
+}
+
+// kernelSoftmaxTyped runs the integer softmax row by row from the typed
+// logit codes into the typed probability codes. It computes the same
+// (e·S + Σ/2)/Σ as LUTSoftmax.ApplyRow; rows whose numerators and sum
+// stay below 2³² divide by multiplying with an exact reciprocal.
+func kernelSoftmaxTyped(ex *Executor, idx int, it *Instr, in []*tensor.IntTensor, out *tensor.IntTensor) {
+	st, ok := ex.states[idx].(*smPack)
+	if !ok {
+		kernelSoftmax(ex, idx, it, in, out)
+		return
+	}
+	sh := in[0].Shape
+	d := sh[len(sh)-1]
+	es := ex.scratch(0, d)
+	switch x := in[0]; x.DType {
+	case tensor.I8:
+		softmaxOut(st, it.SM, x.I8, out, d, es)
+	case tensor.U8:
+		softmaxOut(st, it.SM, x.U8, out, d, es)
+	case tensor.I16:
+		softmaxOut(st, it.SM, x.I16, out, d, es)
+	case tensor.U16:
+		softmaxOut(st, it.SM, x.U16, out, d, es)
+	case tensor.I32:
+		softmaxOut(st, it.SM, x.I32, out, d, es)
+	default:
+		softmaxOut(st, it.SM, x.Data, out, d, es)
+	}
+}
+
+// softmaxOut dispatches softmaxRows on the output storage dtype.
+func softmaxOut[I tensor.Elem](st *smPack, sm *intmath.LUTSoftmax, src []I, out *tensor.IntTensor, d int, es []int64) {
+	switch out.DType {
+	case tensor.I8:
+		softmaxRows(st, sm, src, out.I8, d, es)
+	case tensor.U8:
+		softmaxRows(st, sm, src, out.U8, d, es)
+	case tensor.I16:
+		softmaxRows(st, sm, src, out.I16, d, es)
+	case tensor.U16:
+		softmaxRows(st, sm, src, out.U16, d, es)
+	case tensor.I32:
+		softmaxRows(st, sm, src, out.I32, d, es)
+	default:
+		softmaxRows(st, sm, src, out.Data, d, es)
+	}
+}
+
+// softmaxRows is LUTSoftmax.ApplyRow over every d-long row of src,
+// storing into dst. The reciprocal path needs every numerator
+// n = e·S + Σ/2 and Σ below 2³²: tmaxS + Σ/2 bounds the former.
+func softmaxRows[I, O tensor.Elem](st *smPack, sm *intmath.LUTSoftmax, src []I, dst []O, d int, es []int64) {
+	exp, scaleMax := sm.Exp, int64(1)<<sm.OutBits-1
+	es = es[:d]
+	for r0 := 0; r0 < len(src); r0 += d {
+		row, o := src[r0:r0+d], dst[r0:r0+d]
+		mx := row[0]
+		for _, c := range row {
+			if c > mx {
+				mx = c
+			}
+		}
+		var sum int64
+		for j, c := range row {
+			e := exp.Lookup(int64(c) - int64(mx))
+			es[j] = e
+			sum += e
+		}
+		if sum == 0 {
+			sum = 1
+		}
+		half := sum / 2
+		switch {
+		case !st.recip || sum >= 1<<32 || st.tmaxS+half >= 1<<32:
+			for j, e := range es {
+				o[j] = O((e*scaleMax + half) / sum)
+			}
+		case sum == 1:
+			for j, e := range es {
+				o[j] = O(e * scaleMax)
+			}
+		default:
+			c := recipOf(uint64(sum))
+			for j, e := range es {
+				o[j] = O(divRecip(uint64(e*scaleMax+half), c))
+			}
+		}
+	}
+}
+
+// recipOf returns c = ⌈2⁶⁴/d⌉ for 2 ≤ d < 2³² (⌊(2⁶⁴−1)/d⌋ + 1 equals
+// it for every such d, powers of two included).
+func recipOf(d uint64) uint64 { return ^uint64(0)/d + 1 }
+
+// divRecip returns ⌊n/d⌋ for c = recipOf(d) as the high word of c·n,
+// exact for every n, d < 2³² (Lemire, Kaser & Kurz 2019, "Faster
+// Remainder by Direct Computation", Theorem 1 with F = 64, N = 32).
+func divRecip(n, c uint64) uint64 {
+	hi, _ := bits.Mul64(c, n)
+	return hi
 }
 
 // kernelGelu maps codes through the GELU table in cache-sized chunks.
