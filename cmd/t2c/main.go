@@ -57,12 +57,10 @@ func runServe(args []string) {
 	httpAddr := fs.String("http", "", "listen address for the HTTP serving API (e.g. :8080); required")
 	name := fs.String("name", "default", "model name the checkpoint is registered under")
 	shape := fs.String("shape", "", "sample input shape override, e.g. 3,32,32 (for checkpoints without a recorded in_shape)")
-	replicas := fs.Int("replicas", 1, "engine.Server replicas per model")
-	maxInFlight := fs.Int("max-inflight", 0, "admission control: max in-flight requests per model (0 = auto)")
 	deadlineFlag := fs.Duration("deadline", 0, "default per-request deadline (0 = none)")
-	workers := fs.Int("workers", 0, "serving workers per replica (0 = auto)")
+	workers := fs.Int("workers", 0, "serving workers per model, sharing its queue (0 = auto)")
 	maxBatch := fs.Int("max-batch", 8, "micro-batch size")
-	queue := fs.Int("queue", 0, "per-replica request queue capacity (0 = auto)")
+	queue := fs.Int("queue", 0, "request queue capacity per model, in samples; a request that does not fit gets 429 (0 = auto)")
 	opt := fs.Int("opt", 1, "optimization level for unfused checkpoints (0 = run as stored)")
 	sched := fs.String("sched", "edf", "request scheduling policy: edf (deadline-driven) or fifo")
 	costProfile := fs.String("cost-profile", "", "BENCH_profile.json with measured per-op ratios to calibrate the batcher's cost model")
@@ -102,7 +100,6 @@ func runServe(args []string) {
 	}
 
 	cfg := serveHTTPConfig{
-		replicas: *replicas, maxInFlight: *maxInFlight,
 		deadline: *deadlineFlag, opt: engine.OptLevel(*opt),
 		pprof: *pprofOn, cacheCap: *cacheCap, cacheFloor: *cacheFloor,
 	}
@@ -155,14 +152,12 @@ func readCheckpoint(path string) *export.Checkpoint {
 }
 
 type serveHTTPConfig struct {
-	replicas    int
-	maxInFlight int
-	deadline    time.Duration
-	opt         engine.OptLevel
-	trace       *trace.Config
-	pprof       bool
-	cacheCap    int
-	cacheFloor  float64
+	deadline   time.Duration
+	opt        engine.OptLevel
+	trace      *trace.Config
+	pprof      bool
+	cacheCap   int
+	cacheFloor float64
 }
 
 // runServeHTTP starts the multi-model serving subsystem: registry +
@@ -170,9 +165,7 @@ type serveHTTPConfig struct {
 // drain before exit).
 func runServeHTTP(addr, ckptPath, name string, sample []int, engOpts engine.ServerOptions, cfg serveHTTPConfig) {
 	reg := serve.NewRegistry(serve.Options{
-		Replicas:        cfg.replicas,
 		Engine:          engOpts,
-		MaxInFlight:     cfg.maxInFlight,
 		DefaultDeadline: cfg.deadline,
 		OptLevel:        cfg.opt,
 		RawOptLevel:     cfg.opt == engine.OptNone,
@@ -185,8 +178,7 @@ func runServeHTTP(addr, ckptPath, name string, sample []int, engOpts engine.Serv
 		if err != nil {
 			log.Fatal(err)
 		}
-		log.Printf("loaded model %q v%d (sample %v, %d replicas)",
-			info.Name, info.Version, info.Sample, info.Replicas)
+		log.Printf("loaded model %q v%d (sample %v)", info.Name, info.Version, info.Sample)
 	}
 	srv := &http.Server{Addr: addr, Handler: serve.NewHandler(reg, serve.HandlerOptions{EnablePprof: cfg.pprof})}
 	done := make(chan struct{})
@@ -339,8 +331,8 @@ func runCompile() {
 		log.Fatal(err)
 	}
 	im := cm.Int
-	// Record the sample input shape so the serving registry can size
-	// replica pools straight from the checkpoint.
+	// Record the sample input shape so the serving registry can build
+	// its engine server straight from the checkpoint.
 	cm.Prog.InShape = []int{3, spec.Size, spec.Size}
 	fmt.Print(core.Summary(im))
 	if cm.Prog.OptLevel > engine.OptNone {

@@ -115,7 +115,7 @@ type Program struct {
 
 	// InShape is the single-sample input shape the model was compiled
 	// for (no batch dimension). It round-trips through checkpoints so a
-	// serving registry can size replica pools without being told the
+	// serving registry can build its engine server without being told the
 	// shape out of band; nil on pre-PR-3 checkpoints.
 	InShape []int
 

@@ -27,9 +27,7 @@ const (
 	// PriNormal is the default class.
 	PriNormal PriorityClass = 0
 	// PriLow requests yield to every other class: they are scheduled
-	// last, evicted first when a queue fills, and the serve layer's
-	// admission gate sheds them while headroom for better classes
-	// remains.
+	// last and evicted first when a queue fills.
 	PriLow PriorityClass = 1
 )
 

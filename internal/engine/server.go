@@ -40,7 +40,7 @@ type ServerOptions struct {
 	// executors (default GOMAXPROCS/Workers, min 1). The resolved
 	// Workers×KernelThreads product never exceeds GOMAXPROCS: an
 	// explicitly oversubscribed config is trimmed on the kernel-thread
-	// side, so concurrent replicas share cores instead of each fanning
+	// side, so concurrent workers share cores instead of each fanning
 	// out to the full pool width.
 	KernelThreads int
 	// MaxBatch is the largest micro-batch requests are coalesced into
@@ -69,8 +69,8 @@ type ServerOptions struct {
 }
 
 // WithDefaults returns o with unset fields resolved, so higher layers
-// (the serve registry's admission sizing) can see the effective queue
-// capacity and worker count.
+// can see the effective queue capacity and worker count (the serve
+// registry sizes its request waves by the queue capacity).
 func (o ServerOptions) WithDefaults() ServerOptions { return o.withDefaults() }
 
 func (o ServerOptions) withDefaults() ServerOptions {
@@ -123,8 +123,8 @@ type ServerStats struct {
 	ShedLow    int64
 }
 
-// Add accumulates other into s (for aggregating replica pools and
-// folding a drained server's final counters into long-lived totals).
+// Add accumulates other into s (for folding a drained server's final
+// counters into long-lived totals).
 func (s *ServerStats) Add(o ServerStats) {
 	s.Requests += o.Requests
 	s.Batches += o.Batches
@@ -146,8 +146,8 @@ func (s ServerStats) MeanBatch() float64 {
 }
 
 // CostStats reports how the scheduler's modeled batch-execution cost
-// tracks measured reality. Raw sums, so replica pools aggregate with
-// Add; MeanAbsErr derives the mean relative error.
+// tracks measured reality as raw sums; MeanAbsErr derives the mean
+// relative error.
 type CostStats struct {
 	// Batches is the number of measured batch executes.
 	Batches int64 `json:"batches"`
@@ -157,16 +157,6 @@ type CostStats struct {
 	// AbsErrMicroSum accumulates |measured−modeled|/modeled per batch
 	// in microunits (1e6 = 100% error).
 	AbsErrMicroSum int64 `json:"abs_err_micro_sum"`
-}
-
-// Add folds o into c (ModeledBatchNs is a property of the shared
-// program, so it maxes rather than sums).
-func (c *CostStats) Add(o CostStats) {
-	c.Batches += o.Batches
-	c.AbsErrMicroSum += o.AbsErrMicroSum
-	if o.ModeledBatchNs > c.ModeledBatchNs {
-		c.ModeledBatchNs = o.ModeledBatchNs
-	}
 }
 
 // MeanAbsErr returns the mean relative modeled-vs-measured error

@@ -1,9 +1,8 @@
 package serve_test
 
 // The serving side of the batching contract: a request's cache misses
-// are admitted together and enter one replica's queue as one group, so
-// on an idle server they run as one batch; a group that fails admission
-// or meets full queues is refused whole.
+// enter the model's queue as one group, so on an idle server they run as
+// one batch; a group the queue cannot take is refused whole.
 
 import (
 	"errors"
@@ -89,48 +88,18 @@ func TestBatchContractOnlyMissesEnqueued(t *testing.T) {
 	}
 }
 
-// TestBatchContractAdmissionReturnsTokens: a group wider than what is
-// left of the in-flight budget is refused whole and gives back every
-// token it took, so the next group that fits is admitted.
-func TestBatchContractAdmissionReturnsTokens(t *testing.T) {
-	ck, _ := buildCheckpoint(t, 33)
-	reg := serve.NewRegistry(serve.Options{MaxInFlight: 4, CacheCapacity: -1})
-	defer reg.Close()
-	if _, err := reg.Load("cnn", ck, nil); err != nil {
-		t.Fatal(err)
-	}
-	g := tensor.NewRNG(1302)
-	for _, tc := range []struct {
-		n     int
-		class engine.PriorityClass
-		err   error
-	}{
-		{5, engine.PriNormal, serve.ErrOverloaded},
-		{4, engine.PriNormal, nil},
-		{4, engine.PriLow, serve.ErrOverloaded}, // the last token is reserved for better classes
-		{3, engine.PriLow, nil},
-		{4, engine.PriNormal, nil},
-	} {
-		if _, err := reg.PredictBatch("cnn", samples(g, tc.n), time.Time{}, tc.class, 0); !errors.Is(err, tc.err) {
-			t.Fatalf("group of %d at %v returned %v, want %v", tc.n, tc.class, err, tc.err)
-		}
-	}
-	if shed := reg.Models()[0].Shed; shed != 9 {
-		t.Fatalf("admission shed %d samples, want 9 (the two refused groups)", shed)
-	}
-}
-
-// TestBatchContractQueueFullFallsThrough holds both replicas' workers
-// and fills their queues unevenly: a group the first replica cannot
-// take enters the second one whole, and a group neither can take is
-// refused whole with both queues unchanged.
-func TestBatchContractQueueFullFallsThrough(t *testing.T) {
+// TestBatchContractGroupRefusedWhole holds the worker and fills the
+// queue to one free slot: a group of two is refused whole with
+// ErrQueueFull, leaves the queue as it was, counts exactly its own two
+// samples as rejected, and the next group that fits is admitted and
+// served.
+func TestBatchContractGroupRefusedWhole(t *testing.T) {
 	ck, _ := buildCheckpoint(t, 34)
 	gate := make(chan struct{}, 1)
 	release := make(chan struct{})
 	reg := serve.NewRegistry(serve.Options{
-		Replicas: 2, CacheCapacity: -1,
-		Engine: engine.ServerOptions{Workers: 1, MaxBatch: 1, QueueSize: 3, Kernels: blockingKernels(gate, release)},
+		CacheCapacity: -1,
+		Engine:        engine.ServerOptions{Workers: 1, MaxBatch: 1, QueueSize: 3, Kernels: blockingKernels(gate, release)},
 	})
 	defer reg.Close()
 	if _, err := reg.Load("cnn", ck, nil); err != nil {
@@ -153,46 +122,26 @@ func TestBatchContractQueueFullFallsThrough(t *testing.T) {
 			}
 		}()
 	}
-	depth := func(want int) {
-		t.Helper()
-		deadline := time.Now().Add(10 * time.Second)
-		for reg.Models()[0].QueueDepth != want {
-			if time.Now().After(deadline) {
-				t.Fatalf("queue depth never reached %d (at %d)", want, reg.Models()[0].QueueDepth)
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
-	// Replicas are tried round-robin, starting at replica 1 for the first
-	// group. Hold both workers, then give each batcher a full hand (one
-	// sample, MaxBatch 1) plus queued samples: 2 of replica 1's 3 queue
-	// slots end up taken, and 1 of replica 0's.
-	fire(1) // replica 1's worker
+	fire(1) // the worker
 	<-gate
-	fire(1) // replica 0's worker
-	<-gate
-	fire(3) // replica 1: hand + 2 queued
-	depth(2)
-	fire(2) // replica 0: hand + 1 queued
-	depth(3)
-	// Starts at replica 1, which has one free slot: falls through to
-	// replica 0 and enters it whole.
-	fire(2)
-	depth(5)
-	// Starts at replica 0, now full; replica 1 has one slot for two.
+	fire(3) // the batcher's hand (MaxBatch 1) + 2 of 3 queue slots
+	waitDepth(t, reg, 2)
+
 	before := reg.Models()[0].Stats.Rejected
 	if _, err := reg.PredictBatch("cnn", samples(g, 2), time.Time{}, engine.PriNormal, 0); !errors.Is(err, engine.ErrQueueFull) {
-		t.Fatalf("group meeting two full queues returned %v, want ErrQueueFull", err)
+		t.Fatalf("group of 2 meeting 1 free slot returned %v, want ErrQueueFull", err)
 	}
-	if d := reg.Models()[0].QueueDepth; d != 5 {
-		t.Fatalf("queue depth %d after a refused group, want 5 (unchanged)", d)
+	if d := reg.Models()[0].QueueDepth; d != 2 {
+		t.Fatalf("queue depth %d after a refused group, want 2 (unchanged)", d)
 	}
-	if r := reg.Models()[0].Stats.Rejected - before; r != 4 {
-		t.Fatalf("refused group counted %d rejections, want 4 (2 samples × 2 replicas)", r)
+	if r := reg.Models()[0].Stats.Rejected - before; r != 2 {
+		t.Fatalf("refused group counted %d rejections, want 2 (its own samples)", r)
 	}
+	fire(1) // fits the last slot
+	waitDepth(t, reg, 3)
 	unblock()
 	wg.Wait()
-	if st := reg.Models()[0].Stats; st.Requests != 9 {
-		t.Fatalf("served %d samples, want 9", st.Requests)
+	if st := reg.Models()[0].Stats; st.Requests != 5 {
+		t.Fatalf("served %d samples, want 5", st.Requests)
 	}
 }

@@ -113,7 +113,7 @@ func statusFor(err error) (int, string) {
 	switch {
 	case errors.Is(err, ErrNotFound):
 		return http.StatusNotFound, ResultInvalid
-	case errors.Is(err, ErrOverloaded), errors.Is(err, engine.ErrQueueFull):
+	case errors.Is(err, engine.ErrQueueFull):
 		return http.StatusTooManyRequests, ResultRejected
 	case errors.Is(err, engine.ErrDeadlineExceeded):
 		return http.StatusGatewayTimeout, ResultExpired
@@ -284,8 +284,8 @@ func (h *Handler) predict(w http.ResponseWriter, r *http.Request, name string) {
 		return
 	}
 	// A deadline that expired while the body was read (or arrived
-	// already dead) is rejected before any fan-out: no admission tokens,
-	// no queue slots, no execution for work that cannot meet its SLO.
+	// already dead) is rejected before any fan-out: no queue slots, no
+	// execution for work that cannot meet its SLO.
 	if !deadline.IsZero() && time.Now().After(deadline) {
 		h.metrics.Observe(name, ResultExpired, time.Since(start))
 		endSpan(len(xs), ResultExpired)
@@ -293,12 +293,12 @@ func (h *Handler) predict(w http.ResponseWriter, r *http.Request, name string) {
 		return
 	}
 
-	// Serve the samples in waves of at most waveWidth, each one
-	// PredictBatch call: its cache misses are admitted and enqueued as
-	// one group, so on an idle server a wave of up to MaxBatch misses runs
-	// as one batch. Waves keep any batch size servable while still
-	// shedding against concurrent traffic.
-	width := h.reg.waveWidth()
+	// Serve the samples in waves of at most the queue capacity, each one
+	// PredictBatch call: its cache misses are enqueued as one group, so
+	// on an idle server a wave of up to MaxBatch misses runs as one batch.
+	// Waves keep any batch size servable while still shedding against
+	// concurrent traffic.
+	width := h.reg.queueSize
 	preds := make([]Prediction, len(xs))
 	for lo := 0; lo < len(xs); lo += width {
 		hi := min(lo+width, len(xs))

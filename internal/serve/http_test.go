@@ -204,7 +204,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 		`t2c_requests_total{model="cnn",result="ok"} 4`,
 		`t2c_request_latency_seconds_count{model="cnn",result="ok"} 4`,
 		`t2c_request_latency_seconds_bucket{model="cnn",result="ok",le="+Inf"} 4`,
-		`t2c_replica_queue_depth{model="cnn"}`,
+		`t2c_queue_depth{model="cnn"}`,
 		`t2c_batch_wait_seconds_count{model="cnn"}`,
 		`t2c_batch_exec_seconds_count{model="cnn"}`,
 		`t2c_model_version{model="cnn"} 2`,
@@ -349,39 +349,53 @@ func TestHTTPDeadlineExpiredAtAdmission(t *testing.T) {
 	}
 }
 
+// TestHTTPOverloadReturns429: with the worker held and one queue slot
+// left, a two-sample predict is refused whole with 429 and counted once
+// as rejected.
 func TestHTTPOverloadReturns429(t *testing.T) {
 	ck, _ := buildCheckpoint(t, 7)
 	gate := make(chan struct{}, 1)
 	release := make(chan struct{})
 	reg := serve.NewRegistry(serve.Options{
-		MaxInFlight: 1,
-		Engine:      engine.ServerOptions{Workers: 1, MaxBatch: 1, QueueSize: 1, Kernels: blockingKernels(gate, release)},
+		Engine: engine.ServerOptions{Workers: 1, MaxBatch: 1, QueueSize: 2, Kernels: blockingKernels(gate, release)},
 	})
 	defer reg.Close()
 	ts := httptest.NewServer(serve.NewHandler(reg, serve.HandlerOptions{}))
 	defer ts.Close()
+	// Runs before Close, so a failed assertion cannot leave it waiting
+	// on the held worker.
+	var once sync.Once
+	unblock := func() { once.Do(func() { close(release) }) }
+	defer unblock()
 	if _, err := reg.Load("cnn", ck, nil); err != nil {
 		t.Fatal(err)
 	}
 
 	g := tensor.NewRNG(700)
-	pb, _ := predictBody([]int{3, 8, 8}, g.Uniform(0, 1, 3, 8, 8).Data)
+	one, _ := predictBody([]int{3, 8, 8}, g.Uniform(0, 1, 3, 8, 8).Data)
 	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		resp, body := postJSON(t, ts.URL+"/v1/models/cnn:predict", pb)
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("held request finished %d: %s", resp.StatusCode, body)
-		}
-	}()
-	<-gate // worker parked mid-execute, in-flight budget spent
+	send := func(body []byte) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, b := postJSON(t, ts.URL+"/v1/models/cnn:predict", body)
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("admitted request finished %d: %s", resp.StatusCode, b)
+			}
+		}()
+	}
+	send(one)
+	<-gate // worker parked mid-execute
+	two, _ := predictBody([]int{2, 3, 8, 8}, g.Uniform(0, 1, 2, 3, 8, 8).Data)
+	send(two) // the batcher's hand (MaxBatch 1) + 1 of 2 queue slots
+	waitDepth(t, reg, 1)
 
-	resp, body := postJSON(t, ts.URL+"/v1/models/cnn:predict", pb)
+	two, _ = predictBody([]int{2, 3, 8, 8}, g.Uniform(0, 1, 2, 3, 8, 8).Data)
+	resp, body := postJSON(t, ts.URL+"/v1/models/cnn:predict", two)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("overload status %d (%s), want 429", resp.StatusCode, body)
 	}
-	close(release)
+	unblock()
 	wg.Wait()
 
 	mr, err := http.Get(ts.URL + "/metrics")
@@ -390,16 +404,22 @@ func TestHTTPOverloadReturns429(t *testing.T) {
 	}
 	mb, _ := io.ReadAll(mr.Body)
 	mr.Body.Close()
-	if !strings.Contains(string(mb), `t2c_requests_total{model="cnn",result="rejected"} 1`) {
-		t.Fatalf("metrics missing rejected counter:\n%s", mb)
+	for _, want := range []string{
+		`t2c_requests_total{model="cnn",result="rejected"} 1`,
+		`t2c_engine_queue_rejects_total{model="cnn"} 2`,
+	} {
+		if !strings.Contains(string(mb), want) {
+			t.Fatalf("metrics missing %q in:\n%s", want, mb)
+		}
 	}
 }
 
 func TestHTTPBatchWiderThanAdmissionBudget(t *testing.T) {
-	// A single batched request larger than MaxInFlight must run in
-	// waves and succeed on an idle server, not 429 against itself.
+	// The admission budget is the queue capacity: a single batched
+	// request wider than the queue must run in waves of that many samples
+	// and succeed on an idle server, not 429 against itself.
 	ck, _ := buildCheckpoint(t, 9)
-	reg := serve.NewRegistry(serve.Options{MaxInFlight: 2})
+	reg := serve.NewRegistry(serve.Options{Engine: engine.ServerOptions{QueueSize: 2}})
 	defer reg.Close()
 	ts := httptest.NewServer(serve.NewHandler(reg, serve.HandlerOptions{}))
 	defer ts.Close()
@@ -423,6 +443,9 @@ func TestHTTPBatchWiderThanAdmissionBudget(t *testing.T) {
 	}
 	if len(pr.Predictions) != batch {
 		t.Fatalf("predictions %d, want %d", len(pr.Predictions), batch)
+	}
+	if st := reg.Models()[0].Stats; st.Batches != batch/2 || st.Requests != batch {
+		t.Fatalf("%d samples ran as %d batches over %d samples, want %d waves of 2", batch, st.Batches, st.Requests, batch/2)
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 // Request results counted per model by the HTTP layer.
 const (
 	ResultOK       = "ok"       // 200, logits returned
-	ResultRejected = "rejected" // 429, shed by admission control
+	ResultRejected = "rejected" // 429, shed by the full queue
 	ResultExpired  = "expired"  // 504, deadline passed before execution
 	ResultError    = "error"    // 500, execution failure
 	ResultInvalid  = "invalid"  // 400, malformed payload
@@ -183,20 +183,16 @@ func (m *Metrics) WriteText(w io.Writer, reg *Registry) {
 	}
 	emit("t2c_model_version", "Currently served checkpoint version.", "gauge",
 		func(mi ModelInfo) int64 { return int64(mi.Version) })
-	emit("t2c_model_replicas", "engine.Server replicas behind the model.", "gauge",
-		func(mi ModelInfo) int64 { return int64(mi.Replicas) })
-	emit("t2c_engine_requests_total", "Samples served by the replica pools.", "counter",
+	emit("t2c_engine_requests_total", "Samples served by the engine.", "counter",
 		func(mi ModelInfo) int64 { return mi.Stats.Requests })
-	emit("t2c_engine_batches_total", "Batched executes run by the replica pools.", "counter",
+	emit("t2c_engine_batches_total", "Batched executes run by the engine.", "counter",
 		func(mi ModelInfo) int64 { return mi.Stats.Batches })
 	emit("t2c_engine_failures_total", "Samples that failed during execution.", "counter",
 		func(mi ModelInfo) int64 { return mi.Stats.Failures })
-	emit("t2c_engine_queue_rejects_total", "Samples fast-failed on full replica queues.", "counter",
+	emit("t2c_engine_queue_rejects_total", "Samples refused or evicted by the full queue.", "counter",
 		func(mi ModelInfo) int64 { return mi.Stats.Rejected })
 	emit("t2c_engine_deadline_drops_total", "Samples dropped unexecuted past their deadline.", "counter",
 		func(mi ModelInfo) int64 { return mi.Stats.Expired })
-	emit("t2c_admission_rejects_total", "Requests shed by the max-in-flight admission gate.", "counter",
-		func(mi ModelInfo) int64 { return mi.Shed })
 	emit("t2c_engine_arena_bytes", "Planned per-dtype buffer arenas held by the serving version's executors.", "gauge",
 		func(mi ModelInfo) int64 { return mi.Mem.ArenaBytes })
 	emit("t2c_engine_scratch_bytes", "Kernel scratch bound by the serving version's executors.", "gauge",
@@ -213,7 +209,7 @@ func (m *Metrics) WriteText(w io.Writer, reg *Registry) {
 	for _, mi := range infos {
 		fmt.Fprintf(w, "t2c_engine_mean_batch{model=%q} %g\n", mi.Name, mi.Stats.MeanBatch())
 	}
-	emit("t2c_replica_queue_depth", "Requests waiting in replica queues, sampled at scrape time.", "gauge",
+	emit("t2c_queue_depth", "Samples waiting in the model's queue, sampled at scrape time.", "gauge",
 		func(mi ModelInfo) int64 { return int64(mi.QueueDepth) })
 	emit("t2c_cache_hits_total", "Inference-cache hits (bit-identical to recompute).", "counter",
 		func(mi ModelInfo) int64 { return mi.Cache.Hits })
@@ -231,11 +227,11 @@ func (m *Metrics) WriteText(w io.Writer, reg *Registry) {
 	for _, mi := range infos {
 		fmt.Fprintf(w, "t2c_cache_hit_rate{model=%q} %g\n", mi.Name, mi.Cache.HitRate)
 	}
-	emit("t2c_sched_shed_high_total", "High-class samples shed on full replica queues.", "counter",
+	emit("t2c_sched_shed_high_total", "High-class samples shed by the full queue.", "counter",
 		func(mi ModelInfo) int64 { return mi.Stats.ShedHigh })
-	emit("t2c_sched_shed_normal_total", "Normal-class samples shed on full replica queues.", "counter",
+	emit("t2c_sched_shed_normal_total", "Normal-class samples shed by the full queue.", "counter",
 		func(mi ModelInfo) int64 { return mi.Stats.ShedNormal })
-	emit("t2c_sched_shed_low_total", "Low-class samples shed on full replica queues.", "counter",
+	emit("t2c_sched_shed_low_total", "Low-class samples shed by the full queue.", "counter",
 		func(mi ModelInfo) int64 { return mi.Stats.ShedLow })
 	emit("t2c_modeled_batch_ns", "Modeled full-batch execution cost in nanoseconds (EstimateCost at MaxBatch).", "gauge",
 		func(mi ModelInfo) int64 { return mi.Cost.ModeledBatchNs })

@@ -1,9 +1,9 @@
 // Package serve is the network-facing multi-model serving layer on top
 // of internal/engine: a registry of named, versioned models loaded from
-// exported checkpoints, each backed by a pool of engine.Server replicas,
-// with atomic hot reload, admission control (bounded queues, max
-// in-flight, per-request deadlines), an HTTP/JSON API and
-// Prometheus-style metrics.
+// exported checkpoints, each backed by one engine.Server whose bounded
+// EDF queue is the model's only admission point, with atomic hot
+// reload, per-request deadlines, an HTTP/JSON API and Prometheus-style
+// metrics.
 //
 // The invariant inherited from the engine holds end to end: every
 // response served over HTTP is bit-identical to IntModel.Forward of the
@@ -27,25 +27,17 @@ import (
 // ErrNotFound is returned for requests naming an unknown model.
 var ErrNotFound = errors.New("serve: model not found")
 
-// ErrOverloaded is the admission controller's fast-fail: the model's
-// max in-flight budget is spent, so the request is shed immediately
-// (HTTP 429) instead of queueing unboundedly.
-var ErrOverloaded = errors.New("serve: too many in-flight requests")
-
 // ErrClosed is returned once the registry has shut down.
 var ErrClosed = errors.New("serve: registry is closed")
 
 // Options configure how the registry builds and guards model entries.
 type Options struct {
-	// Replicas is the number of engine.Server replicas per model
-	// (default 1). All replicas share one *engine.Program, and with it
-	// the per-program prepacked-kernel cache.
-	Replicas int
-	// Engine tunes each replica's batching runtime.
+	// Engine tunes each model's batching runtime. Its queue capacity
+	// (QueueSize) is the model's admission bound: a group of cache
+	// misses that does not fit is refused whole with engine.ErrQueueFull
+	// (HTTP 429), and Workers executors share the one queue and the one
+	// *engine.Program with its prepacked-kernel cache.
 	Engine engine.ServerOptions
-	// MaxInFlight bounds admitted-but-unfinished requests per model
-	// (default 4 × the per-replica queue capacity × Replicas).
-	MaxInFlight int
 	// DefaultDeadline is the deadline the HTTP predict handler applies
 	// to requests that carry no ?deadline_ms= (0 = none).
 	DefaultDeadline time.Duration
@@ -56,7 +48,7 @@ type Options struct {
 	// (OptLevel zero-value means "default to OptFuse" otherwise).
 	RawOptLevel bool
 	// Trace, when non-nil, gives every model entry its own armed
-	// span Tracer sized by the config: engine replicas record
+	// span Tracer sized by the config: the engine server records
 	// instruction/batch spans, the HTTP layer records
 	// request/fanout spans, and /debug/trace?model=X snapshots them as
 	// Chrome trace-event JSON. nil keeps the engine hot path at its
@@ -66,7 +58,7 @@ type Options struct {
 	// cache in entries (default 1024; negative disables caching). Hits
 	// are bit-identical to recompute by construction — the key covers
 	// the program's content fingerprint and the full quantized input
-	// codes — and bypass admission and batching entirely.
+	// codes — and bypass the queue and batching entirely.
 	CacheCapacity int
 	// CacheHitFloor is the observed hit rate below which a model's
 	// cache stops admitting inserts (default 0.02; negative disables
@@ -80,13 +72,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Replicas <= 0 {
-		o.Replicas = 1
-	}
-	if o.MaxInFlight <= 0 {
-		eng := o.Engine.WithDefaults()
-		o.MaxInFlight = 4 * eng.QueueSize * o.Replicas
-	}
 	if o.OptLevel == engine.OptNone && !o.RawOptLevel {
 		o.OptLevel = engine.OptFuse
 	}
@@ -104,11 +89,11 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Model is one immutable loaded checkpoint version: a program plus its
-// replica pool. It is reference-counted; the registry holds one
-// reference until the version is retired by a reload, and every
-// in-flight request holds one, so a hot swap never closes a pool out
-// from under a request.
+// Model is one immutable loaded checkpoint version: a program plus the
+// engine server that runs it. It is reference-counted; the registry
+// holds one reference until the version is retired by a reload, and
+// every in-flight request holds one, so a hot swap never closes a
+// server out from under a request.
 type Model struct {
 	Name    string
 	Version int
@@ -116,11 +101,9 @@ type Model struct {
 
 	prog *engine.Program
 	fp   uint64 // program content fingerprint: the cache-key version
-	pool []*engine.Server
-	rr   atomic.Uint64
+	srv  *engine.Server
 
 	refs      atomic.Int64
-	drained   chan struct{}
 	onDrained func(engine.ServerStats)
 }
 
@@ -138,117 +121,13 @@ func (m *Model) acquire() bool {
 
 func (m *Model) release() {
 	if m.refs.Add(-1) == 0 {
-		var st engine.ServerStats
-		for _, s := range m.pool {
-			s.Close()
-			st.Add(s.Stats())
-		}
-		if m.onDrained != nil {
-			m.onDrained(st)
-		}
-		close(m.drained)
+		m.srv.Close()
+		m.onDrained(m.srv.Stats())
 	}
-}
-
-// inferCodes round-robins a group of quantized samples across replicas;
-// the group enters one replica's queue whole, a replica whose queue
-// cannot take it is skipped, and only when every replica is saturated
-// does the queue-full error surface to the caller (under EDF that
-// rejection may name an evicted lower-urgency victim rather than this
-// group). tid is the request trace id stitched into the replica's
-// queue-wait spans (0 = untraced).
-func (m *Model) inferCodes(codes []*tensor.IntTensor, deadline time.Time, class engine.PriorityClass, tid uint64) ([]*tensor.IntTensor, error) {
-	start := m.rr.Add(1)
-	n := uint64(len(m.pool))
-	for i := uint64(0); i < n; i++ {
-		y, err := m.pool[(start+i)%n].TryInferCodes(codes, deadline, class, tid)
-		if !errors.Is(err, engine.ErrQueueFull) {
-			return y, err
-		}
-	}
-	return nil, engine.ErrQueueFull
-}
-
-// queueDepth sums the instantaneous replica queue lengths.
-func (m *Model) queueDepth() int {
-	d := 0
-	for _, s := range m.pool {
-		d += s.QueueDepth()
-	}
-	return d
-}
-
-// batchWait merges the replicas' batch-wait histograms.
-func (m *Model) batchWait() trace.HistSnapshot {
-	var h trace.HistSnapshot
-	for _, s := range m.pool {
-		h.Merge(s.BatchWait())
-	}
-	return h
-}
-
-// batchExec merges the replicas' measured batch-execution histograms.
-func (m *Model) batchExec() trace.HistSnapshot {
-	var h trace.HistSnapshot
-	for _, s := range m.pool {
-		h.Merge(s.BatchExec())
-	}
-	return h
-}
-
-// batchSlack merges the replicas' dispatch-time deadline-slack
-// histograms.
-func (m *Model) batchSlack() trace.HistSnapshot {
-	var h trace.HistSnapshot
-	for _, s := range m.pool {
-		h.Merge(s.BatchSlack())
-	}
-	return h
-}
-
-// costStats aggregates the replicas' modeled-vs-measured cost record.
-func (m *Model) costStats() engine.CostStats {
-	var c engine.CostStats
-	for _, s := range m.pool {
-		c.Add(s.CostStats())
-	}
-	return c
-}
-
-// stats aggregates the live replica pools.
-func (m *Model) stats() engine.ServerStats {
-	var st engine.ServerStats
-	for _, s := range m.pool {
-		st.Add(s.Stats())
-	}
-	return st
-}
-
-// mem aggregates the live replica pools' executor memory (gauge
-// semantics: retired versions no longer hold arenas and are excluded).
-func (m *Model) mem() engine.ServerMemStats {
-	var mem engine.ServerMemStats
-	for _, s := range m.pool {
-		ms := s.MemStats()
-		mem.ArenaBytes += ms.ArenaBytes
-		mem.ScratchBytes += ms.ScratchBytes
-		// Sparsity stats describe the shared program, not a footprint:
-		// replicas bind the same program, so take the max instead of
-		// summing.
-		if ms.WeightSparsity > mem.WeightSparsity {
-			mem.WeightSparsity = ms.WeightSparsity
-		}
-		if ms.SkipFraction > mem.SkipFraction {
-			mem.SkipFraction = ms.SkipFraction
-		}
-	}
-	return mem
 }
 
 // entry is the long-lived per-name state: the current model version,
-// the admission semaphore (which survives reloads, so the in-flight cap
-// applies to the name, not the version), and counters folded in from
-// drained versions.
+// its tracer and cache, and counters folded in from drained versions.
 type entry struct {
 	name    string
 	cur     atomic.Pointer[Model]
@@ -258,14 +137,11 @@ type entry struct {
 	// tracer and httpRing are set once at entry creation (nil when the
 	// registry was built without Options.Trace) and immutable after, so
 	// every serving path may read them without synchronization. The
-	// tracer survives hot reloads: a new version's replicas record into
+	// tracer survives hot reloads: a new version's server records into
 	// the same rings, keeping one timeline per model name.
 	tracer      *trace.Tracer
 	httpRing    *trace.Ring
 	nmAdmission uint32
-
-	tokens      chan struct{} // admission: max in-flight
-	admRejected atomic.Int64
 
 	// cache is the entry's content-addressed inference cache (nil when
 	// disabled). It survives hot reloads — keys embed the program
@@ -278,39 +154,6 @@ type entry struct {
 	retired   engine.ServerStats
 }
 
-// admit takes n in-flight tokens, all or nothing: a group that cannot
-// take all n returns every token it took. Shedding is priority-aware:
-// low-class samples are refused while the last quarter of the budget
-// (min 1 token) is all that remains, so under overload PriLow sheds
-// first and better classes keep headroom. With a budget of 1 the reserve
-// is the whole budget — PriLow is never admitted there, which a config
-// that small has opted into.
-func (e *entry) admit(class engine.PriorityClass, n int) bool {
-	limit := cap(e.tokens)
-	if class > engine.PriNormal {
-		limit -= max(cap(e.tokens)/4, 1)
-	}
-	for i := 0; i < n; i++ {
-		if len(e.tokens) < limit {
-			select {
-			case e.tokens <- struct{}{}:
-				continue
-			default:
-			}
-		}
-		e.done(i)
-		return false
-	}
-	return true
-}
-
-// done returns n in-flight tokens.
-func (e *entry) done(n int) {
-	for ; n > 0; n-- {
-		<-e.tokens
-	}
-}
-
 func (e *entry) absorb(st engine.ServerStats) {
 	e.retiredMu.Lock()
 	e.retired.Add(st)
@@ -319,8 +162,13 @@ func (e *entry) absorb(st engine.ServerStats) {
 
 // Registry maps model names to versioned serving entries.
 type Registry struct {
-	opts      Options
-	queueSize int // each replica's resolved queue capacity
+	opts Options
+
+	// queueSize is each model's resolved queue capacity, and so the
+	// widest group PredictBatch can admit: the HTTP layer serves wider
+	// requests in waves of this many samples, so they never 429 against
+	// themselves on an idle server.
+	queueSize int
 
 	mu      sync.RWMutex
 	entries map[string]*entry
@@ -338,7 +186,7 @@ func NewRegistry(opts Options) *Registry {
 // Load installs a checkpoint under name, creating the entry or — if the
 // name already serves — hot-swapping the new version in atomically. The
 // swapped-out version keeps serving its in-flight requests and its
-// pools are closed only once the last of them finishes, so a reload
+// server is closed only once the last of them finishes, so a reload
 // under traffic drops nothing. sample overrides the single-sample input
 // shape; nil uses the shape recorded in the checkpoint's program
 // section (pre-PR-3 checkpoints have none and require the override).
@@ -367,7 +215,7 @@ func (r *Registry) Load(name string, ck *export.Checkpoint, sample []int) (Model
 	}
 	e, ok := r.entries[name]
 	if !ok {
-		e = &entry{name: name, tokens: make(chan struct{}, r.opts.MaxInFlight)}
+		e = &entry{name: name}
 		e.cache = newModelCache(r.opts.CacheCapacity, r.opts.CacheHitFloor, int64(r.opts.CacheWindow))
 		if r.opts.Trace != nil {
 			e.tracer = trace.New(*r.opts.Trace)
@@ -396,17 +244,10 @@ func (r *Registry) Load(name string, ck *export.Checkpoint, sample []int) (Model
 	}
 	eng := r.opts.Engine
 	eng.Trace = e.tracer
-	pool := make([]*engine.Server, r.opts.Replicas)
-	for i := range pool {
-		srv, err := engine.NewServer(prog, sample, eng)
-		if err != nil {
-			for _, s := range pool[:i] {
-				s.Close()
-			}
-			r.wg.Done()
-			return ModelInfo{}, err
-		}
-		pool[i] = srv
+	srv, err := engine.NewServer(prog, sample, eng)
+	if err != nil {
+		r.wg.Done()
+		return ModelInfo{}, err
 	}
 	m := &Model{
 		Name:    name,
@@ -414,8 +255,7 @@ func (r *Registry) Load(name string, ck *export.Checkpoint, sample []int) (Model
 		Sample:  append([]int(nil), sample...),
 		prog:    prog,
 		fp:      prog.Fingerprint(),
-		pool:    pool,
-		drained: make(chan struct{}),
+		srv:     srv,
 	}
 	m.onDrained = func(st engine.ServerStats) {
 		e.absorb(st)
@@ -462,13 +302,14 @@ func (r *Registry) Predict(name string, x *tensor.Tensor, deadline time.Time, cl
 
 // PredictBatch serves samples through name's current version: quantize
 // each, consult the content-addressed cache (hits are answered at once,
-// bypassing admission and the batcher), then admit the misses together
-// under the request's priority class and enqueue them on one replica as
-// one group — on an idle replica, one batch. Samples travel as quantized
-// codes end to end, so a cache hit and a recompute are bit-identical by
-// construction. A non-zero trace id tid is stitched into the replica's
-// queue-wait spans, and an admission rejection records a zero-duration
-// admission span against it.
+// bypassing the queue and the batcher), then enqueue the misses as one
+// group under the request's priority class — on an idle server, one
+// batch. The model's queue is its only admission point: a group that
+// does not fit is refused whole with engine.ErrQueueFull. Samples travel
+// as quantized codes end to end, so a cache hit and a recompute are
+// bit-identical by construction. A non-zero trace id tid is stitched
+// into the server's queue-wait spans, and a refused group records a
+// zero-duration admission span against it.
 func (r *Registry) PredictBatch(name string, xs []*tensor.Tensor, deadline time.Time, class engine.PriorityClass, tid uint64) ([]PredictResult, error) {
 	e := r.lookup(name)
 	if e == nil {
@@ -502,17 +343,12 @@ func (r *Registry) PredictBatch(name string, xs []*tensor.Tensor, deadline time.
 	if len(codes) == 0 {
 		return res, nil
 	}
-	if !e.admit(class, len(codes)) {
-		e.admRejected.Add(int64(len(codes)))
-		if ring := e.httpRing; tid != 0 && ring.Active() {
+	outs, err := m.srv.TryInferCodes(codes, deadline, class, tid)
+	if err != nil {
+		if ring := e.httpRing; tid != 0 && ring.Active() && errors.Is(err, engine.ErrQueueFull) {
 			ring.Record(trace.Span{Start: ring.Now(), Name: e.nmAdmission,
 				Kind: trace.KindAdmission, TID: httpLane, ID: tid, A0: int64(len(codes))})
 		}
-		return nil, ErrOverloaded
-	}
-	defer e.done(len(codes))
-	outs, err := m.inferCodes(codes, deadline, class, tid)
-	if err != nil {
 		return nil, err
 	}
 	for j, out := range outs {
@@ -541,7 +377,7 @@ func (e *entry) current() *Model {
 // checkSample validates a request tensor shape against the model's
 // single-sample shape, accepting the [1, sample...] batch-of-one form —
 // the serve-side mirror of the engine server's own check, needed here
-// because quantization and cache lookup run before any replica sees the
+// because quantization and cache lookup run before the server sees the
 // request.
 func checkSample(shape, sample []int) error {
 	sh := shape
@@ -576,14 +412,6 @@ func (r *Registry) TraceRing(name string) *trace.Ring {
 	return nil
 }
 
-// waveWidth bounds how many samples of one HTTP request go to
-// PredictBatch together: each sample takes one in-flight token and one
-// replica queue slot, so a wider group would exhaust the admission
-// budget or a queue against itself and 429 even on an idle server.
-func (r *Registry) waveWidth() int {
-	return min(r.opts.MaxInFlight, r.queueSize)
-}
-
 // SampleShape reports the input shape name currently expects.
 func (r *Registry) SampleShape(name string) ([]int, error) {
 	e := r.lookup(name)
@@ -599,20 +427,18 @@ func (r *Registry) SampleShape(name string) ([]int, error) {
 
 // ModelInfo is the listing/reporting view of one model entry.
 type ModelInfo struct {
-	Name     string             `json:"name"`
-	Version  int                `json:"version"`
-	Sample   []int              `json:"sample_shape"`
-	Replicas int                `json:"replicas"`
-	Stats    engine.ServerStats `json:"stats"`
-	Shed     int64              `json:"admission_rejected"`
+	Name    string             `json:"name"`
+	Version int                `json:"version"`
+	Sample  []int              `json:"sample_shape"`
+	Stats   engine.ServerStats `json:"stats"`
 	// Mem is the current version's executor memory footprint (planned
-	// per-dtype arenas + kernel scratch across the replica pool).
+	// per-dtype arenas + kernel scratch across its workers).
 	Mem engine.ServerMemStats `json:"mem"`
-	// QueueDepth is the instantaneous sum of replica queue lengths at
-	// the time the info was taken.
+	// QueueDepth is the model's queue length at the time the info was
+	// taken.
 	QueueDepth int `json:"queue_depth"`
 	// BatchWait is the always-on histogram of how long each formed batch
-	// waited for a free worker, merged across the live replica pool.
+	// waited for a free worker.
 	BatchWait trace.HistSnapshot `json:"batch_wait"`
 	// BatchExec is the measured batch-execution-time histogram — the
 	// measured side of the scheduler's cost model.
@@ -620,8 +446,8 @@ type ModelInfo struct {
 	// BatchSlack is the dispatch-time earliest-deadline slack histogram
 	// (deadlined batches only).
 	BatchSlack trace.HistSnapshot `json:"batch_slack"`
-	// Cost is the modeled-vs-measured batch execution record of the
-	// live replica pool.
+	// Cost is the current version's modeled-vs-measured batch execution
+	// record.
 	Cost engine.CostStats `json:"cost"`
 	// Cache is the entry's inference-cache snapshot (zero capacity when
 	// caching is disabled).
@@ -632,33 +458,29 @@ type ModelInfo struct {
 }
 
 func (r *Registry) info(e *entry, m *Model) ModelInfo {
-	st := e.engineStats(m)
 	return ModelInfo{
 		Name:        e.name,
 		Version:     m.Version,
 		Sample:      append([]int(nil), m.Sample...),
-		Replicas:    len(m.pool),
-		Stats:       st,
-		Shed:        e.admRejected.Load(),
-		Mem:         m.mem(),
-		QueueDepth:  m.queueDepth(),
-		BatchWait:   m.batchWait(),
-		BatchExec:   m.batchExec(),
-		BatchSlack:  m.batchSlack(),
-		Cost:        m.costStats(),
+		Stats:       e.engineStats(m),
+		Mem:         m.srv.MemStats(),
+		QueueDepth:  m.srv.QueueDepth(),
+		BatchWait:   m.srv.BatchWait(),
+		BatchExec:   m.srv.BatchExec(),
+		BatchSlack:  m.srv.BatchSlack(),
+		Cost:        m.srv.CostStats(),
 		Cache:       e.cache.stats(),
 		Fingerprint: fmt.Sprintf("%016x", m.fp),
 	}
 }
 
-// engineStats folds drained-version totals into the live pools' counters.
+// engineStats folds drained-version totals into the current version's
+// counters.
 func (e *entry) engineStats(m *Model) engine.ServerStats {
 	e.retiredMu.Lock()
 	st := e.retired
 	e.retiredMu.Unlock()
-	if m != nil {
-		st.Add(m.stats())
-	}
+	st.Add(m.srv.Stats())
 	return st
 }
 
@@ -701,7 +523,7 @@ func (r *Registry) Remove(name string) error {
 
 // Close retires every model and blocks until all versions — including
 // ones already retired by reloads — have drained their in-flight
-// requests and closed their pools.
+// requests and closed their servers.
 func (r *Registry) Close() {
 	r.mu.Lock()
 	if r.closed {

@@ -1,6 +1,8 @@
 package serve_test
 
 import (
+	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -144,14 +146,13 @@ func TestRegistryRequiresShapeForLegacyCheckpoints(t *testing.T) {
 // the test, not by timing: the swap starts only after v1 has served,
 // every client keeps sending until Load has returned and then sends a
 // fixed number more — requests issued after Load returns are served by
-// v2. The cache is off, so every request reaches the replicas being
+// v2. The cache is off, so every request reaches the servers being
 // swapped. Run under -race in CI.
 func TestRegistryHotReloadUnderTraffic(t *testing.T) {
 	ck1, im1 := buildCheckpoint(t, 10)
 	ck2, im2 := buildCheckpoint(t, 20)
 
 	reg := serve.NewRegistry(serve.Options{
-		Replicas:      2,
 		CacheCapacity: -1,
 		Engine:        engine.ServerOptions{Workers: 2, MaxBatch: 4},
 	})
@@ -256,7 +257,7 @@ func TestRegistryHotReloadUnderTraffic(t *testing.T) {
 }
 
 // blockingKernels parks the conv kernel on release (signalling gate on
-// entry) so tests can hold a replica mid-execute.
+// entry) so tests can hold a worker mid-execute.
 func blockingKernels(gate chan struct{}, release chan struct{}) *engine.Registry {
 	reg := engine.FastKernels()
 	base, _ := reg.Lookup(engine.OpConv)
@@ -271,39 +272,131 @@ func blockingKernels(gate chan struct{}, release chan struct{}) *engine.Registry
 	return reg
 }
 
+// waitDepth polls the registry's only model until its queue depth
+// reads want.
+func waitDepth(t *testing.T, reg *serve.Registry, want int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for reg.Models()[0].QueueDepth != want {
+		if time.Now().After(deadline) {
+			t.Fatalf("queue depth never reached %d (at %d)", want, reg.Models()[0].QueueDepth)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestRegistryAdmissionSheds: the queue is the model's only admission
+// point, and it sheds by class. With the worker held and the queue full
+// of low-class samples, a low-class arrival is refused, while a
+// normal-class arrival is admitted by evicting the least urgent waiter,
+// whose caller gets ErrQueueFull. Both count as low-class sheds.
 func TestRegistryAdmissionSheds(t *testing.T) {
 	ck, _ := buildCheckpoint(t, 3)
 	gate := make(chan struct{}, 1)
 	release := make(chan struct{})
 	reg := serve.NewRegistry(serve.Options{
-		MaxInFlight: 1,
-		Engine:      engine.ServerOptions{Workers: 1, MaxBatch: 1, QueueSize: 1, Kernels: blockingKernels(gate, release)},
+		Engine: engine.ServerOptions{Workers: 1, MaxBatch: 1, QueueSize: 2, Kernels: blockingKernels(gate, release)},
 	})
 	defer reg.Close()
+	// Runs before Close, so a failed assertion cannot leave it waiting
+	// on the held worker.
+	var once sync.Once
+	unblock := func() { once.Do(func() { close(release) }) }
+	defer unblock()
 	if _, err := reg.Load("cnn", ck, nil); err != nil {
 		t.Fatal(err)
 	}
 
 	g := tensor.NewRNG(400)
-	x1, x2 := g.Uniform(0, 1, 1, 3, 8, 8), g.Uniform(0, 1, 1, 3, 8, 8)
 	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if _, err := predict(reg, "cnn", x1); err != nil {
-			t.Errorf("admitted request failed: %v", err)
-		}
-	}()
-	<-gate // the only in-flight token is now held
-
-	if _, err := predict(reg, "cnn", x2); err != serve.ErrOverloaded {
-		t.Fatalf("second request returned %v, want ErrOverloaded", err)
+	fire := func(n int, class engine.PriorityClass) chan error {
+		xs := samples(g, n)
+		errc := make(chan error, 1)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, err := reg.PredictBatch("cnn", xs, time.Time{}, class, 0)
+			errc <- err
+		}()
+		return errc
 	}
-	close(release)
+	held := fire(1, engine.PriNormal)
+	<-gate
+	group := fire(2, engine.PriLow) // the batcher's hand + 1 queued
+	waitDepth(t, reg, 1)
+	victim := fire(1, engine.PriLow)
+	waitDepth(t, reg, 2)
+
+	if _, err := reg.PredictBatch("cnn", samples(g, 1), time.Time{}, engine.PriLow, 0); !errors.Is(err, engine.ErrQueueFull) {
+		t.Fatalf("low-class request at a full queue returned %v, want ErrQueueFull", err)
+	}
+	normal := fire(1, engine.PriNormal)
+	select {
+	case err := <-victim:
+		if !errors.Is(err, engine.ErrQueueFull) {
+			t.Fatalf("evicted low-class request returned %v, want ErrQueueFull", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a normal-class arrival at a full queue evicted no low-class waiter")
+	}
+	unblock()
 	wg.Wait()
-	ms := reg.Models()
-	if len(ms) != 1 || ms[0].Shed != 1 {
-		t.Fatalf("admission rejects = %+v, want Shed=1", ms)
+	for what, errc := range map[string]chan error{"held": held, "low-class group": group, "normal-class arrival": normal} {
+		if err := <-errc; err != nil {
+			t.Fatalf("%s request failed: %v", what, err)
+		}
+	}
+	st := reg.Models()[0].Stats
+	if st.Rejected != 2 || st.ShedLow != 2 || st.Requests != 4 {
+		t.Fatalf("stats %+v, want 2 rejected, both low-class, and 4 served", st)
+	}
+}
+
+// TestRegistryCloseLeaksNoGoroutines: Close stops every goroutine the
+// registry started, those of a version retired by a hot reload under
+// traffic included.
+func TestRegistryCloseLeaksNoGoroutines(t *testing.T) {
+	ck1, _ := buildCheckpoint(t, 40)
+	ck2, _ := buildCheckpoint(t, 41)
+	// The kernel thread pool is process-wide and persistent by design:
+	// start it before counting.
+	tensor.InitParallel()
+	start := runtime.NumGoroutine()
+
+	reg := serve.NewRegistry(serve.Options{CacheCapacity: -1, Engine: engine.ServerOptions{Workers: 2}})
+	for _, name := range []string{"a", "b"} {
+		if _, err := reg.Load(name, ck1, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g := tensor.NewRNG(500)
+	var wg sync.WaitGroup
+	for c := 0; c < 4; c++ {
+		x := g.Uniform(0, 1, 1, 3, 8, 8)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < 5; r++ {
+				if _, err := predict(reg, "a", x); err != nil {
+					t.Errorf("predict during reload: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	if _, err := reg.Load("a", ck2, nil); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	reg.Close()
+
+	deadline := time.Now().Add(5 * time.Second)
+	for n := runtime.NumGoroutine(); n > start; n = runtime.NumGoroutine() {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines 5 s after Close, %d before the registry:\n%s", n, start, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -1,12 +1,14 @@
 package serve_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -31,10 +33,30 @@ type chromeDoc struct {
 	} `json:"traceEvents"`
 }
 
+// fetchTrace GETs base's /debug/trace dump of model cnn and decodes it.
+func fetchTrace(t *testing.T, base string) chromeDoc {
+	t.Helper()
+	tr, err := http.Get(base + "/debug/trace?model=cnn")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb, _ := io.ReadAll(tr.Body)
+	tr.Body.Close()
+	if tr.StatusCode != http.StatusOK {
+		t.Fatalf("debug/trace status %d: %s", tr.StatusCode, tb)
+	}
+	var doc chromeDoc
+	if err := json.Unmarshal(tb, &doc); err != nil {
+		t.Fatalf("debug/trace is not valid JSON: %v\n%s", err, tb)
+	}
+	return doc
+}
+
 // TestHTTPDebugTrace drives a traced registry over HTTP and checks the
 // /debug/trace dump: valid Chrome trace-event JSON whose spans nest
 // request → decode, then fanout → queue_wait → batch → instruction,
-// then encode, all stitched to one trace id.
+// then encode, all stitched to one trace id. A traced predict that
+// meets a full queue leaves one admission span with its trace id.
 func TestHTTPDebugTrace(t *testing.T) {
 	ck, _ := buildCheckpoint(t, 11)
 	reg := serve.NewRegistry(serve.Options{
@@ -65,19 +87,7 @@ func TestHTTPDebugTrace(t *testing.T) {
 		t.Fatal("traced predict response carries no X-Trace-Id header")
 	}
 
-	tr, err := http.Get(ts.URL + "/debug/trace?model=cnn")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb, _ := io.ReadAll(tr.Body)
-	tr.Body.Close()
-	if tr.StatusCode != http.StatusOK {
-		t.Fatalf("debug/trace status %d: %s", tr.StatusCode, tb)
-	}
-	var doc chromeDoc
-	if err := json.Unmarshal(tb, &doc); err != nil {
-		t.Fatalf("debug/trace is not valid JSON: %v\n%s", err, tb)
-	}
+	doc := fetchTrace(t, ts.URL)
 	if doc.DisplayTimeUnit != "ms" {
 		t.Fatalf("displayTimeUnit = %q", doc.DisplayTimeUnit)
 	}
@@ -152,7 +162,7 @@ func TestHTTPDebugTrace(t *testing.T) {
 	mr.Body.Close()
 	for _, want := range []string{
 		`t2c_op_seconds_count{model="cnn",op="conv"}`,
-		`t2c_replica_queue_depth{model="cnn"}`,
+		`t2c_queue_depth{model="cnn"}`,
 		`t2c_batch_wait_seconds_count{model="cnn"}`,
 	} {
 		if !strings.Contains(string(mb), want) {
@@ -169,6 +179,70 @@ func TestHTTPDebugTrace(t *testing.T) {
 	pr.Body.Close()
 	if pr.StatusCode != http.StatusOK {
 		t.Fatalf("pprof index status %d", pr.StatusCode)
+	}
+
+	// A full queue: the worker held, the batcher's hand taken (MaxBatch
+	// 1) and one of two slots left. A traced two-sample predict is
+	// refused whole, and records one zero-duration admission span with
+	// its trace id and the group size.
+	gate := make(chan struct{}, 1)
+	release := make(chan struct{})
+	full := serve.NewRegistry(serve.Options{
+		Trace:         &trace.Config{RingSpans: 4096},
+		CacheCapacity: -1,
+		Engine:        engine.ServerOptions{Workers: 1, MaxBatch: 1, QueueSize: 2, Kernels: blockingKernels(gate, release)},
+	})
+	defer full.Close()
+	// Runs before Close, so a failed assertion cannot leave it waiting
+	// on the held worker.
+	var once sync.Once
+	unblock := func() { once.Do(func() { close(release) }) }
+	defer unblock()
+	if _, err := full.Load("cnn", ck, nil); err != nil {
+		t.Fatal(err)
+	}
+	fts := httptest.NewServer(serve.NewHandler(full, serve.HandlerOptions{}))
+	defer fts.Close()
+	var wg sync.WaitGroup
+	for _, n := range []int{1, 2} {
+		xs := samples(g, n)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := full.PredictBatch("cnn", xs, time.Time{}, engine.PriNormal, 0); err != nil {
+				t.Errorf("admitted group of %d failed: %v", n, err)
+			}
+		}()
+		if n == 1 {
+			<-gate
+		}
+	}
+	waitDepth(t, full, 1)
+	const tid = 0x7e57
+	shed, err := http.NewRequest(http.MethodPost, fts.URL+"/v1/models/cnn:predict", bytes.NewReader(pb))
+	if err != nil {
+		t.Fatal(err)
+	}
+	shed.Header.Set("X-Trace-Id", fmt.Sprintf("%x", tid))
+	resp, err = http.DefaultClient.Do(shed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	unblock()
+	wg.Wait()
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("predict at a full queue status %d (%s), want 429", resp.StatusCode, body)
+	}
+	var adm []map[string]any
+	for _, ev := range fetchTrace(t, fts.URL).TraceEvents {
+		if ev.Cat == "admission" {
+			adm = append(adm, ev.Args)
+		}
+	}
+	if len(adm) != 1 || adm[0]["id"] != float64(tid) || adm[0]["a0"] != float64(2) {
+		t.Fatalf("admission spans %v, want one with id %d and a0 2", adm, tid)
 	}
 }
 

@@ -168,7 +168,7 @@ var (
 	// parCap bounds how many chunks a parallel section may split into,
 	// process-wide. 0 means "pool width". It exists so callers that must
 	// emulate a narrower machine (bench sweeps over GOMAXPROCS, serving
-	// replicas sharing cores) can throttle splitting without restarting
+	// workers sharing cores) can throttle splitting without restarting
 	// the pool: idle workers simply receive no jobs.
 	parCap atomic.Int32
 

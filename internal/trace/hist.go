@@ -75,23 +75,6 @@ func (h *Hist) Snapshot() HistSnapshot {
 	return s
 }
 
-// Merge accumulates other into s (bucket-wise; both sides must share
-// bounds, which every Hist built from the package vars does).
-func (s *HistSnapshot) Merge(o HistSnapshot) {
-	if len(s.Counts) == 0 {
-		s.BoundsNs = o.BoundsNs
-		s.Counts = append([]int64(nil), o.Counts...)
-	} else {
-		for i := range o.Counts {
-			if i < len(s.Counts) {
-				s.Counts[i] += o.Counts[i]
-			}
-		}
-	}
-	s.SumNs += o.SumNs
-	s.Count += o.Count
-}
-
 // opAgg accumulates KindInstr spans for one interned name.
 type opAgg struct {
 	name string

@@ -38,11 +38,11 @@ type Kind uint8
 const (
 	KindInstr     Kind = iota + 1 // one engine instruction
 	KindBatch                     // one batched execute on a worker
-	KindQueueWait                 // request sat in the replica queue
+	KindQueueWait                 // request sat in the model's queue
 	KindBatchForm                 // batcher coalescing window
 	KindRequest                   // whole HTTP predict request
 	KindFanout                    // one wave of a request's samples through the registry
-	KindAdmission                 // admission-control decision
+	KindAdmission                 // a group the full queue refused
 	KindDecode                    // parsing a request body into samples
 	KindEncode                    // writing a predict response body
 )

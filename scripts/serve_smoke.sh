@@ -163,7 +163,7 @@ echo "$METRICS" | grep -q 't2c_batch_slack_seconds_count{model="default"}'
 
 echo "== metrics expose the observability gauges =="
 echo "$METRICS" | grep -q 't2c_request_latency_seconds_count{model="default",result="ok"}'
-echo "$METRICS" | grep -q 't2c_replica_queue_depth{model="default"}'
+echo "$METRICS" | grep -q 't2c_queue_depth{model="default"}'
 echo "$METRICS" | grep -q 't2c_batch_wait_seconds_count{model="default"}'
 # Traced serving aggregates per-op execution-time histograms.
 echo "$METRICS" | grep -q 't2c_op_seconds_count{model="default",op="conv"}'
