@@ -7,14 +7,11 @@
 //	t2c-bench -exp table3            # sparse + low-precision ResNet-50
 //	t2c-bench -exp table4            # SSL transfer vs supervised
 //	t2c-bench -exp fig3|fig4|fig5    # workflow figures
-//	t2c-bench -exp profile           # measured vs modeled per-op cost calibration
 //	t2c-bench -exp all -scale quick  # everything at test scale
 //
-// The profile experiment runs the zoo under instruction-level tracing,
-// joins measured span times against the bind-time cost model, and
-// writes the per-op calibration ratios to the -profile-json path,
-// BENCH_profile.json by default. End-to-end and per-layer serving
-// performance is measured by the repository benchmark, benchmark/run.sh.
+// End-to-end and per-layer serving performance is measured by the
+// repository benchmark, benchmark/run.sh; the per-instruction modeled
+// and measured cost is served live at GET /v1/models/{name}/explain.
 package main
 
 import (
@@ -27,10 +24,9 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: table1..table4, fig3..fig5, ablation, profile, all")
+	exp := flag.String("exp", "all", "experiment: table1..table4, fig3..fig5, ablation, all")
 	scale := flag.String("scale", "quick", "compute scale: quick or full")
 	outDir := flag.String("out", "bench-out", "output directory for export artifacts (fig5)")
-	profileJSON := flag.String("profile-json", "BENCH_profile.json", "path for the profile experiment's JSON report (empty = skip)")
 	flag.Parse()
 
 	var sc bench.Scale
@@ -103,20 +99,6 @@ func main() {
 	if want("fig5") {
 		any = true
 		run("fig5", func() { fmt.Print(bench.FormatFig5(bench.Fig5(sc, *outDir))) })
-	}
-	if want("profile") {
-		any = true
-		run("profile", func() {
-			rep := bench.ProfileComparison(sc)
-			fmt.Print(bench.FormatProfile(rep))
-			if *profileJSON != "" {
-				if err := bench.WriteProfileJSON(*profileJSON, rep); err != nil {
-					fmt.Fprintf(os.Stderr, "profile: write %s: %v\n", *profileJSON, err)
-					os.Exit(1)
-				}
-				fmt.Printf("wrote %s\n", *profileJSON)
-			}
-		})
 	}
 	if !any {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)

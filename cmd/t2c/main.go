@@ -63,7 +63,6 @@ func runServe(args []string) {
 	queue := fs.Int("queue", 0, "request queue capacity per model, in samples; a request that does not fit gets 429 (0 = auto)")
 	opt := fs.Int("opt", 1, "optimization level for unfused checkpoints (0 = run as stored)")
 	sched := fs.String("sched", "edf", "request scheduling policy: edf (deadline-driven) or fifo")
-	costProfile := fs.String("cost-profile", "", "BENCH_profile.json with measured per-op ratios to calibrate the batcher's cost model")
 	cacheCap := fs.Int("cache-capacity", 0, "content-addressed inference cache entries per model (0 = default 1024, negative = disabled)")
 	cacheFloor := fs.Float64("cache-floor", 0, "observed hit rate below which cache inserts back off (0 = default 0.02, negative = no floor)")
 	traceOn := fs.Bool("trace", false, "record per-model spans, served at /debug/trace?model=X")
@@ -83,13 +82,6 @@ func runServe(args []string) {
 	engOpts := engine.ServerOptions{
 		Workers: *workers, MaxBatch: *maxBatch, QueueSize: *queue,
 		Sched: schedPolicy,
-	}
-	if *costProfile != "" {
-		cost, err := serve.LoadCostProfile(*costProfile)
-		if err != nil {
-			log.Fatal(err)
-		}
-		engOpts.Cost = cost
 	}
 	var sample []int
 	if *shape != "" {
@@ -129,13 +121,25 @@ func instrKindSummary(prog *engine.Program) string {
 	return strings.Join(parts, " ")
 }
 
-// nmLabel renders the detected N:M structure of a sparsity-report entry,
-// empty when the weights carry none.
-func nmLabel(info engine.SparsityInfo) string {
-	if info.NMN == 0 {
-		return ""
+// explainTable renders the per-instruction record, one line per
+// instruction: output shape, dtype and arena placement, the bound path,
+// the modeled ns per sample, and the sparsity facts of pruned weights.
+func explainTable(rows []engine.KernelChoice) string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "%4s %-20s %-10s %-16s %-5s %9s %9s %-13s %11s\n",
+		"#", "name", "kind", "out", "dtype", "offset", "bytes", "path", "ns/sample")
+	for _, r := range rows {
+		fmt.Fprintf(&sb, "%4d %-20s %-10s %-16s %-5s %9d %9d %-13s %11.0f",
+			r.Index, r.Name, r.Kind, fmt.Sprint(r.OutShape), r.OutDType, r.Offset, r.Bytes, r.Path, r.ModeledNs)
+		if r.WeightSparsity > 0 {
+			fmt.Fprintf(&sb, "  ws=%.2f skip=%.2f", r.WeightSparsity, r.SkipFrac)
+		}
+		if r.NM != "" {
+			fmt.Fprintf(&sb, " nm=%s", r.NM)
+		}
+		sb.WriteByte('\n')
 	}
-	return fmt.Sprintf("(%d:%d)", info.NMN, info.NMM)
+	return sb.String()
 }
 
 func readCheckpoint(path string) *export.Checkpoint {
@@ -344,18 +348,13 @@ func runCompile() {
 	fmt.Printf("instructions by kind: %s\n", instrKindSummary(cm.Prog))
 	if ws, sf := cm.Prog.SparsityStats(); ws > 0 {
 		fmt.Printf("weight sparsity: %.1f%%, modeled MAC skip: %.1f%%\n", ws*100, sf*100)
-		for _, info := range cm.Prog.SparsityReport() {
-			if info.Strategy != "dense" {
-				fmt.Printf("  %-24s %-6s ws=%.2f skip=%.2f %s\n",
-					info.Name, info.Strategy, info.WeightSparsity, info.SkipFraction, nmLabel(info))
-			}
-		}
 	}
-	if plan, err := cm.Prog.PlanBuffers([]int{8, 3, spec.Size, spec.Size}); err == nil {
-		fmt.Printf("compiled program: %d instrs, batch-8 %s\n", len(cm.Prog.Instrs), plan)
-	} else {
-		log.Fatalf("compiled program does not plan at batch 8: %v", err)
+	ex, err := engine.NewExecutor(cm.Prog, []int{8, 3, spec.Size, spec.Size})
+	if err != nil {
+		log.Fatalf("compiled program does not bind at batch 8: %v", err)
 	}
+	fmt.Printf("compiled program: %d instrs, batch-8 %s\n", len(cm.Prog.Instrs), ex.Plan())
+	fmt.Print(explainTable(ex.Explain()))
 
 	var fs []core.Format
 	for _, f := range strings.Split(*formats, ",") {

@@ -168,9 +168,10 @@ func TestMatMulBindsAccumulatorWidth(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			it := &Instr{Kind: OpMatMul, In: []int{0, 1}, Out: 2, ZA: tc.za, ZB: tc.zb, TransposeB: true,
 				Scaler: &intmath.MulQuant{ScaleFx: []int16{1}, BiasFx: []int32{0}, FracBits: 8, IntBits: 8, OutBits: 8, OutSigned: true}}
-			ex := &Executor{plan: &Plan{Shapes: [][]int{{1, 3, tc.k}, {1, 4, tc.k}, {1, 3, 4}}}}
+			ex := &Executor{bound: 1, plan: &Plan{Shapes: [][]int{{1, 3, tc.k}, {1, 4, tc.k}, {1, 3, 4}},
+				DTypes: make([]tensor.DType, 3), Offsets: make([]int, 3)}}
 			if tc.ra.ok {
-				ex.stor = &storageInfo{rng: []bufRange{tc.ra, tc.rb, {}}}
+				ex.stor = &storageInfo{rng: []bufRange{tc.ra, tc.rb, {}}, typed: make([]bool, 1)}
 			}
 			st, err := prepMatMul(ex, 0, it)
 			if err != nil {

@@ -89,7 +89,7 @@ func WithMaxParallel(n int) ExecOption {
 }
 
 // WithTracer binds the executor to a span tracer with its own ring —
-// the standalone (bench/profile) form. Serving workers share one ring
+// the standalone form. Serving workers share one ring
 // per engine.Server via WithTraceRing instead.
 func WithTracer(t *trace.Tracer) ExecOption {
 	return func(c *execConfig) { c.tracer = t }
@@ -385,10 +385,12 @@ func makeSlots[T any](slots, n int) [][]T {
 }
 
 // ScratchBytes reports the executor's kernel scratch footprint: planned
-// per-slot panels and accumulator tiles, the im2col index maps its bound
-// state actually references (shared maps counted once), plus the
+// per-slot panels and accumulator tiles, the im2col index maps of its
+// bound int32 and int64 panel convs (shared maps counted once), plus the
 // grow-only buffers the unprepacked kernels have claimed so far (stable
-// once each batch size that will run has run once).
+// once each batch size that will run has run once). The SWAR convs'
+// index maps (convPackS.idx) are not counted; ROADMAP items 2(f) and 16
+// track the gap.
 func (ex *Executor) ScratchBytes() int64 {
 	bytes := int64(len(ex.slotScratch)*ex.slotNeed) * 8
 	bytes += int64(len(ex.slotU8) * ex.u8Need)

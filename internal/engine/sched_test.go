@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"errors"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -274,8 +275,9 @@ func TestServerPrioritySheds(t *testing.T) {
 
 // TestServerEstimateCost pins the cost estimator's contract: positive,
 // the modeled cost of exactly the batch size asked for (3 samples cost
-// less than 4 — no rounding up to a padded batch), CostStats reporting
-// the MaxBatch cost, and scaled exactly by calibration ratios.
+// less than 4 — no rounding up to a padded batch), equal to the
+// per-instruction record's modeled work at that batch, and CostStats
+// reporting the MaxBatch cost.
 func TestServerEstimateCost(t *testing.T) {
 	g := tensor.NewRNG(61)
 	calib, _ := data.Generate(data.SynthCIFAR10, 32, 8)
@@ -293,39 +295,19 @@ func TestServerEstimateCost(t *testing.T) {
 	if !(c1 < c3 && c3 < c4 && c4 < c8) {
 		t.Fatalf("EstimateCost(1, 3, 4, 8) = %v, %v, %v, %v, want strictly increasing", c1, c3, c4, c8)
 	}
-	work3, err := prog.ModeledOpWork([]int{3, 3, 8, 8})
+	ex3, err := engine.NewExecutor(prog, []int{3, 3, 8, 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ns3 int64
-	for _, w := range work3 {
-		ns3 += w.WorkNs
+	var perSample float64
+	for _, r := range ex3.Explain() {
+		perSample += r.ModeledNs
 	}
-	if int64(c3) != ns3 {
+	if ns3 := int64(math.Round(3 * perSample)); int64(c3) != ns3 {
 		t.Fatalf("EstimateCost(3) = %d ns, want the batch-3 modeled work %d ns", int64(c3), ns3)
 	}
 	if got := srv.CostStats().ModeledBatchNs; got != int64(c8) {
 		t.Fatalf("CostStats().ModeledBatchNs = %d, want the MaxBatch cost %d", got, int64(c8))
-	}
-
-	// A uniform ratio of 2 on every op must exactly double the estimate.
-	ratios := map[engine.OpKind]float64{}
-	work, err := prog.ModeledOpWork([]int{1, 3, 8, 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range work {
-		ratios[w.Kind] = 2
-	}
-	srv2, err := engine.NewServer(prog, []int{3, 8, 8}, engine.ServerOptions{
-		Workers: 1, MaxBatch: 8, Cost: &engine.CostModel{Ratios: ratios},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv2.Close()
-	if got := srv2.EstimateCost(1); got != 2*c1 {
-		t.Fatalf("ratio-2 EstimateCost(1) = %v, want %v", got, 2*c1)
 	}
 }
 

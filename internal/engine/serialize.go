@@ -199,6 +199,13 @@ func FromCheckpoint(ck *export.Checkpoint) (*Program, error) {
 			if w == nil || is.Scaler == nil {
 				return nil, fmt.Errorf("engine: instr %d (%s) missing weight or scaler", i, is.Kind)
 			}
+			rank := 2
+			if it.Kind == OpConv {
+				rank = 4
+			}
+			if len(w.Shape) != rank {
+				return nil, fmt.Errorf("engine: instr %d (%s) weight shape %v, want rank %d", i, is.Kind, w.Shape, rank)
+			}
 			if err := checkScaler(is.Scaler, w.Shape[0]); err != nil {
 				return nil, fmt.Errorf("engine: instr %d (%s): %w", i, is.Kind, err)
 			}

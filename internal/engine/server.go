@@ -55,10 +55,6 @@ type ServerOptions struct {
 	// under priority classes and closes batches deadline-driven;
 	// SchedFIFO is the strict-arrival-order baseline.
 	Sched SchedPolicy
-	// Cost supplies measured per-op calibration ratios (from a
-	// BENCH_profile.json run) that scale the work model into
-	// EstimateCost's wall-clock predictions. nil models every ratio as 1.
-	Cost *CostModel
 	// Kernels selects the kernel registry (default DefaultKernels).
 	Kernels *Registry
 	// Trace, when non-nil, gives the server a span ring on the tracer:
@@ -222,7 +218,7 @@ type Server struct {
 	scratchBytes atomic.Int64
 
 	// Modeled batch-execution cost per batch size (lazily filled; one
-	// ModeledOpWork evaluation per size per server lifetime), and the
+	// work-model evaluation per size per server lifetime), and the
 	// measured-vs-modeled error accumulators the workers feed.
 	costMu       sync.Mutex
 	costNs       map[int]int64
@@ -293,8 +289,8 @@ func NewServer(p *Program, sampleShape []int, opts ServerOptions) (*Server, erro
 
 // EstimateCost returns the modeled wall-clock execution time of one
 // batched execute of batch samples (clamped to 1..MaxBatch): the
-// bind-time work model evaluated at that batch size, scaled by the
-// per-op calibration ratios in Options.Cost. The estimate is serial
+// work model summed over every instruction at that batch size. The
+// estimate is serial
 // (intra-op parallelism would only shrink it), so the deadline-driven
 // batcher errs toward closing batches early rather than blowing
 // deadlines.
@@ -309,16 +305,44 @@ func (s *Server) costNsAt(n int) int64 {
 	if v, ok := s.costNs[n]; ok {
 		return v
 	}
-	var total float64
-	ops, err := s.prog.ModeledOpWork(append([]int{n}, s.sample...))
-	if err == nil {
-		for _, op := range ops {
-			total += float64(op.WorkNs) * s.opts.Cost.ratio(op.Kind)
+	var v int64
+	if shapes, err := s.prog.InferShapes(append([]int{n}, s.sample...)); err == nil {
+		for i := range s.prog.Instrs {
+			v += s.prog.instrWorkNs(i, shapes)
 		}
 	}
-	v := int64(total)
 	s.costNs[n] = v
 	return v
+}
+
+// Explain returns the per-instruction record of the server's program
+// bound like a worker's executor, at MaxBatch with the server's kernels.
+// On a traced server each row also carries its measured mean ns per
+// sample over the instruction spans still in the server's ring: a span
+// covers the batch it ran at, which its output bytes give.
+func (s *Server) Explain() ([]KernelChoice, error) {
+	ex, err := NewExecutor(s.prog, append([]int{s.opts.MaxBatch}, s.sample...),
+		WithKernels(s.opts.Kernels), WithMaxParallel(s.opts.KernelThreads))
+	if err != nil {
+		return nil, err
+	}
+	rows := ex.Explain()
+	sums := make([]float64, len(rows))
+	for _, sp := range s.ring.Snapshot() {
+		if sp.Kind != trace.KindInstr {
+			continue
+		}
+		r := &rows[sp.A1]
+		n := sp.A0 * int64(s.opts.MaxBatch) / r.Bytes
+		sums[sp.A1] += float64(sp.Dur) / float64(n)
+		r.Spans++
+	}
+	for i := range rows {
+		if rows[i].Spans > 0 {
+			rows[i].MeasuredNs = sums[i] / float64(rows[i].Spans)
+		}
+	}
+	return rows, nil
 }
 
 // batcher coalesces queued requests, work-conserving: while the queue
@@ -686,9 +710,11 @@ func (s *Server) CostStats() CostStats {
 // MaxBatch. With typed storage the arena share is byte-accurate per
 // buffer dtype. Scratch is re-sampled the first time each batch size
 // runs, so it is the executors' steady-state footprint for the sizes
-// served so far; im2col index maps shared across a program's executors
-// are attributed to each executor that references them, so the scratch
-// sum slightly overstates a multi-worker server's shared-map footprint.
+// served so far. Scratch counts the im2col index maps of the int32 and
+// int64 panel convs, attributed to each executor that references them
+// (so a multi-worker sum slightly overstates the shared maps), but not
+// the SWAR convs' maps (convPackS.idx), so it understates a SWAR-bound
+// program's footprint; ROADMAP items 2(f) and 16 track the gap.
 type ServerMemStats struct {
 	ArenaBytes   int64 `json:"arena_bytes"`
 	ScratchBytes int64 `json:"scratch_bytes"`

@@ -11,10 +11,10 @@ package engine
 // iterate compressed live-K lists instead of the full K range
 // (CSR-over-panels). Weights with N:M group structure (prune.NM) take a
 // packed microkernel that stores only the n live values + 2-bit indices
-// per m-group. The same analysis feeds the cost model: modeled MACs for
+// per m-group. The same analysis feeds the work model: modeled MACs for
 // conv/linear scale by the effective-MAC fraction of the strategy the
-// fast kernels bind, so EstimateCost and the BENCH_profile calibration
-// stay honest on sparse models.
+// fast kernels bind, so EstimateCost and the modeled column of the
+// per-instruction record (Executor.Explain) stay honest on sparse models.
 //
 // Liveness granularity is the channel *pair*, matching the SWAR lane
 // pairing: a K position is dead for pair (r, r+1) of a panel when both
@@ -195,6 +195,18 @@ const (
 	pickNM
 	pickPairSwar
 )
+
+func (p sparsePick) String() string {
+	switch p {
+	case pickCSR:
+		return "csr"
+	case pickNM:
+		return "nm"
+	case pickPairSwar:
+		return "pair-swar"
+	}
+	return "dense"
+}
 
 // sparsePlan picks the cheapest legal GEMM for an instruction with the
 // given analysis, using the measured per-MAC cost table, and returns the
@@ -801,86 +813,22 @@ func storeSwarSiteSparse(acc []int32, bcorr []int64, oc0, nch, i, cs, rs int, bw
 	}
 }
 
-// SparsityInfo is the exported per-instruction view of the weight-
-// sparsity analysis — what the fusion summary, MemStats, and /metrics
-// surfaces report.
-type SparsityInfo struct {
-	Index int    `json:"index"`
-	Name  string `json:"name"`
-	Kind  OpKind `json:"kind"`
-	// Strategy is the bound-kernel selection under a sparsity-aware
-	// registry: "dense", "skip" (pair-granular live lists), or "nm"
-	// (N:M-packed values + indices).
-	Strategy string `json:"strategy"`
-	// WeightSparsity is the fraction of exactly-zero weights.
-	WeightSparsity float64 `json:"weight_sparsity"`
-	// SkipFraction is the fraction of dense MACs the sparse strategy
-	// skips (1 − effective/dense); 0 for the dense strategy.
-	SkipFraction float64 `json:"skip_fraction"`
-	// NMN/NMM name the detected N:M structure (0/0 when the weights
-	// carry none). Detection is independent of Strategy: a registry
-	// without the SWAR lane kernel binds the N:M pack where the full
-	// registry's dual-lane dense kernel models faster.
-	NMN int `json:"nm_n,omitempty"`
-	NMM int `json:"nm_m,omitempty"`
-}
-
 // sparseEff resolves the executed-MAC fraction of instruction i's
 // planned kernel under the full fast registry (typed + SWAR + sparse) —
-// the registry-independent modeling assumption the cost model and the
-// reported stats share. Falls back to 1/1 when the storage plan cannot
+// the registry-independent modeling assumption the work model and the
+// sparsity stats share. Falls back to 1/1 when the storage plan cannot
 // be derived.
-func (p *Program) sparseEff(i int) (pick sparsePick, effNum, effDen int64) {
+func (p *Program) sparseEff(i int) (effNum, effDen int64) {
 	sp := &p.sparsity()[i]
 	if sp.strategy == spDense {
-		return pickDense, 1, 1
+		return 1, 1
 	}
 	st, err := p.storage()
 	if err != nil {
-		return pickDense, 1, 1
+		return 1, 1
 	}
-	return sparsePlan(sp, st.typed[i], st.swar[i], st.swarSparse[i])
-}
-
-// SparsityReport lists the sparsity analysis of every conv/linear
-// instruction, in program order. Strategy and SkipFraction reflect the
-// kernel the cost-driven plan binds under a sparsity-aware fast
-// registry ("dense" when the dense kernels model faster despite zeros).
-func (p *Program) SparsityReport() []SparsityInfo {
-	spar := p.sparsity()
-	var out []SparsityInfo
-	for i := range p.Instrs {
-		it := &p.Instrs[i]
-		if it.Kind != OpConv && it.Kind != OpLinear {
-			continue
-		}
-		sp := spar[i]
-		pick, num, den := p.sparseEff(i)
-		info := SparsityInfo{
-			Index: i,
-			Name:  it.Name,
-			Kind:  it.Kind,
-		}
-		switch pick {
-		case pickNM:
-			info.Strategy = "nm"
-		case pickCSR, pickPairSwar:
-			info.Strategy = "skip"
-		default:
-			info.Strategy = "dense"
-		}
-		if sp.nm != nil {
-			info.NMN, info.NMM = sp.nm.n, nmM
-		}
-		if sp.wCount > 0 {
-			info.WeightSparsity = float64(sp.wZeros) / float64(sp.wCount)
-		}
-		if den > 0 {
-			info.SkipFraction = 1 - float64(num)/float64(den)
-		}
-		out = append(out, info)
-	}
-	return out
+	_, num, den := sparsePlan(sp, st.typed[i], st.swar[i], st.swarSparse[i])
+	return num, den
 }
 
 // ModeledMacs evaluates the dense and effective multiply-accumulate
@@ -902,7 +850,7 @@ func (p *Program) ModeledMacs(inShape []int) (dense, effective int64, err error)
 		}
 		dense += macs
 		if it.Kind == OpConv || it.Kind == OpLinear {
-			_, num, den := p.sparseEff(i)
+			num, den := p.sparseEff(i)
 			macs = macs * num / den
 		}
 		effective += macs

@@ -183,7 +183,7 @@ func TestSparseKernelSelectionAndSkipFraction(t *testing.T) {
 
 // TestNMSelectionOnPrunedZoo: a 2:4-pruned model must bind the N:M
 // microkernel on GEMM-shaped weights (K divisible by 4) with the exact
-// 0.5 skip fraction, and report the structure in SparsityReport. The
+// 0.5 skip fraction, and report the structure in its record. The
 // int32-panel registry is where the pack holds a clear cost margin
 // (2/4 · 20 = 10 units/MAC vs the 21-unit dense panel); under the full
 // SWAR registry it only ties the dual-lane dense kernel (10/MAC) and
@@ -195,7 +195,7 @@ func TestNMSelectionOnPrunedZoo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nmBound := 0
+	nmBound, nmReported := 0, 0
 	for _, c := range ex.KernelChoices() {
 		if c.Path == "i32-nm" {
 			nmBound++
@@ -203,27 +203,21 @@ func TestNMSelectionOnPrunedZoo(t *testing.T) {
 				t.Fatalf("%s: N:M skip fraction %.3f, want exactly 0.5", c.Name, c.SkipFrac)
 			}
 		}
+		if c.NM != "" {
+			nmReported++
+			if c.NM != "2:4" && c.NM != "1:4" {
+				t.Fatalf("%s: N:M reported %s, want 2:4 or 1:4", c.Name, c.NM)
+			}
+		}
 	}
 	if nmBound == 0 {
 		t.Fatal("2:4-pruned resnet20 bound no N:M kernel")
-	}
-	nmReported := 0
-	for _, info := range prog.SparsityReport() {
-		if info.NMN > 0 {
-			nmReported++
-			if info.NMN != 2 && info.NMN != 1 {
-				t.Fatalf("%s: N:M reported %d:%d", info.Name, info.NMN, info.NMM)
-			}
-			if info.NMM != 4 {
-				t.Fatalf("%s: N:M group width %d, want 4", info.Name, info.NMM)
-			}
-		}
 	}
 	// Detection is a superset of binding: a row group holding fewer
 	// than n nonzeros gives the unpadded CSR form fewer executed MACs
 	// than the zero-padded pack, and the plan correctly keeps CSR there.
 	if nmReported < nmBound {
-		t.Fatalf("SparsityReport detects N:M on %d instructions, executor bound %d", nmReported, nmBound)
+		t.Fatalf("the record detects N:M on %d instructions, executor bound %d", nmReported, nmBound)
 	}
 	// The 2:4 structure must also show in the program-level model: a
 	// positive skip fraction and effective MACs below dense.

@@ -23,6 +23,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 
 	"torch2chip/internal/intmath"
 	"torch2chip/internal/tensor"
@@ -539,45 +540,86 @@ func (st *linPackS) jobs(ex *Executor, idx int, it *Instr, in []*tensor.IntTenso
 	return body, ceilDiv(rows, tm), rows*st.k*st.o >= 1<<16
 }
 
-// KernelChoice describes the compute path one instruction is bound to —
-// introspection for the kernel-selection and fallback tests.
+// KernelChoice is the per-instruction record of a bound executor: what
+// the instruction is and where its output lives at the bound batch, the
+// path it bound with the facts that chose it, and its modeled cost per
+// sample. Rows a traced Server returns from Explain also carry the
+// measured cost of the instruction spans its ring still holds.
 type KernelChoice struct {
-	Index int    // instruction index
-	Name  string // instruction name
-	Kind  OpKind
+	Index int    `json:"index"` // instruction index
+	Name  string `json:"name"`  // instruction name
+	Kind  OpKind `json:"kind"`
+	// Operand and output shapes and storage dtypes at the bound batch.
+	InShapes [][]int  `json:"in_shapes"`
+	InDTypes []string `json:"in_dtypes"`
+	OutShape []int    `json:"out_shape"`
+	OutDType string   `json:"out_dtype"`
+	// Offset (elements) and Bytes place the output in its dtype arena.
+	Offset int   `json:"arena_offset"`
+	Bytes  int64 `json:"arena_bytes"`
 	// Path is "swar", "swar-sparse", "i32-panel", "i32-sparse", "i32-nm",
 	// "i32-direct", "i64-panel", "i64-direct", "matmul-i32" or
-	// "matmul-i64" (the packed-panel matmul at its accumulator width), or
-	// "reference" when no state is bound and the reference body runs.
-	Path  string
-	Lanes int // output channels per packed accumulator word (SWAR only)
-	TileM int // site/row tile of the bound GEMM state at the bound batch
+	// "matmul-i64" (the packed-panel matmul at its accumulator width),
+	// "softmax-recip" or "softmax-div", or "reference" when no state is
+	// bound and the registered body runs.
+	Path  string `json:"path"`
+	Int32 bool   `json:"int32"`            // storage plan allows int32 accumulation
+	Lanes int    `json:"lanes,omitempty"`  // output channels per packed accumulator word (SWAR only)
+	TileM int    `json:"tile_m,omitempty"` // site/row tile of the bound GEMM state at the bound batch
+	// Sparse is the conv/linear sparse-kernel pick under this registry
+	// ("dense", "csr", "pair-swar" or "nm") and NM the N:M structure the
+	// weights carry ("2:4"; empty when none), which the pick may not use.
+	Sparse string `json:"sparse,omitempty"`
+	NM     string `json:"nm,omitempty"`
 	// WeightSparsity is the fraction of exactly-zero weights;
 	// SkipFrac the fraction of dense MACs the bound kernel skips
 	// (1 − effective/dense; 0 on dense-bound paths even when the
 	// weights are sparse).
-	WeightSparsity float64
-	SkipFrac       float64
+	WeightSparsity float64 `json:"weight_sparsity,omitempty"`
+	SkipFrac       float64 `json:"skip_fraction,omitempty"`
+	// ModeledNs is the work model's serial ns per sample; MeasuredNs the
+	// mean traced ns per sample over Spans instruction spans.
+	ModeledNs  float64 `json:"modeled_ns"`
+	MeasuredNs float64 `json:"measured_ns,omitempty"`
+	Spans      int64   `json:"spans,omitempty"`
 }
 
-// KernelChoices reports, per conv/linear/matmul instruction, which
-// prepacked path the executor bound (after all storage and SWAR legality
-// decisions).
+// KernelChoices reports the records of the conv/linear/matmul
+// instructions: which prepacked path the executor bound (after all
+// storage and SWAR legality decisions).
 func (ex *Executor) KernelChoices() []KernelChoice {
-	var out []KernelChoice
+	return slices.DeleteFunc(ex.Explain(), func(c KernelChoice) bool {
+		return c.Kind != OpConv && c.Kind != OpLinear && c.Kind != OpMatMul
+	})
+}
+
+// Explain reports the record of every instruction in program order.
+func (ex *Executor) Explain() []KernelChoice {
+	pl := ex.plan
+	out := make([]KernelChoice, 0, len(ex.prog.Instrs))
 	for i := range ex.prog.Instrs {
 		it := &ex.prog.Instrs[i]
-		switch it.Kind {
-		case OpConv, OpLinear, OpMatMul:
-		default:
-			continue
+		dt := pl.DTypes[it.Out]
+		c := KernelChoice{
+			Index: i, Name: it.Name, Kind: it.Kind,
+			OutShape: slices.Clone(pl.Shapes[it.Out]), OutDType: dt.String(),
+			Offset: pl.Offsets[it.Out], Bytes: int64(tensor.Numel(pl.Shapes[it.Out]) * dt.Size()),
+			Int32:     ex.typedInstr(i),
+			ModeledNs: float64(ex.prog.instrWorkNs(i, pl.Shapes)) / float64(ex.bound),
 		}
-		c := KernelChoice{Index: i, Name: it.Name, Kind: it.Kind}
+		for _, b := range it.In {
+			c.InShapes = append(c.InShapes, slices.Clone(pl.Shapes[b]))
+			c.InDTypes = append(c.InDTypes, pl.DTypes[b].String())
+		}
 		if it.Kind == OpConv || it.Kind == OpLinear {
 			sp := ex.prog.sparsity()[i]
 			if sp.wCount > 0 {
 				c.WeightSparsity = float64(sp.wZeros) / float64(sp.wCount)
 			}
+			if sp.nm != nil {
+				c.NM = fmt.Sprintf("%d:%d", sp.nm.n, nmM)
+			}
+			c.Sparse = ex.sparsePickFor(i).String()
 		}
 		sparseBound := false
 		switch st := ex.states[i].(type) {
@@ -609,6 +651,11 @@ func (ex *Executor) KernelChoices() []KernelChoice {
 			c.Path = "matmul-i32"
 		case *mmPackT[int64]:
 			c.Path = "matmul-i64"
+		case *smPack:
+			c.Path = "softmax-div"
+			if st.recip {
+				c.Path = "softmax-recip"
+			}
 		default:
 			c.Path = "reference"
 		}

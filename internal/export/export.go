@@ -335,11 +335,25 @@ func ReadJSON(r io.Reader) (*Checkpoint, error) {
 	return &c, nil
 }
 
-// Tensor reconstructs a named tensor from the checkpoint.
+// Tensor reconstructs a named tensor from the checkpoint. A negative
+// dimension, or data whose length is not the shape's element count, is
+// an error.
 func (c *Checkpoint) Tensor(name string) (*tensor.IntTensor, error) {
 	ct, ok := c.Tensors[name]
 	if !ok {
 		return nil, fmt.Errorf("export: tensor %q not in checkpoint", name)
+	}
+	// Stop once the running product passes len(Data), so a huge shape
+	// cannot overflow to a matching count.
+	n := 1
+	for _, s := range ct.Shape {
+		if s < 0 || (s > 0 && n > len(ct.Data)/s) {
+			return nil, fmt.Errorf("export: tensor %q shape %v does not match %d values", name, ct.Shape, len(ct.Data))
+		}
+		n *= s
+	}
+	if n != len(ct.Data) {
+		return nil, fmt.Errorf("export: tensor %q shape %v does not match %d values", name, ct.Shape, len(ct.Data))
 	}
 	return tensor.IntFromSlice(append([]int64(nil), ct.Data...), ct.Shape...), nil
 }

@@ -40,6 +40,7 @@ func (o HandlerOptions) withDefaults() HandlerOptions {
 //	POST /v1/models/{name}:predict   run inference (single or batched tensor)
 //	POST /v1/models/{name}           load / hot-reload a checkpoint
 //	DELETE /v1/models/{name}         retire a model
+//	GET  /v1/models/{name}/explain   per-instruction record: path, modeled and traced ns
 //	GET  /v1/models                  list models and serving stats
 //	GET  /healthz                    liveness probe
 //	GET  /metrics                    Prometheus text metrics
@@ -147,9 +148,14 @@ func (h *Handler) list(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"models": infos})
 }
 
-// models dispatches /v1/models/{name} and /v1/models/{name}:predict.
+// models dispatches /v1/models/{name}, /v1/models/{name}:predict and
+// /v1/models/{name}/explain.
 func (h *Handler) models(w http.ResponseWriter, r *http.Request) {
 	rest := strings.TrimPrefix(r.URL.Path, "/v1/models/")
+	if name, ok := strings.CutSuffix(rest, "/explain"); ok && name != "" && !strings.Contains(name, "/") {
+		h.explain(w, r, name)
+		return
+	}
 	if rest == "" || strings.Contains(rest, "/") {
 		writeError(w, http.StatusNotFound, "unknown path %q", r.URL.Path)
 		return
@@ -174,6 +180,21 @@ func (h *Handler) models(w http.ResponseWriter, r *http.Request) {
 	default:
 		writeError(w, http.StatusMethodNotAllowed, "use POST or DELETE")
 	}
+}
+
+// explain replies with name's per-instruction record.
+func (h *Handler) explain(w http.ResponseWriter, r *http.Request, name string) {
+	if r.Method != http.MethodGet {
+		writeError(w, http.StatusMethodNotAllowed, "use GET")
+		return
+	}
+	ex, err := h.reg.Explain(name)
+	if err != nil {
+		code, _ := statusFor(err)
+		writeError(w, code, "%v", err)
+		return
+	}
+	writeJSON(w, http.StatusOK, ex)
 }
 
 // httpLane is the HTTP layer's span lane. Engine workers use their

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -317,6 +318,57 @@ func TestHTTPRejectsBadRequests(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("priority=%s status %d (%s), want 200", q, resp.StatusCode, body)
 		}
+	}
+}
+
+// TestHTTPUploadRejectsCorruptTensors: a checkpoint upload whose
+// weight tensor does not match its shape (a data length off by one, a
+// negative dimension) or has the wrong rank for its conv or linear
+// instruction gets a 400 naming the fault, and the model it would have
+// replaced keeps serving.
+func TestHTTPUploadRejectsCorruptTensors(t *testing.T) {
+	ck, _ := buildCheckpoint(t, 6)
+	reg := serve.NewRegistry(serve.Options{CacheCapacity: -1})
+	defer reg.Close()
+	ts := httptest.NewServer(serve.NewHandler(reg, serve.HandlerOptions{}))
+	defer ts.Close()
+	if _, err := reg.Load("cnn", ck, nil); err != nil {
+		t.Fatal(err)
+	}
+	weight := map[engine.OpKind]string{}
+	for _, is := range ck.Program.Instrs {
+		weight[engine.OpKind(is.Kind)] = is.Weight
+	}
+	conv, lin := weight[engine.OpConv], weight[engine.OpLinear]
+	cases := []struct {
+		name, tensor string
+		mutate       func(*export.CkptTensor)
+		want         string
+	}{
+		{"data-length", conv, func(ct *export.CkptTensor) { ct.Data = ct.Data[1:] }, "does not match"},
+		{"negative-dim", conv, func(ct *export.CkptTensor) {
+			ct.Shape = []int{-ct.Shape[0], -ct.Shape[1], ct.Shape[2], ct.Shape[3]}
+		}, "does not match"},
+		{"conv-rank-0", conv, func(ct *export.CkptTensor) { ct.Shape, ct.Data = nil, ct.Data[:1] }, "want rank 4"},
+		{"linear-rank-1", lin, func(ct *export.CkptTensor) { ct.Shape = []int{len(ct.Data)} }, "want rank 2"},
+	}
+	pb := mustPredictBody(t)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := *ck
+			bad.Tensors = maps.Clone(ck.Tensors)
+			ct := bad.Tensors[tc.tensor]
+			tc.mutate(&ct)
+			bad.Tensors[tc.tensor] = ct
+			resp, body := postJSON(t, ts.URL+"/v1/models/cnn", checkpointBody(t, &bad))
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), tc.want) {
+				t.Fatalf("upload status %d (%s), want 400 naming %q", resp.StatusCode, body, tc.want)
+			}
+			resp, body = postJSON(t, ts.URL+"/v1/models/cnn:predict", pb)
+			if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"version":1`) {
+				t.Fatalf("predict after rejected upload: status %d (%s), want 200 from version 1", resp.StatusCode, body)
+			}
+		})
 	}
 }
 

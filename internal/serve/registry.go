@@ -412,6 +412,33 @@ func (r *Registry) TraceRing(name string) *trace.Ring {
 	return nil
 }
 
+// Explanation is the per-instruction record of a model's serving
+// version, with shapes at the server's MaxBatch. Its measured columns
+// are filled only when the registry traces.
+type Explanation struct {
+	Model   string                `json:"model"`
+	Version int                   `json:"version"`
+	Instrs  []engine.KernelChoice `json:"instrs"`
+}
+
+// Explain returns name's per-instruction record (engine.Server.Explain).
+func (r *Registry) Explain(name string) (Explanation, error) {
+	e := r.lookup(name)
+	if e == nil {
+		return Explanation{}, ErrNotFound
+	}
+	m := e.current()
+	if m == nil {
+		return Explanation{}, ErrNotFound
+	}
+	defer m.release()
+	rows, err := m.srv.Explain()
+	if err != nil {
+		return Explanation{}, err
+	}
+	return Explanation{Model: name, Version: m.Version, Instrs: rows}, nil
+}
+
 // SampleShape reports the input shape name currently expects.
 func (r *Registry) SampleShape(name string) ([]int, error) {
 	e := r.lookup(name)

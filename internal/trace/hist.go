@@ -5,8 +5,8 @@ import "sync/atomic"
 // OpBucketsNs are the upper bounds of the per-op-kind execution-time
 // histograms (1 µs … 1 s, decade steps with a 2.5/5 split in the
 // µs-to-ms range where kernels actually land); an implicit +Inf bucket
-// follows. Shared with the /metrics exposition so scrapes and profile
-// reports bucket identically.
+// follows. Shared with the /metrics exposition so every op and batch
+// histogram buckets identically.
 var OpBucketsNs = []int64{
 	1_000, 2_500, 5_000,
 	10_000, 25_000, 50_000,

@@ -20,8 +20,7 @@
 // Snapshot returns whatever window is still intact. Alongside the raw
 // spans the Tracer keeps per-op-kind duration histograms (updated on
 // every instruction span, readable at any time) that survive ring
-// wraparound, which is what the /metrics exposition and the
-// measured-vs-modeled profile report consume.
+// wraparound, which is what the /metrics exposition consumes.
 package trace
 
 import (
@@ -301,6 +300,15 @@ func (r *Ring) Record(s Span) {
 			ops[s.Name].observe(s.Dur)
 		}
 	}
+}
+
+// Snapshot copies the ring's intact spans in recording order (nil for
+// a nil ring).
+func (r *Ring) Snapshot() []Span {
+	if r == nil {
+		return nil
+	}
+	return r.appendSnapshot(nil)
 }
 
 // appendSnapshot copies the ring's intact spans onto dst.
