@@ -155,8 +155,8 @@ func NewExecutor(p *Program, inShape []int, opts ...ExecOption) (*Executor, erro
 	for i := range p.Instrs {
 		ex.kern[i], _ = reg.Lookup(p.Instrs[i].Kind)
 	}
-	// Bind-time prep: prepack weights, epilogue constants, and cached
-	// index maps so the first Execute already runs the steady state.
+	// Bind-time prep: prepack weights, epilogue constants and conv
+	// geometry so the first Execute already runs the steady state.
 	for i := range p.Instrs {
 		prep, ok := reg.lookupPrep(p.Instrs[i].Kind)
 		if !ok {
@@ -385,36 +385,15 @@ func makeSlots[T any](slots, n int) [][]T {
 }
 
 // ScratchBytes reports the executor's kernel scratch footprint: planned
-// per-slot panels and accumulator tiles, the im2col index maps of its
-// bound int32 and int64 panel convs (shared maps counted once), plus the
-// grow-only buffers the unprepacked kernels have claimed so far (stable
-// once each batch size that will run has run once). The SWAR convs'
-// index maps (convPackS.idx) are not counted; ROADMAP items 2(f) and 16
-// track the gap.
+// per-slot panels and accumulator tiles plus the grow-only buffers the
+// unprepacked kernels have claimed so far (stable once each batch size
+// that will run has run once).
 func (ex *Executor) ScratchBytes() int64 {
 	bytes := int64(len(ex.slotScratch)*ex.slotNeed) * 8
 	bytes += int64(len(ex.slotU8) * ex.u8Need)
 	bytes += ex.w32.bytes() + ex.w64.bytes()
 	for _, s := range ex.scratchBufs {
 		bytes += int64(cap(s)) * 8
-	}
-	seen := map[*int32]bool{}
-	countIdx := func(idx []int32) {
-		if len(idx) == 0 {
-			return
-		}
-		if k := &idx[0]; !seen[k] {
-			seen[k] = true
-			bytes += int64(len(idx)) * 4
-		}
-	}
-	for _, st := range ex.states {
-		switch cp := st.(type) {
-		case *convPackT[int32]:
-			countIdx(cp.idx)
-		case *convPackT[int64]:
-			countIdx(cp.idx)
-		}
 	}
 	return bytes
 }

@@ -18,8 +18,8 @@ import (
 type KernelFunc func(ex *Executor, idx int, it *Instr, in []*tensor.IntTensor, out *tensor.IntTensor)
 
 // PrepFunc builds per-instruction kernel state at executor bind time:
-// prepacked weight panels, epilogue constant vectors, cached im2col
-// index maps, scratch reservations. The returned state lands in the
+// prepacked weight panels, epilogue constant vectors, conv geometry,
+// scratch reservations. The returned state lands in the
 // executor's KernelState slot before the first Execute, so the steady
 // state runs with zero shape math and zero allocation.
 type PrepFunc func(ex *Executor, idx int, it *Instr) (any, error)
@@ -241,8 +241,8 @@ func kernelLinearRef(ex *Executor, idx int, it *Instr, in []*tensor.IntTensor, o
 }
 
 // FastKernels returns the default kernel set: conv and linear bind
-// prepacked state at executor construction (weight panels, cached im2col
-// index maps, epilogue constant vectors) and run tiled integer GEMM with
+// prepacked state at executor construction (weight panels, conv
+// geometry, epilogue constant vectors) and run tiled integer GEMM with
 // per-slot scratch, so steady-state execution does no shape math and no
 // allocation. Grouped/depthwise convolution takes a dedicated
 // register-blocked direct kernel. The set is dtype-aware: executors plan

@@ -3,10 +3,10 @@ package engine
 // Prepacked kernels: NewExecutor precomputes everything a conv/linear
 // instruction needs that does not depend on the input values — weight
 // panels blocked for the GEMM microkernel, zero-point row sums, expanded
-// requantization constants, fused-epilogue constants, and a cached
-// im2col gather-index map per (input shape, ConvParams) — so the steady
-// state is a pure indexed gather feeding a register-blocked integer GEMM
-// with the whole epilogue applied while the tile is hot.
+// requantization constants, fused-epilogue constants, and each conv's
+// geometry — so the steady state is an im2col gather whose addresses come
+// from stride, padding and kernel counters, feeding a register-blocked
+// integer GEMM with the whole epilogue applied while the tile is hot.
 //
 // There is one driver per layout — dense conv (convPackT), grouped or
 // depthwise conv (gconvPackT), linear (linPackT) and the batched
@@ -207,12 +207,6 @@ func rowSumsScaled(w []int64, o, k int, z int64) []int64 {
 	return sums
 }
 
-// convKey identifies a cached im2col gather-index map: everything the
-// map depends on except the batch size (maps are per-sample).
-type convKey struct {
-	c, h, w, kH, kW, stride, pad int
-}
-
 // sharedPack is the shape-independent part of an instruction's
 // prepacked state — weight panels, zero-point row sums, expanded
 // epilogue constants. It is built once per (instruction, variant) and
@@ -253,14 +247,12 @@ func weightFP(w *tensor.IntTensor) uint64 {
 	return h
 }
 
-// packCache is the per-Program store of shared prepacked state and
-// im2col index maps. A server's workers build executors lazily and
-// concurrently, so access is mutex-guarded; everything handed out is
-// immutable after construction.
+// packCache is the per-Program store of shared prepacked state. A
+// server's workers build executors lazily and concurrently, so access is
+// mutex-guarded; everything handed out is immutable after construction.
 type packCache struct {
 	mu     sync.Mutex
 	shared map[sharedKey]*sharedPack
-	idx    map[convKey][]int32
 }
 
 // sharedFor returns (building on first use) the shared pack for key.
@@ -278,52 +270,73 @@ func (pc *packCache) sharedFor(key sharedKey, build func() *sharedPack) *sharedP
 	return s
 }
 
-// indexMap returns (building on first use) the gather-index map for a
-// conv geometry; identical geometries across instructions and executors
-// share one map.
-func (pc *packCache) indexMap(key convKey) []int32 {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	if pc.idx == nil {
-		pc.idx = map[convKey][]int32{}
-	}
-	if m, ok := pc.idx[key]; ok {
-		return m
-	}
-	m := buildIndexMap(key)
-	pc.idx[key] = m
-	return m
+// convGeom is a conv's im2col geometry: c×h×w input planes, a kH×kW
+// kernel, stride and padding, the oh×ow output, and the interior output
+// rows [oyLo, oyHi) and columns [oxLo, oxHi) whose taps are all in
+// bounds. The gathers compute every tap's address from it, as an
+// accelerator's address generator does from its stride, padding and
+// kernel counters.
+type convGeom struct {
+	c, h, w, kH, kW        int
+	stride, pad, oh, ow    int
+	oyLo, oyHi, oxLo, oxHi int
 }
 
-// buildIndexMap enumerates, for every output site and every im2col
-// column (ch, ky, kx order), the source offset within
-// one sample's data, or -1 for a padded tap.
-func buildIndexMap(key convKey) []int32 {
-	pp := tensor.ConvParams{Stride: key.stride, Padding: key.pad}
-	oh, ow := pp.ConvOutSize(key.h, key.kH), pp.ConvOutSize(key.w, key.kW)
-	colW := key.c * key.kH * key.kW
-	idx := make([]int32, oh*ow*colW)
-	pos := 0
-	for oy := 0; oy < oh; oy++ {
-		for ox := 0; ox < ow; ox++ {
-			for ch := 0; ch < key.c; ch++ {
-				base := ch * key.h * key.w
-				for ky := 0; ky < key.kH; ky++ {
-					iy := oy*key.stride - key.pad + ky
-					for kx := 0; kx < key.kW; kx++ {
-						ix := ox*key.stride - key.pad + kx
-						if iy >= 0 && iy < key.h && ix >= 0 && ix < key.w {
-							idx[pos] = int32(base + iy*key.w + ix)
-						} else {
-							idx[pos] = -1
-						}
-						pos++
-					}
-				}
-			}
-		}
+// newConvGeom builds the geometry of a kH×kW conv over the NCHW shape
+// in; InferShapes has admitted it (pad ≥ 0, window within the padded
+// input), so oh and ow are at least 1.
+func newConvGeom(in []int, p tensor.ConvParams, kH, kW int) convGeom {
+	if p.Stride <= 0 {
+		p.Stride = 1
 	}
-	return idx
+	g := convGeom{c: in[1], h: in[2], w: in[3], kH: kH, kW: kW, stride: p.Stride, pad: p.Padding}
+	g.oh, g.ow = p.ConvOutSize(g.h, kH), p.ConvOutSize(g.w, kW)
+	g.oyLo, g.oyHi = interiorRange(g.oh, g.h, kH, g.stride, g.pad)
+	g.oxLo, g.oxHi = interiorRange(g.ow, g.w, kW, g.stride, g.pad)
+	return g
+}
+
+// interiorRange returns [lo, hi) over output positions whose taps are
+// all in bounds for one spatial axis.
+func interiorRange(outN, inN, k, stride, pad int) (int, int) {
+	lo := 0
+	if pad > 0 {
+		lo = (pad + stride - 1) / stride
+	}
+	hi := (inN - k + pad) / stride
+	hi++
+	if hi > outN {
+		hi = outN
+	}
+	if lo > hi {
+		lo = hi
+	}
+	return lo, hi
+}
+
+// taps returns the in-bounds taps [k0, k1) of output position o along
+// one axis of input length n; the range is empty when the whole window
+// lies in the padding.
+func taps(o, n, k, stride, pad int) (k0, k1 int) {
+	i0 := o*stride - pad
+	k0 = min(max(-i0, 0), k)
+	return k0, max(min(k, n-i0), k0)
+}
+
+// window is the border rule shared by every conv kernel. For output site
+// (oy, ox), kernel row ky is in range iff ky0 ≤ ky < ky1, and an
+// in-range tap row is one contiguous kW-long input run clipped to the
+// nonempty columns [kx0, kx1); tap (ky, kx) of channel ch sits at
+// ch·h·w + base + ky·w + kx. base is tap (0, 0)'s offset, which lies
+// outside the plane when the window overhangs the top or left border.
+// A window wholly in the padding has no row in range.
+func (g *convGeom) window(oy, ox int) (ky0, ky1, kx0, kx1, base int) {
+	ky0, ky1 = taps(oy, g.h, g.kH, g.stride, g.pad)
+	kx0, kx1 = taps(ox, g.w, g.kW, g.stride, g.pad)
+	if kx0 == kx1 {
+		ky1 = ky0
+	}
+	return ky0, ky1, kx0, kx1, (oy*g.stride-g.pad)*g.w + ox*g.stride - g.pad
 }
 
 // typedData returns a tensor's concrete storage slice; the caller's
@@ -355,13 +368,11 @@ func typedData[A tensor.Elem](t *tensor.IntTensor) []A {
 // comes from the input view each job grid is built for; tm holds the
 // site tile per batch size.
 type convPackT[C accum] struct {
-	c, h, w          int
+	convGeom
 	o, colW, spatial int
 	np               int
 	tm               []int
-	sampleElems      int
 	ad               tensor.DType
-	idx              []int32
 	wp               []C
 	skip             *panelSkip
 	nm               *nmPack
@@ -370,18 +381,16 @@ type convPackT[C accum] struct {
 }
 
 // gconvPackT is the bound state of a grouped/depthwise convolution: tap
-// offsets for the register-blocked direct loop plus the interior region
-// where no bounds checks are needed.
+// offsets for the register-blocked direct loop over the geometry's
+// interior, where no bounds checks are needed.
 type gconvPackT[C accum] struct {
-	c, h, w                int
-	o, og, cg, kH, kW      int
-	oh, ow, stride, pad    int
-	oyLo, oyHi, oxLo, oxHi int
-	ad                     tensor.DType
-	off                    []int32 // cg·kH·kW tap offsets within the group slab
-	wv                     []C     // row-major [o][cg·kH·kW]
-	zsum                   []int64
-	epi                    epi
+	convGeom
+	o, og, cg int
+	ad        tensor.DType
+	off       []int32 // cg·kH·kW tap offsets within the group slab
+	wv        []C     // row-major [o][cg·kH·kW]
+	zsum      []int64
+	epi       epi
 }
 
 // linPackT is the bound state of a linear layer (row-tiled; each job
@@ -475,19 +484,11 @@ func prepConv(ex *Executor, idx int, it *Instr) (any, error) {
 func prepConvT[C accum](ex *Executor, idx int, it *Instr) any {
 	in := ex.plan.Shapes[it.In[0]]
 	ad := ex.plan.DTypes[it.In[0]]
-	pp := it.P
-	if pp.Stride <= 0 {
-		pp.Stride = 1
-	}
-	if pp.Groups <= 0 {
-		pp.Groups = 1
-	}
-	c, h, w := in[1], in[2], in[3]
 	o, cg, kH, kW := it.W.Shape[0], it.W.Shape[1], it.W.Shape[2], it.W.Shape[3]
-	oh, ow := pp.ConvOutSize(h, kH), pp.ConvOutSize(w, kW)
+	g := newConvGeom(in, it.P, kH, kW)
 	key := sharedKey{idx: idx, wide: isWide[C](), fp: weightFP(it.W)}
 	bufs := slotsOf[C](ex)
-	if pp.Groups > 1 {
+	if groups := it.P.Groups; groups > 1 {
 		sh := ex.prog.packs().sharedFor(key, func() *sharedPack {
 			return &sharedPack{
 				wp:   packRows[C](it.W.Data),
@@ -496,35 +497,29 @@ func prepConvT[C accum](ex *Executor, idx int, it *Instr) any {
 			}
 		})
 		st := &gconvPackT[C]{
-			c: c, h: h, w: w,
-			o: o, og: o / pp.Groups, cg: cg, kH: kH, kW: kW,
-			oh: oh, ow: ow, stride: pp.Stride, pad: pp.Padding,
+			convGeom: g,
+			o:        o, og: o / groups, cg: cg,
 			ad:   ad,
 			wv:   sh.wp.([]C),
 			zsum: sh.zsum,
 			epi:  sh.epi,
 		}
-		// Interior: output sites whose whole receptive field is in bounds.
-		st.oyLo, st.oyHi = interiorRange(oh, h, kH, pp.Stride, pp.Padding)
-		st.oxLo, st.oxHi = interiorRange(ow, w, kW, pp.Stride, pp.Padding)
-		st.off = make([]int32, cg*kH*kW)
-		t := 0
+		st.off = make([]int32, 0, cg*kH*kW)
 		for ch := 0; ch < cg; ch++ {
 			for ky := 0; ky < kH; ky++ {
 				for kx := 0; kx < kW; kx++ {
-					st.off[t] = int32(ch*h*w + ky*w + kx)
-					t++
+					st.off = append(st.off, int32(ch*g.h*g.w+ky*g.w+kx))
 				}
 			}
 		}
 		// Staging: the widened fused branch in the int64 slot, and the
 		// widened input group slab plus the raw accumulator plane in the
 		// C slot.
-		ex.NeedSlotScratch(oh * ow)
-		bufs.reserve(cg*h*w+oh*ow, 0)
+		ex.NeedSlotScratch(g.oh * g.ow)
+		bufs.reserve(cg*g.h*g.w+g.oh*g.ow, 0)
 		return st
 	}
-	colW := c * kH * kW
+	colW := g.c * kH * kW
 	sh := ex.prog.packs().sharedFor(key, func() *sharedPack {
 		return &sharedPack{
 			wp:   packPanels[C](it.W.Data, o, colW),
@@ -533,14 +528,12 @@ func prepConvT[C accum](ex *Executor, idx int, it *Instr) any {
 		}
 	})
 	st := &convPackT[C]{
-		c: c, h: h, w: w,
-		o: o, colW: colW, spatial: oh * ow,
-		sampleElems: c * h * w,
-		ad:          ad,
-		idx:         ex.prog.packs().indexMap(convKey{c: c, h: h, w: w, kH: kH, kW: kW, stride: pp.Stride, pad: pp.Padding}),
-		wp:          sh.wp.([]C),
-		zsum:        sh.zsum,
-		epi:         sh.epi,
+		convGeom: g,
+		o:        o, colW: colW, spatial: g.oh * g.ow,
+		ad:   ad,
+		wp:   sh.wp.([]C),
+		zsum: sh.zsum,
+		epi:  sh.epi,
 	}
 	tms, tm := ex.tilesByBatch(func(n int) int {
 		return splitTileM(tileSites(colW, st.spatial), st.spatial, n, ex.kernelWorkers())
@@ -561,24 +554,6 @@ func prepConvT[C accum](ex *Executor, idx int, it *Instr) any {
 	ex.NeedSlotScratch(tm)
 	bufs.reserve(tm*colW, tm*st.o)
 	return st
-}
-
-// interiorRange returns [lo, hi) over output positions whose taps are
-// all in bounds for one spatial axis.
-func interiorRange(outN, inN, k, stride, pad int) (int, int) {
-	lo := 0
-	if pad > 0 {
-		lo = (pad + stride - 1) / stride
-	}
-	hi := (inN - k + pad) / stride
-	hi++
-	if hi > outN {
-		hi = outN
-	}
-	if lo > hi {
-		lo = hi
-	}
-	return lo, hi
 }
 
 // prepLinear binds a linear instruction with prepConv's precedence;
@@ -732,8 +707,8 @@ func (st *convPackT[C]) jobs(ex *Executor, idx int, it *Instr, in []*tensor.IntT
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
 // convJob builds the per-(sample, site-tile) job body: gather the tile's
-// im2col panel — widening the storage dtype to C — through the cached
-// index map, run the register-blocked GEMM into the slot's channel-major
+// im2col panel — widening the storage dtype to C — from the conv
+// geometry, run the register-blocked GEMM into the slot's channel-major
 // accumulator tile, then finish channel by channel straight into the
 // NCHW output planes.
 func convJob[A tensor.Elem, C accum](ex *Executor, st *convPackT[C], it *Instr, in []*tensor.IntTensor, out *tensor.IntTensor, tm int) func(job, slot int) {
@@ -745,6 +720,7 @@ func convJob[A tensor.Elem, C accum](ex *Executor, st *convPackT[C], it *Instr, 
 	bufs := slotsOf[C](ex)
 	colW, o := st.colW, st.o
 	tiles := ceilDiv(st.spatial, tm)
+	se := st.c * st.h * st.w
 	return func(job, slot int) {
 		ni, t := job/tiles, job%tiles
 		s0 := t * tm
@@ -753,8 +729,7 @@ func convJob[A tensor.Elem, C accum](ex *Executor, st *convPackT[C], it *Instr, 
 			m = st.spatial - s0
 		}
 		panel := bufs.panel[slot][:m*colW]
-		sample := xs[ni*st.sampleElems : (ni+1)*st.sampleElems]
-		gatherPanel(panel, sample, st.idx[s0*colW:(s0+m)*colW], colW, m)
+		gatherPanel(panel, xs[ni*se:(ni+1)*se], &st.convGeom, s0, m)
 		// Accumulator tile is channel-major [o][m]: the GEMM scatters four
 		// writes per site pair, and the epilogue walks each channel's
 		// accumulators contiguously.
@@ -849,20 +824,36 @@ func storeAccRow[C accum](acc []C, base, nch int, c0, c1, c2, c3 C) {
 	}
 }
 
-// gatherPanel fills a [m, colW] im2col panel from one sample's typed
-// codes via the index map, widening at the gather (raw values; padded
-// taps contribute 0 — the zero point is folded into the epilogue's
-// row-sum correction).
-func gatherPanel[A tensor.Elem, C accum](panel []C, xs []A, idx []int32, colW, m int) {
+// gatherPanel fills a [m, c·kH·kW] im2col panel for sites [s0, s0+m) of
+// one sample's typed codes. Each site's tap runs come from the geometry's
+// border rule and widen at the gather (raw values); every other tap is
+// padding and reads 0 — the zero point is folded into the epilogue's
+// row-sum correction.
+func gatherPanel[A tensor.Elem, C accum](panel []C, xs []A, g *convGeom, s0, m int) {
+	colW, hw := g.c*g.kH*g.kW, g.h*g.w
+	oy, ox := s0/g.ow, s0%g.ow
 	for i := 0; i < m; i++ {
 		row := panel[i*colW : (i+1)*colW]
-		irow := idx[i*colW : (i+1)*colW]
-		for j, id := range irow {
-			if id >= 0 {
-				row[j] = C(xs[id])
-			} else {
-				row[j] = 0
+		ky0, ky1, kx0, kx1, base := g.window(oy, ox)
+		n := kx1 - kx0
+		if (ky1-ky0)*n < g.kH*g.kW {
+			clear(row)
+		}
+		for ch := 0; ch < g.c; ch++ {
+			tap := ch*hw + base + ky0*g.w + kx0
+			p := (ch*g.kH+ky0)*g.kW + kx0
+			for ky := ky0; ky < ky1; ky++ {
+				src := xs[tap : tap+n]
+				dst := row[p:][:len(src)]
+				for t, v := range src {
+					dst[t] = C(v)
+				}
+				tap += g.w
+				p += g.kW
 			}
+		}
+		if ox++; ox == g.ow {
+			ox, oy = 0, oy+1
 		}
 	}
 }
@@ -969,24 +960,18 @@ func gconvJob[A tensor.Elem, C accum](ex *Executor, st *gconvPackT[C], it *Instr
 	}
 }
 
-// borderAcc accumulates one output site with per-tap bounds checks over
-// the widened group slab (raw codes; out-of-bounds taps contribute 0).
+// borderAcc accumulates one output site over the widened group slab
+// (raw codes), reading only the in-bounds tap runs the geometry's border
+// rule yields; padded taps contribute 0.
 func (st *gconvPackT[C]) borderAcc(xw, wv []C, oy, ox int) C {
+	ky0, ky1, kx0, kx1, base := st.window(oy, ox)
 	var s C
 	for ch := 0; ch < st.cg; ch++ {
-		xb := ch * st.h * st.w
-		for ky := 0; ky < st.kH; ky++ {
-			iy := oy*st.stride - st.pad + ky
-			if iy < 0 || iy >= st.h {
-				continue
-			}
-			row := xw[xb+iy*st.w : xb+(iy+1)*st.w]
-			wRow := wv[(ch*st.kH+ky)*st.kW : (ch*st.kH+ky+1)*st.kW]
-			for kx := 0; kx < st.kW; kx++ {
-				ix := ox*st.stride - st.pad + kx
-				if ix >= 0 && ix < st.w {
-					s += row[ix] * wRow[kx]
-				}
+		for ky := ky0; ky < ky1; ky++ {
+			off := ch*st.h*st.w + base + ky*st.w
+			wRow := wv[(ch*st.kH+ky)*st.kW+kx0:]
+			for kx, v := range xw[off+kx0 : off+kx1] {
+				s += v * wRow[kx]
 			}
 		}
 	}

@@ -127,8 +127,8 @@ type Program struct {
 	BufDTypes []tensor.DType
 
 	// pack caches prepacked kernel state that is batch- and
-	// executor-independent (weight panels, zero-point row sums, im2col
-	// index maps), so a server's many (worker, batch-size) executors
+	// executor-independent (weight panels, zero-point row sums, epilogue
+	// constants), so a server's many (worker, batch-size) executors
 	// bind against one copy instead of re-packing the model each time.
 	pack *packCache
 
@@ -351,11 +351,15 @@ func (p *Program) InferShapes(inShape []int) ([][]int, error) {
 				return nil, fmt.Errorf("engine: %s input channels %d, weight %v with %d groups expects %d",
 					it.Name, in[1], it.W.Shape, groups, it.W.Shape[1]*groups)
 			}
-			oh, ow := pp.ConvOutSize(in[2], kH), pp.ConvOutSize(in[3], kW)
-			if oh <= 0 || ow <= 0 {
-				return nil, fmt.Errorf("engine: %s input %v too small for %dx%d kernel", it.Name, in, kH, kW)
+			// The window must fit the padded input: ConvOutSize truncates
+			// toward zero, so a larger window would still yield 1.
+			if pp.Padding < 0 {
+				return nil, fmt.Errorf("engine: %s negative padding %d", it.Name, pp.Padding)
 			}
-			natural = []int{in[0], o, oh, ow}
+			if in[2]+2*pp.Padding < kH || in[3]+2*pp.Padding < kW {
+				return nil, fmt.Errorf("engine: %s input %v with padding %d too small for %dx%d kernel", it.Name, in, pp.Padding, kH, kW)
+			}
+			natural = []int{in[0], o, pp.ConvOutSize(in[2], kH), pp.ConvOutSize(in[3], kW)}
 		case OpLinear:
 			// Row-major [..., K] inputs of any rank ≥ 2: the kernel treats
 			// leading dimensions as rows (ViT token tensors are [N,T,D]).
@@ -367,18 +371,17 @@ func (p *Program) InferShapes(inShape []int) ([][]int, error) {
 			if len(in) != 4 {
 				return nil, fmt.Errorf("engine: %s input rank %d, want NCHW", it.Name, len(in))
 			}
-			if it.Kernel == 0 {
+			switch {
+			case it.Kernel == 0:
 				natural = []int{in[0], in[1], 1, 1}
-			} else {
+			case it.Kernel < 0 || it.Kernel > in[2] || it.Kernel > in[3]:
+				return nil, fmt.Errorf("engine: %s pool kernel %d outside [1, %d] for input %v", it.Name, it.Kernel, min(in[2], in[3]), in)
+			default:
 				st := it.Stride
 				if st <= 0 {
 					st = it.Kernel
 				}
-				oh, ow := (in[2]-it.Kernel)/st+1, (in[3]-it.Kernel)/st+1
-				if oh <= 0 || ow <= 0 {
-					return nil, fmt.Errorf("engine: %s input %v too small for %d-pool", it.Name, in, it.Kernel)
-				}
-				natural = []int{in[0], in[1], oh, ow}
+				natural = []int{in[0], in[1], (in[2]-it.Kernel)/st + 1, (in[3]-it.Kernel)/st + 1}
 			}
 		case OpFlatten:
 			natural = []int{in[0], tensor.Numel(in) / in[0]}

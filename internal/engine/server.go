@@ -710,11 +710,7 @@ func (s *Server) CostStats() CostStats {
 // MaxBatch. With typed storage the arena share is byte-accurate per
 // buffer dtype. Scratch is re-sampled the first time each batch size
 // runs, so it is the executors' steady-state footprint for the sizes
-// served so far. Scratch counts the im2col index maps of the int32 and
-// int64 panel convs, attributed to each executor that references them
-// (so a multi-worker sum slightly overstates the shared maps), but not
-// the SWAR convs' maps (convPackS.idx), so it understates a SWAR-bound
-// program's footprint; ROADMAP items 2(f) and 16 track the gap.
+// served so far.
 type ServerMemStats struct {
 	ArenaBytes   int64 `json:"arena_bytes"`
 	ScratchBytes int64 `json:"scratch_bytes"`

@@ -40,17 +40,11 @@ const swarLanes = intmath.SwarLanes
 // are ONLY legal with skip set. As in convPackT, the batch size comes
 // from the input view and tm holds the site tile per batch size.
 type convPackS struct {
-	c, h, w          int
+	convGeom
 	o, colW, spatial int
 	np               int
 	tm               []int
-	sampleElems      int
-	kH, kW           int
-	stride, pad, ow  int
-	oyLo, oyHi       int // interior rows: all taps in bounds
-	oxLo, oxHi       int // interior cols
 	ad               tensor.DType
-	idx              []int32
 	wps              []uint64
 	skip             *panelSkip
 	zsum             []int64 // z·Σw per channel (epilogue correction)
@@ -157,24 +151,15 @@ func prepConvSwar(ex *Executor, idx int, it *Instr) (any, error) {
 	if ad != tensor.I8 && ad != tensor.U8 {
 		return nil, fmt.Errorf("engine: swar conv %s input dtype %s", it.Name, ad)
 	}
-	pp := it.P
-	if pp.Stride <= 0 {
-		pp.Stride = 1
-	}
-	c, h, w := in[1], in[2], in[3]
-	o, _, kH, kW := it.W.Shape[0], it.W.Shape[1], it.W.Shape[2], it.W.Shape[3]
-	oh, ow := pp.ConvOutSize(h, kH), pp.ConvOutSize(w, kW)
-	colW := c * kH * kW
+	o, kH, kW := it.W.Shape[0], it.W.Shape[2], it.W.Shape[3]
+	g := newConvGeom(in, it.P, kH, kW)
+	colW := g.c * kH * kW
 	ba, bw := swarBiases(ad, it.W)
 	sh := swarShared(ex, idx, it, o, colW, ba, bw)
 	st := &convPackS{
-		c: c, h: h, w: w,
-		o: o, colW: colW, spatial: oh * ow,
-		sampleElems: c * h * w,
-		kH:          kH, kW: kW,
-		stride: pp.Stride, pad: pp.Padding, ow: ow,
+		convGeom: g,
+		o:        o, colW: colW, spatial: g.oh * g.ow,
 		ad:    ad,
-		idx:   ex.prog.packs().indexMap(convKey{c: c, h: h, w: w, kH: kH, kW: kW, stride: pp.Stride, pad: pp.Padding}),
 		wps:   sh.wps,
 		zsum:  sh.zsum,
 		bcorr: sh.bcorr,
@@ -182,8 +167,6 @@ func prepConvSwar(ex *Executor, idx int, it *Instr) (any, error) {
 		bw:    bw,
 		epi:   sh.epi,
 	}
-	st.oyLo, st.oyHi = interiorRange(oh, h, kH, pp.Stride, pp.Padding)
-	st.oxLo, st.oxHi = interiorRange(ow, w, kW, pp.Stride, pp.Padding)
 	if sp := ex.sparseInstr(idx); sp != nil && ex.sparsePickFor(idx) == pickPairSwar {
 		st.skip = sp.skip
 	}
@@ -242,22 +225,21 @@ func prepLinearSwar(ex *Executor, idx int, it *Instr) (any, error) {
 	return st, nil
 }
 
-// gatherPanelBytes fills a [m, colW] biased byte panel for sites
+// gatherPanelBytes fills a [m, c·kH·kW] biased byte panel for sites
 // [s0, s0+m) of one sample and records each site's byte sum ΣA'.
 // Interior sites (every tap in bounds) gather kW-contiguous byte runs
-// straight from the input planes — no index loads, no branches; border
-// sites fall back to the index map, where padded taps write the bias
-// byte (raw 0), exactly mirroring the raw gather's zero-fill.
-func gatherPanelBytes[A tensor.Elem](panel []uint8, sums []int64, xs []A, st *convPackS, s0, m int) {
-	ba := st.ba
-	colW := st.colW
-	kW, kH, hw := st.kW, st.kH, st.h*st.w
-	oy := s0 / st.ow
-	ox := s0 - oy*st.ow
+// straight from the input planes with no branches. Border sites take the
+// geometry's border rule: the in-bounds tap runs are biased as usual and
+// every padded tap writes the bias byte (raw 0), exactly mirroring the
+// raw gather's zero-fill.
+func gatherPanelBytes[A tensor.Elem](panel []uint8, sums []int64, xs []A, g *convGeom, ba int64, s0, m int) {
+	kW, kH, hw := g.kW, g.kH, g.h*g.w
+	colW := g.c * kH * kW
+	oy, ox := s0/g.ow, s0%g.ow
 	for i := 0; i < m; i++ {
 		row := panel[i*colW : (i+1)*colW]
-		if oy >= st.oyLo && oy < st.oyHi && ox >= st.oxLo && ox < st.oxHi {
-			base := (oy*st.stride-st.pad)*st.w + ox*st.stride - st.pad
+		if oy >= g.oyLo && oy < g.oyHi && ox >= g.oxLo && ox < g.oxHi {
+			base := (oy*g.stride-g.pad)*g.w + ox*g.stride - g.pad
 			var sum int64
 			switch {
 			case kW == 1 && kH == 1:
@@ -274,7 +256,7 @@ func gatherPanelBytes[A tensor.Elem](panel []uint8, sums []int64, xs []A, st *co
 				// contiguous bytes.
 				p := 0
 				tapc := base
-				for ch := 0; ch < st.c; ch++ {
+				for ch := 0; ch < g.c; ch++ {
 					tap := tapc
 					for ky := 0; ky < kH; ky++ {
 						src := xs[tap : tap+3]
@@ -286,7 +268,7 @@ func gatherPanelBytes[A tensor.Elem](panel []uint8, sums []int64, xs []A, st *co
 						dst[1] = b1
 						dst[2] = b2
 						sum += int64(b0) + int64(b1) + int64(b2)
-						tap += st.w
+						tap += g.w
 						p += 3
 					}
 					tapc += hw
@@ -294,7 +276,7 @@ func gatherPanelBytes[A tensor.Elem](panel []uint8, sums []int64, xs []A, st *co
 			default:
 				p := 0
 				tapc := base
-				for ch := 0; ch < st.c; ch++ {
+				for ch := 0; ch < g.c; ch++ {
 					tap := tapc
 					for ky := 0; ky < kH; ky++ {
 						src := xs[tap : tap+kW]
@@ -304,7 +286,7 @@ func gatherPanelBytes[A tensor.Elem](panel []uint8, sums []int64, xs []A, st *co
 							dst[t] = b
 							sum += int64(b)
 						}
-						tap += st.w
+						tap += g.w
 						p += kW
 					}
 					tapc += hw
@@ -312,21 +294,35 @@ func gatherPanelBytes[A tensor.Elem](panel []uint8, sums []int64, xs []A, st *co
 			}
 			sums[i] = sum
 		} else {
-			irow := st.idx[(oy*st.ow+ox)*colW:][:colW]
-			pad := uint8(ba)
-			var sum int64
-			for j, id := range irow {
-				b := pad
-				if id >= 0 {
-					b = uint8(int64(xs[id]) + ba)
+			ky0, ky1, kx0, kx1, base := g.window(oy, ox)
+			// Fill the row with the bias byte, then overwrite the tap
+			// runs; the doubling copies run as memmoves, which a byte
+			// loop over the whole row does not.
+			row[0] = uint8(ba)
+			for n := 1; n < len(row); n *= 2 {
+				copy(row[n:], row[:n])
+			}
+			n := kx1 - kx0
+			sum := int64(colW-g.c*(ky1-ky0)*n) * ba
+			for ch := 0; ch < g.c; ch++ {
+				tap := ch*hw + base + ky0*g.w + kx0
+				p := (ch*kH+ky0)*kW + kx0
+				for ky := ky0; ky < ky1; ky++ {
+					src := xs[tap : tap+n]
+					dst := row[p:][:len(src)]
+					for t, v := range src {
+						b := uint8(int64(v) + ba)
+						dst[t] = b
+						sum += int64(b)
+					}
+					tap += g.w
+					p += kW
 				}
-				row[j] = b
-				sum += int64(b)
 			}
 			sums[i] = sum
 		}
 		ox++
-		if ox == st.ow {
+		if ox == g.ow {
 			ox = 0
 			oy++
 		}
@@ -449,6 +445,7 @@ func convSwarJob[A tensor.Elem](ex *Executor, st *convPackS, it *Instr, in []*te
 	}
 	colW, o := st.colW, st.o
 	tiles := ceilDiv(st.spatial, tm)
+	se := st.c * st.h * st.w
 	return func(job, slot int) {
 		ni, t := job/tiles, job%tiles
 		s0 := t * tm
@@ -459,8 +456,7 @@ func convSwarJob[A tensor.Elem](ex *Executor, st *convPackS, it *Instr, in []*te
 		panel := ex.slotU8[slot][:m*colW]
 		sc := ex.SlotScratch(slot)
 		addw, sums := sc[:tm], sc[tm:tm+m]
-		sample := xs[ni*st.sampleElems : (ni+1)*st.sampleElems]
-		gatherPanelBytes(panel, sums, sample, st, s0, m)
+		gatherPanelBytes(panel, sums, xs[ni*se:(ni+1)*se], &st.convGeom, st.ba, s0, m)
 		acc := ex.w32.acc[slot]
 		if st.skip != nil {
 			gemmPanelsSwarSparse(acc, panel, st.wps, st.skip, st.bcorr, st.bw, m, colW, o, st.np, m, 1)

@@ -8,6 +8,7 @@ package engine_test
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -135,6 +136,29 @@ func TestResNet20ArenaBudget(t *testing.T) {
 	if plan.ArenaBytes > resnet20ArenaBudgetBytes {
 		t.Fatalf("resnet20 batch-8 arena %d B exceeds committed budget %d B",
 			plan.ArenaBytes, resnet20ArenaBudgetBytes)
+	}
+}
+
+// TestFirstBindAllocatesUnderBudget: binding a freshly compiled resnet20
+// program at batch 8 — its first NewExecutor, which builds the shared
+// weight panels as well as the arenas and slot buffers — allocates under
+// 1 MiB. Conv addresses come from the geometry, so binding builds no
+// per-shape index map (those alone were 732 KiB here). GOMAXPROCS is 1
+// during the bind so TotalAlloc counts little besides it.
+func TestFirstBindAllocatesUnderBudget(t *testing.T) {
+	calib, _ := data.Generate(data.SynthCIFAR10, 48, 8)
+	_, prog := compileZoo(t, "resnet20", calib)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := engine.NewExecutor(prog, []int{8, 3, 32, 32}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("resnet20 first bind at batch 8: %d KiB", got>>10)
+	if got >= 1<<20 {
+		t.Fatalf("first bind allocated %d KiB, want under 1 MiB", got>>10)
 	}
 }
 

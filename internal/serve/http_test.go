@@ -323,9 +323,10 @@ func TestHTTPRejectsBadRequests(t *testing.T) {
 
 // TestHTTPUploadRejectsCorruptTensors: a checkpoint upload whose
 // weight tensor does not match its shape (a data length off by one, a
-// negative dimension) or has the wrong rank for its conv or linear
-// instruction gets a 400 naming the fault, and the model it would have
-// replaced keeps serving.
+// negative dimension), has the wrong rank for its conv or linear
+// instruction, or whose conv or pool window does not fit its input gets
+// a 400 naming the fault, and the model it would have replaced keeps
+// serving.
 func TestHTTPUploadRejectsCorruptTensors(t *testing.T) {
 	ck, _ := buildCheckpoint(t, 6)
 	reg := serve.NewRegistry(serve.Options{CacheCapacity: -1})
@@ -340,26 +341,57 @@ func TestHTTPUploadRejectsCorruptTensors(t *testing.T) {
 		weight[engine.OpKind(is.Kind)] = is.Weight
 	}
 	conv, lin := weight[engine.OpConv], weight[engine.OpLinear]
+	inTensor := func(name string, f func(*export.CkptTensor)) func(*export.Checkpoint) {
+		return func(ck *export.Checkpoint) {
+			ct := ck.Tensors[name]
+			f(&ct)
+			ck.Tensors[name] = ct
+		}
+	}
+	// inInstr edits the nth instruction of kind k (the convs are 3×3: the
+	// first at stride 1, the second at stride 2; the pool sees a 4×4 map
+	// at the 8×8 input).
+	inInstr := func(k engine.OpKind, nth int, f func(*export.InstrSpec)) func(*export.Checkpoint) {
+		for i, is := range ck.Program.Instrs {
+			if engine.OpKind(is.Kind) != k {
+				continue
+			}
+			if nth--; nth < 0 {
+				return func(ck *export.Checkpoint) { f(&ck.Program.Instrs[i]) }
+			}
+		}
+		t.Fatalf("no %s instruction to edit", k)
+		return nil
+	}
+	unpadConv2 := inInstr(engine.OpConv, 1, func(is *export.InstrSpec) { is.Padding = 0 })
 	cases := []struct {
-		name, tensor string
-		mutate       func(*export.CkptTensor)
-		want         string
+		name   string
+		mutate func(*export.Checkpoint)
+		want   string
 	}{
-		{"data-length", conv, func(ct *export.CkptTensor) { ct.Data = ct.Data[1:] }, "does not match"},
-		{"negative-dim", conv, func(ct *export.CkptTensor) {
+		{"data-length", inTensor(conv, func(ct *export.CkptTensor) { ct.Data = ct.Data[1:] }), "does not match"},
+		{"negative-dim", inTensor(conv, func(ct *export.CkptTensor) {
 			ct.Shape = []int{-ct.Shape[0], -ct.Shape[1], ct.Shape[2], ct.Shape[3]}
-		}, "does not match"},
-		{"conv-rank-0", conv, func(ct *export.CkptTensor) { ct.Shape, ct.Data = nil, ct.Data[:1] }, "want rank 4"},
-		{"linear-rank-1", lin, func(ct *export.CkptTensor) { ct.Shape = []int{len(ct.Data)} }, "want rank 2"},
+		}), "does not match"},
+		{"conv-rank-0", inTensor(conv, func(ct *export.CkptTensor) { ct.Shape, ct.Data = nil, ct.Data[:1] }), "want rank 4"},
+		{"linear-rank-1", inTensor(lin, func(ct *export.CkptTensor) { ct.Shape = []int{len(ct.Data)} }), "want rank 2"},
+		{"conv-negative-padding", inInstr(engine.OpConv, 1, func(is *export.InstrSpec) { is.Padding = -3 }), "negative padding -3"},
+		{"conv-window-past-input", func(ck *export.Checkpoint) {
+			ck.Program.InShape = []int{3, 2, 2}
+			unpadConv2(ck)
+		}, "too small for 3x3 kernel"},
+		{"avgpool-window-past-input", inInstr(engine.OpAvgPool, 0, func(is *export.InstrSpec) { is.Kernel, is.PoolStride = 9, 16 }), "pool kernel 9 outside"},
+		{"avgpool-negative-kernel", inInstr(engine.OpAvgPool, 0, func(is *export.InstrSpec) { is.Kernel = -2 }), "pool kernel -2 outside"},
 	}
 	pb := mustPredictBody(t)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			bad := *ck
 			bad.Tensors = maps.Clone(ck.Tensors)
-			ct := bad.Tensors[tc.tensor]
-			tc.mutate(&ct)
-			bad.Tensors[tc.tensor] = ct
+			prog := *ck.Program
+			prog.Instrs = slices.Clone(prog.Instrs)
+			bad.Program = &prog
+			tc.mutate(&bad)
 			resp, body := postJSON(t, ts.URL+"/v1/models/cnn", checkpointBody(t, &bad))
 			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), tc.want) {
 				t.Fatalf("upload status %d (%s), want 400 naming %q", resp.StatusCode, body, tc.want)
