@@ -48,19 +48,9 @@ func (ex *Executor) TilesAt(n int) []int {
 	var out []int
 	for _, c := range ex.KernelChoices() {
 		tm := 0
-		switch st := ex.states[c.Index].(type) {
-		case *convPackT[int32]:
-			tm = st.tm[n]
-		case *convPackT[int64]:
-			tm = st.tm[n]
-		case *linPackT[int32]:
-			tm = st.tm[n]
-		case *linPackT[int64]:
-			tm = st.tm[n]
-		case *convPackS:
-			tm = st.tm[n]
-		case *linPackS:
-			tm = st.tm[n]
+		if st, ok := ex.states[c.Index].(coreState); ok {
+			_, tms := st.boundCore()
+			tm = tms[n]
 		}
 		out = append(out, tm)
 	}

@@ -11,17 +11,21 @@ package engine
 // There is one driver per layout — dense conv (convPackT), grouped or
 // depthwise conv (gconvPackT), linear (linPackT) and the batched
 // attention matmul (mmPackT, vit_kernels.go) — generic over the
-// accumulator width C. Activations stay in their storage dtype and widen
-// to C at the gather; weights are packed as C at bind time. The int32
-// instantiation binds where Program.storage() proves the weights fit int8
-// and K·|a|max·|w|max fits int32. Every other instruction, every
-// unannotated program and every registry that plans I64 arenas binds the
-// int64 instantiation, which loads and stores any storage dtype. The
-// epilogue widens each finished accumulator to int64 once, applies the
-// zero-point row-sum correction and the shared Requantize/fused-epilogue
-// funnel, and narrows the result into the output buffer. Integer addition
-// at either width is exact below overflow, so every code is bit-identical
-// to the reference kernels and the IntModel interpreter.
+// accumulator width C. The dense conv and linear drivers run one of
+// several GEMM cores (gemmCore), chosen once per instruction by coreFor:
+// int32 or int64 panels, the sparse int32 cores, or the SWAR cores
+// (swar.go), which only bind at int32. Activations stay in their storage
+// dtype and widen to C at the gather (or bias to bytes, for SWAR);
+// weights are packed at bind time. The int32 instantiation binds where
+// Program.storage() proves the weights fit int8 and K·|a|max·|w|max fits
+// int32; every other instruction, every unannotated program and every
+// registry that plans I64 arenas binds the int64 instantiation, which
+// loads and stores any storage dtype. The epilogue widens each finished
+// accumulator to int64 once, applies the zero-point row-sum correction
+// and the shared Requantize/fused-epilogue funnel, and narrows the result
+// into the output buffer. Integer addition at either width is exact
+// below overflow, so every code is bit-identical to the reference
+// kernels and the IntModel interpreter.
 
 import (
 	"fmt"
@@ -212,11 +216,10 @@ func rowSumsScaled(w []int64, o, k int, z int64) []int64 {
 // epilogue constants. It is built once per (instruction, variant) and
 // shared (read-only) by every executor bound to the program.
 type sharedPack struct {
-	wp    any      // []int32 or []int64 panels (dense) or rows (grouped), at the accumulator width
-	wps   []uint64 // SWAR lane-packed biased weights
-	zsum  []int64
-	bcorr []int64 // SWAR activation-bias correction ba·Σw per channel
-	epi   epi
+	wp   any       // []int32 or []int64 panels (dense) or rows (grouped), at the accumulator width
+	sw   *swarPack // SWAR lane-packed weights and bias corrections
+	zsum []int64
+	epi  epi
 }
 
 // sharedKey identifies a shared pack: the instruction plus which variant
@@ -360,24 +363,115 @@ func typedData[A tensor.Elem](t *tensor.IntTensor) []A {
 	return v.([]A)
 }
 
-// convPackT is the bound state of a dense convolution. At most one of
-// skip/nm is set (int32 instantiation under sparsity-aware registries
-// only): skip routes the GEMM through the channel CSR kernel, nm through
-// the N:M-packed kernel — both bit-identical to the dense panel loop
-// because skipped positions hold exactly-zero weights. The batch size
-// comes from the input view each job grid is built for; tm holds the
-// site tile per batch size.
+// gemmCore is the MAC array a conv/linear state binds, the one stage of
+// its gather → MAC → requantize datapath that varies: int32/int64 panels
+// over a C-wide gather panel (densely, over channel CSR lists, or over
+// an N:M pack), or the SWAR cores (swar.go) over a biased byte panel.
+type gemmCore uint8
+
+const (
+	coreI64        gemmCore = iota // int64 panels
+	coreI32                        // int32 panels
+	coreCSR                        // int32 channel CSR
+	coreNM                         // int32 N:M pack
+	coreSwar                       // lane-packed, dense
+	coreSwarSparse                 // lane-packed, pair-skipping
+)
+
+// String is the core's path in the per-instruction record.
+func (c gemmCore) String() string {
+	return [...]string{"i64-panel", "i32-panel", "i32-sparse", "i32-nm", "swar", "swar-sparse"}[c]
+}
+
+// swar reports whether the core is a SWAR core.
+func (c gemmCore) swar() bool { return c == coreSwar || c == coreSwarSparse }
+
+// coreFor chooses the core of conv/linear instruction idx under this
+// executor's registry and storage plan. The cost-driven sparse pick goes
+// first (pair-skipping SWAR includes instructions only the live-K lane
+// bound admits); otherwise dense instructions take SWAR where its lane
+// bound holds, and the int32 or int64 panels by the storage pass's
+// accumulator rule.
+func (ex *Executor) coreFor(idx int) gemmCore {
+	switch ex.sparsePickFor(idx) {
+	case pickCSR:
+		return coreCSR
+	case pickNM:
+		return coreNM
+	case pickPairSwar:
+		return coreSwarSparse
+	}
+	switch {
+	case ex.swarInstr(idx):
+		return coreSwar
+	case ex.typedInstr(idx):
+		return coreI32
+	}
+	return coreI64
+}
+
+// panelState is the part of a conv/linear state both drivers share: the
+// bound core with the weights it reads, the zero-point row sums and
+// epilogue, and the site/row tile per batch size (index n).
+type panelState[C accum] struct {
+	core  gemmCore
+	o, np int
+	tm    []int
+	ad    tensor.DType
+	wp    []C        // packed weight panels (panel cores)
+	skip  *panelSkip // live lists (i32-sparse, swar-sparse)
+	nm    *nmPack    // N:M pack (i32-nm)
+	sw    *swarPack  // lane-packed weights (SWAR cores)
+	zsum  []int64
+	epi   epi
+}
+
+// coreState is what the per-instruction record reads of a conv/linear
+// state: its core and its tile per batch size.
+type coreState interface {
+	boundCore() (gemmCore, []int)
+}
+
+func (ps *panelState[C]) boundCore() (gemmCore, []int) { return ps.core, ps.tm }
+
+// bindPanels binds the shared part of a conv/linear state onto core
+// over the instruction's [o, k] weights: the shared pack the core reads
+// and the sparse form it runs.
+func bindPanels[C accum](ex *Executor, idx int, it *Instr, core gemmCore, k int) (panelState[C], error) {
+	o := it.W.Shape[0]
+	ps := panelState[C]{core: core, o: o, np: (o + panelW - 1) / panelW, ad: ex.plan.DTypes[it.In[0]]}
+	var sh *sharedPack
+	if core.swar() {
+		var err error
+		if sh, err = swarShared(ex, idx, it, ps.ad, o, k); err != nil {
+			return ps, err
+		}
+		ps.sw = sh.sw
+	} else {
+		sh = ex.prog.packs().sharedFor(sharedKey{idx: idx, wide: isWide[C](), fp: weightFP(it.W)}, func() *sharedPack {
+			return &sharedPack{
+				wp:   packPanels[C](it.W.Data, o, k),
+				zsum: rowSumsScaled(it.W.Data, o, k, it.InZero),
+				epi:  newEpi(it, o),
+			}
+		})
+		ps.wp = sh.wp.([]C)
+	}
+	ps.zsum, ps.epi = sh.zsum, sh.epi
+	switch core {
+	case coreCSR, coreSwarSparse:
+		ps.skip = ex.sparseInstr(idx).skip
+	case coreNM:
+		ps.nm = ex.sparseInstr(idx).nm
+	}
+	return ps, nil
+}
+
+// convPackT is the bound state of a dense convolution.
 type convPackT[C accum] struct {
 	convGeom
-	o, colW, spatial int
-	np               int
-	tm               []int
-	ad               tensor.DType
-	wp               []C
-	skip             *panelSkip
-	nm               *nmPack
-	zsum             []int64
-	epi              epi
+	panelState[C]
+	colW, spatial int
 }
 
 // gconvPackT is the bound state of a grouped/depthwise convolution: tap
@@ -394,20 +488,12 @@ type gconvPackT[C accum] struct {
 }
 
 // linPackT is the bound state of a linear layer (row-tiled; each job
-// owns a slot-local [tm, o] accumulator tile, the same contract as the
-// SWAR linear, so the state is a gridRunner). skip/nm as in convPackT.
-// The row count comes from the input view (rowsPer rows per sample);
-// tm holds the row tile per batch size.
+// owns a slot-local [tm, o] accumulator tile, so the state is a
+// gridRunner). The row count comes from the input view, rowsPer rows per
+// sample.
 type linPackT[C accum] struct {
-	k, o, np int
-	rowsPer  int
-	tm       []int
-	ad       tensor.DType
-	wp       []C
-	skip     *panelSkip
-	nm       *nmPack
-	zsum     []int64
-	epi      epi
+	panelState[C]
+	k, rowsPer int
 }
 
 // tileSites picks the GEMM site tile so one gathered panel
@@ -455,40 +541,30 @@ func (ex *Executor) tilesByBatch(tile func(n int) int) ([]int, int) {
 	return t, slices.Max(t)
 }
 
-// prepConv binds a conv instruction. The cost-driven sparse plan picks
-// first (CSR and N:M bind the int32 driver, pair-skipping the SWAR path —
-// the latter including instructions only the live-K lane bound admits);
-// otherwise dense convs take SWAR where its lane bound holds, and the
-// int32 or int64 driver by the storage pass's accumulator rule.
+// prepConv binds a conv instruction on the core coreFor chooses: the
+// SWAR and int32 cores on the int32 driver, the int64 panels on the
+// int64 one.
 func prepConv(ex *Executor, idx int, it *Instr) (any, error) {
 	if in := ex.plan.Shapes[it.In[0]]; len(in) != 4 {
 		return nil, fmt.Errorf("engine: conv %s input rank %d", it.Name, len(in))
 	}
-	switch ex.sparsePickFor(idx) {
-	case pickCSR, pickNM:
-		return prepConvT[int32](ex, idx, it), nil
-	case pickPairSwar:
-		return prepConvSwar(ex, idx, it)
+	if core := ex.coreFor(idx); core != coreI64 {
+		return prepConvT[int32](ex, idx, it, core)
 	}
-	if ex.swarInstr(idx) {
-		return prepConvSwar(ex, idx, it)
-	}
-	if ex.typedInstr(idx) {
-		return prepConvT[int32](ex, idx, it), nil
-	}
-	return prepConvT[int64](ex, idx, it), nil
+	return prepConvT[int64](ex, idx, it, coreI64)
 }
 
 // prepConvT binds a conv onto the C-accumulating driver: grouped convs
-// get the direct-kernel state, dense convs the packed-GEMM state.
-func prepConvT[C accum](ex *Executor, idx int, it *Instr) any {
+// get the direct-kernel state, dense convs the packed-GEMM state on
+// core.
+func prepConvT[C accum](ex *Executor, idx int, it *Instr, core gemmCore) (any, error) {
 	in := ex.plan.Shapes[it.In[0]]
 	ad := ex.plan.DTypes[it.In[0]]
 	o, cg, kH, kW := it.W.Shape[0], it.W.Shape[1], it.W.Shape[2], it.W.Shape[3]
 	g := newConvGeom(in, it.P, kH, kW)
-	key := sharedKey{idx: idx, wide: isWide[C](), fp: weightFP(it.W)}
 	bufs := slotsOf[C](ex)
 	if groups := it.P.Groups; groups > 1 {
+		key := sharedKey{idx: idx, wide: isWide[C](), fp: weightFP(it.W)}
 		sh := ex.prog.packs().sharedFor(key, func() *sharedPack {
 			return &sharedPack{
 				wp:   packRows[C](it.W.Data),
@@ -517,107 +593,85 @@ func prepConvT[C accum](ex *Executor, idx int, it *Instr) any {
 		// C slot.
 		ex.NeedSlotScratch(g.oh * g.ow)
 		bufs.reserve(cg*g.h*g.w+g.oh*g.ow, 0)
-		return st
+		return st, nil
 	}
 	colW := g.c * kH * kW
-	sh := ex.prog.packs().sharedFor(key, func() *sharedPack {
-		return &sharedPack{
-			wp:   packPanels[C](it.W.Data, o, colW),
-			zsum: rowSumsScaled(it.W.Data, o, colW, it.InZero),
-			epi:  newEpi(it, o),
-		}
-	})
-	st := &convPackT[C]{
-		convGeom: g,
-		o:        o, colW: colW, spatial: g.oh * g.ow,
-		ad:   ad,
-		wp:   sh.wp.([]C),
-		zsum: sh.zsum,
-		epi:  sh.epi,
+	ps, err := bindPanels[C](ex, idx, it, core, colW)
+	if err != nil {
+		return nil, err
+	}
+	st := &convPackT[C]{convGeom: g, panelState: ps, colW: colW, spatial: g.oh * g.ow}
+	tile := tileSites
+	if core.swar() {
+		tile = tileSitesSwar
 	}
 	tms, tm := ex.tilesByBatch(func(n int) int {
-		return splitTileM(tileSites(colW, st.spatial), st.spatial, n, ex.kernelWorkers())
+		return splitTileM(tile(colW, st.spatial), st.spatial, n, ex.kernelWorkers())
 	})
 	st.tm = tms
-	st.np = (o + panelW - 1) / panelW
-	if sp := ex.sparseInstr(idx); sp != nil {
-		switch ex.sparsePickFor(idx) {
-		case pickCSR:
-			st.skip = sp.skip
-		case pickNM:
-			st.nm = sp.nm
-		}
+	if core.swar() {
+		// Staging: fused-add chunk plus per-site byte sums in the int64
+		// slot, the byte panel in the u8 slot, the int32 tile.
+		ex.NeedSlotScratch(2 * tm)
+		ex.needSlotU8(tm * colW)
+		ex.w32.reserve(0, tm*o)
+		return st, nil
 	}
 	// Staging: widened fused-branch chunk in the int64 slot; the gather
 	// panel widens any input dtype into the C slot, so the GEMM is one
 	// loop per accumulator width.
 	ex.NeedSlotScratch(tm)
-	bufs.reserve(tm*colW, tm*st.o)
-	return st
+	bufs.reserve(tm*colW, tm*o)
+	return st, nil
 }
 
-// prepLinear binds a linear instruction with prepConv's precedence;
-// rank > 2 inputs run as row-major [rows, K] (ViT token tensors through
-// the same panel GEMM).
+// prepLinear binds a linear instruction like prepConv; rank > 2 inputs
+// run as row-major [rows, K] (ViT token tensors through the same panel
+// GEMM).
 func prepLinear(ex *Executor, idx int, it *Instr) (any, error) {
 	if in := ex.plan.Shapes[it.In[0]]; len(in) < 2 {
 		return nil, fmt.Errorf("engine: linear %s input rank %d", it.Name, len(in))
 	}
-	switch ex.sparsePickFor(idx) {
-	case pickCSR, pickNM:
-		return prepLinearT[int32](ex, idx, it), nil
-	case pickPairSwar:
-		return prepLinearSwar(ex, idx, it)
+	if core := ex.coreFor(idx); core != coreI64 {
+		return prepLinearT[int32](ex, idx, it, core)
 	}
-	if ex.swarInstr(idx) {
-		return prepLinearSwar(ex, idx, it)
-	}
-	if ex.typedInstr(idx) {
-		return prepLinearT[int32](ex, idx, it), nil
-	}
-	return prepLinearT[int64](ex, idx, it), nil
+	return prepLinearT[int64](ex, idx, it, coreI64)
 }
 
-// prepLinearT binds a linear layer onto the C-accumulating driver.
-func prepLinearT[C accum](ex *Executor, idx int, it *Instr) any {
+// prepLinearT binds a linear layer onto the C-accumulating driver on
+// core.
+func prepLinearT[C accum](ex *Executor, idx int, it *Instr, core gemmCore) (any, error) {
 	in := ex.plan.Shapes[it.In[0]]
 	k := in[len(in)-1]
 	rows := tensor.Numel(in) / k
-	o := it.W.Shape[0]
-	sh := ex.prog.packs().sharedFor(sharedKey{idx: idx, wide: isWide[C](), fp: weightFP(it.W)}, func() *sharedPack {
-		return &sharedPack{
-			wp:   packPanels[C](it.W.Data, o, k),
-			zsum: rowSumsScaled(it.W.Data, o, k, it.InZero),
-			epi:  newEpi(it, o),
-		}
-	})
-	st := &linPackT[C]{
-		k: k, o: o,
-		np:      (o + panelW - 1) / panelW,
-		rowsPer: rows / ex.bound,
-		ad:      ex.plan.DTypes[it.In[0]],
-		wp:      sh.wp.([]C),
-		zsum:    sh.zsum,
-		epi:     sh.epi,
+	ps, err := bindPanels[C](ex, idx, it, core, k)
+	if err != nil {
+		return nil, err
+	}
+	st := &linPackT[C]{panelState: ps, k: k, rowsPer: rows / ex.bound}
+	o := st.o
+	w, tile := o, tileRows
+	if core.swar() {
+		w, tile = k, tileSitesSwar
 	}
 	tms, tm := ex.tilesByBatch(func(n int) int {
 		rows := n * st.rowsPer
-		return splitTileM(tileRows(o, rows), rows, 1, ex.kernelWorkers())
+		return splitTileM(tile(w, rows), rows, 1, ex.kernelWorkers())
 	})
 	st.tm = tms
-	if sp := ex.sparseInstr(idx); sp != nil {
-		switch ex.sparsePickFor(idx) {
-		case pickCSR:
-			st.skip = sp.skip
-		case pickNM:
-			st.nm = sp.nm
-		}
+	if core.swar() {
+		// Staging: the widened fused-add row plus the row byte sums; the
+		// biased byte panel; the row-major int32 accumulator tile.
+		ex.NeedSlotScratch(o + tm)
+		ex.needSlotU8(tm * k)
+		ex.w32.reserve(0, tm*o)
+		return st, nil
 	}
 	// Staging: the widened fused-add row in the slot's scratch; the
 	// row-major accumulator tile.
 	ex.NeedSlotScratch(o)
-	slotsOf[C](ex).reserve(0, tm*st.o)
-	return st
+	slotsOf[C](ex).reserve(0, tm*o)
+	return st, nil
 }
 
 // kernelConvPacked runs the state prepConv bound through its job grid,
@@ -706,19 +760,18 @@ func (st *convPackT[C]) jobs(ex *Executor, idx int, it *Instr, in []*tensor.IntT
 // ceilDiv is ⌈a/b⌉ for positive b.
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
-// convJob builds the per-(sample, site-tile) job body: gather the tile's
-// im2col panel — widening the storage dtype to C — from the conv
-// geometry, run the register-blocked GEMM into the slot's channel-major
-// accumulator tile, then finish channel by channel straight into the
-// NCHW output planes.
+// convJob builds the per-(sample, site-tile) job body: the bound core
+// gathers the tile's panel from the conv geometry and runs its GEMM into
+// the slot's channel-major accumulator tile, then every channel finishes
+// straight into the NCHW output planes.
 func convJob[A tensor.Elem, C accum](ex *Executor, st *convPackT[C], it *Instr, in []*tensor.IntTensor, out *tensor.IntTensor, tm int) func(job, slot int) {
 	xs := typedData[A](in[0])
 	var add *tensor.IntTensor
 	if it.FusedAdd {
 		add = in[len(in)-1]
 	}
-	bufs := slotsOf[C](ex)
-	colW, o := st.colW, st.o
+	core := convCore[A](ex, st, tm)
+	o := st.o
 	tiles := ceilDiv(st.spatial, tm)
 	se := st.c * st.h * st.w
 	return func(job, slot int) {
@@ -728,20 +781,7 @@ func convJob[A tensor.Elem, C accum](ex *Executor, st *convPackT[C], it *Instr, 
 		if s0+m > st.spatial {
 			m = st.spatial - s0
 		}
-		panel := bufs.panel[slot][:m*colW]
-		gatherPanel(panel, xs[ni*se:(ni+1)*se], &st.convGeom, s0, m)
-		// Accumulator tile is channel-major [o][m]: the GEMM scatters four
-		// writes per site pair, and the epilogue walks each channel's
-		// accumulators contiguously.
-		acc := bufs.acc[slot]
-		switch {
-		case st.nm != nil:
-			gemmPanelsNM(acc, panel, st.nm, m, colW, o)
-		case st.skip != nil:
-			gemmPanelsCSR(acc, panel, st.skip, m, colW, o)
-		default:
-			gemmPanels(acc, panel, st.wp, m, colW, o, st.np)
-		}
+		acc := core(slot, xs[ni*se:(ni+1)*se], s0, m)
 		// Epilogue: one contiguous output segment per channel, finished
 		// straight from the accumulator row into the typed output.
 		addw := ex.SlotScratch(slot)[:tm]
@@ -755,6 +795,49 @@ func convJob[A tensor.Elem, C accum](ex *Executor, st *convPackT[C], it *Instr, 
 			}
 			finishSegOut(out, off, acc[oc*m:(oc+1)*m], bv, &st.epi, st.zsum[oc], oc)
 		}
+	}
+}
+
+// convCore returns the conv's core at site tile tm as one tile step:
+// gather sites [s0, s0+m) of one sample's codes xs into the slot's panel
+// and return their raw accumulators as a channel-major [o][m] tile. The
+// core is picked here, once per job grid, not per site.
+func convCore[A tensor.Elem, C accum](ex *Executor, st *convPackT[C], tm int) func(slot int, xs []A, s0, m int) []C {
+	g, colW, o, np := &st.convGeom, st.colW, st.o, st.np
+	if st.core.swar() {
+		sw, skip := st.sw, st.skip
+		step := func(slot int, xs []A, s0, m int) []int32 {
+			// Site sums follow the epilogue's fused-add chunk.
+			panel := ex.slotU8[slot][:m*colW]
+			sums := ex.SlotScratch(slot)[tm : tm+m]
+			gatherPanelBytes(panel, sums, xs, g, sw.ba, s0, m)
+			acc := ex.w32.acc[slot]
+			if skip != nil {
+				gemmPanelsSwarSparse(acc, panel, sw.wps, skip, sw.bcorr, sw.bw, m, colW, o, np, m, 1)
+			} else {
+				gemmPanelsSwar(acc, panel, sw.wps, sums, sw.bcorr, sw.bw, m, colW, o, np, m, 1)
+			}
+			return acc
+		}
+		return any(step).(func(int, []A, int, int) []C)
+	}
+	bufs := slotsOf[C](ex)
+	return func(slot int, xs []A, s0, m int) []C {
+		panel := bufs.panel[slot][:m*colW]
+		gatherPanel(panel, xs, g, s0, m)
+		// Accumulator tile is channel-major [o][m]: the GEMM scatters four
+		// writes per site pair, and the epilogue walks each channel's
+		// accumulators contiguously.
+		acc := bufs.acc[slot]
+		switch {
+		case st.nm != nil:
+			gemmPanelsNM(acc, panel, st.nm, m, colW, o)
+		case st.skip != nil:
+			gemmPanelsCSR(acc, panel, st.skip, m, colW, o)
+		default:
+			gemmPanels(acc, panel, st.wp, m, colW, o, np)
+		}
+		return acc
 	}
 }
 
@@ -1001,10 +1084,9 @@ func (st *linPackT[C]) jobs(ex *Executor, idx int, it *Instr, in []*tensor.IntTe
 	return body, ceilDiv(rows, tm), rows*st.k*st.o >= 1<<16
 }
 
-// linJob builds the per-row-tile job body: run the panel GEMM straight
-// over the input rows (no gather; the zero point is folded into the
-// row-sum correction) into a slot-local row-major [m, o] tile, then
-// finish row by row straight into the typed output. Each output
+// linJob builds the per-row-tile job body: the bound core runs its GEMM
+// over the tile's input rows into a slot-local row-major [m, o] tile,
+// then every row finishes straight into the typed output. Each output
 // element's accumulation order over k (and its epilogue) is independent
 // of the tiling, so tiling never affects values.
 func linJob[A tensor.Elem, C accum](ex *Executor, st *linPackT[C], it *Instr, in []*tensor.IntTensor, out *tensor.IntTensor, rows, tm int) func(t, slot int) {
@@ -1013,14 +1095,43 @@ func linJob[A tensor.Elem, C accum](ex *Executor, st *linPackT[C], it *Instr, in
 	if it.FusedAdd {
 		add = in[len(in)-1]
 	}
-	bufs := slotsOf[C](ex)
-	k, o := st.k, st.o
+	core := linCore[A](ex, st)
 	return func(t, slot int) {
 		r0 := t * tm
 		m := tm
 		if r0+m > rows {
 			m = rows - r0
 		}
+		acc := core(slot, xs, r0, m)
+		finishRowsOut(out, r0, acc, add, ex.SlotScratch(slot), &st.epi, st.zsum)
+	}
+}
+
+// linCore is convCore for the linear: one tile step over input rows
+// [r0, r0+m) of xs, returning a row-major [m, o] tile. The panel cores
+// read the rows in place (the zero point is folded into the row-sum
+// correction); the SWAR cores gather them as biased bytes.
+func linCore[A tensor.Elem, C accum](ex *Executor, st *linPackT[C]) func(slot int, xs []A, r0, m int) []C {
+	k, o, np := st.k, st.o, st.np
+	if st.core.swar() {
+		sw, skip := st.sw, st.skip
+		step := func(slot int, xs []A, r0, m int) []int32 {
+			// Row sums follow the epilogue's fused-add row.
+			panel := ex.slotU8[slot][:m*k]
+			sums := ex.SlotScratch(slot)[o : o+m]
+			gatherRowBytes(panel, sums, xs[r0*k:(r0+m)*k], k, m, sw.ba)
+			acc := ex.w32.acc[slot][:m*o]
+			if skip != nil {
+				gemmPanelsSwarSparse(acc, panel, sw.wps, skip, sw.bcorr, sw.bw, m, k, o, np, 1, o)
+			} else {
+				gemmPanelsSwar(acc, panel, sw.wps, sums, sw.bcorr, sw.bw, m, k, o, np, 1, o)
+			}
+			return acc
+		}
+		return any(step).(func(int, []A, int, int) []C)
+	}
+	bufs := slotsOf[C](ex)
+	return func(slot int, xs []A, r0, m int) []C {
 		acc := bufs.acc[slot][:m*o]
 		switch {
 		case st.nm != nil:
@@ -1028,7 +1139,7 @@ func linJob[A tensor.Elem, C accum](ex *Executor, st *linPackT[C], it *Instr, in
 		case st.skip != nil:
 			linPanelsCSR(acc, xs, st.skip, r0, m, k, o)
 		default:
-			for pb := 0; pb < st.np; pb++ {
+			for pb := 0; pb < np; pb++ {
 				wp := st.wp[pb*k*panelW : (pb+1)*k*panelW]
 				oc0 := pb * panelW
 				nch := o - oc0
@@ -1050,6 +1161,6 @@ func linJob[A tensor.Elem, C accum](ex *Executor, st *linPackT[C], it *Instr, in
 				}
 			}
 		}
-		finishRowsOut(out, r0, acc, add, ex.SlotScratch(slot), &st.epi, st.zsum)
+		return acc
 	}
 }

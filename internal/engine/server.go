@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -243,6 +244,12 @@ type Server struct {
 	execHist  *trace.Hist
 	slackHist *trace.Hist
 
+	// cold holds the traced batch span of each worker's first execute
+	// at each batch size (view build, lazy kernel state, grow-only
+	// scratch), whose instruction spans Explain leaves out.
+	coldMu sync.Mutex
+	cold   []trace.Span
+
 	// mu guards closed and orders queue pushes before close: producers
 	// hold the read side (so they can enqueue concurrently), Close takes
 	// the write side.
@@ -318,8 +325,9 @@ func (s *Server) costNsAt(n int) int64 {
 // Explain returns the per-instruction record of the server's program
 // bound like a worker's executor, at MaxBatch with the server's kernels.
 // On a traced server each row also carries its measured mean ns per
-// sample over the instruction spans still in the server's ring: a span
-// covers the batch it ran at, which its output bytes give.
+// sample over the instruction spans still in the server's ring, leaving
+// out each worker's first execute at each batch size: a span covers the
+// batch it ran at, which its output bytes give.
 func (s *Server) Explain() ([]KernelChoice, error) {
 	ex, err := NewExecutor(s.prog, append([]int{s.opts.MaxBatch}, s.sample...),
 		WithKernels(s.opts.Kernels), WithMaxParallel(s.opts.KernelThreads))
@@ -328,8 +336,13 @@ func (s *Server) Explain() ([]KernelChoice, error) {
 	}
 	rows := ex.Explain()
 	sums := make([]float64, len(rows))
+	s.coldMu.Lock()
+	cold := slices.Clone(s.cold)
+	s.coldMu.Unlock()
 	for _, sp := range s.ring.Snapshot() {
-		if sp.Kind != trace.KindInstr {
+		if sp.Kind != trace.KindInstr || slices.ContainsFunc(cold, func(b trace.Span) bool {
+			return b.TID == sp.TID && b.Start <= sp.Start && sp.Start < b.Start+b.Dur
+		}) {
 			continue
 		}
 		r := &rows[sp.A1]
@@ -514,11 +527,17 @@ func (s *Server) worker(w int) {
 			s.costBatches.Add(1)
 		}
 		if traced {
-			s.ring.Record(trace.Span{
+			b := trace.Span{
 				Start: bStart, Dur: s.ring.Now() - bStart, Name: s.nmBatch,
 				Kind: trace.KindBatch, TID: int32(w),
 				A0: int64(n), A1: int64(n),
-			})
+			}
+			s.ring.Record(b)
+			if first {
+				s.coldMu.Lock()
+				s.cold = append(s.cold, b)
+				s.coldMu.Unlock()
+			}
 		}
 		if first {
 			// Re-sample scratch the first time each batch size runs: the

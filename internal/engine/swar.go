@@ -1,11 +1,16 @@
 package engine
 
-// SWAR lane-packed GEMM microkernels: two output channels share one
-// 64-bit accumulator word (32-bit lanes), so every multiply retires two
-// MACs. Both multiplicands are biased non-negative at bind time —
-// activations gathered as bytes a' = a − lo(dtype) ∈ [0, 255], weights
-// packed as w' = w − wMin ∈ [0, wSpan] — which makes lane sums monotone:
-// as long as the final lane value fits 32 bits (the storage pass proves
+// The SWAR cores of the conv/linear drivers ("swar", "swar-sparse"):
+// two output channels share one 64-bit accumulator word (32-bit lanes),
+// so every multiply retires two MACs. They are cores of convPackT[int32]
+// and linPackT[int32] (prepack.go), whose tiling, fused-add read,
+// epilogue and dtype dispatch they share; what they own is here — the
+// biased byte gather with its per-site sums, the lane-packed weights and
+// bias corrections (swarPack), the site tile, and the microkernels.
+// Both multiplicands are biased non-negative at bind time — activations
+// gathered as bytes a' = a − lo(dtype) ∈ [0, 255], weights packed as
+// w' = w − wMin ∈ [0, wSpan] — which makes lane sums monotone: as long as
+// the final lane value fits 32 bits (the storage pass proves
 // K·aSpan·wSpan ≤ 2³²−1 per instruction), no carry ever crosses lanes.
 // The raw dot product is recovered exactly from the biased one,
 //
@@ -13,13 +18,11 @@ package engine
 //
 // where ΣA' is the per-site sum of gathered bytes (computed during the
 // gather, padding included) and Σw the per-channel weight row sum; the
-// result lands in the same int32 accumulator tile and flows through the
-// identical finishSegOut epilogue (zero-point row-sum correction,
-// requantize, fused epilogue) as the int32-panel path — bit-identity by
-// construction. Cache story: a byte panel holds 8× the sites of an int64
-// panel per cache line (4 codes per 32-bit word), so SWAR tiles target
-// larger site counts while staying L1-resident; K is never split — the
-// legality bound already caps it.
+// result lands in the driver's int32 accumulator tile and flows through
+// the same epilogue as the int32 panel cores — bit-identity by
+// construction. A byte panel holds 8× the sites of an int64 panel per
+// cache line, so SWAR tiles target larger site counts while staying
+// L1-resident; K is never split — the legality bound already caps it.
 
 import (
 	"fmt"
@@ -32,40 +35,13 @@ import (
 // swarLanes is the number of output channels per packed accumulator word.
 const swarLanes = intmath.SwarLanes
 
-// convPackS is the bound state of a SWAR convolution. A non-nil skip
-// routes the GEMM through the pair-skipping kernel, which iterates only
-// the live (nonzero-pair) K positions of each panel and accumulates the
-// live byte sums its bias correction needs in-loop; instructions whose
-// pruned weights pass only the live-K lane bound (storageInfo.swarSparse)
-// are ONLY legal with skip set. As in convPackT, the batch size comes
-// from the input view and tm holds the site tile per batch size.
-type convPackS struct {
-	convGeom
-	o, colW, spatial int
-	np               int
-	tm               []int
-	ad               tensor.DType
-	wps              []uint64
-	skip             *panelSkip
-	zsum             []int64 // z·Σw per channel (epilogue correction)
-	bcorr            []int64 // ba·Σw per channel (activation-bias correction)
-	ba, bw           int64
-	epi              epi
-}
-
-// linPackS is the bound state of a SWAR linear layer (row-tiled; skip
-// as in convPackS, rowsPer and tm as in linPackT).
-type linPackS struct {
-	k, o, np int
-	rowsPer  int
-	tm       []int
-	ad       tensor.DType
-	wps      []uint64
-	skip     *panelSkip
-	zsum     []int64
-	bcorr    []int64
-	ba, bw   int64
-	epi      epi
+// swarPack is what a SWAR core reads besides its byte panel: the
+// lane-packed biased weights, the per-channel activation-bias
+// correction ba·Σw, and the two biases.
+type swarPack struct {
+	wps    []uint64
+	bcorr  []int64
+	ba, bw int64
 }
 
 // swarInstr reports whether instruction idx takes the SWAR lane-packed
@@ -118,8 +94,17 @@ func tileSitesSwar(colW, spatial int) int {
 	return tm
 }
 
-// swarShared builds (or fetches) the shared SWAR pack of an instruction.
-func swarShared(ex *Executor, idx int, it *Instr, o, k int, ba, bw int64) *sharedPack {
+// swarShared builds (or fetches) the shared SWAR pack of an instruction
+// over [o, k] weights read from 8-bit input storage ad. The activation
+// bias comes from ad's full span, so any accepted code is safe; the
+// weight bias from the actual weight minimum.
+func swarShared(ex *Executor, idx int, it *Instr, ad tensor.DType, o, k int) (*sharedPack, error) {
+	if ad != tensor.I8 && ad != tensor.U8 {
+		return nil, fmt.Errorf("engine: swar %s %s input dtype %s", it.Kind, it.Name, ad)
+	}
+	lo, _ := ad.Range()
+	wMin, _ := it.W.MinMax()
+	ba, bw := -lo, -wMin
 	return ex.prog.packs().sharedFor(sharedKey{idx: idx, swar: true, fp: weightFP(it.W)}, func() *sharedPack {
 		wsum := rowSumsScaled(it.W.Data, o, k, 1)
 		bc := make([]int64, o)
@@ -127,102 +112,11 @@ func swarShared(ex *Executor, idx int, it *Instr, o, k int, ba, bw int64) *share
 			bc[i] = ba * s
 		}
 		return &sharedPack{
-			wps:   packPanelsSwar(it.W.Data, o, k, bw),
-			zsum:  rowSumsScaled(it.W.Data, o, k, it.InZero),
-			bcorr: bc,
-			epi:   newEpi(it, o),
+			sw:   &swarPack{wps: packPanelsSwar(it.W.Data, o, k, bw), bcorr: bc, ba: ba, bw: bw},
+			zsum: rowSumsScaled(it.W.Data, o, k, it.InZero),
+			epi:  newEpi(it, o),
 		}
-	})
-}
-
-// swarBiases derives the activation and weight biases of an instruction:
-// ba from the input's resolved storage dtype (full span, so any accepted
-// code is safe), bw from the actual weight minimum.
-func swarBiases(ad tensor.DType, w *tensor.IntTensor) (ba, bw int64) {
-	lo, _ := ad.Range()
-	wMin, _ := w.MinMax()
-	return -lo, -wMin
-}
-
-// prepConvSwar binds a dense conv onto the SWAR lane-packed path.
-func prepConvSwar(ex *Executor, idx int, it *Instr) (any, error) {
-	in := ex.plan.Shapes[it.In[0]]
-	ad := ex.plan.DTypes[it.In[0]]
-	if ad != tensor.I8 && ad != tensor.U8 {
-		return nil, fmt.Errorf("engine: swar conv %s input dtype %s", it.Name, ad)
-	}
-	o, kH, kW := it.W.Shape[0], it.W.Shape[2], it.W.Shape[3]
-	g := newConvGeom(in, it.P, kH, kW)
-	colW := g.c * kH * kW
-	ba, bw := swarBiases(ad, it.W)
-	sh := swarShared(ex, idx, it, o, colW, ba, bw)
-	st := &convPackS{
-		convGeom: g,
-		o:        o, colW: colW, spatial: g.oh * g.ow,
-		ad:    ad,
-		wps:   sh.wps,
-		zsum:  sh.zsum,
-		bcorr: sh.bcorr,
-		ba:    ba,
-		bw:    bw,
-		epi:   sh.epi,
-	}
-	if sp := ex.sparseInstr(idx); sp != nil && ex.sparsePickFor(idx) == pickPairSwar {
-		st.skip = sp.skip
-	}
-	tms, tm := ex.tilesByBatch(func(n int) int {
-		return splitTileM(tileSitesSwar(colW, st.spatial), st.spatial, n, ex.kernelWorkers())
-	})
-	st.tm = tms
-	st.np = (o + panelW - 1) / panelW
-	// Staging: fused-add chunk plus per-site byte sums in the int64 slot,
-	// the biased byte panel in the u8 slot, the accumulator tile shared
-	// with the int32-panel path.
-	ex.NeedSlotScratch(2 * tm)
-	ex.needSlotU8(tm * colW)
-	ex.w32.reserve(0, tm*st.o)
-	return st, nil
-}
-
-// prepLinearSwar binds a linear layer onto the SWAR path (rank > 2
-// inputs run as row-major [rows, K], tiled over rows).
-func prepLinearSwar(ex *Executor, idx int, it *Instr) (any, error) {
-	in := ex.plan.Shapes[it.In[0]]
-	ad := ex.plan.DTypes[it.In[0]]
-	if ad != tensor.I8 && ad != tensor.U8 {
-		return nil, fmt.Errorf("engine: swar linear %s input dtype %s", it.Name, ad)
-	}
-	k := in[len(in)-1]
-	rows := tensor.Numel(in) / k
-	o := it.W.Shape[0]
-	ba, bw := swarBiases(ad, it.W)
-	sh := swarShared(ex, idx, it, o, k, ba, bw)
-	st := &linPackS{
-		k: k, o: o,
-		np:      (o + panelW - 1) / panelW,
-		rowsPer: rows / ex.bound,
-		ad:      ad,
-		wps:     sh.wps,
-		zsum:    sh.zsum,
-		bcorr:   sh.bcorr,
-		ba:      ba,
-		bw:      bw,
-		epi:     sh.epi,
-	}
-	if sp := ex.sparseInstr(idx); sp != nil && ex.sparsePickFor(idx) == pickPairSwar {
-		st.skip = sp.skip
-	}
-	tms, tm := ex.tilesByBatch(func(n int) int {
-		rows := n * st.rowsPer
-		return splitTileM(tileSitesSwar(k, rows), rows, 1, ex.kernelWorkers())
-	})
-	st.tm = tms
-	// Staging: the widened fused-add row + byte sums; the biased byte
-	// panel; the row-major accumulator tile.
-	ex.NeedSlotScratch(o + tm)
-	ex.needSlotU8(tm * k)
-	ex.w32.reserve(0, tm*st.o)
-	return st, nil
+	}), nil
 }
 
 // gatherPanelBytes fills a [m, c·kH·kW] biased byte panel for sites
@@ -433,109 +327,6 @@ func storeSwarSite(acc []int32, bcorr []int64, oc0, nch, i, cs, rs int, siteCorr
 	}
 }
 
-// convSwarJob builds the per-(sample, site-tile) job body: gather the
-// tile's biased byte panel plus per-site sums, run the lane-packed GEMM
-// into the channel-major int32 tile, and finish each channel through the
-// shared epilogue.
-func convSwarJob[A tensor.Elem](ex *Executor, st *convPackS, it *Instr, in []*tensor.IntTensor, out *tensor.IntTensor, tm int) func(job, slot int) {
-	xs := typedData[A](in[0])
-	var add *tensor.IntTensor
-	if it.FusedAdd {
-		add = in[len(in)-1]
-	}
-	colW, o := st.colW, st.o
-	tiles := ceilDiv(st.spatial, tm)
-	se := st.c * st.h * st.w
-	return func(job, slot int) {
-		ni, t := job/tiles, job%tiles
-		s0 := t * tm
-		m := tm
-		if s0+m > st.spatial {
-			m = st.spatial - s0
-		}
-		panel := ex.slotU8[slot][:m*colW]
-		sc := ex.SlotScratch(slot)
-		addw, sums := sc[:tm], sc[tm:tm+m]
-		gatherPanelBytes(panel, sums, xs[ni*se:(ni+1)*se], &st.convGeom, st.ba, s0, m)
-		acc := ex.w32.acc[slot]
-		if st.skip != nil {
-			gemmPanelsSwarSparse(acc, panel, st.wps, st.skip, st.bcorr, st.bw, m, colW, o, st.np, m, 1)
-		} else {
-			gemmPanelsSwar(acc, panel, st.wps, sums, st.bcorr, st.bw, m, colW, o, st.np, m, 1)
-		}
-		outBase := ni * o * st.spatial
-		for oc := 0; oc < o; oc++ {
-			off := outBase + oc*st.spatial + s0
-			var bv []int64
-			if add != nil {
-				bv = addw[:m]
-				add.ReadInt64(bv, off)
-			}
-			finishSegOut(out, off, acc[oc*m:(oc+1)*m], bv, &st.epi, st.zsum[oc], oc)
-		}
-	}
-}
-
-// jobs exposes the conv as its (sample × site-tile) grid (gridRunner)
-// at the input view's batch size, dispatching once on the 8-bit input
-// dtype.
-func (st *convPackS) jobs(ex *Executor, idx int, it *Instr, in []*tensor.IntTensor, out *tensor.IntTensor) (func(job, slot int), int, bool) {
-	n := in[0].Shape[0]
-	tm := st.tm[n]
-	var body func(job, slot int)
-	if st.ad == tensor.U8 {
-		body = convSwarJob[uint8](ex, st, it, in, out, tm)
-	} else {
-		body = convSwarJob[int8](ex, st, it, in, out, tm)
-	}
-	return body, n * ceilDiv(st.spatial, tm), n*st.spatial*st.colW*st.o >= 1<<16
-}
-
-// linSwarJob builds the per-row-tile job body: gather biased byte rows
-// plus sums, run the lane-packed GEMM into the row-major int32 tile, then
-// finish row by row — correct, requantize, fused epilogue — straight
-// into the typed output.
-func linSwarJob[A tensor.Elem](ex *Executor, st *linPackS, it *Instr, in []*tensor.IntTensor, out *tensor.IntTensor, rows, tm int) func(t, slot int) {
-	xs := typedData[A](in[0])
-	var add *tensor.IntTensor
-	if it.FusedAdd {
-		add = in[len(in)-1]
-	}
-	k, o := st.k, st.o
-	return func(t, slot int) {
-		r0 := t * tm
-		m := tm
-		if r0+m > rows {
-			m = rows - r0
-		}
-		panel := ex.slotU8[slot][:m*k]
-		sc := ex.SlotScratch(slot)
-		bv, sums := sc[:o], sc[o:o+m]
-		gatherRowBytes(panel, sums, xs[r0*k:(r0+m)*k], k, m, st.ba)
-		acc := ex.w32.acc[slot]
-		if st.skip != nil {
-			gemmPanelsSwarSparse(acc, panel, st.wps, st.skip, st.bcorr, st.bw, m, k, o, st.np, 1, o)
-		} else {
-			gemmPanelsSwar(acc, panel, st.wps, sums, st.bcorr, st.bw, m, k, o, st.np, 1, o)
-		}
-		finishRowsOut(out, r0, acc[:m*o], add, bv, &st.epi, st.zsum)
-	}
-}
-
-// jobs exposes the linear as its row-tile grid (gridRunner) at the
-// input view's row count, dispatching once on the 8-bit input dtype.
-func (st *linPackS) jobs(ex *Executor, idx int, it *Instr, in []*tensor.IntTensor, out *tensor.IntTensor) (func(job, slot int), int, bool) {
-	rows := in[0].Numel() / st.k
-	tm := st.tm[rows/st.rowsPer]
-	var body func(t, slot int)
-	if st.ad == tensor.U8 {
-		body = linSwarJob[uint8](ex, st, it, in, out, rows, tm)
-	} else {
-		body = linSwarJob[int8](ex, st, it, in, out, rows, tm)
-	}
-	return body, ceilDiv(rows, tm), rows*st.k*st.o >= 1<<16
-}
-
 // KernelChoice is the per-instruction record of a bound executor: what
 // the instruction is and where its output lives at the bound batch, the
 // path it bound with the facts that chose it, and its modeled cost per
@@ -559,7 +350,7 @@ type KernelChoice struct {
 	// "softmax-recip" or "softmax-div", or "reference" when no state is
 	// bound and the registered body runs.
 	Path  string `json:"path"`
-	Int32 bool   `json:"int32"`            // storage plan allows int32 accumulation
+	Int32 bool   `json:"int32"`            // the bound state accumulates in int32
 	Lanes int    `json:"lanes,omitempty"`  // output channels per packed accumulator word (SWAR only)
 	TileM int    `json:"tile_m,omitempty"` // site/row tile of the bound GEMM state at the bound batch
 	// Sparse is the conv/linear sparse-kernel pick under this registry
@@ -600,15 +391,14 @@ func (ex *Executor) Explain() []KernelChoice {
 			Index: i, Name: it.Name, Kind: it.Kind,
 			OutShape: slices.Clone(pl.Shapes[it.Out]), OutDType: dt.String(),
 			Offset: pl.Offsets[it.Out], Bytes: int64(tensor.Numel(pl.Shapes[it.Out]) * dt.Size()),
-			Int32:     ex.typedInstr(i),
 			ModeledNs: float64(ex.prog.instrWorkNs(i, pl.Shapes)) / float64(ex.bound),
 		}
 		for _, b := range it.In {
 			c.InShapes = append(c.InShapes, slices.Clone(pl.Shapes[b]))
 			c.InDTypes = append(c.InDTypes, pl.DTypes[b].String())
 		}
+		sp := &ex.prog.sparsity()[i]
 		if it.Kind == OpConv || it.Kind == OpLinear {
-			sp := ex.prog.sparsity()[i]
 			if sp.wCount > 0 {
 				c.WeightSparsity = float64(sp.wZeros) / float64(sp.wCount)
 			}
@@ -617,34 +407,29 @@ func (ex *Executor) Explain() []KernelChoice {
 			}
 			c.Sparse = ex.sparsePickFor(i).String()
 		}
-		sparseBound := false
 		switch st := ex.states[i].(type) {
-		case *convPackS:
-			c.Path, c.Lanes, c.TileM = "swar", swarLanes, st.tm[ex.bound]
-			if st.skip != nil {
-				c.Path, sparseBound = "swar-sparse", true
+		case coreState:
+			core, tm := st.boundCore()
+			c.Path, c.Int32, c.TileM = core.String(), core != coreI64, tm[ex.bound]
+			if core.swar() {
+				c.Lanes = swarLanes
 			}
-		case *linPackS:
-			c.Path, c.Lanes, c.TileM = "swar", swarLanes, st.tm[ex.bound]
-			if st.skip != nil {
-				c.Path, sparseBound = "swar-sparse", true
+			// Skip fraction of the core actually bound (the CSR, pair
+			// list, and N:M forms execute different MAC counts).
+			switch core {
+			case coreCSR:
+				c.SkipFrac = 1 - float64(sp.skip.csrMacs)/float64(sp.skip.denseMacs)
+			case coreSwarSparse:
+				c.SkipFrac = 1 - float64(sp.skip.liveMacs)/float64(sp.skip.denseMacs)
+			case coreNM:
+				c.SkipFrac = 1 - float64(sp.nm.n)/float64(nmM)
 			}
-		case *convPackT[int32]:
-			c.TileM = st.tm[ex.bound]
-			c.Path, sparseBound = panelPath(st.skip, st.nm)
-		case *linPackT[int32]:
-			c.TileM = st.tm[ex.bound]
-			c.Path, sparseBound = panelPath(st.skip, st.nm)
 		case *gconvPackT[int32]:
-			c.Path = "i32-direct"
-		case *convPackT[int64]:
-			c.Path, c.TileM = "i64-panel", st.tm[ex.bound]
-		case *linPackT[int64]:
-			c.Path, c.TileM = "i64-panel", st.tm[ex.bound]
+			c.Path, c.Int32 = "i32-direct", true
 		case *gconvPackT[int64]:
 			c.Path = "i64-direct"
 		case *mmPackT[int32]:
-			c.Path = "matmul-i32"
+			c.Path, c.Int32 = "matmul-i32", true
 		case *mmPackT[int64]:
 			c.Path = "matmul-i64"
 		case *smPack:
@@ -655,32 +440,7 @@ func (ex *Executor) Explain() []KernelChoice {
 		default:
 			c.Path = "reference"
 		}
-		if sparseBound {
-			// Skip fraction of the kernel actually bound (the CSR, pair
-			// list, and N:M forms execute different MAC counts).
-			sp := ex.prog.sparsity()[i]
-			switch c.Path {
-			case "i32-sparse":
-				c.SkipFrac = 1 - float64(sp.skip.csrMacs)/float64(sp.skip.denseMacs)
-			case "swar-sparse":
-				c.SkipFrac = 1 - float64(sp.skip.liveMacs)/float64(sp.skip.denseMacs)
-			case "i32-nm":
-				c.SkipFrac = 1 - float64(sp.nm.n)/float64(nmM)
-			}
-		}
 		out = append(out, c)
 	}
 	return out
-}
-
-// panelPath names the path of an int32 panel state: dense, or the
-// sparse form it bound.
-func panelPath(skip *panelSkip, nm *nmPack) (path string, sparse bool) {
-	switch {
-	case nm != nil:
-		return "i32-nm", true
-	case skip != nil:
-		return "i32-sparse", true
-	}
-	return "i32-panel", false
 }

@@ -7,6 +7,7 @@ package engine_test
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -57,6 +58,40 @@ func TestSwarKernelSelectionOnZoo(t *testing.T) {
 		for _, c := range exNo.KernelChoices() {
 			if c.Path == "swar" {
 				t.Fatalf("%s no-swar registry bound a SWAR kernel at %s", name, c.Name)
+			}
+		}
+	}
+}
+
+// TestExplainInt32IsAccumulatorWidth: the record's Int32 column is the
+// accumulator width of the bound state — true exactly on the SWAR, int32
+// and int32-matmul paths, false on int64 and reference rows — on the zoo
+// and the ViT under every registry.
+func TestExplainInt32IsAccumulatorWidth(t *testing.T) {
+	calib, _ := data.Generate(data.SynthCIFAR10, 48, 8)
+	progs := map[string]*engine.Program{}
+	_, progs["resnet20"] = compileZoo(t, "resnet20", calib)
+	_, progs["mobilenet"] = compileZoo(t, "mobilenet", calib)
+	_, progs["vit"] = compileViT(t, 3, 1)
+	regs := map[string]*engine.Registry{
+		"fast":      engine.FastKernels(),
+		"no-swar":   engine.FastKernelsWithout(engine.CapSwar),
+		"no-sparse": engine.FastKernelsWithout(engine.CapSparse),
+		"no-typed":  engine.FastKernelsWithout(engine.CapTyped),
+		"reference": engine.ReferenceKernels(),
+	}
+	for name, prog := range progs {
+		for rname, reg := range regs {
+			ex, err := engine.NewExecutor(prog, []int{2, 3, 32, 32}, engine.WithKernels(reg))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range ex.Explain() {
+				want := strings.HasPrefix(r.Path, "swar") || strings.HasPrefix(r.Path, "i32-") || r.Path == "matmul-i32"
+				if r.Int32 != want {
+					t.Fatalf("%s under %s: %s row %s path %q has int32 %v, want %v",
+						name, rname, r.Kind, r.Name, r.Path, r.Int32, want)
+				}
 			}
 		}
 	}

@@ -213,3 +213,39 @@ func TestExecutorDisabledTraceOverhead(t *testing.T) {
 		t.Fatalf("disabled tracing slowed Execute: median traced/plain %.2f (totals %v -> %v)", r, base, withRing)
 	}
 }
+
+// TestServerExplainLeavesOutColdExecutes: a traced one-worker server's
+// measured column leaves out the worker's first execute at each batch
+// size (view build, lazy kernel state, grow-only scratch), so after one
+// predict no row is measured and after a second at the same size every
+// row holds exactly that second execute's span.
+func TestServerExplainLeavesOutColdExecutes(t *testing.T) {
+	g := tensor.NewRNG(73)
+	calib, _ := data.Generate(data.SynthCIFAR10, 32, 8)
+	_, prog := compile(t, smallCNN(g), calib)
+	tr := trace.New(trace.Config{RingSpans: 1024})
+	tr.SetEnabled(true)
+	srv, err := engine.NewServer(prog, []int{3, 8, 8}, engine.ServerOptions{
+		Workers: 1, MaxBatch: 4, Trace: tr,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	x := quantize(prog, g.Uniform(0, 1, 3, 8, 8))
+	for predicts := 1; predicts <= 2; predicts++ {
+		if _, err := srv.TryInferCodes([]*tensor.IntTensor{x}, time.Time{}, engine.PriNormal, 0); err != nil {
+			t.Fatal(err)
+		}
+		rows, err := srv.Explain()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range rows {
+			if want := int64(predicts - 1); r.Spans != want || (r.MeasuredNs > 0) != (want > 0) {
+				t.Fatalf("after %d predicts: row %d %s has %d spans, measured %.0f ns; want %d spans",
+					predicts, r.Index, r.Name, r.Spans, r.MeasuredNs, want)
+			}
+		}
+	}
+}
