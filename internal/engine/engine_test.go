@@ -53,37 +53,65 @@ func smallCNN(g *tensor.RNG) nn.Layer {
 	return model
 }
 
+// namedReg is one row of a parity suite's registry list; the lists are
+// slices so every run draws the same input for the same row.
+type namedReg struct {
+	name string
+	reg  *engine.Registry
+}
+
+// interpWant is the interpreter's answer on one batch input: its input
+// codes, output codes and logits, computed once and compared against
+// every registry's execution.
+type interpWant struct {
+	x      *tensor.Tensor
+	in     *tensor.IntTensor
+	codes  *tensor.IntTensor
+	logits *tensor.Tensor
+}
+
+// wantOf is the "want" step of assertBitIdentical: it runs the
+// interpreter on x.
+func wantOf(im *fuse.IntModel, x *tensor.Tensor) interpWant {
+	return interpWant{x: x, in: im.InQuant.Quantize(x), codes: im.ForwardCodes(x), logits: im.Forward(x)}
+}
+
+// compareBitIdentical is the "compare" step: the program must reproduce
+// the interpreter's output codes and logits exactly under reg.
+func compareBitIdentical(t *testing.T, want interpWant, prog *engine.Program, reg *engine.Registry, opts ...engine.ExecOption) {
+	t.Helper()
+	ex, err := engine.NewExecutor(prog, want.x.Shape, append([]engine.ExecOption{engine.WithKernels(reg)}, opts...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotCodes, err := ex.ExecuteCodes(want.in, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.codes.Data) != len(gotCodes.Data) {
+		t.Fatalf("code count %d vs %d", len(gotCodes.Data), len(want.codes.Data))
+	}
+	for i := range want.codes.Data {
+		if want.codes.Data[i] != gotCodes.Data[i] {
+			t.Fatalf("code[%d] = %d, interpreter %d", i, gotCodes.Data[i], want.codes.Data[i])
+		}
+	}
+	got, err := ex.Execute(want.x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want.logits.Data {
+		if want.logits.Data[i] != got.Data[i] {
+			t.Fatalf("logit[%d] = %v, interpreter %v", i, got.Data[i], want.logits.Data[i])
+		}
+	}
+}
+
 // assertBitIdentical checks that the program reproduces the interpreter's
 // output codes and logits exactly on batch inputs.
 func assertBitIdentical(t *testing.T, im *fuse.IntModel, prog *engine.Program, x *tensor.Tensor, reg *engine.Registry, opts ...engine.ExecOption) {
 	t.Helper()
-	ex, err := engine.NewExecutor(prog, x.Shape, append([]engine.ExecOption{engine.WithKernels(reg)}, opts...)...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantCodes := im.ForwardCodes(x)
-	gotCodes, err := ex.ExecuteCodes(im.InQuant.Quantize(x), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(wantCodes.Data) != len(gotCodes.Data) {
-		t.Fatalf("code count %d vs %d", len(gotCodes.Data), len(wantCodes.Data))
-	}
-	for i := range wantCodes.Data {
-		if wantCodes.Data[i] != gotCodes.Data[i] {
-			t.Fatalf("code[%d] = %d, interpreter %d", i, gotCodes.Data[i], wantCodes.Data[i])
-		}
-	}
-	want := im.Forward(x)
-	got, err := ex.Execute(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want.Data {
-		if want.Data[i] != got.Data[i] {
-			t.Fatalf("logit[%d] = %v, interpreter %v", i, got.Data[i], want.Data[i])
-		}
-	}
+	compareBitIdentical(t, wantOf(im, x), prog, reg, opts...)
 }
 
 // assertInt64Bound fails unless every conv/linear of prog binds an int64

@@ -58,10 +58,11 @@ const garbage = 0x5a
 // TestGatherMatchesIndexMap: on random admitted geometries — including
 // kH ≠ kW, the 1×1 and kW = 3 fast paths, stride larger than the kernel
 // and padding at or past the kernel — the int32 and int64 panel gathers
-// of every input dtype, the SWAR byte gather (bytes and per-site sums)
-// and the grouped conv's borderAcc read exactly the taps the index map
-// names, for every site tile of three tile sizes, into garbage-filled
-// panels.
+// of every input dtype and the SWAR byte gather (bytes and per-site
+// sums) read exactly the taps the index map names, for every site tile
+// of three tile sizes, into garbage-filled panels; and the grouped
+// conv's loops over its zero-padded slab sum exactly those taps at every
+// site.
 func TestGatherMatchesIndexMap(t *testing.T) {
 	r := rand.New(rand.NewPCG(48, 1))
 	dts := []tensor.DType{tensor.I8, tensor.U8, tensor.I16, tensor.U16, tensor.I32, tensor.I64}
@@ -90,8 +91,8 @@ func TestGatherMatchesIndexMap(t *testing.T) {
 				}
 			}
 		}
-		checkBorderAcc[int32](t, r, &g, idx)
-		checkBorderAcc[int64](t, r, &g, idx)
+		checkGroupedSites[int32](t, r, &g, idx)
+		checkGroupedSites[int64](t, r, &g, idx)
 	}
 }
 
@@ -160,28 +161,45 @@ func checkPanel[A tensor.Elem, C accum](t *testing.T, g *convGeom, idx []int32, 
 	}
 }
 
-// checkBorderAcc runs the grouped conv's borderAcc (one group of g.c
-// channels) at every output site, interior ones included.
-func checkBorderAcc[C accum](t *testing.T, r *rand.Rand, g *convGeom, idx []int32) {
+// checkGroupedSites widens one group of g.c channels into a
+// garbage-filled padded slab and runs the grouped conv's loops over it —
+// the tap-offset loop always, the 3×3 row kernel where it binds — into
+// a garbage-filled accumulator plane.
+func checkGroupedSites[C accum](t *testing.T, r *rand.Rand, g *convGeom, idx []int32) {
 	t.Helper()
-	st := &gconvPackT[C]{convGeom: *g, cg: g.c}
+	st := newGconvPack[C](*g, g.c)
 	colW := g.c * g.kH * g.kW
-	xw, wv := make([]C, g.c*g.h*g.w), make([]C, colW)
-	for i := range xw {
-		xw[i] = C(r.IntN(511) - 255)
+	xs, wv := make([]int32, g.c*g.h*g.w), make([]C, colW)
+	for i := range xs {
+		xs[i] = int32(r.IntN(511) - 255)
 	}
 	for i := range wv {
 		wv[i] = C(r.IntN(255) - 127)
 	}
-	for s := 0; s < g.oh*g.ow; s++ {
-		var want C
-		for j, id := range idx[s*colW : (s+1)*colW] {
-			if id >= 0 {
-				want += xw[id] * wv[j]
+	xw, acc := make([]C, g.c*st.hp*st.wp), make([]C, g.oh*g.ow)
+	for i := range xw {
+		xw[i] = garbage
+	}
+	padSlab(xw, xs, g.c, g.h, g.w, g.pad)
+	check := func(name string, loop func(acc, xw, wv []C)) {
+		for i := range acc {
+			acc[i] = garbage
+		}
+		loop(acc, xw, wv)
+		for s, got := range acc {
+			var want C
+			for j, id := range idx[s*colW : (s+1)*colW] {
+				if id >= 0 {
+					want += C(xs[id]) * wv[j]
+				}
+			}
+			if got != want {
+				t.Fatalf("%+v: grouped %s loop[%T] site %d = %d, want %d", *g, name, want, s, got, want)
 			}
 		}
-		if got := st.borderAcc(xw, wv, s/g.ow, s%g.ow); got != want {
-			t.Fatalf("%+v: borderAcc[%T] site %d = %d, want %d", *g, want, s, got, want)
-		}
+	}
+	check("tap-offset", st.rowsTaps)
+	if st.dw3 {
+		check("3x3", st.rows3x3)
 	}
 }

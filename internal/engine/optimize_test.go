@@ -263,6 +263,10 @@ func TestLinearFinishesInPlaceOverFusedAdd(t *testing.T) {
 	}
 }
 
+// TestGroupedConvParityStridePadding: grouped and depthwise convs over
+// stride, padding, a 1×1 input and even and odd output widths bind the
+// direct kernels — i32-direct under the fast registry, i64-direct
+// without typed storage — and match the reference registry exactly.
 func TestGroupedConvParityStridePadding(t *testing.T) {
 	g := tensor.NewRNG(45)
 	for _, tc := range []struct {
@@ -270,25 +274,52 @@ func TestGroupedConvParityStridePadding(t *testing.T) {
 		c, o, groups   int
 		k, stride, pad int
 		inZero         int64
+		h, w           int
 	}{
-		{"depthwise/s1", 8, 8, 8, 3, 1, 1, 3},
-		{"depthwise/s2", 8, 8, 8, 3, 2, 1, 3},
-		{"grouped/s2", 8, 16, 4, 3, 2, 1, -2},
-		{"grouped/s3-pad2", 6, 12, 2, 5, 3, 2, 7},
-		{"depthwise/s2-nopad", 8, 8, 8, 3, 2, 0, 1},
+		{"depthwise/s1", 8, 8, 8, 3, 1, 1, 3, 11, 11},
+		{"depthwise/s2", 8, 8, 8, 3, 2, 1, 3, 11, 11},
+		{"grouped/s2", 8, 16, 4, 3, 2, 1, -2, 11, 11},
+		{"grouped/s3-pad2", 6, 12, 2, 5, 3, 2, 7, 11, 11},
+		{"depthwise/s2-nopad", 8, 8, 8, 3, 2, 0, 1, 11, 11},
+		{"depthwise/s1-pad2", 8, 8, 8, 3, 1, 2, 5, 11, 11},
+		{"depthwise/s2-pad2", 8, 8, 8, 3, 2, 2, -4, 11, 11},
+		{"depthwise/1x1-input-pad1", 8, 8, 8, 3, 1, 1, 6, 1, 1},
+		{"grouped/even-ow", 8, 8, 4, 3, 1, 1, 2, 7, 10},
+		{"grouped/odd-ow", 8, 8, 4, 3, 1, 1, 2, 7, 9},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			w := randomCodes(g, 30, tc.o, tc.c/tc.groups, tc.k, tc.k)
-			p := &engine.Program{NumBufs: 2, Input: 0, Output: 1}
+			p := &engine.Program{InQuant: quant.NewQBase(8, true, false), NumBufs: 2, Input: 0, Output: 1}
 			p.Instrs = []engine.Instr{{
 				Kind: engine.OpConv, Name: "layers.0", In: []int{0}, Out: 1,
 				W: w, P: tensor.ConvParams{Stride: tc.stride, Padding: tc.pad, Groups: tc.groups},
 				InZero: tc.inZero, Scaler: mkScaler(t, tc.o, 8, false, 0), WBits: 8,
 			}}
-			codes := randomCodes(g, 120, 2, tc.c, 11, 11)
+			if err := p.AnnotateDTypes(); err != nil {
+				t.Fatal(err)
+			}
+			codes := randomCodes(g, 120, 2, tc.c, tc.h, tc.w)
 			want := execCodes(t, p, codes, engine.ReferenceKernels())
-			assertSameCodes(t, execCodes(t, p, codes, engine.FastKernels()), want, "fast")
-			assertSameCodes(t, execCodes(t, p, codes, engine.FastKernelsWithout(engine.CapTyped)), want, "fast-i64")
+			for _, rc := range []struct {
+				name, path string
+				reg        *engine.Registry
+			}{
+				{"fast", "i32-direct", engine.FastKernels()},
+				{"fast-i64", "i64-direct", engine.FastKernelsWithout(engine.CapTyped)},
+			} {
+				ex, err := engine.NewExecutor(p, codes.Shape, engine.WithKernels(rc.reg))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := ex.KernelChoices()[0].Path; got != rc.path {
+					t.Fatalf("%s: conv bound %q, want %q", rc.name, got, rc.path)
+				}
+				got, err := ex.ExecuteCodes(codes, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertSameCodes(t, got, want, rc.name)
+			}
 		})
 	}
 }

@@ -14,18 +14,20 @@ package engine
 // accumulator width C. The dense conv and linear drivers run one of
 // several GEMM cores (gemmCore), chosen once per instruction by coreFor:
 // int32 or int64 panels, the sparse int32 cores, or the SWAR cores
-// (swar.go), which only bind at int32. Activations stay in their storage
-// dtype and widen to C at the gather (or bias to bytes, for SWAR);
-// weights are packed at bind time. The int32 instantiation binds where
-// Program.storage() proves the weights fit int8 and K·|a|max·|w|max fits
-// int32; every other instruction, every unannotated program and every
-// registry that plans I64 arenas binds the int64 instantiation, which
-// loads and stores any storage dtype. The epilogue widens each finished
-// accumulator to int64 once, applies the zero-point row-sum correction
-// and the shared Requantize/fused-epilogue funnel, and narrows the result
-// into the output buffer. Integer addition at either width is exact
-// below overflow, so every code is bit-identical to the reference
-// kernels and the IntModel interpreter.
+// (swar.go), which only bind at int32. The grouped driver has no GEMM:
+// it widens each group slab into a zero-padded copy and runs a direct
+// loop over it. Activations stay in their storage dtype and widen to C
+// at the gather (or bias to bytes, for SWAR); weights are packed at bind
+// time. The int32 instantiation binds where Program.storage() proves the
+// weights fit int8 and K·|a|max·|w|max fits int32; every other
+// instruction, every unannotated program and every registry that plans
+// I64 arenas binds the int64 instantiation, which loads and stores any
+// storage dtype. The epilogue widens each finished accumulator to int64
+// once, applies the zero-point row-sum correction and the shared
+// Requantize/fused-epilogue funnel, and narrows the result into the
+// output buffer. Integer addition at either width is exact below
+// overflow, so every code is bit-identical to the reference kernels and
+// the IntModel interpreter.
 
 import (
 	"fmt"
@@ -475,16 +477,33 @@ type convPackT[C accum] struct {
 }
 
 // gconvPackT is the bound state of a grouped/depthwise convolution: tap
-// offsets for the register-blocked direct loop over the geometry's
-// interior, where no bounds checks are needed.
+// offsets within the group slab widened into a zero-padded hp×wp layout,
+// and the loop that runs over it — the 3×3 row kernel (dw3) or the
+// tap-offset loop.
 type gconvPackT[C accum] struct {
 	convGeom
-	o, og, cg int
-	ad        tensor.DType
-	off       []int32 // cg·kH·kW tap offsets within the group slab
-	wv        []C     // row-major [o][cg·kH·kW]
-	zsum      []int64
-	epi       epi
+	o, og, cg, hp, wp int
+	dw3               bool
+	ad                tensor.DType
+	off               []int32 // cg·kH·kW tap offsets within the padded slab
+	wv                []C     // row-major [o][cg·kH·kW]
+	zsum              []int64
+	epi               epi
+}
+
+// newGconvPack lays out a grouped conv of cg channels per group over g:
+// the padded slab plane, the tap offsets within it and the loop choice.
+func newGconvPack[C accum](g convGeom, cg int) *gconvPackT[C] {
+	st := &gconvPackT[C]{convGeom: g, cg: cg, hp: g.h + 2*g.pad, wp: g.w + 2*g.pad,
+		dw3: cg*g.kH*g.kW == 9 && g.kW == 3}
+	for ch := 0; ch < cg; ch++ {
+		for ky := 0; ky < g.kH; ky++ {
+			for kx := 0; kx < g.kW; kx++ {
+				st.off = append(st.off, int32((ch*st.hp+ky)*st.wp+kx))
+			}
+		}
+	}
+	return st
 }
 
 // linPackT is the bound state of a linear layer (row-tiled; each job
@@ -572,27 +591,14 @@ func prepConvT[C accum](ex *Executor, idx int, it *Instr, core gemmCore) (any, e
 				epi:  newEpi(it, o),
 			}
 		})
-		st := &gconvPackT[C]{
-			convGeom: g,
-			o:        o, og: o / groups, cg: cg,
-			ad:   ad,
-			wv:   sh.wp.([]C),
-			zsum: sh.zsum,
-			epi:  sh.epi,
-		}
-		st.off = make([]int32, 0, cg*kH*kW)
-		for ch := 0; ch < cg; ch++ {
-			for ky := 0; ky < kH; ky++ {
-				for kx := 0; kx < kW; kx++ {
-					st.off = append(st.off, int32(ch*g.h*g.w+ky*g.w+kx))
-				}
-			}
-		}
-		// Staging: the widened fused branch in the int64 slot, and the
-		// widened input group slab plus the raw accumulator plane in the
-		// C slot.
+		st := newGconvPack[C](g, cg)
+		st.o, st.og, st.ad = o, o/groups, ad
+		st.wv, st.zsum, st.epi = sh.wp.([]C), sh.zsum, sh.epi
+		// Staging: the widened fused branch in the int64 slot, the
+		// padded input group slab in the C panel and the raw
+		// accumulator plane in the C tile.
 		ex.NeedSlotScratch(g.oh * g.ow)
-		bufs.reserve(cg*g.h*g.w+g.oh*g.ow, 0)
+		bufs.reserve(cg*st.hp*st.wp, g.oh*g.ow)
 		return st, nil
 	}
 	colW := g.c * kH * kW
@@ -965,12 +971,10 @@ func (st *gconvPackT[C]) jobs(ex *Executor, idx int, it *Instr, in []*tensor.Int
 }
 
 // gconvJob builds the per-(sample, channel-plane) job body. The group's
-// input slab is widened once into the slot's C scratch — the conv
-// re-reads each input element kH·kW times, so the single widening pass
-// is amortized and keeps the tap loops free of conversions. The interior
-// runs the precomputed tap-offset loop with two-site register blocking
-// and no bounds checks; border sites take the checked loop. The whole
-// plane is then finished into the output in one pass.
+// input slab is widened once into the slot's C scratch, zero-padded: a
+// padded tap is raw 0, as in the reference, and the zero-point row sum
+// covers it like any other tap, so no site needs a border path. The
+// whole plane is then finished into the output in one pass.
 func gconvJob[A tensor.Elem, C accum](ex *Executor, st *gconvPackT[C], it *Instr, in []*tensor.IntTensor, out *tensor.IntTensor) func(job, slot int) {
 	xs := typedData[A](in[0])
 	var add *tensor.IntTensor
@@ -980,59 +984,22 @@ func gconvJob[A tensor.Elem, C accum](ex *Executor, st *gconvPackT[C], it *Instr
 	bufs := slotsOf[C](ex)
 	nt := len(st.off)
 	ohw := st.oh * st.ow
-	slab := st.cg * st.h * st.w
+	hw, slab := st.h*st.w, st.cg*st.hp*st.wp
 	return func(job, slot int) {
 		ni, oc := job/st.o, job%st.o
 		g := oc / st.og
 		wv := st.wv[oc*nt : (oc+1)*nt]
-		xBase := (ni*st.c + g*st.cg) * st.h * st.w
+		xBase := (ni*st.c + g*st.cg) * hw
 		base := (ni*st.o + oc) * ohw
 		xw := bufs.panel[slot][:slab]
-		for i, v := range xs[xBase : xBase+slab] {
-			xw[i] = C(v)
-		}
+		padSlab(xw, xs[xBase:xBase+st.cg*hw], st.cg, st.h, st.w, st.pad)
 		// Raw accumulators land in a C plane; the epilogue finishes the
 		// whole plane into the typed output in one monomorphized pass.
-		acc := bufs.panel[slot][slab : slab+ohw]
-		for oy := 0; oy < st.oh; oy++ {
-			rowOff := oy * st.ow
-			interiorRow := oy >= st.oyLo && oy < st.oyHi
-			// Border columns (and whole border rows) take the checked path.
-			oxLo, oxHi := st.oxLo, st.oxHi
-			if !interiorRow {
-				oxLo, oxHi = 0, 0
-			}
-			for ox := 0; ox < oxLo; ox++ {
-				acc[rowOff+ox] = st.borderAcc(xw, wv, oy, ox)
-			}
-			if interiorRow {
-				rowBase := (oy*st.stride-st.pad)*st.w - st.pad
-				ox := oxLo
-				for ; ox+2 <= oxHi; ox += 2 {
-					b0 := rowBase + ox*st.stride
-					b1 := b0 + st.stride
-					var s0, s1 C
-					for t := 0; t < nt; t++ {
-						o := int(st.off[t])
-						wt := wv[t]
-						s0 += xw[b0+o] * wt
-						s1 += xw[b1+o] * wt
-					}
-					acc[rowOff+ox] = s0
-					acc[rowOff+ox+1] = s1
-				}
-				for ; ox < oxHi; ox++ {
-					b0 := rowBase + ox*st.stride
-					var s C
-					for t := 0; t < nt; t++ {
-						s += xw[b0+int(st.off[t])] * wv[t]
-					}
-					acc[rowOff+ox] = s
-				}
-			}
-			for ox := oxHi; ox < st.ow; ox++ {
-				acc[rowOff+ox] = st.borderAcc(xw, wv, oy, ox)
-			}
+		acc := bufs.acc[slot][:ohw]
+		if st.dw3 {
+			st.rows3x3(acc, xw, wv)
+		} else {
+			st.rowsTaps(acc, xw, wv)
 		}
 		var bv []int64
 		if add != nil {
@@ -1043,22 +1010,74 @@ func gconvJob[A tensor.Elem, C accum](ex *Executor, st *gconvPackT[C], it *Instr
 	}
 }
 
-// borderAcc accumulates one output site over the widened group slab
-// (raw codes), reading only the in-bounds tap runs the geometry's border
-// rule yields; padded taps contribute 0.
-func (st *gconvPackT[C]) borderAcc(xw, wv []C, oy, ox int) C {
-	ky0, ky1, kx0, kx1, base := st.window(oy, ox)
-	var s C
-	for ch := 0; ch < st.cg; ch++ {
-		for ky := ky0; ky < ky1; ky++ {
-			off := ch*st.h*st.w + base + ky*st.w
-			wRow := wv[(ch*st.kH+ky)*st.kW+kx0:]
-			for kx, v := range xw[off+kx0 : off+kx1] {
-				s += v * wRow[kx]
-			}
+// padSlab widens cg h×w input planes into the padded slab xw, writing
+// each element once: every input row lands at its padded position, and
+// the gaps between rows (the borders) are cleared.
+func padSlab[A tensor.Elem, C accum](xw []C, xs []A, cg, h, w, p int) {
+	end := 0
+	for r := 0; r < cg*h; r++ {
+		d := (r/h*(h+2*p)+p+r%h)*(w+2*p) + p
+		clear(xw[end:d])
+		row := xw[d : d+w]
+		for x, v := range xs[r*w : (r+1)*w] {
+			row[x] = C(v)
+		}
+		end = d + w
+	}
+	clear(xw[end:])
+}
+
+// rows3x3 is the 3×3 row kernel (cg·kH·kW = 9, kW = 3): the nine
+// weights stay in locals, each output row reslices its three input rows
+// (kernel rows, or channels when kH = 1) once, and each site is one
+// 9-term sum over three stride-s windows.
+func (st *gconvPackT[C]) rows3x3(acc, xw, wv []C) {
+	wv = wv[:9]
+	w0, w1, w2, w3, w4, w5, w6, w7, w8 := wv[0], wv[1], wv[2], wv[3], wv[4], wv[5], wv[6], wv[7], wv[8]
+	o0, o1, o2 := int(st.off[0]), int(st.off[3]), int(st.off[6])
+	s, n := st.stride, (st.ow-1)*st.stride+3
+	for oy := 0; oy < st.oh; oy++ {
+		b := oy * s * st.wp
+		r0, r1, r2 := xw[b+o0:b+o0+n], xw[b+o1:b+o1+n], xw[b+o2:b+o2+n]
+		row := acc[oy*st.ow : (oy+1)*st.ow]
+		for ox := range row {
+			i := ox * s
+			x0, x1, x2 := r0[i:i+3:i+3], r1[i:i+3:i+3], r2[i:i+3:i+3]
+			row[ox] = x0[0]*w0 + x0[1]*w1 + x0[2]*w2 + x1[0]*w3 + x1[1]*w4 + x1[2]*w5 + x2[0]*w6 + x2[1]*w7 + x2[2]*w8
 		}
 	}
-	return s
+}
+
+// rowsTaps is the loop for any other window: each site sums its
+// precomputed tap offsets from the site's slab base, two sites per step
+// with one remainder site on odd rows.
+func (st *gconvPackT[C]) rowsTaps(acc, xw, wv []C) {
+	off, s := st.off, st.stride
+	wv = wv[:len(off)]
+	for oy := 0; oy < st.oh; oy++ {
+		row := acc[oy*st.ow : (oy+1)*st.ow]
+		b := oy * s * st.wp
+		ox := 0
+		for ; ox+2 <= len(row); ox += 2 {
+			b0 := b + ox*s
+			b1 := b0 + s
+			var s0, s1 C
+			for t, o := range off {
+				wt := wv[t]
+				s0 += xw[b0+int(o)] * wt
+				s1 += xw[b1+int(o)] * wt
+			}
+			row[ox], row[ox+1] = s0, s1
+		}
+		if ox < len(row) {
+			b0 := b + ox*s
+			var s0 C
+			for t, o := range off {
+				s0 += xw[b0+int(o)] * wv[t]
+			}
+			row[ox] = s0
+		}
+	}
 }
 
 // jobs exposes the linear as its row-tile grid (gridRunner) at the

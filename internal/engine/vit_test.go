@@ -54,22 +54,25 @@ func TestViTZooParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := tensor.NewRNG(17)
-	regs := map[string]*engine.Registry{
-		"fast-typed":  engine.FastKernels(),
-		"fast-noswar": engine.FastKernelsWithout(engine.CapSwar),
-		"fast-i64":    engine.FastKernelsWithout(engine.CapTyped),
-		"fast-noprep": statelessPrepKernels(),
-		"reference":   engine.ReferenceKernels(),
+	regs := []namedReg{
+		{"fast-typed", engine.FastKernels()},
+		{"fast-noswar", engine.FastKernelsWithout(engine.CapSwar)},
+		{"fast-i64", engine.FastKernelsWithout(engine.CapTyped)},
+		{"fast-noprep", statelessPrepKernels()},
+		{"reference", engine.ReferenceKernels()},
 	}
-	for pname, prog := range map[string]*engine.Program{"unfused": unfused, "fused": fused} {
-		for rname, reg := range regs {
-			for _, batch := range []int{1, 3} {
-				xb := g.Uniform(0, 1, batch, 3, 32, 32)
-				t.Run(pname+"/"+rname, func(t *testing.T) {
-					if rname == "fast-i64" {
-						assertInt64Bound(t, prog, xb.Shape, reg)
+	for _, pc := range []struct {
+		name string
+		prog *engine.Program
+	}{{"unfused", unfused}, {"fused", fused}} {
+		for _, batch := range []int{1, 3} {
+			want := wantOf(cm.Int, g.Uniform(0, 1, batch, 3, 32, 32))
+			for _, rc := range regs {
+				t.Run(pc.name+"/"+rc.name, func(t *testing.T) {
+					if rc.name == "fast-i64" {
+						assertInt64Bound(t, pc.prog, want.x.Shape, rc.reg)
 					}
-					assertBitIdentical(t, cm.Int, prog, xb, reg)
+					compareBitIdentical(t, want, pc.prog, rc.reg)
 				})
 			}
 		}
