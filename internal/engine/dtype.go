@@ -223,7 +223,7 @@ func (p *Program) storage() (*storageInfo, error) {
 
 		// SWAR eligibility: the packed microkernel gathers activations as
 		// biased bytes, so the input's storage must be 8-bit, and the
-		// biased full-K dot product must fit one 32-bit lane. Grouped
+		// full-K dot product must fit one signed 32-bit lane. Grouped
 		// convs keep the direct kernel — channel pairing has nothing to
 		// pack there.
 		ad := st.dts[it.In[0]]
@@ -244,12 +244,11 @@ func (p *Program) storage() (*storageInfo, error) {
 }
 
 // swarEligible is the lane-overflow legality rule: activations biased to
-// the storage dtype's full unsigned span (so any code the executor
-// accepts is safe, not just the derived range) and weights biased by
-// −wMin give non-negative multiplicands with spans aSpan = hi−lo and
-// wSpan = wMax−wMin; the K-long biased dot product must fit one 32-bit
-// sub-accumulator.
+// bytes over the storage dtype's full span aSpan = hi−lo (so any code the
+// executor accepts is safe, not just the derived range) against signed,
+// unbiased weights: the K-long dot product must fit one signed 32-bit
+// sub-accumulator, K·aSpan·max(|wMin|, |wMax|) ≤ 2³¹−1.
 func swarEligible(k int64, ad tensor.DType, wMin, wMax int64) bool {
 	lo, hi := ad.Range()
-	return intmath.SwarLegal(k, hi-lo, wMax-wMin)
+	return intmath.SwarLegal(k, hi-lo, max(wMax, -wMin))
 }

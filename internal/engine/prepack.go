@@ -77,16 +77,21 @@ func newEpi(it *Instr, o int) epi {
 // fused-branch chunk aligned with dst; it is fully read before dst is
 // written, which preserves the planner's same-dtype aliasing contract.
 func finishSeg[O tensor.Elem, C accum](dst []O, accRow []C, bv []int64, e *epi, corr int64, oc int) {
+	// The requantize constants are copied out of e once: a store to dst
+	// may alias *e as far as the compiler knows, so reading e's fields in
+	// the loop would reload them per element.
 	sfx, bfx := e.sfx[oc], e.bfx[oc]
+	half, frac, zero, lo, hi := e.half, e.frac, e.zero, e.lo, e.hi
+	dst = dst[:len(accRow)]
 	if e.fc.active() {
 		for i, a := range accRow {
-			q := intmath.Requantize(int64(a)-corr, sfx, bfx, e.half, e.frac, e.zero, e.lo, e.hi)
+			q := intmath.Requantize(int64(a)-corr, sfx, bfx, half, frac, zero, lo, hi)
 			dst[i] = O(e.fc.finish(q, bv, i))
 		}
 		return
 	}
 	for i, a := range accRow {
-		dst[i] = O(intmath.Requantize(int64(a)-corr, sfx, bfx, e.half, e.frac, e.zero, e.lo, e.hi))
+		dst[i] = O(intmath.Requantize(int64(a)-corr, sfx, bfx, half, frac, zero, lo, hi))
 	}
 }
 
@@ -116,16 +121,17 @@ func finishSegOut[C accum](out *tensor.IntTensor, off int, accRow []C, bv []int6
 // read before the aliased dst element is written.
 func finishRow[O tensor.Elem, C accum](dst []O, accRow []C, bv []int64, e *epi, corr []int64) {
 	sfx, bfx, corr := e.sfx[:len(accRow)], e.bfx[:len(accRow)], corr[:len(accRow)]
+	half, frac, zero, lo, hi := e.half, e.frac, e.zero, e.lo, e.hi
 	dst = dst[:len(accRow)]
 	if e.fc.active() {
 		for oc, a := range accRow {
-			q := intmath.Requantize(int64(a)-corr[oc], sfx[oc], bfx[oc], e.half, e.frac, e.zero, e.lo, e.hi)
+			q := intmath.Requantize(int64(a)-corr[oc], sfx[oc], bfx[oc], half, frac, zero, lo, hi)
 			dst[oc] = O(e.fc.finish(q, bv, oc))
 		}
 		return
 	}
 	for oc, a := range accRow {
-		dst[oc] = O(intmath.Requantize(int64(a)-corr[oc], sfx[oc], bfx[oc], e.half, e.frac, e.zero, e.lo, e.hi))
+		dst[oc] = O(intmath.Requantize(int64(a)-corr[oc], sfx[oc], bfx[oc], half, frac, zero, lo, hi))
 	}
 }
 
@@ -616,9 +622,9 @@ func prepConvT[C accum](ex *Executor, idx int, it *Instr, core gemmCore) (any, e
 	})
 	st.tm = tms
 	if core.swar() {
-		// Staging: fused-add chunk plus per-site byte sums in the int64
-		// slot, the byte panel in the u8 slot, the int32 tile.
-		ex.NeedSlotScratch(2 * tm)
+		// Staging: fused-add chunk in the int64 slot, the byte panel in
+		// the u8 slot, the int32 tile.
+		ex.NeedSlotScratch(tm)
 		ex.needSlotU8(tm * colW)
 		ex.w32.reserve(0, tm*o)
 		return st, nil
@@ -666,9 +672,9 @@ func prepLinearT[C accum](ex *Executor, idx int, it *Instr, core gemmCore) (any,
 	})
 	st.tm = tms
 	if core.swar() {
-		// Staging: the widened fused-add row plus the row byte sums; the
-		// biased byte panel; the row-major int32 accumulator tile.
-		ex.NeedSlotScratch(o + tm)
+		// Staging: the widened fused-add row; the biased byte panel; the
+		// row-major int32 accumulator tile.
+		ex.NeedSlotScratch(o)
 		ex.needSlotU8(tm * k)
 		ex.w32.reserve(0, tm*o)
 		return st, nil
@@ -813,15 +819,13 @@ func convCore[A tensor.Elem, C accum](ex *Executor, st *convPackT[C], tm int) fu
 	if st.core.swar() {
 		sw, skip := st.sw, st.skip
 		step := func(slot int, xs []A, s0, m int) []int32 {
-			// Site sums follow the epilogue's fused-add chunk.
 			panel := ex.slotU8[slot][:m*colW]
-			sums := ex.SlotScratch(slot)[tm : tm+m]
-			gatherPanelBytes(panel, sums, xs, g, sw.ba, s0, m)
+			gatherPanelBytes(panel, xs, g, sw.ba, s0, m)
 			acc := ex.w32.acc[slot]
 			if skip != nil {
-				gemmPanelsSwarSparse(acc, panel, sw.wps, skip, sw.bcorr, sw.bw, m, colW, o, np, m, 1)
+				gemmPanelsSwarSparse(acc, panel, sw.wps, skip, sw.bcorr, m, colW, o, np, m, 1)
 			} else {
-				gemmPanelsSwar(acc, panel, sw.wps, sums, sw.bcorr, sw.bw, m, colW, o, np, m, 1)
+				gemmPanelsSwar(acc, panel, sw.wps, sw.bcorr, m, colW, o, np, m, 1)
 			}
 			return acc
 		}
@@ -1135,15 +1139,13 @@ func linCore[A tensor.Elem, C accum](ex *Executor, st *linPackT[C]) func(slot in
 	if st.core.swar() {
 		sw, skip := st.sw, st.skip
 		step := func(slot int, xs []A, r0, m int) []int32 {
-			// Row sums follow the epilogue's fused-add row.
 			panel := ex.slotU8[slot][:m*k]
-			sums := ex.SlotScratch(slot)[o : o+m]
-			gatherRowBytes(panel, sums, xs[r0*k:(r0+m)*k], k, m, sw.ba)
+			gatherRowBytes(panel, xs[r0*k:(r0+m)*k], sw.ba)
 			acc := ex.w32.acc[slot][:m*o]
 			if skip != nil {
-				gemmPanelsSwarSparse(acc, panel, sw.wps, skip, sw.bcorr, sw.bw, m, k, o, np, 1, o)
+				gemmPanelsSwarSparse(acc, panel, sw.wps, skip, sw.bcorr, m, k, o, np, 1, o)
 			} else {
-				gemmPanelsSwar(acc, panel, sw.wps, sums, sw.bcorr, sw.bw, m, k, o, np, 1, o)
+				gemmPanelsSwar(acc, panel, sw.wps, sw.bcorr, m, k, o, np, 1, o)
 			}
 			return acc
 		}

@@ -24,24 +24,16 @@ package engine
 // skipped at 70% sparsity.
 //
 // SWAR correction under skipping: the dense path recovers the raw dot
-// product as S = S' − bw·ΣA'(site) − ba·Σw(channel), with ΣA' the
-// full-K per-site biased byte sum. A skipped (dead) position j still
-// packs w' = bw (raw 0 + bias), so omitting it drops bw·a'_j from S'
-// and from the correction alike:
-//
-//	S = S'_live − bw·ΣA'_live(site, pair) − ba·Σw(channel),
-//
-// where ΣA'_live is accumulated inside the inner loop over the pair's
-// live list (live sets differ per pair, so the gather-time full sum no
-// longer applies). ba·Σw is unchanged — dead positions have raw w = 0.
-// Lane legality tightens to maxPairLive·aSpan·wSpan ≤ 2³²−1, so weights
-// whose full-K biased sum would overflow a lane can still take the SWAR
-// path once pruned (storageInfo.swarSparse).
+// product as S = S' − ba·Σw(channel). SWAR weights pack signed and
+// unbiased, so a skipped (dead) position packs the word 0 exactly in
+// both lanes: omitting it drops nothing from S', and the same
+// correction holds over the live list. ba·Σw is unchanged — dead
+// positions have raw w = 0. Lane legality tightens to
+// maxPairLive·aSpan·wAbs ≤ 2³¹−1, so weights whose full-K sum would
+// overflow a lane can still take the SWAR path once pruned
+// (storageInfo.swarSparse).
 
-import (
-	"torch2chip/internal/intmath"
-	"torch2chip/internal/tensor"
-)
+import "torch2chip/internal/tensor"
 
 // sparseStrategy is the sparse-kernel decision for one instruction.
 type sparseStrategy uint8
@@ -710,11 +702,11 @@ func linPanelsNM[A tensor.Elem, C accum](acc []C, xs []A, nm *nmPack, r0, m, k, 
 
 // gemmPanelsSwarSparse is the pair-skipping lane-packed microkernel:
 // same contract as gemmPanelsSwar, but each pair word stream iterates
-// its live list and accumulates its own per-site live byte sums (the
-// skipping correction; see the file comment). Four sites per step keep
-// the packed-weight reuse of the dense kernel; the pair streams run as
-// separate loops since their live sets differ.
-func gemmPanelsSwarSparse(acc []int32, panel []uint8, wps []uint64, sk *panelSkip, bcorr []int64, bw int64, m, colW, o, np, cs, rs int) {
+// its live list. A dead position's packed word is 0, so the skipped
+// terms need no correction (see the file comment). Four sites per step
+// keep the packed-weight reuse of the dense kernel; the pair streams run
+// as separate loops since their live sets differ.
+func gemmPanelsSwarSparse(acc []int32, panel []uint8, wps []uint64, sk *panelSkip, bcorr []int64, m, colW, o, np, cs, rs int) {
 	for pb := 0; pb < np; pb++ {
 		wp := wps[pb*colW*swarLanes : (pb+1)*colW*swarLanes]
 		wa := wp[:colW]
@@ -722,94 +714,45 @@ func gemmPanelsSwarSparse(acc []int32, panel []uint8, wps []uint64, sk *panelSki
 		la := sk.liveA[sk.offA[pb]:sk.offA[pb+1]]
 		lb := sk.liveB[sk.offB[pb]:sk.offB[pb+1]]
 		oc0 := pb * panelW
-		nch := o - oc0
-		if nch > panelW {
-			nch = panelW
-		}
+		nch := min(o-oc0, panelW)
 		i := 0
 		for ; i+4 <= m; i += 4 {
 			a0 := panel[i*colW:][:colW]
 			a1 := panel[(i+1)*colW:][:colW]
 			a2 := panel[(i+2)*colW:][:colW]
 			a3 := panel[(i+3)*colW:][:colW]
-			var p00, p10, p20, p30, s00, s10, s20, s30 uint64
+			var p00, p10, p20, p30 uint64
 			for _, j := range la {
-				jj := int(j)
-				w01 := wa[jj]
-				av0 := uint64(a0[jj])
-				av1 := uint64(a1[jj])
-				av2 := uint64(a2[jj])
-				av3 := uint64(a3[jj])
-				p00 += av0 * w01
-				p10 += av1 * w01
-				p20 += av2 * w01
-				p30 += av3 * w01
-				s00 += av0
-				s10 += av1
-				s20 += av2
-				s30 += av3
+				w01 := wa[j]
+				p00 += uint64(a0[j]) * w01
+				p10 += uint64(a1[j]) * w01
+				p20 += uint64(a2[j]) * w01
+				p30 += uint64(a3[j]) * w01
 			}
-			var p01, p11, p21, p31, s01, s11, s21, s31 uint64
+			var p01, p11, p21, p31 uint64
 			for _, j := range lb {
-				jj := int(j)
-				w23 := wb[jj]
-				av0 := uint64(a0[jj])
-				av1 := uint64(a1[jj])
-				av2 := uint64(a2[jj])
-				av3 := uint64(a3[jj])
-				p01 += av0 * w23
-				p11 += av1 * w23
-				p21 += av2 * w23
-				p31 += av3 * w23
-				s01 += av0
-				s11 += av1
-				s21 += av2
-				s31 += av3
+				w23 := wb[j]
+				p01 += uint64(a0[j]) * w23
+				p11 += uint64(a1[j]) * w23
+				p21 += uint64(a2[j]) * w23
+				p31 += uint64(a3[j]) * w23
 			}
-			storeSwarSiteSparse(acc, bcorr, oc0, nch, i, cs, rs, bw, s00, s01, p00, p01)
-			storeSwarSiteSparse(acc, bcorr, oc0, nch, i+1, cs, rs, bw, s10, s11, p10, p11)
-			storeSwarSiteSparse(acc, bcorr, oc0, nch, i+2, cs, rs, bw, s20, s21, p20, p21)
-			storeSwarSiteSparse(acc, bcorr, oc0, nch, i+3, cs, rs, bw, s30, s31, p30, p31)
+			storeSwarSite(acc, bcorr, oc0, nch, i, cs, rs, p00, p01)
+			storeSwarSite(acc, bcorr, oc0, nch, i+1, cs, rs, p10, p11)
+			storeSwarSite(acc, bcorr, oc0, nch, i+2, cs, rs, p20, p21)
+			storeSwarSite(acc, bcorr, oc0, nch, i+3, cs, rs, p30, p31)
 		}
 		for ; i < m; i++ {
 			a0 := panel[i*colW:][:colW]
-			var p00, p01, s00, s01 uint64
+			var p00, p01 uint64
 			for _, j := range la {
-				jj := int(j)
-				av0 := uint64(a0[jj])
-				p00 += av0 * wa[jj]
-				s00 += av0
+				p00 += uint64(a0[j]) * wa[j]
 			}
 			for _, j := range lb {
-				jj := int(j)
-				av0 := uint64(a0[jj])
-				p01 += av0 * wb[jj]
-				s01 += av0
+				p01 += uint64(a0[j]) * wb[j]
 			}
-			storeSwarSiteSparse(acc, bcorr, oc0, nch, i, cs, rs, bw, s00, s01, p00, p01)
+			storeSwarSite(acc, bcorr, oc0, nch, i, cs, rs, p00, p01)
 		}
-	}
-}
-
-// storeSwarSiteSparse extracts up to panelW lanes of one site with
-// per-pair live byte-sum corrections (lanes 0,1 use the pair-A sum,
-// lanes 2,3 the pair-B sum) and the per-channel ba·Σw correction.
-func storeSwarSiteSparse(acc []int32, bcorr []int64, oc0, nch, i, cs, rs int, bw int64, sA, sB uint64, p01, p23 uint64) {
-	base := oc0*cs + i*rs
-	cA := bw * int64(sA)
-	cB := bw * int64(sB)
-	if nch == panelW {
-		bc := bcorr[oc0:][:panelW]
-		acc[base] = int32(intmath.LaneLo(p01) - cA - bc[0])
-		acc[base+cs] = int32(intmath.LaneHi(p01) - cA - bc[1])
-		acc[base+2*cs] = int32(intmath.LaneLo(p23) - cB - bc[2])
-		acc[base+3*cs] = int32(intmath.LaneHi(p23) - cB - bc[3])
-		return
-	}
-	lanes := [panelW]int64{intmath.LaneLo(p01), intmath.LaneHi(p01), intmath.LaneLo(p23), intmath.LaneHi(p23)}
-	corr := [panelW]int64{cA, cA, cB, cB}
-	for r := 0; r < nch; r++ {
-		acc[base+r*cs] = int32(lanes[r] - corr[r] - bcorr[oc0+r])
 	}
 }
 

@@ -7,8 +7,6 @@ package engine
 import (
 	"fmt"
 	"testing"
-
-	"torch2chip/internal/intmath"
 )
 
 func benchWeights(o, k int, sparsity float64) []int64 {
@@ -25,16 +23,14 @@ func benchPanel32(m, colW int) []int32 {
 	return p
 }
 
-func benchPanelBytes(m, colW int) ([]uint8, []int64) {
+func benchPanelBytes(m, colW int) []uint8 {
 	p := make([]uint8, m*colW)
-	sums := make([]int64, m)
 	s := uint64(1)
 	for i := range p {
 		s = s*6364136223846793005 + 1442695040888963407
 		p[i] = uint8(s >> 33 % 256)
-		sums[i/colW] += int64(p[i])
 	}
-	return p, sums
+	return p
 }
 
 func BenchmarkSparseKernels(b *testing.B) {
@@ -42,22 +38,17 @@ func BenchmarkSparseKernels(b *testing.B) {
 	np := (o + panelW - 1) / panelW
 	acc := make([]int32, o*m)
 	panel32 := benchPanel32(m, k)
-	panelB, sums := benchPanelBytes(m, k)
+	panelB := benchPanelBytes(m, k)
 	for _, s := range []float64{0.5, 0.7, 0.85} {
 		w := benchWeights(o, k, s)
 		sk := buildPanelSkip(w, o, k)
 		wp32 := packPanels[int32](w, o, k)
-		const ba, bw = 128, 128
-		wps := packPanelsSwar(w, o, k, bw)
-		wsum := rowSumsScaled(w, o, k, 1)
-		bcorr := make([]int64, o)
-		for i, v := range wsum {
-			bcorr[i] = ba * v
-		}
+		wps := packPanelsSwar(w, o, k)
+		bcorr := rowSumsScaled(w, o, k, 128)
 		name := fmt.Sprintf("s%.0f", s*100)
 		b.Run("dense-swar/"+name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				gemmPanelsSwar(acc, panelB, wps, sums, bcorr, bw, m, k, o, np, m, 1)
+				gemmPanelsSwar(acc, panelB, wps, bcorr, m, k, o, np, m, 1)
 			}
 		})
 		b.Run("dense-i32/"+name, func(b *testing.B) {
@@ -67,7 +58,7 @@ func BenchmarkSparseKernels(b *testing.B) {
 		})
 		b.Run("pair-swar/"+name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				gemmPanelsSwarSparse(acc, panelB, wps, sk, bcorr, bw, m, k, o, np, m, 1)
+				gemmPanelsSwarSparse(acc, panelB, wps, sk, bcorr, m, k, o, np, m, 1)
 			}
 		})
 		b.Run("csr-i32/"+name, func(b *testing.B) {
@@ -94,17 +85,12 @@ func BenchmarkSparseKernels(b *testing.B) {
 			}
 		}
 		sk := buildPanelSkip(w, o, k)
-		const ba, bw = 128, 128
-		wps := packPanelsSwar(w, o, k, bw)
-		wsum := rowSumsScaled(w, o, k, 1)
-		bcorr := make([]int64, o)
-		for i, v := range wsum {
-			bcorr[i] = ba * v
-		}
+		wps := packPanelsSwar(w, o, k)
+		bcorr := rowSumsScaled(w, o, k, 128)
 		name := fmt.Sprintf("s%.0f", s*100)
 		b.Run("pair-swar-shared/"+name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				gemmPanelsSwarSparse(acc, panelB, wps, sk, bcorr, bw, m, k, o, np, m, 1)
+				gemmPanelsSwarSparse(acc, panelB, wps, sk, bcorr, m, k, o, np, m, 1)
 			}
 		})
 		b.Run("csr-shared/"+name, func(b *testing.B) {
@@ -128,5 +114,4 @@ func BenchmarkSparseKernels(b *testing.B) {
 			}
 		})
 	}
-	_ = intmath.LaneLo
 }

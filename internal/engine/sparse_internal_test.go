@@ -100,28 +100,14 @@ func TestSparseGemmKernelsMatchDense(t *testing.T) {
 
 			// SWAR pair-skipping kernel over the biased byte panel.
 			ba := int64(128)
-			wMin, wMax := int64(0), int64(0)
-			for _, v := range w {
-				if v < wMin {
-					wMin = v
-				}
-				if v > wMax {
-					wMax = v
-				}
-			}
-			bw := -wMin
 			bpanel := make([]uint8, m*k)
 			for i, v := range panel {
 				bpanel[i] = uint8(int64(v) + ba)
 			}
-			wsum := rowSumsScaled(w, o, k, 1)
-			bcorr := make([]int64, o)
-			for i, v := range wsum {
-				bcorr[i] = ba * v
-			}
-			wps := packPanelsSwar(w, o, k, bw)
+			bcorr := rowSumsScaled(w, o, k, ba)
+			wps := packPanelsSwar(w, o, k)
 			gotS := make([]int32, len(want))
-			gemmPanelsSwarSparse(gotS, bpanel, wps, sk, bcorr, bw, m, k, o, np, m, 1)
+			gemmPanelsSwarSparse(gotS, bpanel, wps, sk, bcorr, m, k, o, np, m, 1)
 			for i := range want {
 				if gotS[i] != want[i] {
 					t.Fatalf("o=%d k=%d m=%d s=%.2f: swar-sparse acc[%d] = %d, dense %d", o, k, m, sparsity, i, gotS[i], want[i])
@@ -278,14 +264,14 @@ func sparseLinearProgram(t *testing.T, w []int64, o, k int) *Program {
 	return p
 }
 
-// TestSwarSparseLegality: a linear whose full-K biased lane sum
-// overflows 32 bits (K·aSpan·wSpan > 2³²−1) must be rejected by the
+// TestSwarSparseLegality: a linear whose full-K lane sum may overflow
+// a signed 32-bit lane (K·aSpan·wAbs > 2³¹−1) must be rejected by the
 // dense SWAR bound but admitted — and bound to the pair-skipping SWAR
 // kernel — under the live-K bound, bit-identically to the reference
 // registry. The forced-dense registry (FastKernelsWithout(CapSparse))
 // must fall back to the int32 panel instead.
 func TestSwarSparseLegality(t *testing.T) {
-	// K chosen past the dense boundary (66311 at spans 255·254) and NOT
+	// K chosen past the dense boundary (66311 at aSpan 255, wAbs 127) and NOT
 	// divisible by 4 so no N:M structure hides the skip path; 100 live
 	// positions per row keep the live-K lane sum far below the bound.
 	// All channels share the same live positions (column-structured
@@ -314,7 +300,7 @@ func TestSwarSparseLegality(t *testing.T) {
 		t.Fatal("sparse linear must stay on typed storage (maxRowNnz bound)")
 	}
 	if st.swar[0] {
-		t.Fatal("full-K lane bound must reject K=66562 at spans 255·254")
+		t.Fatal("full-K lane bound must reject K=66562 at aSpan 255, wAbs 127")
 	}
 	if !st.swarSparse[0] {
 		t.Fatal("live-K lane bound must admit ~200 live positions per pair")

@@ -5,24 +5,25 @@ package engine
 // so every multiply retires two MACs. They are cores of convPackT[int32]
 // and linPackT[int32] (prepack.go), whose tiling, fused-add read,
 // epilogue and dtype dispatch they share; what they own is here — the
-// biased byte gather with its per-site sums, the lane-packed weights and
-// bias corrections (swarPack), the site tile, and the microkernels.
-// Both multiplicands are biased non-negative at bind time — activations
-// gathered as bytes a' = a − lo(dtype) ∈ [0, 255], weights packed as
-// w' = w − wMin ∈ [0, wSpan] — which makes lane sums monotone: as long as
-// the final lane value fits 32 bits (the storage pass proves
-// K·aSpan·wSpan ≤ 2³²−1 per instruction), no carry ever crosses lanes.
-// The raw dot product is recovered exactly from the biased one,
+// biased byte gather, the lane-packed weights and their correction
+// (swarPack), the site tile, and the microkernels.
+// Activations are gathered as bytes a' = a − lo(dtype) ∈ [0, 255];
+// weights pack signed and unbiased, W = w₀ + w₁·2³² mod 2⁶⁴. Word
+// arithmetic is exact mod 2⁶⁴, so the accumulated word is S'₀ + S'₁·2³²
+// mod 2⁶⁴ however the partial sums move, and the sign-extending lane
+// decode (intmath.LaneLo/LaneHi) returns both lanes exactly as long as
+// each final lane sum fits int32 (the storage pass proves
+// K·aSpan·max(|wMin|, |wMax|) ≤ 2³¹−1 per instruction). The raw dot
+// product is then
 //
-//	S = S' − bw·ΣA'(site) − ba·Σw(channel),
+//	S = S' − ba·Σw(channel),
 //
-// where ΣA' is the per-site sum of gathered bytes (computed during the
-// gather, padding included) and Σw the per-channel weight row sum; the
-// result lands in the driver's int32 accumulator tile and flows through
-// the same epilogue as the int32 panel cores — bit-identity by
-// construction. A byte panel holds 8× the sites of an int64 panel per
-// cache line, so SWAR tiles target larger site counts while staying
-// L1-resident; K is never split — the legality bound already caps it.
+// with Σw the per-channel weight row sum; the result lands in the
+// driver's int32 accumulator tile and flows through the same epilogue as
+// the int32 panel cores — bit-identity by construction. A byte panel
+// holds 8× the sites of an int64 panel per cache line, so SWAR tiles
+// target larger site counts while staying L1-resident; K is never split
+// — the legality bound already caps it.
 
 import (
 	"fmt"
@@ -36,12 +37,12 @@ import (
 const swarLanes = intmath.SwarLanes
 
 // swarPack is what a SWAR core reads besides its byte panel: the
-// lane-packed biased weights, the per-channel activation-bias
-// correction ba·Σw, and the two biases.
+// lane-packed signed weights, the per-channel activation-bias
+// correction ba·Σw, and the activation bias.
 type swarPack struct {
-	wps    []uint64
-	bcorr  []int64
-	ba, bw int64
+	wps   []uint64
+	bcorr []int64
+	ba    int64
 }
 
 // swarInstr reports whether instruction idx takes the SWAR lane-packed
@@ -50,24 +51,23 @@ func (ex *Executor) swarInstr(idx int) bool {
 	return ex.reg.swar && ex.stor != nil && ex.stor.swar[idx]
 }
 
-// packPanelsSwar packs biased weights w' = w + bw into lane pairs,
-// de-interleaved per panel: the first k words of a panel hold channels
-// (0,1) in (low, high) lanes for each tap j, the next k words channels
-// (2,3). The split-half layout lets the microkernel index both word
-// streams with the same tap counter the range loop already bounds.
-// Channels beyond o pack lane value 0, which contributes nothing and is
-// never extracted.
-func packPanelsSwar(w []int64, o, k int, bw int64) []uint64 {
+// packPanelsSwar packs signed weights into lane pairs, de-interleaved per
+// panel: the first k words of a panel hold channels (0,1) in (low, high)
+// lanes for each tap j, the next k words channels (2,3). The split-half
+// layout lets the microkernel index both word streams with the same tap
+// counter the range loop already bounds. Channels beyond o pack lane
+// value 0, which contributes nothing and is never extracted.
+func packPanelsSwar(w []int64, o, k int) []uint64 {
 	np := (o + panelW - 1) / panelW
 	out := make([]uint64, np*k*swarLanes)
 	for pb := 0; pb < np; pb++ {
 		lo := out[pb*k*swarLanes : pb*k*swarLanes+k]
 		hi := out[pb*k*swarLanes+k : (pb+1)*k*swarLanes]
 		for j := 0; j < k; j++ {
-			var lane [panelW]uint32
+			var lane [panelW]int32
 			for r := 0; r < panelW; r++ {
 				if oc := pb*panelW + r; oc < o {
-					lane[r] = uint32(w[oc*k+j] + bw)
+					lane[r] = int32(w[oc*k+j])
 				}
 			}
 			lo[j] = intmath.PackLanes2(lane[0], lane[1])
@@ -96,23 +96,16 @@ func tileSitesSwar(colW, spatial int) int {
 
 // swarShared builds (or fetches) the shared SWAR pack of an instruction
 // over [o, k] weights read from 8-bit input storage ad. The activation
-// bias comes from ad's full span, so any accepted code is safe; the
-// weight bias from the actual weight minimum.
+// bias comes from ad's full span, so any accepted code is safe.
 func swarShared(ex *Executor, idx int, it *Instr, ad tensor.DType, o, k int) (*sharedPack, error) {
 	if ad != tensor.I8 && ad != tensor.U8 {
 		return nil, fmt.Errorf("engine: swar %s %s input dtype %s", it.Kind, it.Name, ad)
 	}
 	lo, _ := ad.Range()
-	wMin, _ := it.W.MinMax()
-	ba, bw := -lo, -wMin
+	ba := -lo
 	return ex.prog.packs().sharedFor(sharedKey{idx: idx, swar: true, fp: weightFP(it.W)}, func() *sharedPack {
-		wsum := rowSumsScaled(it.W.Data, o, k, 1)
-		bc := make([]int64, o)
-		for i, s := range wsum {
-			bc[i] = ba * s
-		}
 		return &sharedPack{
-			sw:   &swarPack{wps: packPanelsSwar(it.W.Data, o, k, bw), bcorr: bc, ba: ba, bw: bw},
+			sw:   &swarPack{wps: packPanelsSwar(it.W.Data, o, k), bcorr: rowSumsScaled(it.W.Data, o, k, ba), ba: ba},
 			zsum: rowSumsScaled(it.W.Data, o, k, it.InZero),
 			epi:  newEpi(it, o),
 		}
@@ -120,13 +113,12 @@ func swarShared(ex *Executor, idx int, it *Instr, ad tensor.DType, o, k int) (*s
 }
 
 // gatherPanelBytes fills a [m, c·kH·kW] biased byte panel for sites
-// [s0, s0+m) of one sample and records each site's byte sum ΣA'.
-// Interior sites (every tap in bounds) gather kW-contiguous byte runs
-// straight from the input planes with no branches. Border sites take the
-// geometry's border rule: the in-bounds tap runs are biased as usual and
-// every padded tap writes the bias byte (raw 0), exactly mirroring the
-// raw gather's zero-fill.
-func gatherPanelBytes[A tensor.Elem](panel []uint8, sums []int64, xs []A, g *convGeom, ba int64, s0, m int) {
+// [s0, s0+m) of one sample. Interior sites (every tap in bounds) gather
+// kW-contiguous byte runs straight from the input planes with no
+// branches. Border sites take the geometry's border rule: the in-bounds
+// tap runs are biased as usual and every padded tap writes the bias byte
+// (raw 0), exactly mirroring the raw gather's zero-fill.
+func gatherPanelBytes[A tensor.Elem](panel []uint8, xs []A, g *convGeom, ba int64, s0, m int) {
 	kW, kH, hw := g.kW, g.kH, g.h*g.w
 	colW := g.c * kH * kW
 	oy, ox := s0/g.ow, s0%g.ow
@@ -134,15 +126,12 @@ func gatherPanelBytes[A tensor.Elem](panel []uint8, sums []int64, xs []A, g *con
 		row := panel[i*colW : (i+1)*colW]
 		if oy >= g.oyLo && oy < g.oyHi && ox >= g.oxLo && ox < g.oxHi {
 			base := (oy*g.stride-g.pad)*g.w + ox*g.stride - g.pad
-			var sum int64
 			switch {
 			case kW == 1 && kH == 1:
 				// 1×1 conv: one byte per channel plane, stride h·w.
 				tap := base
 				for ch := range row {
-					b := uint8(int64(xs[tap]) + ba)
-					row[ch] = b
-					sum += int64(b)
+					row[ch] = uint8(int64(xs[tap]) + ba)
 					tap += hw
 				}
 			case kW == 3:
@@ -155,13 +144,9 @@ func gatherPanelBytes[A tensor.Elem](panel []uint8, sums []int64, xs []A, g *con
 					for ky := 0; ky < kH; ky++ {
 						src := xs[tap : tap+3]
 						dst := row[p:][:3]
-						b0 := uint8(int64(src[0]) + ba)
-						b1 := uint8(int64(src[1]) + ba)
-						b2 := uint8(int64(src[2]) + ba)
-						dst[0] = b0
-						dst[1] = b1
-						dst[2] = b2
-						sum += int64(b0) + int64(b1) + int64(b2)
+						dst[0] = uint8(int64(src[0]) + ba)
+						dst[1] = uint8(int64(src[1]) + ba)
+						dst[2] = uint8(int64(src[2]) + ba)
 						tap += g.w
 						p += 3
 					}
@@ -176,9 +161,7 @@ func gatherPanelBytes[A tensor.Elem](panel []uint8, sums []int64, xs []A, g *con
 						src := xs[tap : tap+kW]
 						dst := row[p:][:len(src)]
 						for t, v := range src {
-							b := uint8(int64(v) + ba)
-							dst[t] = b
-							sum += int64(b)
+							dst[t] = uint8(int64(v) + ba)
 						}
 						tap += g.w
 						p += kW
@@ -186,7 +169,6 @@ func gatherPanelBytes[A tensor.Elem](panel []uint8, sums []int64, xs []A, g *con
 					tapc += hw
 				}
 			}
-			sums[i] = sum
 		} else {
 			ky0, ky1, kx0, kx1, base := g.window(oy, ox)
 			// Fill the row with the bias byte, then overwrite the tap
@@ -197,7 +179,6 @@ func gatherPanelBytes[A tensor.Elem](panel []uint8, sums []int64, xs []A, g *con
 				copy(row[n:], row[:n])
 			}
 			n := kx1 - kx0
-			sum := int64(colW-g.c*(ky1-ky0)*n) * ba
 			for ch := 0; ch < g.c; ch++ {
 				tap := ch*hw + base + ky0*g.w + kx0
 				p := (ch*kH+ky0)*kW + kx0
@@ -205,15 +186,12 @@ func gatherPanelBytes[A tensor.Elem](panel []uint8, sums []int64, xs []A, g *con
 					src := xs[tap : tap+n]
 					dst := row[p:][:len(src)]
 					for t, v := range src {
-						b := uint8(int64(v) + ba)
-						dst[t] = b
-						sum += int64(b)
+						dst[t] = uint8(int64(v) + ba)
 					}
 					tap += g.w
 					p += kW
 				}
 			}
-			sums[i] = sum
 		}
 		ox++
 		if ox == g.ow {
@@ -223,99 +201,93 @@ func gatherPanelBytes[A tensor.Elem](panel []uint8, sums []int64, xs []A, g *con
 	}
 }
 
-// gatherRowBytes fills a [m, k] biased byte panel straight from
-// contiguous input rows (the linear layout) and records row byte sums.
-func gatherRowBytes[A tensor.Elem](panel []uint8, sums []int64, xs []A, k, m int, ba int64) {
-	for i := 0; i < m; i++ {
-		xrow := xs[i*k : (i+1)*k]
-		row := panel[i*k:][:len(xrow)]
-		var s int64
-		for j, v := range xrow {
-			b := uint8(int64(v) + ba)
-			row[j] = b
-			s += int64(b)
-		}
-		sums[i] = s
+// gatherRowBytes fills a [len(xs)/k, k] biased byte panel straight from
+// contiguous input rows (the linear layout).
+func gatherRowBytes[A tensor.Elem](panel []uint8, xs []A, ba int64) {
+	panel = panel[:len(xs)]
+	for j, v := range xs {
+		panel[j] = uint8(int64(v) + ba)
 	}
 }
 
 // gemmPanelsSwar is the lane-packed microkernel: per packed weight panel
-// and site pair, four 64-bit accumulator words carry eight channel sums
-// (two lanes each); the epilogue extracts the lanes, removes both bias
-// corrections, and stores exact raw int32 dot products into the
-// accumulator tile at acc[oc·cs + site·rs] (cs = tile sites, rs = 1 for
-// the conv's channel-major tile; cs = 1, rs = o for the linear's
-// row-major tile).
-func gemmPanelsSwar(acc []int32, panel []uint8, wps []uint64, sums, bcorr []int64, bw int64, m, colW, o, np, cs, rs int) {
+// and four-site block, eight 64-bit accumulator words carry sixteen
+// channel sums (two lanes each); storeSwarSite decodes the lanes, removes
+// the activation-bias correction, and stores exact raw int32 dot
+// products into the accumulator tile at acc[oc·cs + site·rs] (cs = tile
+// sites, rs = 1 for the conv's channel-major tile; cs = 1, rs = o for
+// the linear's row-major tile).
+func gemmPanelsSwar(acc []int32, panel []uint8, wps []uint64, bcorr []int64, m, colW, o, np, cs, rs int) {
 	for pb := 0; pb < np; pb++ {
 		// Split-half panel layout: wa[j] carries channels (0,1) of tap j,
-		// wb[j] channels (2,3). Re-slicing both halves (and the site rows
-		// below) to exactly colW lets the compiler drop every bounds check
-		// in the inner loop — the range variable proves them all.
+		// wb[j] channels (2,3).
 		wp := wps[pb*colW*swarLanes : (pb+1)*colW*swarLanes]
 		wa := wp[:colW]
 		wb := wp[colW:][:colW]
 		oc0 := pb * panelW
-		nch := o - oc0
-		if nch > panelW {
-			nch = panelW
-		}
+		nch := min(o-oc0, panelW)
 		i := 0
-		// Four sites per step: eight independent accumulator words hide
-		// the multiply latency, and each packed weight load is reused
-		// across four sites.
 		for ; i+4 <= m; i += 4 {
-			a0 := panel[i*colW:][:colW]
-			a1 := panel[(i+1)*colW:][:colW]
-			a2 := panel[(i+2)*colW:][:colW]
-			a3 := panel[(i+3)*colW:][:colW]
-			var p00, p01, p10, p11, p20, p21, p30, p31 uint64
-			for j := range wa {
-				w01 := wa[j]
-				w23 := wb[j]
-				av0 := uint64(a0[j])
-				av1 := uint64(a1[j])
-				av2 := uint64(a2[j])
-				av3 := uint64(a3[j])
-				p00 += av0 * w01
-				p01 += av0 * w23
-				p10 += av1 * w01
-				p11 += av1 * w23
-				p20 += av2 * w01
-				p21 += av2 * w23
-				p30 += av3 * w01
-				p31 += av3 * w23
-			}
-			storeSwarSite(acc, bcorr, oc0, nch, i, cs, rs, bw*sums[i], p00, p01)
-			storeSwarSite(acc, bcorr, oc0, nch, i+1, cs, rs, bw*sums[i+1], p10, p11)
-			storeSwarSite(acc, bcorr, oc0, nch, i+2, cs, rs, bw*sums[i+2], p20, p21)
-			storeSwarSite(acc, bcorr, oc0, nch, i+3, cs, rs, bw*sums[i+3], p30, p31)
+			p00, p01, p10, p11, p20, p21, p30, p31 := swarTaps4(
+				panel[i*colW:][:colW], panel[(i+1)*colW:][:colW],
+				panel[(i+2)*colW:][:colW], panel[(i+3)*colW:][:colW], wa, wb)
+			storeSwarSite(acc, bcorr, oc0, nch, i, cs, rs, p00, p01)
+			storeSwarSite(acc, bcorr, oc0, nch, i+1, cs, rs, p10, p11)
+			storeSwarSite(acc, bcorr, oc0, nch, i+2, cs, rs, p20, p21)
+			storeSwarSite(acc, bcorr, oc0, nch, i+3, cs, rs, p30, p31)
 		}
 		for ; i < m; i++ {
 			a0 := panel[i*colW:][:colW]
 			var p00, p01 uint64
-			for j := range wa {
-				av0 := uint64(a0[j])
-				p00 += av0 * wa[j]
-				p01 += av0 * wb[j]
+			for j, av := range a0 {
+				p00 += uint64(av) * wa[j]
+				p01 += uint64(av) * wb[j]
 			}
-			storeSwarSite(acc, bcorr, oc0, nch, i, cs, rs, bw*sums[i], p00, p01)
+			storeSwarSite(acc, bcorr, oc0, nch, i, cs, rs, p00, p01)
 		}
 	}
 }
 
-// storeSwarSite extracts up to panelW lanes of one site, removes the
-// per-site (bw·ΣA') and per-channel (ba·Σw) bias corrections, and writes
-// the exact raw accumulators. Full panels (the common case) store all
-// four lanes without the remainder loop.
-func storeSwarSite(acc []int32, bcorr []int64, oc0, nch, i, cs, rs int, siteCorr int64, p01, p23 uint64) {
+// swarTaps4 is the dense core's tap loop over four site rows against the
+// two word streams of one panel. It is a leaf of its own so that the
+// eight accumulator words stay in registers across the loop: eight
+// independent chains hide the multiply latency, and each packed weight
+// load is reused across four sites.
+func swarTaps4(a0, a1, a2, a3 []uint8, wa, wb []uint64) (p00, p01, p10, p11, p20, p21, p30, p31 uint64) {
+	// Re-slicing every stream to len(wa) lets the range variable prove
+	// each index, so the loop carries no bounds checks.
+	wb = wb[:len(wa)]
+	a0, a1, a2, a3 = a0[:len(wa)], a1[:len(wa)], a2[:len(wa)], a3[:len(wa)]
+	for j, w01 := range wa {
+		w23 := wb[j]
+		av0 := uint64(a0[j])
+		av1 := uint64(a1[j])
+		av2 := uint64(a2[j])
+		av3 := uint64(a3[j])
+		p00 += av0 * w01
+		p01 += av0 * w23
+		p10 += av1 * w01
+		p11 += av1 * w23
+		p20 += av2 * w01
+		p21 += av2 * w23
+		p30 += av3 * w01
+		p31 += av3 * w23
+	}
+	return
+}
+
+// storeSwarSite decodes up to panelW lanes of one site, removes the
+// per-channel ba·Σw correction, and writes the exact raw accumulators.
+// Full panels (the common case) store all four lanes without the
+// remainder loop.
+func storeSwarSite(acc []int32, bcorr []int64, oc0, nch, i, cs, rs int, p01, p23 uint64) {
 	base := oc0*cs + i*rs
 	if nch == panelW {
 		bc := bcorr[oc0:][:panelW]
-		acc[base] = int32(intmath.LaneLo(p01) - siteCorr - bc[0])
-		acc[base+cs] = int32(intmath.LaneHi(p01) - siteCorr - bc[1])
-		acc[base+2*cs] = int32(intmath.LaneLo(p23) - siteCorr - bc[2])
-		acc[base+3*cs] = int32(intmath.LaneHi(p23) - siteCorr - bc[3])
+		acc[base] = int32(intmath.LaneLo(p01) - bc[0])
+		acc[base+cs] = int32(intmath.LaneHi(p01) - bc[1])
+		acc[base+2*cs] = int32(intmath.LaneLo(p23) - bc[2])
+		acc[base+3*cs] = int32(intmath.LaneHi(p23) - bc[3])
 		return
 	}
 	lanes := [panelW]int64{
@@ -323,7 +295,7 @@ func storeSwarSite(acc []int32, bcorr []int64, oc0, nch, i, cs, rs int, siteCorr
 		intmath.LaneLo(p23), intmath.LaneHi(p23),
 	}
 	for r := 0; r < nch; r++ {
-		acc[base+r*cs] = int32(lanes[r] - siteCorr - bcorr[oc0+r])
+		acc[base+r*cs] = int32(lanes[r] - bcorr[oc0+r])
 	}
 }
 

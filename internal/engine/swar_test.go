@@ -17,47 +17,61 @@ import (
 	"torch2chip/internal/tensor"
 )
 
-// TestSwarKernelSelectionOnZoo asserts the storage pass actually binds
-// the SWAR path where it is legal and falls back where it is not: dense
-// convs/linears on the 8-bit zoo models bind "swar", grouped/depthwise
-// convs (excluded from lane packing) stay on the direct int32 path, and
+// TestSwarKernelSelectionOnZoo asserts the storage pass binds the SWAR
+// path wherever it is legal on the zoo: at batch 1 and 8, every dense
+// (ungrouped) conv or linear of resnet20, mobilenet and the ViT whose
+// input is stored in 8 bits binds "swar", so a change to the legality
+// rule cannot silently drop one to the int32 panel; grouped/depthwise
+// convs (excluded from lane packing) stay on the direct int32 path; and
 // the no-SWAR registry binds none.
 func TestSwarKernelSelectionOnZoo(t *testing.T) {
 	calib, _ := data.Generate(data.SynthCIFAR10, 48, 8)
-	for _, name := range []string{"resnet20", "mobilenet"} {
-		_, prog := compileZoo(t, name, calib)
-		ex, err := engine.NewExecutor(prog, []int{8, 3, 32, 32}, engine.WithKernels(engine.FastKernels()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var swar, direct int
-		for _, c := range ex.KernelChoices() {
-			switch c.Path {
-			case "swar":
-				swar++
-				if c.Lanes != 2 {
-					t.Fatalf("%s %s: swar lanes %d, want 2", name, c.Name, c.Lanes)
-				}
-				if c.TileM <= 0 {
-					t.Fatalf("%s %s: swar tile %d", name, c.Name, c.TileM)
-				}
-			case "i32-direct":
-				direct++
+	_, resnet := compileZoo(t, "resnet20", calib)
+	_, mobilenet := compileZoo(t, "mobilenet", calib)
+	_, vit := compileViT(t, 3, 1)
+	for _, m := range []struct {
+		name string
+		prog *engine.Program
+	}{{"resnet20", resnet}, {"mobilenet", mobilenet}, {"vit", vit}} {
+		for _, n := range []int{1, 8} {
+			ex, err := engine.NewExecutor(m.prog, []int{n, 3, 32, 32}, engine.WithKernels(engine.FastKernels()))
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if swar == 0 {
-			t.Fatalf("%s bound no SWAR instruction", name)
-		}
-		if name == "mobilenet" && direct == 0 {
-			t.Fatal("mobilenet depthwise convs must stay on the direct int32 fallback")
-		}
-		exNo, err := engine.NewExecutor(prog, []int{8, 3, 32, 32}, engine.WithKernels(engine.FastKernelsWithout(engine.CapSwar)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, c := range exNo.KernelChoices() {
-			if c.Path == "swar" {
-				t.Fatalf("%s no-swar registry bound a SWAR kernel at %s", name, c.Name)
+			var swar, direct int
+			for _, c := range ex.KernelChoices() {
+				grouped := c.Kind == engine.OpConv && m.prog.Instrs[c.Index].P.Groups > 1
+				eightBit := c.InDTypes[0] == "i8" || c.InDTypes[0] == "u8"
+				if (c.Kind == engine.OpConv || c.Kind == engine.OpLinear) && !grouped && eightBit && c.Path != "swar" {
+					t.Fatalf("%s b%d %s: dense %s over %s input bound %s, want swar", m.name, n, c.Name, c.Kind, c.InDTypes[0], c.Path)
+				}
+				switch c.Path {
+				case "swar":
+					swar++
+					if c.Lanes != 2 {
+						t.Fatalf("%s b%d %s: swar lanes %d, want 2", m.name, n, c.Name, c.Lanes)
+					}
+					if c.TileM <= 0 {
+						t.Fatalf("%s b%d %s: swar tile %d", m.name, n, c.Name, c.TileM)
+					}
+				case "i32-direct":
+					direct++
+				}
+			}
+			if swar == 0 {
+				t.Fatalf("%s b%d bound no SWAR instruction", m.name, n)
+			}
+			if m.name == "mobilenet" && direct == 0 {
+				t.Fatal("mobilenet depthwise convs must stay on the direct int32 fallback")
+			}
+			exNo, err := engine.NewExecutor(m.prog, []int{n, 3, 32, 32}, engine.WithKernels(engine.FastKernelsWithout(engine.CapSwar)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range exNo.KernelChoices() {
+				if c.Path == "swar" {
+					t.Fatalf("%s b%d no-swar registry bound a SWAR kernel at %s", m.name, n, c.Name)
+				}
 			}
 		}
 	}

@@ -168,10 +168,11 @@ func packB[A tensor.Elem, C accum](dst []C, src []A, k, n int, transB bool, z in
 // unified scaler into the row-major typed output [M,N].
 func finishMatMul[O tensor.Elem, C accum](dst []O, acc []C, m, n int, e *epi) {
 	sfx, bfx := e.sfx[0], e.bfx[0]
+	half, frac, zero, lo, hi := e.half, e.frac, e.zero, e.lo, e.hi
 	for i := 0; i < m; i++ {
 		row := dst[i*n : (i+1)*n]
 		for oc := range row {
-			row[oc] = O(intmath.Requantize(int64(acc[oc*m+i]), sfx, bfx, e.half, e.frac, e.zero, e.lo, e.hi))
+			row[oc] = O(intmath.Requantize(int64(acc[oc*m+i]), sfx, bfx, half, frac, zero, lo, hi))
 		}
 	}
 }

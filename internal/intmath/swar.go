@@ -4,12 +4,12 @@ import "math"
 
 // SWAR (SIMD-within-a-register) lane primitives for the packed int8 GEMM
 // path. Two output channels share one 64-bit accumulator word, each
-// owning a 32-bit lane. Both multiplicands are biased to be non-negative
-// — activations to [0, 255] bytes, weights to [0, wSpan] — so lane sums
-// grow monotonically and, as long as the final value of the low lane
-// fits 32 bits, no carry ever crosses into the high lane: every
-// intermediate partial sum is bounded by the final sum. SwarLegal is the
-// per-instruction proof obligation for that bound.
+// owning a 32-bit lane. Weights pack signed, W = w₀ + w₁·2³² mod 2⁶⁴, and
+// activations multiply in as non-negative bytes. Word arithmetic is exact
+// mod 2⁶⁴, so the accumulated word is S₀ + S₁·2³² mod 2⁶⁴ whatever the
+// intermediate sums do; LaneLo and LaneHi sign-extend the two lanes back
+// out, which is exact whenever each final lane sum fits int32. SwarLegal
+// is the per-instruction proof obligation for that bound.
 
 // SwarLanes is the number of output channels packed per 64-bit word.
 const SwarLanes = 2
@@ -17,35 +17,38 @@ const SwarLanes = 2
 // SwarLaneBits is the width of one packed sub-accumulator.
 const SwarLaneBits = 32
 
-// SwarLaneMax is the largest value a packed sub-accumulator may reach
-// without corrupting the neighbouring lane.
-const SwarLaneMax = math.MaxUint32
+// SwarLaneMax is the largest magnitude a packed sub-accumulator's final
+// sum may reach and still decode exactly.
+const SwarLaneMax = math.MaxInt32
 
-// SwarLegal reports whether a K-long dot product of biased activations
-// (each ≤ aSpan) against biased weights (each ≤ wSpan) stays within one
-// 32-bit lane: K·aSpan·wSpan ≤ SwarLaneMax. All arguments must be
-// non-negative; the comparison is performed without overflow.
-func SwarLegal(k, aSpan, wSpan int64) bool {
-	if k < 0 || aSpan < 0 || wSpan < 0 {
+// SwarLegal reports whether a K-long dot product of activation bytes
+// (each in [0, aSpan]) against signed weights (each |w| ≤ wAbs) stays
+// within one signed 32-bit lane: K·aSpan·wAbs ≤ SwarLaneMax. All
+// arguments must be non-negative; the comparison is performed without
+// overflow.
+func SwarLegal(k, aSpan, wAbs int64) bool {
+	if k < 0 || aSpan < 0 || wAbs < 0 {
 		return false
 	}
-	if k == 0 || aSpan == 0 || wSpan == 0 {
+	if k == 0 || aSpan == 0 || wAbs == 0 {
 		return true
 	}
 	if aSpan > SwarLaneMax || k > SwarLaneMax/aSpan {
 		return false
 	}
-	return k*aSpan <= SwarLaneMax/wSpan
+	return k*aSpan <= SwarLaneMax/wAbs
 }
 
-// PackLanes2 packs two biased weights into one accumulator word: lane 0
-// (low) holds w0, lane 1 (high) holds w1. Both must be in [0, 2^32).
-func PackLanes2(w0, w1 uint32) uint64 {
-	return uint64(w0) | uint64(w1)<<SwarLaneBits
+// PackLanes2 packs two signed weights into one accumulator word, lane 0
+// (low) holding w0 and lane 1 (high) w1: w0 + w1·2³² mod 2⁶⁴.
+func PackLanes2(w0, w1 int32) uint64 {
+	return uint64(int64(w0)) + uint64(w1)<<SwarLaneBits
 }
 
-// LaneLo extracts the low 32-bit sub-accumulator.
-func LaneLo(acc uint64) int64 { return int64(acc & SwarLaneMax) }
+// LaneLo extracts the low sub-accumulator, sign-extended.
+func LaneLo(acc uint64) int64 { return int64(int32(uint32(acc))) }
 
-// LaneHi extracts the high 32-bit sub-accumulator.
-func LaneHi(acc uint64) int64 { return int64(acc >> SwarLaneBits) }
+// LaneHi extracts the high sub-accumulator: the low lane's sign
+// extension is what borrowed from (or carried into) the high half, so
+// removing it leaves the high lane exactly.
+func LaneHi(acc uint64) int64 { return int64(acc-uint64(LaneLo(acc))) >> SwarLaneBits }
