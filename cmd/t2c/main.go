@@ -61,7 +61,6 @@ func runServe(args []string) {
 	workers := fs.Int("workers", 0, "serving workers per model, sharing its queue (0 = auto)")
 	maxBatch := fs.Int("max-batch", 8, "micro-batch size")
 	queue := fs.Int("queue", 0, "request queue capacity per model, in samples; a request that does not fit gets 429 (0 = auto)")
-	opt := fs.Int("opt", 1, "optimization level for unfused checkpoints (0 = run as stored)")
 	sched := fs.String("sched", "edf", "request scheduling policy: edf (deadline-driven) or fifo")
 	cacheCap := fs.Int("cache-capacity", 0, "content-addressed inference cache entries per model (0 = default 1024, negative = disabled)")
 	cacheFloor := fs.Float64("cache-floor", 0, "observed hit rate below which cache inserts back off (0 = default 0.02, negative = no floor)")
@@ -79,9 +78,17 @@ func runServe(args []string) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	engOpts := engine.ServerOptions{
-		Workers: *workers, MaxBatch: *maxBatch, QueueSize: *queue,
-		Sched: schedPolicy,
+	opts := serve.Options{
+		Engine: engine.ServerOptions{
+			Workers: *workers, MaxBatch: *maxBatch, QueueSize: *queue,
+			Sched: schedPolicy,
+		},
+		DefaultDeadline: *deadlineFlag,
+		CacheCapacity:   *cacheCap,
+		CacheHitFloor:   *cacheFloor,
+	}
+	if *traceOn {
+		opts.Trace = &trace.Config{RingSpans: *traceSpans, SampleEvery: *traceSample}
 	}
 	var sample []int
 	if *shape != "" {
@@ -90,15 +97,7 @@ func runServe(args []string) {
 			log.Fatal(err)
 		}
 	}
-
-	cfg := serveHTTPConfig{
-		deadline: *deadlineFlag, opt: engine.OptLevel(*opt),
-		pprof: *pprofOn, cacheCap: *cacheCap, cacheFloor: *cacheFloor,
-	}
-	if *traceOn {
-		cfg.trace = &trace.Config{RingSpans: *traceSpans, SampleEvery: *traceSample}
-	}
-	runServeHTTP(*httpAddr, *ckptPath, *name, sample, engOpts, cfg)
+	runServeHTTP(*httpAddr, *ckptPath, *name, sample, opts, *pprofOn)
 }
 
 // instrKindSummary renders per-OpKind instruction counts (sorted by
@@ -155,28 +154,11 @@ func readCheckpoint(path string) *export.Checkpoint {
 	return ck
 }
 
-type serveHTTPConfig struct {
-	deadline   time.Duration
-	opt        engine.OptLevel
-	trace      *trace.Config
-	pprof      bool
-	cacheCap   int
-	cacheFloor float64
-}
-
 // runServeHTTP starts the multi-model serving subsystem: registry +
 // HTTP API with graceful shutdown on SIGINT/SIGTERM (in-flight requests
 // drain before exit).
-func runServeHTTP(addr, ckptPath, name string, sample []int, engOpts engine.ServerOptions, cfg serveHTTPConfig) {
-	reg := serve.NewRegistry(serve.Options{
-		Engine:          engOpts,
-		DefaultDeadline: cfg.deadline,
-		OptLevel:        cfg.opt,
-		RawOptLevel:     cfg.opt == engine.OptNone,
-		Trace:           cfg.trace,
-		CacheCapacity:   cfg.cacheCap,
-		CacheHitFloor:   cfg.cacheFloor,
-	})
+func runServeHTTP(addr, ckptPath, name string, sample []int, opts serve.Options, pprof bool) {
+	reg := serve.NewRegistry(opts)
 	if ckptPath != "" {
 		info, err := reg.Load(name, readCheckpoint(ckptPath), sample)
 		if err != nil {
@@ -184,7 +166,7 @@ func runServeHTTP(addr, ckptPath, name string, sample []int, engOpts engine.Serv
 		}
 		log.Printf("loaded model %q v%d (sample %v)", info.Name, info.Version, info.Sample)
 	}
-	srv := &http.Server{Addr: addr, Handler: serve.NewHandler(reg, serve.HandlerOptions{EnablePprof: cfg.pprof})}
+	srv := &http.Server{Addr: addr, Handler: serve.NewHandler(reg, serve.HandlerOptions{EnablePprof: pprof})}
 	done := make(chan struct{})
 	go func() {
 		sig := make(chan os.Signal, 1)

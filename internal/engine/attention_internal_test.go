@@ -150,7 +150,8 @@ func TestPackedMatMulMatchesSerial(t *testing.T) {
 
 // TestMatMulBindsAccumulatorWidth pins the accBound edge at bind: a
 // K·max|a−ZA|·max|b−ZB| of exactly MaxInt32 binds the int32 GEMM, one
-// more binds int64, and so does an unannotated program.
+// more binds int64, and so does an executor planned without typed
+// storage (an I64-arena registry).
 func TestMatMulBindsAccumulatorWidth(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -163,7 +164,7 @@ func TestMatMulBindsAccumulatorWidth(t *testing.T) {
 		{"max-int32", 1, bufRange{5, 6, true}, bufRange{-3, math.MaxInt32 - 3, true}, 5, -3, "matmul-i32"},
 		// 2 · 1 · 2³⁰ = 2³¹: one past it.
 		{"max-int32+1", 2, bufRange{-1, 1, true}, bufRange{1, 1<<30 + 1, true}, 0, 1, "matmul-i64"},
-		{"unannotated", 1, bufRange{}, bufRange{}, 0, 0, "matmul-i64"},
+		{"i64-arenas", 1, bufRange{}, bufRange{}, 0, 0, "matmul-i64"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			it := &Instr{Kind: OpMatMul, In: []int{0, 1}, Out: 2, ZA: tc.za, ZB: tc.zb, TransposeB: true,

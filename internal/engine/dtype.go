@@ -4,14 +4,13 @@ package engine
 // derivable from the instruction that writes it (the producing scaler's
 // requantization range, a residual add's clamp range, or propagation for
 // range-preserving ops), so the narrowest legal storage dtype per buffer
-// is a pure function of the program. Lower annotates fresh programs,
-// Optimize re-annotates after fusion rewrites the epilogues, and the
-// typed executor plans its arenas from the annotation unchanged. The
-// storage pass additionally decides, per conv/linear instruction, the
-// accumulator width its kernel binds (int32 where the bound below holds,
-// int64 otherwise) and whether the SWAR lane bound holds; both kernel
-// widths load and store any storage dtype, so storage is never widened
-// for a kernel.
+// is a pure function of the program, derived wherever it is needed
+// (bufDTypes) and never stored beside it; the typed executor plans its
+// arenas from it. The storage pass additionally decides, per conv/linear
+// instruction, the accumulator width its kernel binds (int32 where the
+// bound below holds, int64 otherwise) and whether the SWAR lane bound
+// holds; both kernel widths load and store any storage dtype, so storage
+// is never widened for a kernel.
 
 import (
 	"fmt"
@@ -89,35 +88,23 @@ func (p *Program) inferRanges() ([]bufRange, error) {
 	return rng, nil
 }
 
-// AnnotateDTypes derives and records the narrowest storage dtype for
-// every buffer (BufDTypes). Lower calls it on fresh programs and
-// Optimize after fusion; deserialized pre-v3 programs stay unannotated
-// and keep planning I64 arenas.
-func (p *Program) AnnotateDTypes() error {
+// bufDTypes derives every buffer's storage dtype, the narrowest that
+// holds its inferred code range (a buffer nothing writes, such as one
+// fusion eliminated, keeps the zero DType). Storage is a pure function
+// of the program: storage(), Spec and FromCheckpoint all derive it here.
+func (p *Program) bufDTypes() ([]bufRange, []tensor.DType, error) {
 	rng, err := p.inferRanges()
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	dts := make([]tensor.DType, p.NumBufs)
+	dts := make([]tensor.DType, len(rng))
 	for b, r := range rng {
 		if r.ok {
 			dts[b] = tensor.DTypeForRange(r.lo, r.hi)
 		}
 	}
-	p.BufDTypes = dts
-	packInitMu.Lock()
-	// Weight-derived caches are invalidated together: re-annotation is
-	// the "program changed" hook, and a caller that swapped weight
-	// content in place (hot-reload plumbing) must not serve the stale
-	// sparsity analysis or storage plan.
-	p.stor = nil
-	p.spar = nil
-	packInitMu.Unlock()
-	return nil
+	return rng, dts, nil
 }
-
-// Annotated reports whether the program carries storage dtypes.
-func (p *Program) Annotated() bool { return p.BufDTypes != nil }
 
 // storageInfo is the resolved typed-storage decision: the per-buffer
 // storage dtype and derived range, per instruction whether conv/linear
@@ -127,7 +114,7 @@ func (p *Program) Annotated() bool { return p.BufDTypes != nil }
 // rule (matMulTyped) runs at bind over rng.
 type storageInfo struct {
 	dts   []tensor.DType
-	rng   []bufRange // nil for unannotated programs
+	rng   []bufRange
 	typed []bool
 	swar  []bool
 	// swarSparse marks typed conv/linear instructions whose pruned
@@ -136,14 +123,6 @@ type storageInfo struct {
 	// pair-skipping SWAR kernel is legal under this flag — the dense
 	// kernel's biased sum runs the full K range.
 	swarSparse []bool
-}
-
-// maxAbsWeight scans the integer weight tensor once (bind-time only).
-func maxAbsWeight(w *tensor.IntTensor) (int64, int64) {
-	if w == nil || w.Numel() == 0 {
-		return 0, 0
-	}
-	return w.MinMax()
 }
 
 // accBound reports whether a K-long dot product of raw codes (≤ rawMax
@@ -174,9 +153,8 @@ func matMulTyped(k int64, ra, rb bufRange, za, zb int64) bool {
 	return bAbs <= math.MaxInt32 && accBound(k, ra.maxDist(za), bAbs)
 }
 
-// storage resolves (and caches) the typed-storage plan. Unannotated
-// programs get all-I64 storage and no int32 instructions. Annotated
-// programs store every buffer at its BufDTypes dtype; a conv/linear
+// storage resolves (and caches) the typed-storage plan: every buffer
+// is stored at its derived dtype (bufDTypes), and a conv/linear
 // accumulates in int32 when its weights fit int8 and its accumulator
 // bound fits int32, and binds the int64 kernels otherwise.
 func (p *Program) storage() (*storageInfo, error) {
@@ -186,24 +164,17 @@ func (p *Program) storage() (*storageInfo, error) {
 	if st != nil {
 		return st, nil
 	}
+	rng, dts, err := p.bufDTypes()
+	if err != nil {
+		return nil, err
+	}
 	st = &storageInfo{
-		dts:        make([]tensor.DType, p.NumBufs),
+		dts:        dts,
+		rng:        rng,
 		typed:      make([]bool, len(p.Instrs)),
 		swar:       make([]bool, len(p.Instrs)),
 		swarSparse: make([]bool, len(p.Instrs)),
 	}
-	if p.BufDTypes == nil || len(p.BufDTypes) != p.NumBufs {
-		packInitMu.Lock()
-		p.stor = st
-		packInitMu.Unlock()
-		return st, nil
-	}
-	copy(st.dts, p.BufDTypes)
-	rng, err := p.inferRanges()
-	if err != nil {
-		return nil, err
-	}
-	st.rng = rng
 
 	spar := p.sparsity()
 	for i := range p.Instrs {
@@ -217,7 +188,7 @@ func (p *Program) storage() (*storageInfo, error) {
 		// partial sum is bounded by maxRowNnz·rawMax·wAbs. Dense weights
 		// reduce to the full K exactly as before.
 		k := spar[i].maxRowNnz
-		wMin, wMax := maxAbsWeight(it.W)
+		wMin, wMax := it.W.MinMax()
 		wAbs := max(wMax, -wMin)
 		st.typed[i] = wMin >= -128 && wMax <= 127 && accBound(k, rng[it.In[0]].maxDist(0), wAbs)
 

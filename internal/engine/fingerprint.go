@@ -1,190 +1,64 @@
 package engine
 
 // Program content fingerprinting for the serving layer's
-// content-addressed inference cache. The fingerprint covers every field
-// that can affect an output code — the input quantizer, the output
-// dequantization parameters, and each instruction's kind, topology,
-// weights, scalers, tables, and fused epilogue — so two programs with
-// equal fingerprints compute identical codes for identical input codes
-// (up to 64-bit hash collisions, which the cache additionally guards
-// against by comparing the full stored input codes on every hit).
-// Instruction names and optimization bookkeeping that cannot change
-// values are deliberately included only where they change structure:
-// a fused and an unfused build of the same checkpoint hash differently,
-// which is safe (they compute identical values but never share cache
-// entries) and keeps the walk simple.
+// content-addressed inference cache. A program is its spec plus the
+// code tensors the spec names, so that is what the fingerprint hashes;
+// nothing is kept in step with the spec by hand. Names and the fused
+// structure are part of the spec, so a fused and an unfused build of
+// one checkpoint hash differently, which is safe: they never share
+// cache entries.
 
 import (
-	"math"
+	"encoding/json"
+	"fmt"
 
-	"torch2chip/internal/intmath"
 	"torch2chip/internal/tensor"
 )
 
-// fnv64 accumulates 64-bit words FNV-1a style, the same mixing the
-// prepack layer's weight fingerprint uses.
+// fnv64 accumulates 64-bit words FNV-1a style.
 type fnv64 uint64
-
-func newFNV64() fnv64 { return 14695981039346656037 }
 
 func (h *fnv64) word(v uint64) {
 	*h ^= fnv64(v)
 	*h *= 1099511628211
 }
 
-func (h *fnv64) i64(v int64)   { h.word(uint64(v)) }
-func (h *fnv64) f32(v float32) { h.word(uint64(math.Float32bits(v))) }
-
-func (h *fnv64) boolean(v bool) {
-	if v {
-		h.word(3)
-	} else {
-		h.word(2)
-	}
-}
-
-func (h *fnv64) str(s string) {
-	h.word(uint64(len(s)))
-	for i := 0; i < len(s); i++ {
-		h.word(uint64(s[i]))
-	}
-}
-
-func (h *fnv64) ints(vs []int) {
-	h.word(uint64(len(vs)))
-	for _, v := range vs {
-		h.i64(int64(v))
-	}
-}
-
-func (h *fnv64) i64s(vs []int64) {
-	h.word(uint64(len(vs)))
-	for _, v := range vs {
-		h.i64(v)
-	}
-}
-
-// intTensor hashes shape and content, dtype-independent (the I64 view
-// when present, element reads otherwise): two tensors holding the same
-// codes hash equal regardless of storage width.
-func (h *fnv64) intTensor(t *tensor.IntTensor) {
+// codes hashes a tensor's shape and codes word by word, independent of
+// its storage dtype: equal codes hash equal at any width.
+func (h *fnv64) codes(t *tensor.IntTensor) {
 	if t == nil {
 		h.word(0)
 		return
 	}
-	h.word(1)
-	h.ints(t.Shape)
-	if t.Data != nil {
-		for _, v := range t.Data {
-			h.i64(v)
-		}
-		return
+	h.word(uint64(len(t.Shape)))
+	for _, d := range t.Shape {
+		h.word(uint64(d))
 	}
-	n := t.Numel()
-	for i := 0; i < n; i++ {
-		h.i64(t.Get(i))
+	for i, n := 0, t.Numel(); i < n; i++ {
+		h.word(uint64(t.Get(i)))
 	}
 }
 
-func (h *fnv64) mulQuant(m *intmath.MulQuant) {
-	if m == nil {
-		h.word(0)
-		return
-	}
-	h.word(1)
-	h.word(uint64(len(m.ScaleFx)))
-	for _, v := range m.ScaleFx {
-		h.i64(int64(v))
-	}
-	h.word(uint64(len(m.BiasFx)))
-	for _, v := range m.BiasFx {
-		h.i64(int64(v))
-	}
-	h.i64(int64(m.FracBits))
-	h.i64(int64(m.IntBits))
-	h.i64(int64(m.OutBits))
-	h.boolean(m.OutSigned)
-	h.i64(m.OutZero)
-}
-
-func (h *fnv64) lut(l *intmath.LUT) {
-	if l == nil {
-		h.word(0)
-		return
-	}
-	h.word(1)
-	h.i64(l.InMin)
-	h.i64(l.InMax)
-	h.i64s(l.Table)
-	h.f32(l.OutScale)
-}
-
-// Fingerprint hashes every value-affecting field of the program. Equal
-// fingerprints mean equal outputs for equal input codes; a hot reload
-// that changes any weight, scale, table, or the graph itself changes
-// the fingerprint, which is what lets the serving cache key on it and
-// invalidate naturally.
+// Fingerprint hashes the program's spec (its JSON encoding) and each
+// instruction's weight and positional codes. Equal fingerprints mean
+// equal outputs for equal input codes, up to 64-bit collisions, which
+// the cache also guards against by comparing the full input codes on
+// every hit; a reload that changes any weight, scale, table or the
+// graph changes it, so the cache keys on it and invalidates naturally.
 func (p *Program) Fingerprint() uint64 {
-	h := newFNV64()
-	h.str("t2c-program-fp-v1")
-	if q := p.InQuant; q != nil {
-		h.word(1)
-		h.i64(int64(q.NBits))
-		h.boolean(q.Signed)
-		h.boolean(q.PerChannel)
-		h.word(uint64(len(q.Scale)))
-		for _, s := range q.Scale {
-			h.f32(s)
-		}
-		h.i64s(q.Zero)
-	} else {
-		h.word(0)
+	h := fnv64(14695981039346656037)
+	js, err := json.Marshal(p.Spec())
+	if err != nil {
+		// Only a NaN or infinite float scale fails to encode; such a
+		// program shares its fingerprint with no other Program value.
+		js = fmt.Appendf(nil, "%p", p)
 	}
-	h.f32(p.OutScale)
-	h.i64(p.OutZero)
-	h.i64(int64(p.NumBufs))
-	h.i64(int64(p.Input))
-	h.i64(int64(p.Output))
-	h.ints(p.InShape)
-	h.word(uint64(len(p.Instrs)))
+	for _, b := range js {
+		h.word(uint64(b))
+	}
 	for i := range p.Instrs {
-		it := &p.Instrs[i]
-		h.str(string(it.Kind))
-		h.ints(it.In)
-		h.i64(int64(it.Out))
-		h.intTensor(it.W)
-		h.i64(int64(it.P.Stride))
-		h.i64(int64(it.P.Padding))
-		h.i64(int64(it.P.Groups))
-		h.i64(it.InZero)
-		h.mulQuant(it.Scaler)
-		h.i64(int64(it.WBits))
-		h.i64(int64(it.Kernel))
-		h.i64(int64(it.Stride))
-		h.i64(int64(it.Shift))
-		h.i64(it.ClampLo)
-		h.i64(it.ClampHi)
-		h.boolean(it.TransposeB)
-		h.i64(it.ZA)
-		h.i64(it.ZB)
-		h.i64(int64(it.Heads))
-		h.i64(int64(it.LNDim))
-		h.i64(it.LNK)
-		h.i64(int64(it.LNFrac))
-		h.i64(it.LNEps)
-		h.lut(it.Gelu)
-		if sm := it.SM; sm != nil {
-			h.word(1)
-			h.lut(sm.Exp)
-			h.i64(int64(sm.OutBits))
-			h.f32(sm.ProbScale)
-		} else {
-			h.word(0)
-		}
-		h.intTensor(it.Pos)
-		h.mulQuant(it.FusedRescale)
-		h.boolean(it.FusedAdd)
-		h.boolean(it.FlattenOut)
+		h.codes(p.Instrs[i].W)
+		h.codes(p.Instrs[i].Pos)
 	}
 	return uint64(h)
 }

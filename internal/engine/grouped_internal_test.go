@@ -91,9 +91,6 @@ func randGroupedProgram(t *testing.T, r *rand.Rand, draw, inType, n int, fusedAd
 		if _, err := prog.InferShapes(in); err != nil {
 			continue
 		}
-		if err := prog.AnnotateDTypes(); err != nil {
-			t.Fatal(err)
-		}
 		x := tensor.NewInt(in...)
 		for i := range x.Data {
 			x.Data[i] = min(max(z-span+r.Int64N(2*span+1), lo), hi)
@@ -120,10 +117,14 @@ func TestGroupedConvDriverOracle(t *testing.T) {
 	for draw := 0; draw < 300; draw++ {
 		inType, fusedAdd := draw%len(gconvInputs), r.IntN(2) == 0
 		prog, x := randGroupedProgram(t, r, draw, inType, 1+r.IntN(2), fusedAdd)
+		st, err := prog.storage()
+		if err != nil {
+			t.Fatal(err)
+		}
 		it := &prog.Instrs[0]
 		oh, ow := it.P.ConvOutSize(x.Shape[2], it.W.Shape[2]), it.P.ConvOutSize(x.Shape[3], it.W.Shape[3])
 		label := fmt.Sprintf("draw %d: in %v %s z=%d, w %v, s%d p%d g%d → %d×%d, fused add %v",
-			draw, x.Shape, prog.BufDTypes[0], it.InZero, it.W.Shape, it.P.Stride, it.P.Padding, it.P.Groups, oh, ow, fusedAdd)
+			draw, x.Shape, st.dts[0], it.InZero, it.W.Shape, it.P.Stride, it.P.Padding, it.P.Groups, oh, ow, fusedAdd)
 		ref, err := NewExecutor(prog, x.Shape, WithKernels(ReferenceKernels()))
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
@@ -166,7 +167,7 @@ func TestGroupedConvDriverOracle(t *testing.T) {
 		if fusedAdd {
 			seen["fused-add"]++
 		}
-		seen[prog.BufDTypes[0].String()]++
+		seen[st.dts[0].String()]++
 	}
 	t.Logf("coverage: %v", seen)
 	for _, k := range []string{"i32-direct", "i64-direct", "odd-ow", "fused-add", "i8", "u8", "i16", "u16", "i32", "i64"} {

@@ -9,8 +9,6 @@ package engine
 // programs stay bit-identical to IntModel.Forward, which the tests
 // enforce on the whole model zoo.
 
-import "torch2chip/internal/tensor"
-
 // OptLevel selects how aggressively a lowered program is rewritten.
 type OptLevel int
 
@@ -57,27 +55,16 @@ func OptimizeStats(p *Program, lvl OptLevel) (*Program, FusionStats) {
 	}
 	st.InstrsAfter = len(q.Instrs)
 	st.BuffersAfter = countLiveBuffers(q)
-	// Fusion rewires outputs and folds epilogues, which changes the
-	// effective code range of the rewritten buffers — re-derive the
-	// storage annotation. Unannotated programs (pre-v3 checkpoints)
-	// deliberately stay unannotated and keep I64 arenas.
-	if q.Annotated() {
-		if err := q.AnnotateDTypes(); err != nil {
-			q.BufDTypes = nil
-		}
-	}
 	return q, st
 }
 
 // cloneProgram copies the instruction list (weights and scalers are
-// shared — they are read-only at execution time). The prepack cache is
-// not carried over: it is keyed by instruction index, which the fusion
-// pass renumbers.
+// shared — they are read-only at execution time). No derived cache is
+// carried over: each is keyed by instruction index, which the fusion
+// pass renumbers, and fusion changes the rewritten buffers' ranges.
 func cloneProgram(p *Program) *Program {
 	q := *p
-	q.pack = nil
-	q.stor = nil
-	q.BufDTypes = append([]tensor.DType(nil), p.BufDTypes...)
+	q.pack, q.stor, q.spar = nil, nil, nil
 	q.Instrs = make([]Instr, len(p.Instrs))
 	for i := range p.Instrs {
 		q.Instrs[i] = p.Instrs[i]

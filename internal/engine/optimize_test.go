@@ -67,11 +67,12 @@ func assertSameCodes(t *testing.T, got, want *tensor.IntTensor, label string) {
 	}
 }
 
-// convRescaleProgram builds input → conv → rescale → output by hand.
+// convRescaleProgram builds input → conv → rescale → output by hand,
+// over signed 8-bit input codes.
 func convRescaleProgram(t *testing.T, g *tensor.RNG) *engine.Program {
 	t.Helper()
 	w := randomCodes(g, 20, 6, 3, 3, 3)
-	p := &engine.Program{NumBufs: 3, Input: 0, Output: 2}
+	p := &engine.Program{InQuant: quant.NewQBase(8, true, false), NumBufs: 3, Input: 0, Output: 2}
 	p.Instrs = []engine.Instr{
 		{
 			Kind: engine.OpConv, Name: "layers.0", In: []int{0}, Out: 1,
@@ -118,12 +119,16 @@ func TestFusedProgramZeroIntermediateBuffers(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Buffer 1 (the conv→rescale intermediate) is eliminated: the planner
-	// must leave it unplaced, and only input+output bytes remain (the
-	// hand-built program is unannotated, so storage is 8-byte I64).
+	// must leave it unplaced, and only input+output bytes remain, at
+	// their derived widths: i8 input codes, and the folded 16-bit
+	// rescale's i16 output.
 	if plan.Offsets[1] != -1 {
 		t.Fatalf("eliminated buffer still placed at %d", plan.Offsets[1])
 	}
-	want := int64(tensor.Numel([]int{1, 3, 8, 8})+tensor.Numel([]int{1, 6, 8, 8})) * 8
+	if plan.DTypes[0] != tensor.I8 || plan.DTypes[2] != tensor.I16 {
+		t.Fatalf("input %s, output %s, want i8 and i16", plan.DTypes[0], plan.DTypes[2])
+	}
+	want := int64(tensor.Numel([]int{1, 3, 8, 8})*1 + tensor.Numel([]int{1, 6, 8, 8})*2)
 	if plan.ArenaBytes != want {
 		t.Fatalf("arena %d bytes, want input+output = %d", plan.ArenaBytes, want)
 	}
@@ -139,7 +144,7 @@ func TestFusedProgramZeroIntermediateBuffers(t *testing.T) {
 func TestPlannerSingleInstructionProgram(t *testing.T) {
 	g := tensor.NewRNG(43)
 	w := randomCodes(g, 20, 4, 3, 3, 3)
-	p := &engine.Program{NumBufs: 2, Input: 0, Output: 1}
+	p := &engine.Program{InQuant: quant.NewQBase(8, true, false), NumBufs: 2, Input: 0, Output: 1}
 	p.Instrs = []engine.Instr{{
 		Kind: engine.OpConv, Name: "layers.0", In: []int{0}, Out: 1,
 		W: w, P: tensor.ConvParams{Stride: 1, Padding: 1},
@@ -161,8 +166,9 @@ func TestPlannerSingleInstructionProgram(t *testing.T) {
 			t.Fatalf("opt %d: input [%d,%d) overlaps output [%d,%d)", lvl, in0, in1, o0, o1)
 		}
 		codes := randomCodes(g, 100, 2, 3, 8, 8)
-		assertSameCodes(t, execCodes(t, q, codes, engine.FastKernels()),
-			execCodes(t, q, codes, engine.ReferenceKernels()), "single-instr")
+		want := execCodes(t, q, codes, engine.ReferenceKernels())
+		assertSameCodes(t, execCodes(t, q, codes, engine.FastKernels()), want, "single-instr")
+		assertSameCodes(t, execCodes(t, q, codes, engine.FastKernelsWithout(engine.CapTyped)), want, "single-instr/i64")
 	}
 }
 
@@ -171,7 +177,7 @@ func TestPlannerOutputAliasesLastFusedBuffer(t *testing.T) {
 	// final instruction is elementwise over two dying inputs, so the
 	// planner may write the program output in place over one of them.
 	g := tensor.NewRNG(44)
-	p := &engine.Program{NumBufs: 4, Input: 0, Output: 3}
+	p := &engine.Program{InQuant: quant.NewQBase(8, true, false), NumBufs: 4, Input: 0, Output: 3}
 	p.Instrs = []engine.Instr{
 		{Kind: engine.OpRescale, Name: "r0", In: []int{0}, Out: 1, Scaler: mkScaler(t, 1, 16, true, 0)},
 		{Kind: engine.OpRescale, Name: "r1", In: []int{0}, Out: 2, Scaler: mkScaler(t, 1, 16, true, 0)},
@@ -199,9 +205,13 @@ func TestPlannerOutputAliasesLastFusedBuffer(t *testing.T) {
 		t.Fatalf("output (offset %d) does not alias a dying fused input (offsets %v)",
 			plan.Offsets[q.Output], plan.Offsets)
 	}
-	codes := randomCodes(g, 500, 2, 6)
+	codes := randomCodes(g, 128, 2, 6)
+	for i, v := range codes.Data {
+		codes.Data[i] = min(v, 127)
+	}
 	want := execCodes(t, p, codes, engine.ReferenceKernels())
 	assertSameCodes(t, execCodes(t, q, codes, engine.FastKernels()), want, "aliased-output")
+	assertSameCodes(t, execCodes(t, q, codes, engine.FastKernelsWithout(engine.CapTyped)), want, "aliased-output-i64")
 	assertSameCodes(t, execCodes(t, q, codes, engine.ReferenceKernels()), want, "aliased-output-ref")
 }
 
@@ -228,9 +238,6 @@ func TestLinearFinishesInPlaceOverFusedAdd(t *testing.T) {
 			FusedRescale: mkScaler(t, 1, 8, true, 0),
 			FusedAdd:     true, Shift: 1, ClampLo: -128, ClampHi: 127,
 		},
-	}
-	if err := p.AnnotateDTypes(); err != nil {
-		t.Fatal(err)
 	}
 	codes := randomCodes(g, 128, rows, k)
 	for i, v := range codes.Data {
@@ -295,9 +302,6 @@ func TestGroupedConvParityStridePadding(t *testing.T) {
 				W: w, P: tensor.ConvParams{Stride: tc.stride, Padding: tc.pad, Groups: tc.groups},
 				InZero: tc.inZero, Scaler: mkScaler(t, tc.o, 8, false, 0), WBits: 8,
 			}}
-			if err := p.AnnotateDTypes(); err != nil {
-				t.Fatal(err)
-			}
 			codes := randomCodes(g, 120, 2, tc.c, tc.h, tc.w)
 			want := execCodes(t, p, codes, engine.ReferenceKernels())
 			for _, rc := range []struct {

@@ -71,8 +71,7 @@ func aliasCandidates(it *Instr) []int {
 
 // PlanBuffers liveness-analyzes the program for the given input shape
 // and greedily packs buffers into the smallest per-dtype arenas (see
-// packProgram). Storage dtypes come from the program's annotation (I64
-// everywhere when unannotated).
+// packProgram), at the storage dtypes derived from the program.
 func (p *Program) PlanBuffers(inShape []int) (*Plan, error) {
 	st, err := p.storage()
 	if err != nil {

@@ -15,7 +15,7 @@ import (
 )
 
 // planDigest hashes every buffer's storage dtype and arena offset, so
-// any change to placement or to the dtype annotation changes it.
+// any change to placement or to the storage dtypes changes it.
 func planDigest(pl *engine.Plan) string {
 	h := sha256.New()
 	for b := range pl.Offsets {

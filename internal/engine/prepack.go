@@ -20,12 +20,11 @@ package engine
 // at the gather (or bias to bytes, for SWAR); weights are packed at bind
 // time. The int32 instantiation binds where Program.storage() proves the
 // weights fit int8 and K·|a|max·|w|max fits int32; every other
-// instruction, every unannotated program and every registry that plans
-// I64 arenas binds the int64 instantiation, which loads and stores any
-// storage dtype. The epilogue widens each finished accumulator to int64
-// once, applies the zero-point row-sum correction and the shared
-// Requantize/fused-epilogue funnel, and narrows the result into the
-// output buffer. Integer addition at either width is exact below
+// instruction and every registry that plans I64 arenas binds the int64
+// instantiation, which loads and stores any storage dtype. The epilogue
+// widens each finished accumulator to int64 once, applies the
+// zero-point row-sum correction and the shared Requantize/fused-epilogue
+// funnel, and narrows the result into the output buffer. Integer addition at either width is exact below
 // overflow, so every code is bit-identical to the reference kernels and
 // the IntModel interpreter.
 
@@ -234,28 +233,13 @@ type sharedPack struct {
 // — int32 panels, int64 panels (wide) or SWAR lane words — since one
 // program can serve executors of all kinds concurrently (e.g. the
 // zoo-parity tests binding the typed and the I64 registries against one
-// program). The key also carries a weight-content fingerprint: a program
-// whose weights were swapped in place (e.g. a hot reload routed to the
-// same Program value, or a differently-pruned checkpoint under one model
-// name) can never be served a stale panel plan built from the old
-// content.
+// program). Weights are not part of the key: a Program is immutable,
+// and a reload with other weights is another Program with its own
+// cache.
 type sharedKey struct {
 	idx  int
 	wide bool
 	swar bool
-	fp   uint64
-}
-
-// weightFP is an FNV-1a fingerprint of an instruction's weight content,
-// mixed into sharedKey. O(numel) per executor bind — the same order as
-// the packing it guards.
-func weightFP(w *tensor.IntTensor) uint64 {
-	h := uint64(14695981039346656037)
-	for _, v := range w.Data {
-		h ^= uint64(v)
-		h *= 1099511628211
-	}
-	return h
 }
 
 // packCache is the per-Program store of shared prepacked state. A
@@ -456,7 +440,7 @@ func bindPanels[C accum](ex *Executor, idx int, it *Instr, core gemmCore, k int)
 		}
 		ps.sw = sh.sw
 	} else {
-		sh = ex.prog.packs().sharedFor(sharedKey{idx: idx, wide: isWide[C](), fp: weightFP(it.W)}, func() *sharedPack {
+		sh = ex.prog.packs().sharedFor(sharedKey{idx: idx, wide: isWide[C]()}, func() *sharedPack {
 			return &sharedPack{
 				wp:   packPanels[C](it.W.Data, o, k),
 				zsum: rowSumsScaled(it.W.Data, o, k, it.InZero),
@@ -589,7 +573,7 @@ func prepConvT[C accum](ex *Executor, idx int, it *Instr, core gemmCore) (any, e
 	g := newConvGeom(in, it.P, kH, kW)
 	bufs := slotsOf[C](ex)
 	if groups := it.P.Groups; groups > 1 {
-		key := sharedKey{idx: idx, wide: isWide[C](), fp: weightFP(it.W)}
+		key := sharedKey{idx: idx, wide: isWide[C]()}
 		sh := ex.prog.packs().sharedFor(key, func() *sharedPack {
 			return &sharedPack{
 				wp:   packRows[C](it.W.Data),

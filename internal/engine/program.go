@@ -97,7 +97,11 @@ type Instr struct {
 func (it *Instr) AddOperand() int { return it.In[len(it.In)-1] }
 
 // Program is the compiled integer inference graph: a topo-ordered
-// instruction list plus the float↔code boundary parameters.
+// instruction list plus the float↔code boundary parameters. A Program
+// is immutable once built (by Lower, Optimize or FromCheckpoint):
+// storage dtypes, the sparsity analysis and prepacked weights are
+// derived from it once and cached on it, and a changed model is a new
+// Program. Its Spec is its one definition.
 type Program struct {
 	InQuant  *quant.QBase
 	OutScale float32
@@ -118,13 +122,6 @@ type Program struct {
 	// serving registry can build its engine server without being told the
 	// shape out of band; nil on pre-PR-3 checkpoints.
 	InShape []int
-
-	// BufDTypes annotates each buffer with the narrowest storage dtype
-	// that holds every code the producing instruction can emit (derived
-	// from the quantizers' bit-widths; see AnnotateDTypes). nil means
-	// unannotated — pre-v3 checkpoints load that way — and the engine
-	// then plans plain I64 arenas exactly like before typed storage.
-	BufDTypes []tensor.DType
 
 	// pack caches prepacked kernel state that is batch- and
 	// executor-independent (weight panels, zero-point row sums, epilogue
@@ -171,9 +168,6 @@ func Lower(im *fuse.IntModel) (*Program, error) {
 		return nil, err
 	}
 	p.Output = out
-	if err := p.AnnotateDTypes(); err != nil {
-		return nil, err
-	}
 	return p, nil
 }
 
@@ -484,13 +478,25 @@ func (p *Program) WeightTensors() map[string]*tensor.IntTensor {
 	for i := range p.Instrs {
 		it := &p.Instrs[i]
 		switch it.Kind {
-		case OpConv:
-			out[it.Name+".conv.weight"] = it.W
-		case OpLinear:
-			out[it.Name+".linear.weight"] = it.W
+		case OpConv, OpLinear:
+			out[it.weightName()] = it.W
 		case OpEmbed:
-			out[it.Name+".poscls"] = it.Pos
+			out[it.weightName()] = it.Pos
 		}
 	}
 	return out
+}
+
+// weightName is the checkpoint name of the instruction's code tensor
+// (weights, or an embed's positional codes), "" for kinds without one.
+func (it *Instr) weightName() string {
+	switch it.Kind {
+	case OpConv:
+		return it.Name + ".conv.weight"
+	case OpLinear:
+		return it.Name + ".linear.weight"
+	case OpEmbed:
+		return it.Name + ".poscls"
+	}
+	return ""
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 
 	"torch2chip/internal/export"
 	"torch2chip/internal/intmath"
@@ -14,8 +15,9 @@ import (
 // instruction fields; version 3 adds per-buffer storage dtypes; version
 // 4 adds the transformer instruction kinds (matmul, layernorm, softmax,
 // gelu, head split/merge, embed, cls) with their tables and constants.
-// Version-1/2/3 checkpoints still load exactly as before (convnet
-// programs carry no v4 fields; re-exporting with t2c upgrades them).
+// Every version loads into the program it was written from: storage
+// dtypes are derived from the program, never read from the file, so a
+// v1/v2 checkpoint plans the storage a fresh compile does.
 const ProgramSpecVersion = 4
 
 // minProgramSpecVersion is the oldest spec this package accepts.
@@ -41,23 +43,24 @@ func (p *Program) Spec() *export.ProgramSpec {
 		Input:    p.Input,
 		Output:   p.Output,
 	}
-	for _, dt := range p.BufDTypes {
-		spec.BufDTypes = append(spec.BufDTypes, dt.String())
+	if _, dts, err := p.bufDTypes(); err == nil {
+		for _, dt := range dts {
+			spec.BufDTypes = append(spec.BufDTypes, dt.String())
+		}
 	}
 	for i := range p.Instrs {
 		it := &p.Instrs[i]
 		is := export.InstrSpec{
 			Kind: string(it.Kind), Name: it.Name,
 			In: append([]int(nil), it.In...), Out: it.Out,
+			Weight: it.weightName(),
 		}
 		switch it.Kind {
 		case OpConv:
-			is.Weight = it.Name + ".conv.weight"
 			is.Stride, is.Padding, is.Groups = it.P.Stride, it.P.Padding, it.P.Groups
 			is.InZero, is.WBits = it.InZero, it.WBits
 			is.Scaler = scalerSpec(it.Scaler)
 		case OpLinear:
-			is.Weight = it.Name + ".linear.weight"
 			is.InZero, is.WBits = it.InZero, it.WBits
 			is.Scaler = scalerSpec(it.Scaler)
 		case OpAvgPool:
@@ -89,7 +92,6 @@ func (p *Program) Spec() *export.ProgramSpec {
 		case OpSplitHeads, OpMergeHeads:
 			is.Heads = it.Heads
 		case OpEmbed:
-			is.Weight = it.Name + ".poscls"
 			is.ClampLo, is.ClampHi = it.ClampLo, it.ClampHi
 		}
 		if it.FusedRescale != nil {
@@ -167,6 +169,16 @@ func FromCheckpoint(ck *export.Checkpoint) (*Program, error) {
 	if spec.OptLevel < int(OptNone) || spec.OptLevel > int(OptFuse) {
 		return nil, fmt.Errorf("engine: unknown program opt level %d", spec.OptLevel)
 	}
+	if err := checkTopology(spec); err != nil {
+		return nil, err
+	}
+	if slices.ContainsFunc(spec.InShape, func(d int) bool { return d < 1 }) {
+		return nil, fmt.Errorf("engine: input shape %v has a dimension below 1", spec.InShape)
+	}
+	if q := spec.InQuant; q.NBits < 1 || q.NBits > 32 || len(q.Scale) == 0 || len(q.Zero) != len(q.Scale) {
+		return nil, fmt.Errorf("engine: input quantizer of %d bits with %d scales and %d zero points",
+			q.NBits, len(q.Scale), len(q.Zero))
+	}
 	inQ := quant.NewQBase(spec.InQuant.NBits, spec.InQuant.Signed, len(spec.InQuant.Scale) > 1)
 	inQ.SetScale(append([]float32(nil), spec.InQuant.Scale...), append([]int64(nil), spec.InQuant.Zero...))
 	inQ.Calibrating = false
@@ -180,6 +192,7 @@ func FromCheckpoint(ck *export.Checkpoint) (*Program, error) {
 		OptLevel: OptLevel(spec.OptLevel),
 		InShape:  append([]int(nil), spec.InShape...),
 	}
+	written := map[string]bool{}
 	for i := range spec.Instrs {
 		is := &spec.Instrs[i]
 		it := Instr{
@@ -203,8 +216,8 @@ func FromCheckpoint(ck *export.Checkpoint) (*Program, error) {
 			if it.Kind == OpConv {
 				rank = 4
 			}
-			if len(w.Shape) != rank {
-				return nil, fmt.Errorf("engine: instr %d (%s) weight shape %v, want rank %d", i, is.Kind, w.Shape, rank)
+			if len(w.Shape) != rank || slices.Contains(w.Shape, 0) {
+				return nil, fmt.Errorf("engine: instr %d (%s) weight shape %v, want rank %d and no empty dimension", i, is.Kind, w.Shape, rank)
 			}
 			if err := checkScaler(is.Scaler, w.Shape[0]); err != nil {
 				return nil, fmt.Errorf("engine: instr %d (%s): %w", i, is.Kind, err)
@@ -300,19 +313,60 @@ func FromCheckpoint(ck *export.Checkpoint) (*Program, error) {
 			it.FusedRescale = scalerFromSpec(is.FusedRescale)
 		}
 		if is.FusedAdd {
-			if len(it.In) < 2 {
-				return nil, fmt.Errorf("engine: instr %d (%s) fused add without branch operand", i, is.Kind)
-			}
 			it.FusedAdd = true
 			it.Shift, it.ClampLo, it.ClampHi = is.Shift, is.ClampLo, is.ClampHi
 		}
 		it.FlattenOut = is.FlattenOut
+		// Spec names each code tensor after its instruction, so two
+		// instructions of one name would re-export as one tensor.
+		if name := it.weightName(); name != "" {
+			if written[name] {
+				return nil, fmt.Errorf("engine: instr %d (%s): a second instruction named %q", i, is.Kind, is.Name)
+			}
+			written[name] = true
+		}
 		p.Instrs = append(p.Instrs, it)
 	}
-	if err := p.loadDTypes(spec); err != nil {
+	if err := p.checkDTypes(spec); err != nil {
 		return nil, err
 	}
 	return p, nil
+}
+
+// checkTopology validates a spec's buffer numbering before anything
+// indexes by it: at least one buffer, the input, output and every
+// operand inside [0, NumBufs), and each instruction reading exactly its
+// kind's operand count (plus the branch of a fused add). NumBufs is
+// bounded by the instruction count: every buffer but the input is
+// written by one instruction of the unfused program, and fusion folds
+// at most three instructions (a rescale, an add and a flatten) into
+// each one it keeps.
+func checkTopology(spec *export.ProgramSpec) error {
+	n := spec.NumBufs
+	if n < 1 || n > 4*len(spec.Instrs)+1 {
+		return fmt.Errorf("engine: %d buffers for %d instructions", n, len(spec.Instrs))
+	}
+	valid := func(b int) bool { return b >= 0 && b < n }
+	if !valid(spec.Input) || !valid(spec.Output) {
+		return fmt.Errorf("engine: input buffer %d or output buffer %d outside [0, %d)", spec.Input, spec.Output, n)
+	}
+	for i := range spec.Instrs {
+		is := &spec.Instrs[i]
+		want := 1
+		if OpKind(is.Kind) == OpAdd || OpKind(is.Kind) == OpMatMul {
+			want = 2
+		}
+		if is.FusedAdd {
+			want++
+		}
+		if len(is.In) != want {
+			return fmt.Errorf("engine: instr %d (%s) reads %d buffers, want %d", i, is.Kind, len(is.In), want)
+		}
+		if !valid(is.Out) || slices.ContainsFunc(is.In, func(b int) bool { return !valid(b) }) {
+			return fmt.Errorf("engine: instr %d (%s) names a buffer outside [0, %d): in %v, out %d", i, is.Kind, n, is.In, is.Out)
+		}
+	}
+	return nil
 }
 
 // lutFromSpec reconstructs a lookup table, rejecting corrupt payloads:
@@ -371,24 +425,23 @@ func softmaxFromSpec(s *export.SoftmaxSpec) (*intmath.LUTSoftmax, error) {
 	}, nil
 }
 
-// loadDTypes restores the storage annotation from a v3 spec, validating
-// every stored dtype against the range the instruction stream derives —
-// a checkpoint must not be able to request storage too narrow for the
-// codes an op can emit (silent truncation). Storing wider than derived
-// is allowed (I64 everywhere is always valid). v1/v2 specs carry no
-// dtypes and leave the program unannotated (I64 arenas).
-func (p *Program) loadDTypes(spec *export.ProgramSpec) error {
+// checkDTypes derives every buffer's code range, which rejects a
+// program reading a buffer nothing wrote, and checks a v3+ spec's
+// stored dtypes against it: storage is always derived from the program,
+// but a checkpoint storing a buffer narrower than the codes its
+// producer can emit is corrupt. Storing wider is allowed; v1/v2 specs
+// carry no dtypes.
+func (p *Program) checkDTypes(spec *export.ProgramSpec) error {
+	rng, err := p.inferRanges()
+	if err != nil {
+		return err
+	}
 	if spec.Version < 3 || len(spec.BufDTypes) == 0 {
 		return nil
 	}
 	if len(spec.BufDTypes) != p.NumBufs {
 		return fmt.Errorf("engine: %d buffer dtypes for %d buffers", len(spec.BufDTypes), p.NumBufs)
 	}
-	rng, err := p.inferRanges()
-	if err != nil {
-		return err
-	}
-	dts := make([]tensor.DType, p.NumBufs)
 	for b, s := range spec.BufDTypes {
 		dt, err := tensor.ParseDType(s)
 		if err != nil {
@@ -398,8 +451,6 @@ func (p *Program) loadDTypes(spec *export.ProgramSpec) error {
 			return fmt.Errorf("engine: buffer %d stored as %s cannot hold derived code range [%d, %d]",
 				b, dt, rng[b].lo, rng[b].hi)
 		}
-		dts[b] = dt
 	}
-	p.BufDTypes = dts
 	return nil
 }

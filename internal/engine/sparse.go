@@ -120,9 +120,8 @@ type instrSparsity struct {
 }
 
 // sparsity resolves (and caches) the per-instruction weight-sparsity
-// analysis. Like the storage plan it assumes weights are immutable after
-// compile; hot reloads build a fresh Program (and the prepack cache is
-// additionally keyed by weight fingerprint, see sharedKey).
+// analysis. Like the storage plan it relies on the Program being
+// immutable; a hot reload builds a fresh Program.
 func (p *Program) sparsity() []instrSparsity {
 	packInitMu.Lock()
 	sp := p.spar

@@ -249,7 +249,7 @@ func sparseLinearProgram(t *testing.T, w []int64, o, k int) *Program {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := &Program{
+	return &Program{
 		InQuant: quant.NewQBase(8, true, false),
 		Instrs: []Instr{{
 			Kind: OpLinear, Name: "lin", In: []int{0}, Out: 1,
@@ -258,10 +258,6 @@ func sparseLinearProgram(t *testing.T, w []int64, o, k int) *Program {
 		NumBufs: 2, Input: 0, Output: 1,
 		InShape: []int{k},
 	}
-	if err := p.AnnotateDTypes(); err != nil {
-		t.Fatal(err)
-	}
-	return p
 }
 
 // TestSwarSparseLegality: a linear whose full-K lane sum may overflow
@@ -344,60 +340,5 @@ func TestSwarSparseLegality(t *testing.T) {
 				t.Fatalf("%s diverges from reference at %d: %d vs %d", tc.name, i, out.Data[i], want[i])
 			}
 		}
-	}
-}
-
-// TestPackCacheWeightFingerprint: re-annotating a program after its
-// weight content changed (the hot-reload-in-place hazard) must not serve
-// stale panel packs — the fingerprinted cache key forces a repack, and
-// the new executor's output matches the reference kernels on the new
-// weights.
-func TestPackCacheWeightFingerprint(t *testing.T) {
-	o, k := 8, 64
-	p := sparseLinearProgram(t, sparseWeights(o, k, 0, 11), o, k)
-	codes := tensor.NewInt(2, k)
-	g := tensor.NewRNG(13)
-	for i := range codes.Data {
-		codes.Data[i] = int64(g.Intn(255)) - 127
-	}
-	ex1, err := NewExecutor(p, []int{2, k}, WithKernels(FastKernels()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ex1.ExecuteCodes(codes, nil); err != nil {
-		t.Fatal(err)
-	}
-
-	// Prune the weights in place to 70% and re-annotate (the "program
-	// changed" hook); a fresh executor must bind the sparse kernels
-	// against freshly packed panels, not the cached dense ones.
-	w2 := sparseWeights(o, k, 0.7, 12)
-	copy(p.Instrs[0].W.Data, w2)
-	if err := p.AnnotateDTypes(); err != nil {
-		t.Fatal(err)
-	}
-	ex2, err := NewExecutor(p, []int{2, k}, WithKernels(FastKernels()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := ex2.ExecuteCodes(codes, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := NewExecutor(p, []int{2, k}, WithKernels(ReferenceKernels()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := ref.ExecuteCodes(codes, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want.Data {
-		if got.Data[i] != want.Data[i] {
-			t.Fatalf("post-reload output diverges at %d: %d vs %d (stale pack?)", i, got.Data[i], want.Data[i])
-		}
-	}
-	if ws, _ := p.SparsityStats(); ws < 0.5 {
-		t.Fatalf("re-annotated sparsity stats stale: weight sparsity %.2f", ws)
 	}
 }

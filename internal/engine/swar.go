@@ -103,7 +103,7 @@ func swarShared(ex *Executor, idx int, it *Instr, ad tensor.DType, o, k int) (*s
 	}
 	lo, _ := ad.Range()
 	ba := -lo
-	return ex.prog.packs().sharedFor(sharedKey{idx: idx, swar: true, fp: weightFP(it.W)}, func() *sharedPack {
+	return ex.prog.packs().sharedFor(sharedKey{idx: idx, swar: true}, func() *sharedPack {
 		return &sharedPack{
 			sw:   &swarPack{wps: packPanelsSwar(it.W.Data, o, k), bcorr: rowSumsScaled(it.W.Data, o, k, ba), ba: ba},
 			zsum: rowSumsScaled(it.W.Data, o, k, it.InZero),

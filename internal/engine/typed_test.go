@@ -9,6 +9,7 @@ package engine_test
 import (
 	"bytes"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -179,68 +180,60 @@ func reloadProgram(t *testing.T, tensors map[string]*tensor.IntTensor, spec *exp
 	return engine.FromCheckpoint(ck2)
 }
 
-// TestSpecV3DTypesRoundTrip: a v3 checkpoint restores the storage
-// annotation (same narrow plan), a spec downgraded to v2 loads
-// unannotated with I64 arenas, and a spec whose stored dtype is too
-// narrow for the derived code range is rejected.
-func TestSpecV3DTypesRoundTrip(t *testing.T) {
+// TestSpecVersionMigration: a checkpoint at every spec version 1–4
+// loads into the program it was written from. The v4 and v3 specs carry
+// storage dtypes, the v2 spec (fused) and the v1 spec (unfused) carry
+// none, and each reload derives its storage from the program, so its
+// plan has the fresh program's dtypes and arena bytes (the unfused
+// program's for v1), its fingerprint equals the fresh program's, and
+// its codes equal the interpreter's, which runs once. A stored dtype
+// too narrow for the derived code range is rejected.
+func TestSpecVersionMigration(t *testing.T) {
 	g := tensor.NewRNG(61)
 	calib, _ := data.Generate(data.SynthCIFAR10, 32, 8)
-	im, prog := compile(t, smallCNN(g), calib)
+	im, fused := compile(t, smallCNN(g), calib)
+	unfused, err := engine.Lower(im)
+	if err != nil {
+		t.Fatal(err)
+	}
 	inShape := []int{2, 3, 8, 8}
+	want := wantOf(im, g.Uniform(0, 1, inShape...))
+	for v := 1; v <= engine.ProgramSpecVersion; v++ {
+		fresh := fused
+		if v == 1 {
+			fresh = unfused
+		}
+		spec := fresh.Spec()
+		if len(spec.BufDTypes) != fresh.NumBufs {
+			t.Fatalf("spec has %d dtypes for %d buffers", len(spec.BufDTypes), fresh.NumBufs)
+		}
+		spec.Version = v
+		if v < 3 {
+			spec.BufDTypes = nil
+		}
+		p, err := reloadProgram(t, im.IntTensors(), spec)
+		if err != nil {
+			t.Fatalf("v%d: %v", v, err)
+		}
+		wantPlan, err := fresh.PlanBuffers(inShape)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := p.PlanBuffers(inShape)
+		if err != nil {
+			t.Fatalf("v%d: %v", v, err)
+		}
+		if !slices.Equal(got.DTypes, wantPlan.DTypes) || got.ArenaBytes != wantPlan.ArenaBytes {
+			t.Fatalf("v%d plans %v in %d B, fresh program %v in %d B",
+				v, got.DTypes, got.ArenaBytes, wantPlan.DTypes, wantPlan.ArenaBytes)
+		}
+		if p.Fingerprint() != fresh.Fingerprint() {
+			t.Fatalf("v%d fingerprint %016x, fresh program %016x", v, p.Fingerprint(), fresh.Fingerprint())
+		}
+		compareBitIdentical(t, want, p, engine.FastKernels())
+	}
 
-	spec := prog.Spec()
-	if spec.Version != engine.ProgramSpecVersion || len(spec.BufDTypes) != prog.NumBufs {
-		t.Fatalf("spec version %d with %d dtypes, want %d with %d",
-			spec.Version, len(spec.BufDTypes), engine.ProgramSpecVersion, prog.NumBufs)
-	}
-	p3, err := reloadProgram(t, im.IntTensors(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !p3.Annotated() {
-		t.Fatal("v3 reload lost the dtype annotation")
-	}
-	want, err := prog.PlanBuffers(inShape)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := p3.PlanBuffers(inShape)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.ArenaBytes != want.ArenaBytes {
-		t.Fatalf("reloaded plan %d B, original %d B", got.ArenaBytes, want.ArenaBytes)
-	}
-	xb := g.Uniform(0, 1, 2, 3, 8, 8)
-	assertBitIdentical(t, im, p3, xb, engine.FastKernels())
-
-	// Downgraded v2 spec: loads, unannotated, plans pure I64.
-	legacy := prog.Spec()
-	legacy.Version = 2
-	legacy.BufDTypes = nil
-	p2, err := reloadProgram(t, im.IntTensors(), legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p2.Annotated() {
-		t.Fatal("v2 reload must stay unannotated")
-	}
-	wide, err := p2.PlanBuffers(inShape)
-	if err != nil {
-		t.Fatal(err)
-	}
-	i64Plan, err := prog.PlanBuffersI64(inShape)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wide.ArenaBytes != i64Plan.ArenaBytes {
-		t.Fatalf("v2 plan %d B, want the I64 plan's %d B", wide.ArenaBytes, i64Plan.ArenaBytes)
-	}
-	assertBitIdentical(t, im, p2, xb, engine.FastKernels())
-
-	// A stored dtype too narrow for the derived range must be rejected.
-	bad := prog.Spec()
+	bad := fused.Spec()
 	for i := range bad.BufDTypes {
 		bad.BufDTypes[i] = "i8" // the 12-bit logit output cannot fit i8
 	}

@@ -51,7 +51,7 @@ func prepMatMul(ex *Executor, idx int, it *Instr) (any, error) {
 		return nil, fmt.Errorf("engine: matmul %s operands rank %d/%d, want 3", it.Name, len(a), len(o))
 	}
 	m, k, n := a[1], a[2], o[2]
-	if ex.stor != nil && ex.stor.rng != nil &&
+	if ex.stor != nil &&
 		matMulTyped(int64(k), ex.stor.rng[it.In[0]], ex.stor.rng[it.In[1]], it.ZA, it.ZB) {
 		return prepMatMulT[int32](ex, it, m, k, n), nil
 	}

@@ -244,25 +244,6 @@ func TestViTSpecRejectsCorruptTables(t *testing.T) {
 	})
 }
 
-// TestViTSpecV3StillLoads: a convnet checkpoint downgraded to version 3
-// (no v4 instruction kinds) must load exactly as before this PR.
-func TestViTSpecV3StillLoads(t *testing.T) {
-	g := tensor.NewRNG(61)
-	calib, _ := data.Generate(data.SynthCIFAR10, 32, 8)
-	im, prog := compile(t, smallCNN(g), calib)
-	spec := prog.Spec()
-	spec.Version = 3
-	p3, err := reloadProgram(t, im.IntTensors(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !p3.Annotated() {
-		t.Fatal("v3 reload lost the dtype annotation")
-	}
-	xb := g.Uniform(0, 1, 2, 3, 8, 8)
-	assertBitIdentical(t, im, p3, xb, engine.FastKernels())
-}
-
 // TestViTArenaUsesNarrowAttentionMaps: the [T,T] attention probability
 // buffers — the largest tensors in the program — must be planned as
 // single-byte storage, and the plan must beat the I64 plan by ≥4x.

@@ -198,9 +198,11 @@ type ProgramSpec struct {
 	// e.g. [3,32,32]). Optional for backward compatibility: older
 	// checkpoints omit it and servers must be told the shape explicitly.
 	InShape []int `json:"in_shape,omitempty"`
-	// BufDTypes (spec version ≥ 3) annotates each buffer with its
-	// narrow storage dtype ("i8", "u8", "i16", "u16", "i32", "i64").
-	// Older checkpoints omit it and load with I64 storage everywhere.
+	// BufDTypes (spec version ≥ 3) records each buffer's narrow storage
+	// dtype ("i8", "u8", "i16", "u16", "i32", "i64") for readers of the
+	// file. The engine derives storage from the program at every
+	// version and only checks that no recorded dtype is too narrow for
+	// the codes its buffer holds; older checkpoints omit it.
 	BufDTypes []string    `json:"buf_dtypes,omitempty"`
 	InQuant   QuantSpec   `json:"in_quant"`
 	OutScale  float32     `json:"out_scale"`

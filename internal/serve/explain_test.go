@@ -11,6 +11,7 @@ import (
 	"torch2chip/internal/data"
 	"torch2chip/internal/engine"
 	"torch2chip/internal/export"
+	"torch2chip/internal/fuse"
 	"torch2chip/internal/models"
 	"torch2chip/internal/nn"
 	"torch2chip/internal/prune"
@@ -21,8 +22,8 @@ import (
 
 // buildZooCheckpoint compiles the benchmark's configuration of a zoo
 // model at 3×32×32, magnitude-pruned to sparsity first when it is
-// positive, into a servable checkpoint.
-func buildZooCheckpoint(t *testing.T, name string, sparsity float64) *export.Checkpoint {
+// positive, into a servable checkpoint and its interpreter.
+func buildZooCheckpoint(t *testing.T, name string, sparsity float64) (*export.Checkpoint, *fuse.IntModel) {
 	t.Helper()
 	g := tensor.NewRNG(9300)
 	var model nn.Layer
@@ -55,7 +56,7 @@ func buildZooCheckpoint(t *testing.T, name string, sparsity float64) *export.Che
 	cm.Prog.InShape = []int{3, 32, 32}
 	ck := export.NewCheckpoint(cm.Int.IntTensors(), nil)
 	ck.Program = cm.Prog.Spec()
-	return ck
+	return ck, cm.Int
 }
 
 // getExplain fetches and decodes name's explain record.
@@ -91,7 +92,7 @@ func TestExplainRecordOnZoo(t *testing.T) {
 		sparsity float64
 	}{{"resnet20", "resnet20", 0}, {"mobilenet", "mobilenet", 0}, {"vit", "vit", 0}, {"resnet20-mag70", "resnet20", 0.7}} {
 		t.Run(tc.name, func(t *testing.T) {
-			ck := buildZooCheckpoint(t, tc.zoo, tc.sparsity)
+			ck, _ := buildZooCheckpoint(t, tc.zoo, tc.sparsity)
 			reg := serve.NewRegistry(serve.Options{
 				Engine:        engine.ServerOptions{Workers: 1, MaxBatch: maxBatch},
 				CacheCapacity: -1,

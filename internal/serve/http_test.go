@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"torch2chip/internal/engine"
 	"torch2chip/internal/export"
@@ -364,6 +365,8 @@ func TestHTTPUploadRejectsCorruptTensors(t *testing.T) {
 		return nil
 	}
 	unpadConv2 := inInstr(engine.OpConv, 1, func(is *export.InstrSpec) { is.Padding = 0 })
+	// linPastBufs points the linear's operand past the last buffer.
+	linPastBufs := inInstr(engine.OpLinear, 0, func(is *export.InstrSpec) { is.In = []int{ck.Program.NumBufs + 5} })
 	cases := []struct {
 		name   string
 		mutate func(*export.Checkpoint)
@@ -375,6 +378,7 @@ func TestHTTPUploadRejectsCorruptTensors(t *testing.T) {
 		}), "does not match"},
 		{"conv-rank-0", inTensor(conv, func(ct *export.CkptTensor) { ct.Shape, ct.Data = nil, ct.Data[:1] }), "want rank 4"},
 		{"linear-rank-1", inTensor(lin, func(ct *export.CkptTensor) { ct.Shape = []int{len(ct.Data)} }), "want rank 2"},
+		{"linear-no-rows", inTensor(lin, func(ct *export.CkptTensor) { ct.Shape, ct.Data = []int{0, ct.Shape[1]}, nil }), "no empty dimension"},
 		{"conv-negative-padding", inInstr(engine.OpConv, 1, func(is *export.InstrSpec) { is.Padding = -3 }), "negative padding -3"},
 		{"conv-window-past-input", func(ck *export.Checkpoint) {
 			ck.Program.InShape = []int{3, 2, 2}
@@ -382,6 +386,11 @@ func TestHTTPUploadRejectsCorruptTensors(t *testing.T) {
 		}, "too small for 3x3 kernel"},
 		{"avgpool-window-past-input", inInstr(engine.OpAvgPool, 0, func(is *export.InstrSpec) { is.Kernel, is.PoolStride = 9, 16 }), "pool kernel 9 outside"},
 		{"avgpool-negative-kernel", inInstr(engine.OpAvgPool, 0, func(is *export.InstrSpec) { is.Kernel = -2 }), "pool kernel -2 outside"},
+		{"operand-past-numbufs-v4", linPastBufs, "outside [0,"},
+		{"operand-past-numbufs-v2", func(ck *export.Checkpoint) {
+			ck.Program.Version, ck.Program.BufDTypes = 2, nil
+			linPastBufs(ck)
+		}, "outside [0,"},
 	}
 	pb := mustPredictBody(t)
 	for _, tc := range cases {
@@ -401,6 +410,16 @@ func TestHTTPUploadRejectsCorruptTensors(t *testing.T) {
 				t.Fatalf("predict after rejected upload: status %d (%s), want 200 from version 1", resp.StatusCode, body)
 			}
 		})
+	}
+	closed := make(chan struct{})
+	go func() {
+		reg.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Registry.Close still blocked 10 s after the rejected uploads")
 	}
 }
 

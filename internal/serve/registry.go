@@ -41,12 +41,6 @@ type Options struct {
 	// DefaultDeadline is the deadline the HTTP predict handler applies
 	// to requests that carry no ?deadline_ms= (0 = none).
 	DefaultDeadline time.Duration
-	// OptLevel is applied to loaded programs compiled below it, so old
-	// unfused checkpoints serve at current speed (default OptFuse).
-	OptLevel engine.OptLevel
-	// RawOptLevel serves checkpoints exactly as stored when true
-	// (OptLevel zero-value means "default to OptFuse" otherwise).
-	RawOptLevel bool
 	// Trace, when non-nil, gives every model entry its own armed
 	// span Tracer sized by the config: the engine server records
 	// instruction/batch spans, the HTTP layer records
@@ -72,9 +66,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.OptLevel == engine.OptNone && !o.RawOptLevel {
-		o.OptLevel = engine.OptFuse
-	}
 	if o.CacheCapacity == 0 {
 		o.CacheCapacity = 1024
 	}
@@ -190,6 +181,8 @@ func NewRegistry(opts Options) *Registry {
 // under traffic drops nothing. sample overrides the single-sample input
 // shape; nil uses the shape recorded in the checkpoint's program
 // section (pre-PR-3 checkpoints have none and require the override).
+// An unfused checkpoint is fused on load: the registry always serves
+// the fused form.
 func (r *Registry) Load(name string, ck *export.Checkpoint, sample []int) (ModelInfo, error) {
 	if name == "" {
 		return ModelInfo{}, fmt.Errorf("serve: empty model name")
@@ -198,8 +191,8 @@ func (r *Registry) Load(name string, ck *export.Checkpoint, sample []int) (Model
 	if err != nil {
 		return ModelInfo{}, err
 	}
-	if prog.OptLevel < r.opts.OptLevel {
-		prog = engine.Optimize(prog, r.opts.OptLevel)
+	if prog.OptLevel < engine.OptFuse {
+		prog = engine.Optimize(prog, engine.OptFuse)
 	}
 	if sample == nil {
 		sample = prog.InShape

@@ -138,6 +138,54 @@ func TestRegistryRequiresShapeForLegacyCheckpoints(t *testing.T) {
 	assertSame(t, res.Y, im.Forward(x), "legacy checkpoint infer")
 }
 
+// TestRegistryHotReloadPrunedWeights: a dense resnet20 and then the
+// same model pruned to 70 % load under one name. Each version is its
+// own immutable Program with its own prepacked weights, so the second
+// version binds the sparse kernels from its own weights, with nothing
+// left over from the first, and answers exactly like its interpreter.
+func TestRegistryHotReloadPrunedWeights(t *testing.T) {
+	dense, _ := buildZooCheckpoint(t, "resnet20", 0)
+	pruned, im := buildZooCheckpoint(t, "resnet20", 0.7)
+	reg := serve.NewRegistry(serve.Options{Engine: engine.ServerOptions{Workers: 1, MaxBatch: 1}, CacheCapacity: -1})
+	defer reg.Close()
+	x := tensor.NewRNG(17).Uniform(0, 1, 1, 3, 32, 32)
+	for v, ck := range []*export.Checkpoint{dense, pruned} {
+		if _, err := reg.Load("m", ck, nil); err != nil {
+			t.Fatal(err)
+		}
+		res, err := reg.Predict("m", x, time.Time{}, engine.PriNormal, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Version != v+1 {
+			t.Fatalf("served version %d, want %d", res.Version, v+1)
+		}
+	}
+	ex, err := reg.Explain("m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sparse := 0
+	for _, row := range ex.Instrs {
+		if row.Path == "i32-sparse" {
+			sparse++
+		}
+	}
+	if sparse == 0 {
+		t.Fatal("the pruned version binds no i32-sparse instruction")
+	}
+	res, err := reg.Predict("m", x, time.Time{}, engine.PriNormal, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := im.Forward(x)
+	for i, w := range want.Data {
+		if res.Y.Data[i] != w {
+			t.Fatalf("pruned version logit[%d] = %v, interpreter %v", i, res.Y.Data[i], w)
+		}
+	}
+}
+
 // TestRegistryHotReloadUnderTraffic swaps checkpoints while concurrent
 // clients hammer the model and requires (a) zero dropped or failed
 // requests, (b) every response bit-identical to IntModel.Forward of the
