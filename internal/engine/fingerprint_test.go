@@ -1,12 +1,10 @@
 package engine_test
 
 import (
-	"bytes"
 	"testing"
 
 	"torch2chip/internal/data"
 	"torch2chip/internal/engine"
-	"torch2chip/internal/export"
 	"torch2chip/internal/tensor"
 )
 
@@ -39,13 +37,8 @@ func TestFingerprintCoversTheProgram(t *testing.T) {
 	im, cnn := compile(t, branchyCNN(g), calib)
 	_, vit := compileViT(t, 3, 1)
 	load := func(p *engine.Program) func() *engine.Program {
-		body := checkpointJSON(t, p.WeightTensors(), p.Spec())
 		return func() *engine.Program {
-			ck, err := export.ReadJSON(bytes.NewReader(body))
-			if err != nil {
-				t.Fatal(err)
-			}
-			q, err := engine.FromCheckpoint(ck)
+			q, err := reloadProgram(t, p.WeightTensors(), p.Spec())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -64,11 +64,7 @@ func FuzzFromCheckpoint(f *testing.F) {
 		}
 		in := append([]int{1}, p.InShape...)
 		plan, planErr := p.PlanBuffers(in)
-		ck2, err := export.ReadJSON(bytes.NewReader(checkpointJSON(t, p.WeightTensors(), p.Spec())))
-		if err != nil {
-			t.Fatalf("re-encoded checkpoint does not parse: %v", err)
-		}
-		q, err := engine.FromCheckpoint(ck2)
+		q, err := reloadProgram(t, p.WeightTensors(), p.Spec())
 		if err != nil {
 			t.Fatalf("a loaded program does not reload from its own spec: %v", err)
 		}

@@ -167,17 +167,11 @@ func TestFirstBindAllocatesUnderBudget(t *testing.T) {
 // JSON and reconstructs it, optionally rewriting the spec first.
 func reloadProgram(t *testing.T, tensors map[string]*tensor.IntTensor, spec *export.ProgramSpec) (*engine.Program, error) {
 	t.Helper()
-	ck := export.NewCheckpoint(tensors, nil)
-	ck.Program = spec
-	var buf bytes.Buffer
-	if err := ck.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	ck2, err := export.ReadJSON(&buf)
+	ck, err := export.ReadJSON(bytes.NewReader(checkpointJSON(t, tensors, spec)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return engine.FromCheckpoint(ck2)
+	return engine.FromCheckpoint(ck)
 }
 
 // TestSpecVersionMigration: a checkpoint at every spec version 1–4
