@@ -54,7 +54,7 @@ func mmOperand(r *rand.Rand, dt tensor.DType) (bufRange, int64) {
 // packedMatMul runs every batch entry through mmPackT[C].entry on
 // garbage-filled scratch, as a bound job would.
 func packedMatMul[C accum](it *Instr, a, b, out *tensor.IntTensor, m, k, n int) {
-	st := &mmPackT[C]{m: m, k: k, n: n, np: ceilDiv(n, panelW), epi: newEpi(it, 1)}
+	st := &mmPackT[C]{m: m, k: k, n: n, np: ceilDiv(n, panelW), epi: newEpi(it, 1, nil, 0, accMax[C]())}
 	pa := make([]C, m*k)
 	pb := make([]C, st.np*k*panelW)
 	acc := make([]C, n*m)

@@ -56,3 +56,33 @@ func (ex *Executor) TilesAt(n int) []int {
 	}
 	return out
 }
+
+// FoldedRounding reports, in KernelChoices order, whether each
+// conv/linear/matmul state binds the folded rounding: its own rescale
+// and, when it carries one, its fused rescale stage.
+func (ex *Executor) FoldedRounding() []bool {
+	var out []bool
+	for _, c := range ex.KernelChoices() {
+		var e *epi
+		switch st := ex.states[c.Index].(type) {
+		case *convPackT[int32]:
+			e = &st.epi
+		case *convPackT[int64]:
+			e = &st.epi
+		case *gconvPackT[int32]:
+			e = &st.epi
+		case *gconvPackT[int64]:
+			e = &st.epi
+		case *linPackT[int32]:
+			e = &st.epi
+		case *linPackT[int64]:
+			e = &st.epi
+		case *mmPackT[int32]:
+			e = &st.epi
+		case *mmPackT[int64]:
+			e = &st.epi
+		}
+		out = append(out, e != nil && e.folded && (!e.fc.hasRe || e.fc.reFolded))
+	}
+	return out
+}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 
 	"torch2chip/internal/intmath"
 	"torch2chip/internal/tensor"
@@ -124,12 +125,16 @@ func addHalfOf(shift int) int64 {
 // FusedRescale stage and the optional FusedAdd/shift/clamp — into plain
 // scalars. It is the single implementation of the fused value pipeline:
 // every kernel path (reference, prepacked) finishes elements
-// through finish(), so a semantic change cannot drift between them.
+// through finish(), so a semantic change cannot drift between them. The
+// rescale stage rounds with Requantize unless a fast kernel proved the
+// folded rounding for it (foldRescale).
 type fusedConsts struct {
 	hasRe                bool
 	reSfx, reBfx, reHalf int64
 	reFrac               uint
 	reZero, reLo, reHi   int64
+	reRq                 intmath.FoldedRound
+	reFolded             bool
 
 	hasAdd       bool
 	addShift     int
@@ -157,11 +162,27 @@ func fusedConstsOf(it *Instr) fusedConsts {
 
 func (fc *fusedConsts) active() bool { return fc.hasRe || fc.hasAdd }
 
+// foldRescale proves the folded rounding for the FusedRescale stage over
+// inputs in [lo, hi] — the own stage's clamp range, at most 32 bits wide
+// (checkScaler), so only an out-of-range output zero point fails it.
+func (fc *fusedConsts) foldRescale(lo, hi int64) {
+	if !fc.hasRe {
+		return
+	}
+	tMax, ok := mulExact(max(absOf(lo), absOf(hi)), absOf(fc.reSfx), lo != math.MinInt64)
+	tMax, ok = addExact(tMax, absOf(fc.reBfx), ok)
+	if ok {
+		fc.reRq, fc.reFolded = intmath.FoldRound(fc.reHalf, fc.reFrac, fc.reZero, fc.reLo, fc.reHi, tMax)
+	}
+}
+
 // finish runs one already-requantized value through the folded epilogue.
 // add is indexed by di and read here — before the caller writes dst[di]
 // — which is what the planner's in-place placement relies on.
 func (fc *fusedConsts) finish(q int64, add []int64, di int) int64 {
-	if fc.hasRe {
+	if fc.reFolded {
+		q = fc.reRq.Apply(q*fc.reSfx + fc.reBfx)
+	} else if fc.hasRe {
 		q = intmath.Requantize(q, fc.reSfx, fc.reBfx, fc.reHalf, fc.reFrac, fc.reZero, fc.reLo, fc.reHi)
 	}
 	if fc.hasAdd {
@@ -412,10 +433,20 @@ func kernelRescale(ex *Executor, idx int, it *Instr, in []*tensor.IntTensor, out
 	}
 }
 
+// kernelRescaleTyped is kernelRescale over typed storage. Over input
+// storage of at most 32 bits both rescale stages round with the folded
+// rounding where its proof holds (every code fits the storage range).
 func kernelRescaleTyped(ex *Executor, it *Instr, in []*tensor.IntTensor, out *tensor.IntTensor) {
 	half, frac, zero, lo, hi := it.Scaler.Consts()
 	sfx, bfx := int64(it.Scaler.ScaleFx[0]), int64(it.Scaler.BiasFx[0])
 	fc := fusedConstsOf(it)
+	fc.foldRescale(lo, hi)
+	var rq intmath.FoldedRound
+	folded := false
+	if d := in[0].DType; d != tensor.I64 {
+		inLo, inHi := d.Range()
+		rq, folded = intmath.FoldRound(half, frac, zero, lo, hi, max(-inLo, inHi)*absOf(sfx)+absOf(bfx))
+	}
 	var add *tensor.IntTensor
 	if it.FusedAdd {
 		add = in[len(in)-1]
@@ -435,9 +466,14 @@ func kernelRescaleTyped(ex *Executor, it *Instr, in []*tensor.IntTensor, out *te
 			bv = b[:m]
 			add.ReadInt64(bv, c0)
 		}
-		for i, v := range av {
-			q := intmath.Requantize(v, sfx, bfx, half, frac, zero, lo, hi)
-			av[i] = fc.finish(q, bv, i)
+		if folded {
+			for i, v := range av {
+				av[i] = fc.finish(rq.Apply(v*sfx+bfx), bv, i)
+			}
+		} else {
+			for i, v := range av {
+				av[i] = fc.finish(intmath.Requantize(v, sfx, bfx, half, frac, zero, lo, hi), bv, i)
+			}
 		}
 		out.WriteInt64(av, c0)
 	}

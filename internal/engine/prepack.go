@@ -2,8 +2,9 @@ package engine
 
 // Prepacked kernels: NewExecutor precomputes everything a conv/linear
 // instruction needs that does not depend on the input values — weight
-// panels blocked for the GEMM microkernel, zero-point row sums, expanded
-// requantization constants, fused-epilogue constants, and each conv's
+// panels blocked for the GEMM microkernel, expanded requantization
+// constants with the zero-point correction folded into the bias,
+// fused-epilogue constants, and each conv's
 // geometry — so the steady state is an im2col gather whose addresses come
 // from stride, padding and kernel counters, feeding a register-blocked
 // integer GEMM with the whole epilogue applied while the tile is hot.
@@ -22,14 +23,21 @@ package engine
 // weights fit int8 and K·|a|max·|w|max fits int32; every other
 // instruction and every registry that plans I64 arenas binds the int64
 // instantiation, which loads and stores any storage dtype. The epilogue
-// widens each finished accumulator to int64 once, applies the
-// zero-point row-sum correction and the shared Requantize/fused-epilogue
-// funnel, and narrows the result into the output buffer. Integer addition at either width is exact below
+// widens each finished accumulator a to int64 once and requantizes
+// a·sfx + c, where the bind has folded every per-channel correction (the
+// zero point's InZero·Σw, and on the SWAR cores the activation bias's
+// ba·Σw) into the bias c: exact mod 2⁶⁴ for any values. Where the bind
+// proves the product's range (|a| ≤ 2³¹ at int32, int16 scales, the
+// exact c and output zero point), the rounding is one signed add
+// (intmath.FoldedRound); elsewhere it is intmath.Requantize over the same
+// bias. Then the fused epilogue runs, and the result narrows into the
+// output buffer. Integer addition at either width is exact below
 // overflow, so every code is bit-identical to the reference kernels and
 // the IntModel interpreter.
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 
@@ -52,92 +60,172 @@ func isWide[C accum]() bool {
 	return ok
 }
 
-// epi holds an instruction's fully-expanded requantization pipeline:
-// own scaler (per channel) plus the shared folded-epilogue constants.
-type epi struct {
-	sfx, bfx []int64 // own scaler, expanded per output channel
-	half     int64
-	frac     uint
-	zero     int64
-	lo, hi   int64
-	fc       fusedConsts
+// accMax is the |a| bound every accumulator of the C instantiation
+// obeys: 2³¹ at int32; none (0) at int64, whose I64 arenas accept any
+// input code.
+func accMax[C accum]() int64 {
+	if isWide[C]() {
+		return 0
+	}
+	return int32AccMax
 }
 
-func newEpi(it *Instr, o int) epi {
+// epi holds an instruction's fully-expanded requantization pipeline:
+// own scaler (per channel) with every per-channel correction folded into
+// its bias, plus the shared folded-epilogue constants. The accumulator a
+// a state hands the epilogue differs from the true dot product by a
+// per-channel constant, corr = z·Σw (z the input zero point, plus the
+// activation bias on the SWAR cores, which sum biased bytes). Since
+// (a − corr)·sfx + bfx and a·sfx + c with c = bfx − corr·sfx are the same
+// number mod 2⁶⁴, the fold is exact for any values, and every element
+// requantizes a·sfx + c. Where the bind proves |a·sfx + c| + |hz| < 2⁶²
+// (folded), the rounding is intmath.FoldedRound's one signed add;
+// otherwise intmath.Requantize over the same folded bias.
+type epi struct {
+	sfx, c []int64 // own scale and folded bias, expanded per output channel
+	rq     intmath.FoldedRound
+	folded bool
+	half   int64
+	frac   uint
+	zero   int64
+	lo, hi int64
+	fc     fusedConsts
+}
+
+// int32AccMax bounds |a| for every accumulator of an int32 instantiation.
+const int32AccMax = 1 << 31
+
+// newEpi expands instruction it's scaler over o channels, folding the
+// correction z·Σw of each row of the [o, k] weights w (nil when the
+// accumulator needs none) into the bias, and proves the folded rounding
+// for accumulators bounded by |a| ≤ aMax (0: no bound, keep Requantize).
+func newEpi(it *Instr, o int, w []int64, z, aMax int64) epi {
 	e := epi{fc: fusedConstsOf(it)}
-	e.sfx, e.bfx = it.Scaler.Expand(o)
+	e.sfx, e.c = it.Scaler.Expand(o)
 	e.half, e.frac, e.zero, e.lo, e.hi = it.Scaler.Consts()
+	// The fold wraps like the accumulators do; exact records that no
+	// step overflowed, so tMax bounds |a·sfx + c| over every channel.
+	tMax, exact := int64(0), aMax > 0
+	k := len(w) / o
+	for oc, sfx := range e.sfx {
+		sum, ok := int64(0), true
+		for _, v := range w[oc*k : (oc+1)*k] {
+			sum, ok = addExact(sum, v, ok)
+		}
+		corr, ok := mulExact(z, sum, ok)
+		cs, ok := mulExact(corr, sfx, ok)
+		e.c[oc], ok = addExact(e.c[oc], -cs, ok && cs != math.MinInt64)
+		at, ok := mulExact(aMax, absOf(sfx), ok)
+		t, ok := addExact(at, absOf(e.c[oc]), ok && e.c[oc] != math.MinInt64)
+		exact = exact && ok
+		tMax = max(tMax, t)
+	}
+	if exact {
+		e.rq, e.folded = intmath.FoldRound(e.half, e.frac, e.zero, e.lo, e.hi, tMax)
+	}
+	e.fc.foldRescale(e.lo, e.hi)
 	return e
 }
 
-// finishSeg finishes one channel's accumulator row — subtract the
-// row-sum correction, requantize, fused epilogue — storing straight into
-// the typed output segment (no int64 staging pass). bv is the widened
-// fused-branch chunk aligned with dst; it is fully read before dst is
-// written, which preserves the planner's same-dtype aliasing contract.
-func finishSeg[O tensor.Elem, C accum](dst []O, accRow []C, bv []int64, e *epi, corr int64, oc int) {
+// requant is the unproven fallback: Requantize over the folded bias.
+func (e *epi) requant(a, sfx, c int64) int64 {
+	return intmath.Requantize(a, sfx, c, e.half, e.frac, e.zero, e.lo, e.hi)
+}
+
+// addExact returns a+b and ok unless the sum overflows int64.
+func addExact(a, b int64, ok bool) (int64, bool) {
+	s := a + b
+	return s, ok && (a^s)&(b^s) >= 0
+}
+
+// mulExact returns a·b and ok unless the product overflows int64.
+func mulExact(a, b int64, ok bool) (int64, bool) {
+	p := a * b
+	return p, ok && (a == 0 || (p/a == b && !(a == -1 && b == math.MinInt64)))
+}
+
+// absOf is |v| (callers rule out math.MinInt64).
+func absOf(v int64) int64 {
+	if v < 0 {
+		return -v
+	}
+	return v
+}
+
+// finishSeg finishes one channel's accumulator row — requantize over the
+// folded bias, fused epilogue — storing straight into the typed output
+// segment (no int64 staging pass). bv is the widened fused-branch chunk
+// aligned with dst; it is fully read before dst is written, which
+// preserves the planner's same-dtype aliasing contract.
+func finishSeg[O tensor.Elem, C accum](dst []O, accRow []C, bv []int64, e *epi, oc int) {
 	// The requantize constants are copied out of e once: a store to dst
 	// may alias *e as far as the compiler knows, so reading e's fields in
 	// the loop would reload them per element.
-	sfx, bfx := e.sfx[oc], e.bfx[oc]
-	half, frac, zero, lo, hi := e.half, e.frac, e.zero, e.lo, e.hi
+	sfx, c, rq := e.sfx[oc], e.c[oc], e.rq
 	dst = dst[:len(accRow)]
-	if e.fc.active() {
+	switch {
+	case !e.folded:
 		for i, a := range accRow {
-			q := intmath.Requantize(int64(a)-corr, sfx, bfx, half, frac, zero, lo, hi)
-			dst[i] = O(e.fc.finish(q, bv, i))
+			dst[i] = O(e.fc.finish(e.requant(int64(a), sfx, c), bv, i))
 		}
-		return
-	}
-	for i, a := range accRow {
-		dst[i] = O(intmath.Requantize(int64(a)-corr, sfx, bfx, half, frac, zero, lo, hi))
+	case e.fc.active():
+		for i, a := range accRow {
+			dst[i] = O(e.fc.finish(rq.Apply(int64(a)*sfx+c), bv, i))
+		}
+	default:
+		for i, a := range accRow {
+			dst[i] = O(rq.Apply(int64(a)*sfx + c))
+		}
 	}
 }
 
 // finishSegOut dispatches finishSeg on the output storage dtype (one
 // switch per channel segment, monomorphized element loops).
-func finishSegOut[C accum](out *tensor.IntTensor, off int, accRow []C, bv []int64, e *epi, corr int64, oc int) {
+func finishSegOut[C accum](out *tensor.IntTensor, off int, accRow []C, bv []int64, e *epi, oc int) {
 	m := len(accRow)
 	switch out.DType {
 	case tensor.I8:
-		finishSeg(out.I8[off:off+m], accRow, bv, e, corr, oc)
+		finishSeg(out.I8[off:off+m], accRow, bv, e, oc)
 	case tensor.U8:
-		finishSeg(out.U8[off:off+m], accRow, bv, e, corr, oc)
+		finishSeg(out.U8[off:off+m], accRow, bv, e, oc)
 	case tensor.I16:
-		finishSeg(out.I16[off:off+m], accRow, bv, e, corr, oc)
+		finishSeg(out.I16[off:off+m], accRow, bv, e, oc)
 	case tensor.U16:
-		finishSeg(out.U16[off:off+m], accRow, bv, e, corr, oc)
+		finishSeg(out.U16[off:off+m], accRow, bv, e, oc)
 	case tensor.I32:
-		finishSeg(out.I32[off:off+m], accRow, bv, e, corr, oc)
+		finishSeg(out.I32[off:off+m], accRow, bv, e, oc)
 	default:
-		finishSeg(out.Data[off:off+m], accRow, bv, e, corr, oc)
+		finishSeg(out.Data[off:off+m], accRow, bv, e, oc)
 	}
 }
 
 // finishRow is finishSeg's row-major twin: one row of the linear's
-// [rows, o] accumulator tile, with the per-channel constants and row-sum
-// corrections running along the row. bv is the widened fused-branch row,
-// read before the aliased dst element is written.
-func finishRow[O tensor.Elem, C accum](dst []O, accRow []C, bv []int64, e *epi, corr []int64) {
-	sfx, bfx, corr := e.sfx[:len(accRow)], e.bfx[:len(accRow)], corr[:len(accRow)]
-	half, frac, zero, lo, hi := e.half, e.frac, e.zero, e.lo, e.hi
+// [rows, o] accumulator tile, with the per-channel constants running
+// along the row. bv is the widened fused-branch row, read before the
+// aliased dst element is written.
+func finishRow[O tensor.Elem, C accum](dst []O, accRow []C, bv []int64, e *epi) {
+	sfx, c, rq := e.sfx[:len(accRow)], e.c[:len(accRow)], e.rq
 	dst = dst[:len(accRow)]
-	if e.fc.active() {
+	switch {
+	case !e.folded:
 		for oc, a := range accRow {
-			q := intmath.Requantize(int64(a)-corr[oc], sfx[oc], bfx[oc], half, frac, zero, lo, hi)
-			dst[oc] = O(e.fc.finish(q, bv, oc))
+			dst[oc] = O(e.fc.finish(e.requant(int64(a), sfx[oc], c[oc]), bv, oc))
 		}
-		return
-	}
-	for oc, a := range accRow {
-		dst[oc] = O(intmath.Requantize(int64(a)-corr[oc], sfx[oc], bfx[oc], half, frac, zero, lo, hi))
+	case e.fc.active():
+		for oc, a := range accRow {
+			dst[oc] = O(e.fc.finish(rq.Apply(int64(a)*sfx[oc]+c[oc]), bv, oc))
+		}
+	default:
+		for oc, a := range accRow {
+			dst[oc] = O(rq.Apply(int64(a)*sfx[oc] + c[oc]))
+		}
 	}
 }
 
 // finishRows finishes a row tile acc [m][o] into the typed output rows
 // r0.., widening each fused-branch row into bv (len o) first.
-func finishRows[O tensor.Elem, C accum](dst []O, r0 int, acc []C, add *tensor.IntTensor, bv []int64, e *epi, corr []int64) {
-	o := len(corr)
+func finishRows[O tensor.Elem, C accum](dst []O, r0 int, acc []C, add *tensor.IntTensor, bv []int64, e *epi) {
+	o := len(e.sfx)
 	for i := 0; i < len(acc)/o; i++ {
 		off := (r0 + i) * o
 		var bvv []int64
@@ -145,26 +233,26 @@ func finishRows[O tensor.Elem, C accum](dst []O, r0 int, acc []C, add *tensor.In
 			bvv = bv[:o]
 			add.ReadInt64(bvv, off)
 		}
-		finishRow(dst[off:off+o], acc[i*o:(i+1)*o], bvv, e, corr)
+		finishRow(dst[off:off+o], acc[i*o:(i+1)*o], bvv, e)
 	}
 }
 
 // finishRowsOut dispatches finishRows on the output storage dtype (one
 // switch per row tile).
-func finishRowsOut[C accum](out *tensor.IntTensor, r0 int, acc []C, add *tensor.IntTensor, bv []int64, e *epi, corr []int64) {
+func finishRowsOut[C accum](out *tensor.IntTensor, r0 int, acc []C, add *tensor.IntTensor, bv []int64, e *epi) {
 	switch out.DType {
 	case tensor.I8:
-		finishRows(out.I8, r0, acc, add, bv, e, corr)
+		finishRows(out.I8, r0, acc, add, bv, e)
 	case tensor.U8:
-		finishRows(out.U8, r0, acc, add, bv, e, corr)
+		finishRows(out.U8, r0, acc, add, bv, e)
 	case tensor.I16:
-		finishRows(out.I16, r0, acc, add, bv, e, corr)
+		finishRows(out.I16, r0, acc, add, bv, e)
 	case tensor.U16:
-		finishRows(out.U16, r0, acc, add, bv, e, corr)
+		finishRows(out.U16, r0, acc, add, bv, e)
 	case tensor.I32:
-		finishRows(out.I32, r0, acc, add, bv, e, corr)
+		finishRows(out.I32, r0, acc, add, bv, e)
 	default:
-		finishRows(out.Data, r0, acc, add, bv, e, corr)
+		finishRows(out.Data, r0, acc, add, bv, e)
 	}
 }
 
@@ -199,34 +287,15 @@ func packRows[C accum](w []int64) []C {
 	return out
 }
 
-// rowSumsScaled returns z·Σ_j w[oc,j] per output channel: with the
-// gather writing raw codes (0 for padding), acc_true = acc_raw − z·Σw
-// exactly, which removes the per-element zero-point subtraction from the
-// hot loop.
-func rowSumsScaled(w []int64, o, k int, z int64) []int64 {
-	sums := make([]int64, o)
-	if z == 0 {
-		return sums
-	}
-	for oc := 0; oc < o; oc++ {
-		var s int64
-		for _, v := range w[oc*k : (oc+1)*k] {
-			s += v
-		}
-		sums[oc] = z * s
-	}
-	return sums
-}
-
 // sharedPack is the shape-independent part of an instruction's
-// prepacked state — weight panels, zero-point row sums, expanded
-// epilogue constants. It is built once per (instruction, variant) and
-// shared (read-only) by every executor bound to the program.
+// prepacked state — weight panels and the expanded epilogue constants
+// with the zero-point correction folded in. It is built once per
+// (instruction, variant) and shared (read-only) by every executor bound
+// to the program.
 type sharedPack struct {
-	wp   any       // []int32 or []int64 panels (dense) or rows (grouped), at the accumulator width
-	sw   *swarPack // SWAR lane-packed weights and bias corrections
-	zsum []int64
-	epi  epi
+	wp  any       // []int32 or []int64 panels (dense) or rows (grouped), at the accumulator width
+	sw  *swarPack // SWAR lane-packed weights and activation bias
+	epi epi
 }
 
 // sharedKey identifies a shared pack: the instruction plus which variant
@@ -403,8 +472,8 @@ func (ex *Executor) coreFor(idx int) gemmCore {
 }
 
 // panelState is the part of a conv/linear state both drivers share: the
-// bound core with the weights it reads, the zero-point row sums and
-// epilogue, and the site/row tile per batch size (index n).
+// bound core with the weights it reads, the epilogue, and the site/row
+// tile per batch size (index n).
 type panelState[C accum] struct {
 	core  gemmCore
 	o, np int
@@ -414,7 +483,6 @@ type panelState[C accum] struct {
 	skip  *panelSkip // live lists (i32-sparse, swar-sparse)
 	nm    *nmPack    // N:M pack (i32-nm)
 	sw    *swarPack  // lane-packed weights (SWAR cores)
-	zsum  []int64
 	epi   epi
 }
 
@@ -442,14 +510,13 @@ func bindPanels[C accum](ex *Executor, idx int, it *Instr, core gemmCore, k int)
 	} else {
 		sh = ex.prog.packs().sharedFor(sharedKey{idx: idx, wide: isWide[C]()}, func() *sharedPack {
 			return &sharedPack{
-				wp:   packPanels[C](it.W.Data, o, k),
-				zsum: rowSumsScaled(it.W.Data, o, k, it.InZero),
-				epi:  newEpi(it, o),
+				wp:  packPanels[C](it.W.Data, o, k),
+				epi: newEpi(it, o, it.W.Data, it.InZero, accMax[C]()),
 			}
 		})
 		ps.wp = sh.wp.([]C)
 	}
-	ps.zsum, ps.epi = sh.zsum, sh.epi
+	ps.epi = sh.epi
 	switch core {
 	case coreCSR, coreSwarSparse:
 		ps.skip = ex.sparseInstr(idx).skip
@@ -477,7 +544,6 @@ type gconvPackT[C accum] struct {
 	ad                tensor.DType
 	off               []int32 // cg·kH·kW tap offsets within the padded slab
 	wv                []C     // row-major [o][cg·kH·kW]
-	zsum              []int64
 	epi               epi
 }
 
@@ -576,14 +642,13 @@ func prepConvT[C accum](ex *Executor, idx int, it *Instr, core gemmCore) (any, e
 		key := sharedKey{idx: idx, wide: isWide[C]()}
 		sh := ex.prog.packs().sharedFor(key, func() *sharedPack {
 			return &sharedPack{
-				wp:   packRows[C](it.W.Data),
-				zsum: rowSumsScaled(it.W.Data, o, cg*kH*kW, it.InZero),
-				epi:  newEpi(it, o),
+				wp:  packRows[C](it.W.Data),
+				epi: newEpi(it, o, it.W.Data, it.InZero, accMax[C]()),
 			}
 		})
 		st := newGconvPack[C](g, cg)
 		st.o, st.og, st.ad = o, o/groups, ad
-		st.wv, st.zsum, st.epi = sh.wp.([]C), sh.zsum, sh.epi
+		st.wv, st.epi = sh.wp.([]C), sh.epi
 		// Staging: the widened fused branch in the int64 slot, the
 		// padded input group slab in the C panel and the raw
 		// accumulator plane in the C tile.
@@ -789,7 +854,7 @@ func convJob[A tensor.Elem, C accum](ex *Executor, st *convPackT[C], it *Instr, 
 				bv = addw[:m]
 				add.ReadInt64(bv, off)
 			}
-			finishSegOut(out, off, acc[oc*m:(oc+1)*m], bv, &st.epi, st.zsum[oc], oc)
+			finishSegOut(out, off, acc[oc*m:(oc+1)*m], bv, &st.epi, oc)
 		}
 	}
 }
@@ -807,9 +872,9 @@ func convCore[A tensor.Elem, C accum](ex *Executor, st *convPackT[C], tm int) fu
 			gatherPanelBytes(panel, xs, g, sw.ba, s0, m)
 			acc := ex.w32.acc[slot]
 			if skip != nil {
-				gemmPanelsSwarSparse(acc, panel, sw.wps, skip, sw.bcorr, m, colW, o, np, m, 1)
+				gemmPanelsSwarSparse(acc, panel, sw.wps, skip, m, colW, o, np, m, 1)
 			} else {
-				gemmPanelsSwar(acc, panel, sw.wps, sw.bcorr, m, colW, o, np, m, 1)
+				gemmPanelsSwar(acc, panel, sw.wps, m, colW, o, np, m, 1)
 			}
 			return acc
 		}
@@ -905,7 +970,7 @@ func storeAccRow[C accum](acc []C, base, nch int, c0, c1, c2, c3 C) {
 // one sample's typed codes. Each site's tap runs come from the geometry's
 // border rule and widen at the gather (raw values); every other tap is
 // padding and reads 0 — the zero point is folded into the epilogue's
-// row-sum correction.
+// bias.
 func gatherPanel[A tensor.Elem, C accum](panel []C, xs []A, g *convGeom, s0, m int) {
 	colW, hw := g.c*g.kH*g.kW, g.h*g.w
 	oy, ox := s0/g.ow, s0%g.ow
@@ -960,8 +1025,9 @@ func (st *gconvPackT[C]) jobs(ex *Executor, idx int, it *Instr, in []*tensor.Int
 
 // gconvJob builds the per-(sample, channel-plane) job body. The group's
 // input slab is widened once into the slot's C scratch, zero-padded: a
-// padded tap is raw 0, as in the reference, and the zero-point row sum
-// covers it like any other tap, so no site needs a border path. The
+// padded tap is raw 0, as in the reference, and the zero-point term of
+// the folded bias covers it like any other tap, so no site needs a
+// border path. The
 // whole plane is then finished into the output in one pass.
 func gconvJob[A tensor.Elem, C accum](ex *Executor, st *gconvPackT[C], it *Instr, in []*tensor.IntTensor, out *tensor.IntTensor) func(job, slot int) {
 	xs := typedData[A](in[0])
@@ -994,7 +1060,7 @@ func gconvJob[A tensor.Elem, C accum](ex *Executor, st *gconvPackT[C], it *Instr
 			bv = ex.SlotScratch(slot)[:ohw]
 			add.ReadInt64(bv, base)
 		}
-		finishSegOut(out, base, acc, bv, &st.epi, st.zsum[oc], oc)
+		finishSegOut(out, base, acc, bv, &st.epi, oc)
 	}
 }
 
@@ -1110,14 +1176,14 @@ func linJob[A tensor.Elem, C accum](ex *Executor, st *linPackT[C], it *Instr, in
 			m = rows - r0
 		}
 		acc := core(slot, xs, r0, m)
-		finishRowsOut(out, r0, acc, add, ex.SlotScratch(slot), &st.epi, st.zsum)
+		finishRowsOut(out, r0, acc, add, ex.SlotScratch(slot), &st.epi)
 	}
 }
 
 // linCore is convCore for the linear: one tile step over input rows
 // [r0, r0+m) of xs, returning a row-major [m, o] tile. The panel cores
-// read the rows in place (the zero point is folded into the row-sum
-// correction); the SWAR cores gather them as biased bytes.
+// read the rows in place (the zero point is folded into the epilogue's
+// bias); the SWAR cores gather them as biased bytes.
 func linCore[A tensor.Elem, C accum](ex *Executor, st *linPackT[C]) func(slot int, xs []A, r0, m int) []C {
 	k, o, np := st.k, st.o, st.np
 	if st.core.swar() {
@@ -1127,9 +1193,9 @@ func linCore[A tensor.Elem, C accum](ex *Executor, st *linPackT[C]) func(slot in
 			gatherRowBytes(panel, xs[r0*k:(r0+m)*k], sw.ba)
 			acc := ex.w32.acc[slot][:m*o]
 			if skip != nil {
-				gemmPanelsSwarSparse(acc, panel, sw.wps, skip, sw.bcorr, m, k, o, np, 1, o)
+				gemmPanelsSwarSparse(acc, panel, sw.wps, skip, m, k, o, np, 1, o)
 			} else {
-				gemmPanelsSwar(acc, panel, sw.wps, sw.bcorr, m, k, o, np, 1, o)
+				gemmPanelsSwar(acc, panel, sw.wps, m, k, o, np, 1, o)
 			}
 			return acc
 		}

@@ -124,8 +124,8 @@ type Program struct {
 	InShape []int
 
 	// pack caches prepacked kernel state that is batch- and
-	// executor-independent (weight panels, zero-point row sums, epilogue
-	// constants), so a server's many (worker, batch-size) executors
+	// executor-independent (weight panels, epilogue constants with
+	// the zero-point correction folded into the bias), so a server's many (worker, batch-size) executors
 	// bind against one copy instead of re-packing the model each time.
 	pack *packCache
 

@@ -23,12 +23,12 @@ package engine
 // s the expected pair-dead fraction is s², e.g. ~49% of inner-loop trips
 // skipped at 70% sparsity.
 //
-// SWAR correction under skipping: the dense path recovers the raw dot
-// product as S = S' − ba·Σw(channel). SWAR weights pack signed and
-// unbiased, so a skipped (dead) position packs the word 0 exactly in
-// both lanes: omitting it drops nothing from S', and the same
-// correction holds over the live list. ba·Σw is unchanged — dead
-// positions have raw w = 0. Lane legality tightens to
+// SWAR under skipping: the SWAR cores return S' = Σ a'·w over biased
+// bytes, and the bias folds the raw dot product's S = S' − ba·Σw(channel)
+// in. SWAR weights pack signed and unbiased, so a skipped (dead) position
+// packs the word 0 exactly in both lanes: omitting it drops nothing from
+// S', and the same folded bias holds over the live list — dead positions
+// have raw w = 0, so Σw is unchanged. Lane legality tightens to
 // maxPairLive·aSpan·wAbs ≤ 2³¹−1, so weights whose full-K sum would
 // overflow a lane can still take the SWAR path once pruned
 // (storageInfo.swarSparse).
@@ -702,10 +702,12 @@ func linPanelsNM[A tensor.Elem, C accum](acc []C, xs []A, nm *nmPack, r0, m, k, 
 // gemmPanelsSwarSparse is the pair-skipping lane-packed microkernel:
 // same contract as gemmPanelsSwar, but each pair word stream iterates
 // its live list. A dead position's packed word is 0, so the skipped
-// terms need no correction (see the file comment). Four sites per step
-// keep the packed-weight reuse of the dense kernel; the pair streams run
-// as separate loops since their live sets differ.
-func gemmPanelsSwarSparse(acc []int32, panel []uint8, wps []uint64, sk *panelSkip, bcorr []int64, m, colW, o, np, cs, rs int) {
+// terms contribute nothing to S' (see the file comment). Four sites per
+// step keep the packed-weight reuse of the dense kernel; the pair
+// streams run as separate loops since their live sets differ. As in the
+// dense core, full panels store with the inlined storeSwar4 and the
+// partial last panel runs one site at a time through storeSwarSite.
+func gemmPanelsSwarSparse(acc []int32, panel []uint8, wps []uint64, sk *panelSkip, m, colW, o, np, cs, rs int) {
 	for pb := 0; pb < np; pb++ {
 		wp := wps[pb*colW*swarLanes : (pb+1)*colW*swarLanes]
 		wa := wp[:colW]
@@ -713,7 +715,14 @@ func gemmPanelsSwarSparse(acc []int32, panel []uint8, wps []uint64, sk *panelSki
 		la := sk.liveA[sk.offA[pb]:sk.offA[pb+1]]
 		lb := sk.liveB[sk.offB[pb]:sk.offB[pb+1]]
 		oc0 := pb * panelW
-		nch := min(o-oc0, panelW)
+		base := oc0 * cs
+		if nch := o - oc0; nch < panelW {
+			for i := 0; i < m; i++ {
+				p01, p23 := swarLive1(panel[i*colW:][:colW], wa, wb, la, lb)
+				storeSwarSite(acc, base+i*rs, nch, cs, p01, p23)
+			}
+			continue
+		}
 		i := 0
 		for ; i+4 <= m; i += 4 {
 			a0 := panel[i*colW:][:colW]
@@ -736,23 +745,27 @@ func gemmPanelsSwarSparse(acc []int32, panel []uint8, wps []uint64, sk *panelSki
 				p21 += uint64(a2[j]) * w23
 				p31 += uint64(a3[j]) * w23
 			}
-			storeSwarSite(acc, bcorr, oc0, nch, i, cs, rs, p00, p01)
-			storeSwarSite(acc, bcorr, oc0, nch, i+1, cs, rs, p10, p11)
-			storeSwarSite(acc, bcorr, oc0, nch, i+2, cs, rs, p20, p21)
-			storeSwarSite(acc, bcorr, oc0, nch, i+3, cs, rs, p30, p31)
+			storeSwar4(acc, base+i*rs, cs, p00, p01)
+			storeSwar4(acc, base+(i+1)*rs, cs, p10, p11)
+			storeSwar4(acc, base+(i+2)*rs, cs, p20, p21)
+			storeSwar4(acc, base+(i+3)*rs, cs, p30, p31)
 		}
 		for ; i < m; i++ {
-			a0 := panel[i*colW:][:colW]
-			var p00, p01 uint64
-			for _, j := range la {
-				p00 += uint64(a0[j]) * wa[j]
-			}
-			for _, j := range lb {
-				p01 += uint64(a0[j]) * wb[j]
-			}
-			storeSwarSite(acc, bcorr, oc0, nch, i, cs, rs, p00, p01)
+			p01, p23 := swarLive1(panel[i*colW:][:colW], wa, wb, la, lb)
+			storeSwar4(acc, base+i*rs, cs, p01, p23)
 		}
 	}
+}
+
+// swarLive1 is the pair-skipping tap loop of one site row.
+func swarLive1(a0 []uint8, wa, wb []uint64, la, lb []int32) (p01, p23 uint64) {
+	for _, j := range la {
+		p01 += uint64(a0[j]) * wa[j]
+	}
+	for _, j := range lb {
+		p23 += uint64(a0[j]) * wb[j]
+	}
+	return
 }
 
 // sparseEff resolves the executed-MAC fraction of instruction i's

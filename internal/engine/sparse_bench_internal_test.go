@@ -44,11 +44,10 @@ func BenchmarkSparseKernels(b *testing.B) {
 		sk := buildPanelSkip(w, o, k)
 		wp32 := packPanels[int32](w, o, k)
 		wps := packPanelsSwar(w, o, k)
-		bcorr := rowSumsScaled(w, o, k, 128)
 		name := fmt.Sprintf("s%.0f", s*100)
 		b.Run("dense-swar/"+name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				gemmPanelsSwar(acc, panelB, wps, bcorr, m, k, o, np, m, 1)
+				gemmPanelsSwar(acc, panelB, wps, m, k, o, np, m, 1)
 			}
 		})
 		b.Run("dense-i32/"+name, func(b *testing.B) {
@@ -58,7 +57,7 @@ func BenchmarkSparseKernels(b *testing.B) {
 		})
 		b.Run("pair-swar/"+name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				gemmPanelsSwarSparse(acc, panelB, wps, sk, bcorr, m, k, o, np, m, 1)
+				gemmPanelsSwarSparse(acc, panelB, wps, sk, m, k, o, np, m, 1)
 			}
 		})
 		b.Run("csr-i32/"+name, func(b *testing.B) {
@@ -86,11 +85,10 @@ func BenchmarkSparseKernels(b *testing.B) {
 		}
 		sk := buildPanelSkip(w, o, k)
 		wps := packPanelsSwar(w, o, k)
-		bcorr := rowSumsScaled(w, o, k, 128)
 		name := fmt.Sprintf("s%.0f", s*100)
 		b.Run("pair-swar-shared/"+name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				gemmPanelsSwarSparse(acc, panelB, wps, sk, bcorr, m, k, o, np, m, 1)
+				gemmPanelsSwarSparse(acc, panelB, wps, sk, m, k, o, np, m, 1)
 			}
 		})
 		b.Run("csr-shared/"+name, func(b *testing.B) {

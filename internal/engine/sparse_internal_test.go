@@ -62,9 +62,11 @@ func nmWeights(o, k, n int, seed uint64) []int64 {
 }
 
 // TestSparseGemmKernelsMatchDense: the pair-skipping and N:M int32
-// kernels (conv-panel and linear layouts) and the pair-skipping SWAR
-// kernel must reproduce gemmPanels's accumulator tile exactly, at
-// several shapes including partial panels and odd site counts.
+// kernels (conv-panel and linear layouts) must reproduce gemmPanels's
+// accumulator tile exactly, and the pair-skipping SWAR kernel gemmPanels's
+// tile over the biased bytes a' = a + ba (its contract is S' = Σ a'·w;
+// the epilogue's folded bias removes ba·Σw), at several shapes including
+// partial panels and odd site counts.
 func TestSparseGemmKernelsMatchDense(t *testing.T) {
 	shapes := []struct{ o, k, m int }{
 		{4, 16, 8},
@@ -104,13 +106,18 @@ func TestSparseGemmKernelsMatchDense(t *testing.T) {
 			for i, v := range panel {
 				bpanel[i] = uint8(int64(v) + ba)
 			}
-			bcorr := rowSumsScaled(w, o, k, ba)
+			biased := make([]int32, m*k)
+			for i, v := range bpanel {
+				biased[i] = int32(v)
+			}
+			wantS := make([]int32, len(want))
+			gemmPanels(wantS, biased, wp32, m, k, o, np)
 			wps := packPanelsSwar(w, o, k)
 			gotS := make([]int32, len(want))
-			gemmPanelsSwarSparse(gotS, bpanel, wps, sk, bcorr, m, k, o, np, m, 1)
+			gemmPanelsSwarSparse(gotS, bpanel, wps, sk, m, k, o, np, m, 1)
 			for i := range want {
-				if gotS[i] != want[i] {
-					t.Fatalf("o=%d k=%d m=%d s=%.2f: swar-sparse acc[%d] = %d, dense %d", o, k, m, sparsity, i, gotS[i], want[i])
+				if gotS[i] != wantS[i] {
+					t.Fatalf("o=%d k=%d m=%d s=%.2f: swar-sparse acc[%d] = %d, dense %d", o, k, m, sparsity, i, gotS[i], wantS[i])
 				}
 			}
 

@@ -5,22 +5,24 @@ package engine
 // so every multiply retires two MACs. They are cores of convPackT[int32]
 // and linPackT[int32] (prepack.go), whose tiling, fused-add read,
 // epilogue and dtype dispatch they share; what they own is here — the
-// biased byte gather, the lane-packed weights and their correction
-// (swarPack), the site tile, and the microkernels.
-// Activations are gathered as bytes a' = a − lo(dtype) ∈ [0, 255];
-// weights pack signed and unbiased, W = w₀ + w₁·2³² mod 2⁶⁴. Word
-// arithmetic is exact mod 2⁶⁴, so the accumulated word is S'₀ + S'₁·2³²
-// mod 2⁶⁴ however the partial sums move, and the sign-extending lane
-// decode (intmath.LaneLo/LaneHi) returns both lanes exactly as long as
-// each final lane sum fits int32 (the storage pass proves
-// K·aSpan·max(|wMin|, |wMax|) ≤ 2³¹−1 per instruction). The raw dot
-// product is then
+// biased byte gather, the lane-packed weights (swarPack), the site tile,
+// and the microkernels.
+// Activations are gathered as bytes a' = a + ba ∈ [0, 255] (ba = −lo of
+// the storage dtype); weights pack signed and unbiased, W = w₀ + w₁·2³²
+// mod 2⁶⁴. Word arithmetic is exact mod 2⁶⁴, so the accumulated word is
+// S'₀ + S'₁·2³² mod 2⁶⁴ however the partial sums move, and the
+// sign-extending lane decode (intmath.LaneLo/LaneHi) returns both lanes
+// exactly as long as each final lane sum fits int32 (the storage pass
+// proves K·aSpan·max(|wMin|, |wMax|) ≤ 2³¹−1 per instruction). The cores
+// store S' = Σ a'·w as it decodes; the raw dot product is
 //
 //	S = S' − ba·Σw(channel),
 //
-// with Σw the per-channel weight row sum; the result lands in the
-// driver's int32 accumulator tile and flows through the same epilogue as
-// the int32 panel cores — bit-identity by construction. A byte panel
+// and the term ba·Σw, like the zero point's InZero·Σw, is a per-channel
+// constant that the bind folds into the epilogue's bias (newEpi), so the
+// store is a pure lane decode and the tile flows through the same
+// epilogue as the int32 panel cores — bit-identity by construction. A
+// byte panel
 // holds 8× the sites of an int64 panel per cache line, so SWAR tiles
 // target larger site counts while staying L1-resident; K is never split
 // — the legality bound already caps it.
@@ -37,12 +39,10 @@ import (
 const swarLanes = intmath.SwarLanes
 
 // swarPack is what a SWAR core reads besides its byte panel: the
-// lane-packed signed weights, the per-channel activation-bias
-// correction ba·Σw, and the activation bias.
+// lane-packed signed weights and the activation bias of the gather.
 type swarPack struct {
-	wps   []uint64
-	bcorr []int64
-	ba    int64
+	wps []uint64
+	ba  int64
 }
 
 // swarInstr reports whether instruction idx takes the SWAR lane-packed
@@ -96,7 +96,8 @@ func tileSitesSwar(colW, spatial int) int {
 
 // swarShared builds (or fetches) the shared SWAR pack of an instruction
 // over [o, k] weights read from 8-bit input storage ad. The activation
-// bias comes from ad's full span, so any accepted code is safe.
+// bias comes from ad's full span, so any accepted code is safe; the
+// epilogue's bias absorbs it with the zero point, (InZero + ba)·Σw.
 func swarShared(ex *Executor, idx int, it *Instr, ad tensor.DType, o, k int) (*sharedPack, error) {
 	if ad != tensor.I8 && ad != tensor.U8 {
 		return nil, fmt.Errorf("engine: swar %s %s input dtype %s", it.Kind, it.Name, ad)
@@ -105,9 +106,8 @@ func swarShared(ex *Executor, idx int, it *Instr, ad tensor.DType, o, k int) (*s
 	ba := -lo
 	return ex.prog.packs().sharedFor(sharedKey{idx: idx, swar: true}, func() *sharedPack {
 		return &sharedPack{
-			sw:   &swarPack{wps: packPanelsSwar(it.W.Data, o, k), bcorr: rowSumsScaled(it.W.Data, o, k, ba), ba: ba},
-			zsum: rowSumsScaled(it.W.Data, o, k, it.InZero),
-			epi:  newEpi(it, o),
+			sw:  &swarPack{wps: packPanelsSwar(it.W.Data, o, k), ba: ba},
+			epi: newEpi(it, o, it.W.Data, it.InZero+ba, int32AccMax),
 		}
 	}), nil
 }
@@ -212,12 +212,14 @@ func gatherRowBytes[A tensor.Elem](panel []uint8, xs []A, ba int64) {
 
 // gemmPanelsSwar is the lane-packed microkernel: per packed weight panel
 // and four-site block, eight 64-bit accumulator words carry sixteen
-// channel sums (two lanes each); storeSwarSite decodes the lanes, removes
-// the activation-bias correction, and stores exact raw int32 dot
-// products into the accumulator tile at acc[oc·cs + site·rs] (cs = tile
-// sites, rs = 1 for the conv's channel-major tile; cs = 1, rs = o for
-// the linear's row-major tile).
-func gemmPanelsSwar(acc []int32, panel []uint8, wps []uint64, bcorr []int64, m, colW, o, np, cs, rs int) {
+// channel sums (two lanes each), which the stores decode into S' = Σ a'·w
+// of every (site, channel) at acc[oc·cs + site·rs] (cs = tile sites,
+// rs = 1 for the conv's channel-major tile; cs = 1, rs = o for the
+// linear's row-major tile). Full panels store four lanes per site with
+// storeSwar4, a leaf that inlines; only the partial last panel (o not a
+// multiple of panelW) takes the general storeSwarSite, one site at a
+// time.
+func gemmPanelsSwar(acc []int32, panel []uint8, wps []uint64, m, colW, o, np, cs, rs int) {
 	for pb := 0; pb < np; pb++ {
 		// Split-half panel layout: wa[j] carries channels (0,1) of tap j,
 		// wb[j] channels (2,3).
@@ -225,25 +227,27 @@ func gemmPanelsSwar(acc []int32, panel []uint8, wps []uint64, bcorr []int64, m, 
 		wa := wp[:colW]
 		wb := wp[colW:][:colW]
 		oc0 := pb * panelW
-		nch := min(o-oc0, panelW)
+		base := oc0 * cs
+		if nch := o - oc0; nch < panelW {
+			for i := 0; i < m; i++ {
+				p01, p23 := swarTaps1(panel[i*colW:][:colW], wa, wb)
+				storeSwarSite(acc, base+i*rs, nch, cs, p01, p23)
+			}
+			continue
+		}
 		i := 0
 		for ; i+4 <= m; i += 4 {
 			p00, p01, p10, p11, p20, p21, p30, p31 := swarTaps4(
 				panel[i*colW:][:colW], panel[(i+1)*colW:][:colW],
 				panel[(i+2)*colW:][:colW], panel[(i+3)*colW:][:colW], wa, wb)
-			storeSwarSite(acc, bcorr, oc0, nch, i, cs, rs, p00, p01)
-			storeSwarSite(acc, bcorr, oc0, nch, i+1, cs, rs, p10, p11)
-			storeSwarSite(acc, bcorr, oc0, nch, i+2, cs, rs, p20, p21)
-			storeSwarSite(acc, bcorr, oc0, nch, i+3, cs, rs, p30, p31)
+			storeSwar4(acc, base+i*rs, cs, p00, p01)
+			storeSwar4(acc, base+(i+1)*rs, cs, p10, p11)
+			storeSwar4(acc, base+(i+2)*rs, cs, p20, p21)
+			storeSwar4(acc, base+(i+3)*rs, cs, p30, p31)
 		}
 		for ; i < m; i++ {
-			a0 := panel[i*colW:][:colW]
-			var p00, p01 uint64
-			for j, av := range a0 {
-				p00 += uint64(av) * wa[j]
-				p01 += uint64(av) * wb[j]
-			}
-			storeSwarSite(acc, bcorr, oc0, nch, i, cs, rs, p00, p01)
+			p01, p23 := swarTaps1(panel[i*colW:][:colW], wa, wb)
+			storeSwar4(acc, base+i*rs, cs, p01, p23)
 		}
 	}
 }
@@ -276,26 +280,37 @@ func swarTaps4(a0, a1, a2, a3 []uint8, wa, wb []uint64) (p00, p01, p10, p11, p20
 	return
 }
 
-// storeSwarSite decodes up to panelW lanes of one site, removes the
-// per-channel ba·Σw correction, and writes the exact raw accumulators.
-// Full panels (the common case) store all four lanes without the
-// remainder loop.
-func storeSwarSite(acc []int32, bcorr []int64, oc0, nch, i, cs, rs int, p01, p23 uint64) {
-	base := oc0*cs + i*rs
-	if nch == panelW {
-		bc := bcorr[oc0:][:panelW]
-		acc[base] = int32(intmath.LaneLo(p01) - bc[0])
-		acc[base+cs] = int32(intmath.LaneHi(p01) - bc[1])
-		acc[base+2*cs] = int32(intmath.LaneLo(p23) - bc[2])
-		acc[base+3*cs] = int32(intmath.LaneHi(p23) - bc[3])
-		return
+// swarTaps1 is swarTaps4 for one site row: the block tail and the
+// partial last panel.
+func swarTaps1(a0 []uint8, wa, wb []uint64) (p01, p23 uint64) {
+	wb, a0 = wb[:len(wa)], a0[:len(wa)]
+	for j, w01 := range wa {
+		av := uint64(a0[j])
+		p01 += av * w01
+		p23 += av * wb[j]
 	}
+	return
+}
+
+// storeSwar4 decodes the four lanes of one site of a full panel into
+// the tile at base, base+cs, base+2·cs, base+3·cs.
+func storeSwar4(acc []int32, base, cs int, p01, p23 uint64) {
+	acc = acc[base:]
+	acc[0] = int32(intmath.LaneLo(p01))
+	acc[cs] = int32(intmath.LaneHi(p01))
+	acc[2*cs] = int32(intmath.LaneLo(p23))
+	acc[3*cs] = int32(intmath.LaneHi(p23))
+}
+
+// storeSwarSite decodes the first nch lanes of one site (the partial
+// last panel) into the tile at base + r·cs.
+func storeSwarSite(acc []int32, base, nch, cs int, p01, p23 uint64) {
 	lanes := [panelW]int64{
 		intmath.LaneLo(p01), intmath.LaneHi(p01),
 		intmath.LaneLo(p23), intmath.LaneHi(p23),
 	}
 	for r := 0; r < nch; r++ {
-		acc[base+r*cs] = int32(lanes[r] - bcorr[oc0+r])
+		acc[base+r*cs] = int32(lanes[r])
 	}
 }
 

@@ -1,7 +1,7 @@
 package engine
 
 // White-box SWAR tests: the dense and pair-skipping cores against a
-// plain int64 dot product, the storage pass's lane-overflow legality
+// plain int64 dot product over the biased bytes, the storage pass's lane-overflow legality
 // rule at its exact boundary, and the intra-op tile splitter.
 
 import (
@@ -22,7 +22,9 @@ type swarCoreCase struct {
 }
 
 // TestSwarCoreOracle: the dense and pair-skipping SWAR cores return the
-// plain int64 dot product of every (site, channel) in both tile layouts
+// plain int64 dot product S' = Σ a'·w of the biased bytes a' = a + ba
+// (the bias term ba·Σw lives in the epilogue's folded bias) of every
+// (site, channel) in both tile layouts
 // — the conv's channel-major tile (cs = m, rs = 1) and the linear's
 // row-major one (cs = 1, rs = o). Random draws cover o 1–13 (partial
 // panels), K 1–300, sites 1–9 (the 4-site blocks and the tail), i8 and
@@ -106,7 +108,7 @@ func TestSwarCoreOracle(t *testing.T) {
 
 // checkSwarCores runs both SWAR cores over c in both tile layouts into
 // garbage-filled tiles and compares every accumulator with the int64
-// dot product.
+// dot product of the biased bytes.
 func checkSwarCores(t *testing.T, c swarCoreCase) {
 	t.Helper()
 	if !swarEligible(int64(c.k), tensor.I8, -128, 127) {
@@ -117,7 +119,7 @@ func checkSwarCores(t *testing.T, c swarCoreCase) {
 		for oc := 0; oc < c.o; oc++ {
 			var d int64
 			for j := 0; j < c.k; j++ {
-				d += c.a[s*c.k+j] * c.w[oc*c.k+j]
+				d += (c.a[s*c.k+j] + c.ba) * c.w[oc*c.k+j]
 			}
 			want[s*c.o+oc] = d
 		}
@@ -127,7 +129,6 @@ func checkSwarCores(t *testing.T, c swarCoreCase) {
 		panel[i] = uint8(v + c.ba)
 	}
 	wps := packPanelsSwar(c.w, c.o, c.k)
-	bcorr := rowSumsScaled(c.w, c.o, c.k, c.ba)
 	sk := buildPanelSkip(c.w, c.o, c.k)
 	np := (c.o + panelW - 1) / panelW
 	acc := make([]int32, c.o*c.m)
@@ -140,9 +141,9 @@ func checkSwarCores(t *testing.T, c swarCoreCase) {
 				acc[i] = garbage
 			}
 			if core == "swar" {
-				gemmPanelsSwar(acc, panel, wps, bcorr, c.m, c.k, c.o, np, lay.cs, lay.rs)
+				gemmPanelsSwar(acc, panel, wps, c.m, c.k, c.o, np, lay.cs, lay.rs)
 			} else {
-				gemmPanelsSwarSparse(acc, panel, wps, sk, bcorr, c.m, c.k, c.o, np, lay.cs, lay.rs)
+				gemmPanelsSwarSparse(acc, panel, wps, sk, c.m, c.k, c.o, np, lay.cs, lay.rs)
 			}
 			for s := 0; s < c.m; s++ {
 				for oc := 0; oc < c.o; oc++ {

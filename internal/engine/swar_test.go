@@ -77,6 +77,52 @@ func TestSwarKernelSelectionOnZoo(t *testing.T) {
 	}
 }
 
+// TestZooBindsFoldedRounding: on resnet20, mobilenet and the ViT at
+// batch 1 and 8, every conv, linear and matmul binds the folded
+// rounding — the bind proves |a·sfx + c| + |hz| < 2⁶² for the int32
+// accumulators of the fast registry with and without SWAR, and for any
+// fused rescale stage — so a change to the proof cannot silently drop the
+// zoo back to Requantize. Without typed storage every state accumulates
+// in int64 over arenas that accept any code, which has no bound to
+// prove, so none folds.
+func TestZooBindsFoldedRounding(t *testing.T) {
+	calib, _ := data.Generate(data.SynthCIFAR10, 48, 8)
+	_, resnet := compileZoo(t, "resnet20", calib)
+	_, mobilenet := compileZoo(t, "mobilenet", calib)
+	_, vit := compileViT(t, 3, 1)
+	for _, m := range []struct {
+		name string
+		prog *engine.Program
+	}{{"resnet20", resnet}, {"mobilenet", mobilenet}, {"vit", vit}} {
+		for _, reg := range []struct {
+			name   string
+			r      *engine.Registry
+			folded bool
+		}{
+			{"fast", engine.FastKernels(), true},
+			{"no-swar", engine.FastKernelsWithout(engine.CapSwar), true},
+			{"i64", engine.FastKernelsWithout(engine.CapTyped), false},
+		} {
+			for _, n := range []int{1, 8} {
+				ex, err := engine.NewExecutor(m.prog, []int{n, 3, 32, 32}, engine.WithKernels(reg.r))
+				if err != nil {
+					t.Fatal(err)
+				}
+				rows := ex.KernelChoices()
+				if len(rows) == 0 {
+					t.Fatalf("%s: no conv/linear/matmul", m.name)
+				}
+				for i, f := range ex.FoldedRounding() {
+					if f != reg.folded {
+						t.Fatalf("%s %s b%d %s (%s, %s): folded rounding %v, want %v",
+							m.name, reg.name, n, rows[i].Name, rows[i].Kind, rows[i].Path, f, reg.folded)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestExplainInt32IsAccumulatorWidth: the record's Int32 column is the
 // accumulator width of the bound state — true exactly on the SWAR, int32
 // and int32-matmul paths, false on int64 and reference rows — on the zoo

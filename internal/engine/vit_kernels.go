@@ -59,7 +59,7 @@ func prepMatMul(ex *Executor, idx int, it *Instr) (any, error) {
 }
 
 func prepMatMulT[C accum](ex *Executor, it *Instr, m, k, n int) *mmPackT[C] {
-	st := &mmPackT[C]{m: m, k: k, n: n, np: ceilDiv(n, panelW), epi: newEpi(it, 1)}
+	st := &mmPackT[C]{m: m, k: k, n: n, np: ceilDiv(n, panelW), epi: newEpi(it, 1, nil, 0, accMax[C]())}
 	slotsOf[C](ex).reserve(m*k+st.np*k*panelW, n*m)
 	return st
 }
@@ -165,14 +165,20 @@ func packB[A tensor.Elem, C accum](dst []C, src []A, k, n int, transB bool, z in
 }
 
 // finishMatMul requantizes the channel-major tile acc [N][M] with the
-// unified scaler into the row-major typed output [M,N].
+// unified scaler into the row-major typed output [M,N], with the folded
+// rounding where the bind proved it.
 func finishMatMul[O tensor.Elem, C accum](dst []O, acc []C, m, n int, e *epi) {
-	sfx, bfx := e.sfx[0], e.bfx[0]
-	half, frac, zero, lo, hi := e.half, e.frac, e.zero, e.lo, e.hi
+	sfx, c, rq := e.sfx[0], e.c[0], e.rq
 	for i := 0; i < m; i++ {
 		row := dst[i*n : (i+1)*n]
+		if !e.folded {
+			for oc := range row {
+				row[oc] = O(e.requant(int64(acc[oc*m+i]), sfx, c))
+			}
+			continue
+		}
 		for oc := range row {
-			row[oc] = O(intmath.Requantize(int64(acc[oc*m+i]), sfx, bfx, half, frac, zero, lo, hi))
+			row[oc] = O(rq.Apply(int64(acc[oc*m+i])*sfx + c))
 		}
 	}
 }

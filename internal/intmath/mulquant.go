@@ -141,6 +141,58 @@ func Requantize(v, sfx, bfx, half int64, frac uint, zero, lo, hi int64) int64 {
 	return q
 }
 
+// FoldedRound is Requantize with its rounding half and output zero point
+// folded into one addend, hz = half + zero<<frac, for a product t = v·sfx
+// + c that already carries the bias and every per-channel correction:
+//
+//	q = clamp((t + hz + (t>>63)) >> frac, lo, hi)
+//
+// The arithmetic shift floors, so for t ≥ 0 this is (t + half) >> frac +
+// zero; for t < 0 the sign bit t>>63 = −1 turns the floor of (t + half −
+// 1)/2^frac into −((|t| + half) >> frac), the half-away rounding
+// Requantize takes with its sign mask — one signed add instead of two
+// sign flips and a separate zero-point add. FoldRound builds it with the
+// proof that it is exact.
+type FoldedRound struct {
+	hz     int64
+	frac   uint
+	lo, hi int64
+}
+
+// FoldRound folds a MulQuant's rounding constants (Consts: half =
+// 2^(frac−1), frac ≥ 1) for products bounded by |t| ≤ tMax and reports
+// whether the fold is exact: Apply(t) equals Requantize for every such t
+// when |t| + |hz| < 2⁶², checked here without overflow (so a zero point
+// too large to shift fails the proof rather than wrapping).
+func FoldRound(half int64, frac uint, zero, lo, hi, tMax int64) (FoldedRound, bool) {
+	const lim = 1 << 62
+	r := FoldedRound{frac: frac, lo: lo, hi: hi}
+	if frac < 1 || frac > 61 || half != 1<<(frac-1) ||
+		tMax < 0 || tMax >= lim || zero <= -lim>>frac || zero >= lim>>frac {
+		return r, false
+	}
+	r.hz = half + zero<<frac
+	hzAbs := r.hz
+	if hzAbs < 0 {
+		hzAbs = -hzAbs
+	}
+	return r, uint64(tMax)+uint64(hzAbs) < lim
+}
+
+// Apply requantizes one folded product t = v·sfx + c. FoldRound caps
+// frac below 64, so masking the shift count changes nothing but lets the
+// compiler drop its oversized-shift guard.
+func (r FoldedRound) Apply(t int64) int64 {
+	q := (t + r.hz + t>>63) >> (r.frac & 63)
+	if q < r.lo {
+		q = r.lo
+	}
+	if q > r.hi {
+		q = r.hi
+	}
+	return q
+}
+
 // Consts returns the scalar constants Requantize needs: the rounding
 // half, the fraction shift, the output zero point, and the clamp range.
 func (m *MulQuant) Consts() (half int64, frac uint, zero, lo, hi int64) {

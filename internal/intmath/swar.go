@@ -48,7 +48,10 @@ func PackLanes2(w0, w1 int32) uint64 {
 // LaneLo extracts the low sub-accumulator, sign-extended.
 func LaneLo(acc uint64) int64 { return int64(int32(uint32(acc))) }
 
-// LaneHi extracts the high sub-accumulator: the low lane's sign
-// extension is what borrowed from (or carried into) the high half, so
-// removing it leaves the high lane exactly.
-func LaneHi(acc uint64) int64 { return int64(acc-uint64(LaneLo(acc))) >> SwarLaneBits }
+// LaneHi extracts the high sub-accumulator: a negative low lane
+// borrowed one from the high half, so adding its sign bit back
+// (−(lo>>31) = 1) leaves the high lane exactly, mod 2³² — which is the
+// lane itself, since it fits int32.
+func LaneHi(acc uint64) int64 {
+	return int64(int32(acc>>SwarLaneBits) - int32(acc)>>(SwarLaneBits-1))
+}

@@ -1,6 +1,9 @@
 package intmath
 
-import "testing"
+import (
+	"math/rand/v2"
+	"testing"
+)
 
 // TestSwarLegalBoundary pins the signed-lane legality rule at its exact
 // edge on both sides. Full 8-bit activation bytes (aSpan 255) against
@@ -70,6 +73,14 @@ func TestPackLanesRoundTrip(t *testing.T) {
 		}
 		if got := LaneHi(w); got != int64(c[1]) {
 			t.Fatalf("LaneHi(Pack(%d,%d)) = %d", c[0], c[1], got)
+		}
+	}
+	// Random lane pairs over the whole int32 range of both lanes.
+	g := rand.New(rand.NewPCG(52, 2))
+	for i := 0; i < 100000; i++ {
+		w0, w1 := int32(g.Uint32()), int32(g.Uint32())
+		if w := PackLanes2(w0, w1); LaneLo(w) != int64(w0) || LaneHi(w) != int64(w1) {
+			t.Fatalf("Pack(%d,%d) decodes to (%d, %d)", w0, w1, LaneLo(w), LaneHi(w))
 		}
 	}
 	// Cross-lane borrow: a low lane that ends negative leaves its sign in

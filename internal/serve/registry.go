@@ -30,6 +30,10 @@ var ErrNotFound = errors.New("serve: model not found")
 // ErrClosed is returned once the registry has shut down.
 var ErrClosed = errors.New("serve: registry is closed")
 
+// newServer builds a model version's engine server (a variable so a test
+// can make the bind fail the way a corrupt program would).
+var newServer = engine.NewServer
+
 // Options configure how the registry builds and guards model entries.
 type Options struct {
 	// Engine tunes each model's batching runtime. Its queue capacity
@@ -220,6 +224,15 @@ func (r *Registry) Load(name string, ck *export.Checkpoint, sample []int) (Model
 	}
 	r.wg.Add(1) // for the model built below; released in onDrained
 	r.mu.Unlock()
+	// Until the model is published its onDrained cannot run, so release
+	// the count here on every other exit, a bind-time panic included:
+	// otherwise Close would wait for it forever.
+	published := false
+	defer func() {
+		if !published {
+			r.wg.Done()
+		}
+	}()
 
 	e.loadMu.Lock()
 	defer e.loadMu.Unlock()
@@ -232,14 +245,13 @@ func (r *Registry) Load(name string, ck *export.Checkpoint, sample []int) (Model
 	closed := r.closed
 	r.mu.RUnlock()
 	if closed {
-		r.wg.Done()
 		return ModelInfo{}, ErrClosed
 	}
+	fp := prog.Fingerprint()
 	eng := r.opts.Engine
 	eng.Trace = e.tracer
-	srv, err := engine.NewServer(prog, sample, eng)
+	srv, err := newServer(prog, sample, eng)
 	if err != nil {
-		r.wg.Done()
 		return ModelInfo{}, err
 	}
 	m := &Model{
@@ -247,7 +259,7 @@ func (r *Registry) Load(name string, ck *export.Checkpoint, sample []int) (Model
 		Version: int(e.version.Add(1)),
 		Sample:  append([]int(nil), sample...),
 		prog:    prog,
-		fp:      prog.Fingerprint(),
+		fp:      fp,
 		srv:     srv,
 	}
 	m.onDrained = func(st engine.ServerStats) {
@@ -255,6 +267,7 @@ func (r *Registry) Load(name string, ck *export.Checkpoint, sample []int) (Model
 		r.wg.Done()
 	}
 	m.refs.Store(1)
+	published = true
 	if old := e.cur.Swap(m); old != nil {
 		if old.fp != m.fp {
 			// Content changed: the old version's cache entries are already

@@ -514,3 +514,37 @@ func TestRegistryServesViTWithHotReload(t *testing.T) {
 	}
 	assertSame(t, res2.Y, im2.Forward(x), "vit v2 infer")
 }
+
+// TestRegistryLoadPanicReleasesClose: a panic while Load binds a model
+// version (a corrupt program can panic in the engine) must not leave the
+// registry's drain count held — the registry keeps loading, and Close
+// returns instead of waiting forever for a version that never existed.
+func TestRegistryLoadPanicReleasesClose(t *testing.T) {
+	ck, _ := buildCheckpoint(t, 9)
+	reg := serve.NewRegistry(serve.Options{CacheCapacity: -1})
+	restore := serve.SwapNewServer(func(*engine.Program, []int, engine.ServerOptions) (*engine.Server, error) {
+		panic("bind failed")
+	})
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Load returned instead of propagating the bind panic")
+			}
+		}()
+		reg.Load("cnn", ck, nil)
+	}()
+	restore()
+	if _, err := reg.Load("cnn", ck, nil); err != nil {
+		t.Fatalf("Load after a panicking Load: %v", err)
+	}
+	done := make(chan struct{})
+	go func() {
+		reg.Close()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close hung after a Load that panicked while binding")
+	}
+}
